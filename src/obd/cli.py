@@ -234,19 +234,21 @@ def dot_text(mdp: MdpModel, strategy=None, full: bool = False) -> str:
     for i in range(mdp.n_states):
         label = "\\n".join(f"{k}={v}" for k, v in mdp.space.atoms(i))
         lines.append(f'  s{i} [label="{label}"];')
+    edges = {}  # action name -> DOT edge lines per source state
+    for name in mdp.action_names:
+        rewards = {(i, j): r for i, j, r in mdp.rewards[name].entries()}
+        edges[name] = [[] for _ in range(mdp.n_states)]
+        for i, j, p in mdp.transitions[name].entries():
+            rew = rewards.get((i, j), 0.0)
+            edges[name][i].append(
+                f'  s{i} -> s{j} [label="{name}, {_fmt_value(p)}, {rew:+g}"];')
     for i in range(mdp.n_states):
         if full:
             chosen = mdp.action_names
         else:
             chosen = (mdp.action_names[strategy.actions[i]],)
         for name in chosen:
-            t = mdp.transitions[name]
-            r = mdp.rewards[name]
-            for j in sorted(t.rows[i]):
-                p = _fmt_value(float(t.rows[i][j]))
-                rew = float(r.rows[i].get(j, 0))
-                lines.append(
-                    f'  s{i} -> s{j} [label="{name}, {p}, {rew:+g}"];')
+            lines.extend(edges[name][i])
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -6,13 +6,23 @@ blend each event with its occurrence vector, fold all events into each
 action by matrix product (action first, then events in declaration order),
 and attach transition rewards. Probabilities stay exact rationals until the
 matrices are exported for the solver.
+
+State index `b * S + sigma` pairs the base state `b` (the declared
+variables) with the status tuple `sigma` (one status per requirement, S
+tuples in all). Every formula is evaluated once per base state, as a
+boolean mask. A requirement's status update and reward see a state only
+through its status and the truth of the requirement's formulas, so both
+are tabulated from one `reqauto` call per distinct key and then looked up
+for every state or matrix entry.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from typing import Mapping, Optional
 
 import numpy as np
@@ -20,14 +30,18 @@ import scipy.sparse as sp
 
 from obd.dsl import (
     ActionDesc,
+    And,
+    Atom,
+    BoolLit,
     DomainModel,
+    EvaluationError,
     EventDesc,
+    Not,
     ObdError,
-    eval_formula,
+    Or,
     format_formula,
 )
 from obd.reqauto import (
-    RequirementAutomaton,
     build_automaton,
     reward as requirement_reward,
     update_action,
@@ -52,6 +66,20 @@ class StateLimitError(CompileError):
 # State space
 
 
+@lru_cache(maxsize=8)
+def _digits(domains) -> np.ndarray:
+    """Value indices of every assignment over `domains`, one row per
+    mixed-radix index, the first domain the most significant digit.
+    Read-only, because it is shared between calls."""
+    count = math.prod(len(d) for d in domains)
+    out = np.empty((count, len(domains)), dtype=np.int64)
+    rest = np.arange(count)
+    for pos in range(len(domains) - 1, -1, -1):
+        rest, out[:, pos] = np.divmod(rest, len(domains[pos]))
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class StateSpace:
     """Lexicographic bijection between indices and full variable assignments.
@@ -71,6 +99,23 @@ class StateSpace:
         for d in self.domains:
             out *= len(d)
         return out
+
+    @property
+    def n_statuses(self) -> int:
+        """Status tuples per base state: the S of `index = b * S + sigma`."""
+        return math.prod(len(d) for d in self.domains[self.n_base:])
+
+    # Cached by `_digits`, not in the instance: a StateSpace keeps its
+    # three fields only, so `state` and `index_of` keep their speed.
+    @property
+    def base_digits(self) -> np.ndarray:
+        """Value index of each state variable, one row per base state."""
+        return _digits(self.domains[:self.n_base])
+
+    @property
+    def status_digits(self) -> np.ndarray:
+        """Status index of each requirement, one row per status tuple."""
+        return _digits(self.domains[self.n_base:])
 
     def index_of(self, assignment: Mapping[str, str]) -> int:
         idx = 0
@@ -113,117 +158,280 @@ def enumerate_states(model: DomainModel, automata,
 
 
 class SparseMatrix:
-    """Square row-sparse matrix; entries are Fractions (or floats when
-    loaded back from a serialized model)."""
+    """Square sparse matrix of exact rationals.
 
-    def __init__(self, size: int, rows=None):
+    Canonical CSR: one entry per position, columns ascending within each
+    row, stored zeros kept. Values are integer numerators in a numpy object
+    array (Python ints, so they never overflow) over one common
+    denominator, in lowest terms, which makes equal matrices equal field by
+    field. Instances are not modified after construction: `csr`, the
+    float64 copy for the solver, is built once.
+    """
+
+    def __init__(self, size: int, indptr, indices, numerators,
+                 denominator: int = 1):
+        numerators = np.asarray(numerators, dtype=object)
+        common = math.gcd(denominator, *numerators.tolist())
+        if common > 1:
+            numerators = numerators // common
+            denominator //= common
         self.size = size
-        self.rows = rows if rows is not None else [dict() for _ in range(size)]
+        self.indptr = indptr
+        self.indices = indices
+        self.numerators = numerators
+        self.denominator = denominator
 
-    def add(self, i: int, j: int, value):
-        row = self.rows[i]
-        row[j] = row.get(j, 0) + value
+    @classmethod
+    def from_entries(cls, size: int, rows, cols, numerators,
+                     denominator: int = 1) -> "SparseMatrix":
+        """Matrix of coordinate entries given in any order; entries at the
+        same position are summed."""
+        key = rows * size + cols
+        order = np.argsort(key, kind="stable")
+        key, numerators = key[order], numerators[order]
+        starts = np.flatnonzero(np.diff(key, prepend=-1))
+        if len(starts) < len(key):
+            numerators = np.add.reduceat(numerators, starts)
+            key = key[starts]
+        rows = key // size
+        indptr = np.zeros(size + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=size), out=indptr[1:])
+        return cls(size, indptr, key - rows * size, numerators, denominator)
 
-    def set(self, i: int, j: int, value):
-        self.rows[i][j] = value
-
-    def get(self, i: int, j: int):
-        return self.rows[i].get(j, 0)
-
-    def row(self, i: int) -> dict:
-        return self.rows[i]
-
-    def nnz(self) -> int:
-        return sum(len(r) for r in self.rows)
-
-    def row_sums(self) -> list:
-        return [sum(r.values()) for r in self.rows]
-
-    def matmul(self, other: "SparseMatrix") -> "SparseMatrix":
-        out = SparseMatrix(self.size)
-        for i, row in enumerate(self.rows):
-            target = out.rows[i]
-            for k, v in row.items():
-                for j, w in other.rows[k].items():
-                    target[j] = target.get(j, 0) + v * w
-        return out
+    @classmethod
+    def from_floats(cls, size: int, rows, cols, values) -> "SparseMatrix":
+        """Matrix holding the exact binary value of each float."""
+        ratios = [v.as_integer_ratio() for v in values]
+        denominator = max((d for _, d in ratios), default=1)  # powers of 2
+        numerators = np.array([n * (denominator // d) for n, d in ratios],
+                              dtype=object)
+        return cls.from_entries(size, np.array(rows, dtype=np.int64),
+                                np.array(cols, dtype=np.int64), numerators,
+                                denominator)
 
     @classmethod
     def identity(cls, size: int) -> "SparseMatrix":
-        m = cls(size)
-        for i in range(size):
-            m.rows[i][i] = Fraction(1)
-        return m
+        return cls(size, np.arange(size + 1), np.arange(size),
+                   np.ones(size, dtype=object))
 
-    def to_csr(self) -> sp.csr_matrix:
-        data, indices, indptr = [], [], [0]
-        for row in self.rows:
-            for j in sorted(row):
-                indices.append(j)
-                data.append(float(row[j]))
-            indptr.append(len(indices))
-        return sp.csr_matrix(
-            (np.array(data), np.array(indices, dtype=np.int64),
-             np.array(indptr, dtype=np.int64)),
-            shape=(self.size, self.size))
+    def entry_rows(self) -> np.ndarray:
+        """Row index of every stored entry, parallel to `indices`."""
+        return np.repeat(np.arange(self.size), np.diff(self.indptr))
+
+    def nnz(self) -> int:
+        return len(self.indices)
+
+    def unit_rows(self) -> np.ndarray:
+        """Per row, whether it is the unit row: one entry, 1 on the
+        diagonal."""
+        single = np.flatnonzero(np.diff(self.indptr) == 1)
+        at = self.indptr[single]
+        out = np.zeros(self.size, dtype=bool)
+        out[single] = (self.indices[at] == single) \
+            & (self.numerators[at] == self.denominator)
+        return out
+
+    def select_rows(self, rows: np.ndarray) -> "SparseMatrix":
+        """The same matrix with the rows outside the mask `rows` empty."""
+        keep = rows[self.entry_rows()]
+        indptr = np.zeros(self.size + 1, dtype=np.int64)
+        np.cumsum(np.where(rows, np.diff(self.indptr), 0), out=indptr[1:])
+        return SparseMatrix(self.size, indptr, self.indices[keep],
+                            self.numerators[keep], self.denominator)
+
+    def row(self, i: int) -> dict:
+        """Column -> exact Fraction for the stored entries of row i."""
+        lo, hi = self.indptr[i], self.indptr[i + 1]
+        return {j: Fraction(n, self.denominator) for j, n in zip(
+            self.indices[lo:hi].tolist(), self.numerators[lo:hi].tolist())}
+
+    def get(self, i: int, j: int) -> Fraction:
+        lo, hi = self.indptr[i], self.indptr[i + 1]
+        k = lo + np.searchsorted(self.indices[lo:hi], j)
+        if k < hi and self.indices[k] == j:
+            return Fraction(self.numerators[k], self.denominator)
+        return Fraction(0)
+
+    def row_sums(self) -> list:
+        sums = np.zeros(self.size, dtype=object)
+        np.add.at(sums, self.entry_rows(), self.numerators)
+        return [Fraction(s, self.denominator) for s in sums.tolist()]
+
+    def matmul(self, other: "SparseMatrix") -> "SparseMatrix":
+        """Exact product: every entry (i, k) of self meets row k of other."""
+        starts = other.indptr[self.indices]
+        counts = other.indptr[self.indices + 1] - starts
+        skip = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        positions = skip + np.arange(len(skip))
+        return SparseMatrix.from_entries(
+            self.size, np.repeat(self.entry_rows(), counts),
+            other.indices[positions],
+            np.repeat(self.numerators, counts) * other.numerators[positions],
+            self.denominator * other.denominator)
+
+    @cached_property
+    def csr(self) -> sp.csr_matrix:
+        """float64 copy. Each value is numerator / denominator in Python
+        int arithmetic, which rounds correctly: the float of the exact
+        Fraction."""
+        data = (self.numerators / self.denominator).astype(np.float64)
+        return sp.csr_matrix((data, self.indices, self.indptr),
+                             shape=(self.size, self.size))
+
+    def entries(self):
+        """(row, column, float value) of every stored entry, row by row
+        with columns ascending."""
+        return zip(self.entry_rows().tolist(), self.indices.tolist(),
+                   self.csr.data.tolist())
 
     def __eq__(self, other):
         return (isinstance(other, SparseMatrix) and self.size == other.size
-                and all(a == b for a, b in zip(self.rows, other.rows)))
+                and self.denominator == other.denominator
+                and np.array_equal(self.indptr, other.indptr)
+                and np.array_equal(self.indices, other.indices)
+                and np.array_equal(self.numerators, other.numerators))
+
+
+# ---------------------------------------------------------------------------
+# Base-state masks and status tables
+
+
+def _mask(f, space: StateSpace) -> np.ndarray:
+    """Truth of formula `f` in every base state; an absent formula is
+    false."""
+    n = len(space.base_digits)
+    if f is None:
+        return np.zeros(n, dtype=bool)
+    if isinstance(f, Atom):
+        if f.var not in space.names[:space.n_base]:
+            raise EvaluationError(f"variable '{f.var}' not assigned")
+        pos = space.names.index(f.var)
+        domain = space.domains[pos]
+        if f.value not in domain:
+            return np.zeros(n, dtype=bool)
+        return space.base_digits[:, pos] == domain.index(f.value)
+    if isinstance(f, BoolLit):
+        return np.full(n, f.value, dtype=bool)
+    if isinstance(f, Not):
+        return ~_mask(f.operand, space)
+    if isinstance(f, And):
+        return _mask(f.left, space) & _mask(f.right, space)
+    if isinstance(f, Or):
+        return _mask(f.left, space) | _mask(f.right, space)
+    raise TypeError(f"not a formula node: {f!r}")
+
+
+def _matched_branches(branches, owner: str, space: StateSpace) -> np.ndarray:
+    """Per base state, the index of the branch whose precondition holds
+    there, -1 where none does. Overlapping preconditions raise, naming the
+    first state where they overlap."""
+    masks = [_mask(br.precondition, space) for br in branches]
+    overlap = np.flatnonzero(np.sum(masks, axis=0) > 1) if masks else ()
+    if len(overlap):
+        b = int(overlap[0])
+        first, second = [br for br, m in zip(branches, masks) if m[b]][:2]
+        state = space.state(b * space.n_statuses)
+        witness = " ".join(f"{name}={value}" for name, value in state.items())
+        raise CompileError(
+            f"{owner}: preconditions "
+            f"'{format_formula(first.precondition)}' and "
+            f"'{format_formula(second.precondition)}' overlap in state "
+            f"{{{witness}}}")
+    matched = np.full(len(space.base_digits), -1, dtype=np.int64)
+    for k, mask in enumerate(masks):
+        matched[mask] = k
+    return matched
+
+
+def _targets(space: StateSpace, bases: np.ndarray, assignments) -> np.ndarray:
+    """Base state indices after applying `assignments` to each of `bases`."""
+    radices = [len(d) for d in space.domains[:space.n_base]]
+    out = bases
+    for var, value in assignments:
+        if var not in space.names[:space.n_base]:
+            raise CompileError(f"effect assigns unknown variable '{var}'")
+        pos = space.names.index(var)
+        if value not in space.domains[pos]:
+            raise CompileError(f"effect assigns '{value}' outside the "
+                               f"domain of '{var}'")
+        offset = space.domains[pos].index(value) \
+            - space.base_digits[out, pos]
+        out = out + offset * math.prod(radices[pos + 1:])
+    return out
+
+
+def _base_assignment(space: StateSpace, b: int) -> dict:
+    return {name: space.domains[pos][digit] for pos, (name, digit) in
+            enumerate(zip(space.names[:space.n_base],
+                          space.base_digits[b].tolist()))}
+
+
+def _truth_codes(auto, space: StateSpace):
+    """Per base state, the index of its truth combination of the
+    requirement's required, activation and cancellation formulas among the
+    distinct combinations; and the first base state showing each."""
+    req = auto.requirement
+    bits = (4 * _mask(req.required, space) + 2 * _mask(req.activation, space)
+            + _mask(req.cancellation, space))
+    _, first, codes = np.unique(bits, return_index=True, return_inverse=True)
+    return codes, first
+
+
+def _next_statuses(space: StateSpace, automata, advance) -> np.ndarray:
+    """Status tuple after one step of `advance`, for every successor base
+    state (rows) and status tuple before the step (columns). `advance` is
+    called once per requirement, status and distinct truth combination."""
+    out = np.zeros((len(space.base_digits), space.n_statuses), dtype=np.int64)
+    stride = space.n_statuses
+    for k, auto in enumerate(automata):
+        stride //= len(auto.statuses)
+        codes, first = _truth_codes(auto, space)
+        table = np.array([[auto.statuses.index(advance(auto, status, base))
+                           for status in auto.statuses]
+                          for base in (_base_assignment(space, b)
+                                       for b in first.tolist())])
+        out += table[codes][:, space.status_digits[:, k]] * stride
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Matrix construction
 
 
-def _apply_assignments(base: dict, assignments) -> dict:
-    new = dict(base)
-    for var, value in assignments:
-        new[var] = value
-    return new
-
-
-def _matching_branch(branches, base: dict, owner: str, space: StateSpace,
-                     state: dict):
-    matched = None
-    for br in branches:
-        if eval_formula(br.precondition, base):
-            if matched is not None:
-                witness = " ".join(f"{k}={v}" for k, v in state.items())
-                raise CompileError(
-                    f"{owner}: preconditions "
-                    f"'{format_formula(matched.precondition)}' and "
-                    f"'{format_formula(br.precondition)}' overlap in state "
-                    f"{{{witness}}}")
-            matched = br
-    return matched
-
-
-def _successors(state: dict, branch, space: StateSpace, automata, advance):
-    """Distribution over successor states for one matched branch (or none).
-
-    `advance` is the status update function for this step type. The
-    residual probability keeps the base unchanged; statuses advance either
-    way, against the successor base.
-    """
-    base = {name: state[name] for name in space.names[:space.n_base]}
-    outcomes = []
-    residual = Fraction(1)
-    if branch is not None:
-        for eff in branch.effects:
-            outcomes.append((_apply_assignments(base, eff.assignments),
-                             eff.probability))
+def _explicit_matrix(branches, owner: str, space: StateSpace, automata,
+                     advance) -> SparseMatrix:
+    """One action or event step: the matched branch's effects, plus the
+    residual probability keeping the base; base states no branch matches
+    keep their base. Statuses advance either way, against the successor
+    base, by the status update `advance`."""
+    matched = _matched_branches(branches, owner, space)
+    idle = np.flatnonzero(matched < 0)
+    sources, targets, probs = [idle], [idle], [Fraction(1)]
+    for k, br in enumerate(branches):
+        bases = np.flatnonzero(matched == k)
+        residual = Fraction(1)
+        for eff in br.effects:
+            sources.append(bases)
+            targets.append(_targets(space, bases, eff.assignments))
+            probs.append(eff.probability)
             residual -= eff.probability
-    if residual > 0:
-        outcomes.append((base, residual))
-    result = {}
-    for new_base, prob in outcomes:
-        successor = dict(new_base)
-        for auto in automata:
-            successor[auto.name] = advance(auto, state[auto.name], new_base)
-        idx = space.index_of(successor)
-        result[idx] = result.get(idx, 0) + prob
-    return result
+        if residual > 0:
+            sources.append(bases)
+            targets.append(bases)
+            probs.append(residual)
+    denominator = math.lcm(*(p.denominator for p in probs))
+    numerators = np.repeat(
+        np.array([p.numerator * (denominator // p.denominator)
+                  for p in probs], dtype=object),
+        [len(s) for s in sources])
+    src, dst = np.concatenate(sources), np.concatenate(targets)
+    # row b * S + sigma, column b' * S + (status tuple after sigma at b')
+    n_sigma = space.n_statuses
+    successors = _next_statuses(space, automata, advance)
+    return SparseMatrix.from_entries(
+        space.size, (src[:, None] * n_sigma + np.arange(n_sigma)).ravel(),
+        (dst[:, None] * n_sigma + successors[dst]).ravel(),
+        np.repeat(numerators, n_sigma), denominator)
 
 
 def explicit_action_matrix(action: ActionDesc, space: StateSpace,
@@ -233,63 +441,47 @@ def explicit_action_matrix(action: ActionDesc, space: StateSpace,
     States where no precondition holds self-loop on the base but still
     advance statuses. Overlapping preconditions raise with a witness state.
     """
-    m = SparseMatrix(space.size)
-    base_names = space.names[:space.n_base]
-    for i in range(space.size):
-        state = space.state(i)
-        base = {name: state[name] for name in base_names}
-        branch = _matching_branch(action.branches, base,
-                                  f"action '{action.name}'", space, state)
-        for j, p in _successors(state, branch, space, automata,
-                                update_action).items():
-            m.add(i, j, p)
-    return m
+    return _explicit_matrix(action.branches, f"action '{action.name}'",
+                            space, automata, update_action)
 
 
 def explicit_event_matrix(event: EventDesc, space: StateSpace,
                           automata) -> SparseMatrix:
-    m = SparseMatrix(space.size)
-    base_names = space.names[:space.n_base]
-    for i in range(space.size):
-        state = space.state(i)
-        base = {name: state[name] for name in base_names}
-        branch = _matching_branch(event.branches, base,
-                                  f"event '{event.name}'", space, state)
-        for j, p in _successors(state, branch, space, automata,
-                                update_event).items():
-            m.add(i, j, p)
-    return m
+    return _explicit_matrix(event.branches, f"event '{event.name}'",
+                            space, automata, update_event)
 
 
 def occurrence_vector(event: EventDesc, space: StateSpace) -> list:
     """Per-state probability that the event fires: op of the matched
     branch, 0 where no precondition holds."""
-    out = []
-    base_names = space.names[:space.n_base]
-    for i in range(space.size):
-        state = space.state(i)
-        base = {name: state[name] for name in base_names}
-        branch = _matching_branch(event.branches, base,
-                                  f"event '{event.name}'", space, state)
-        out.append(branch.occurrence_probability if branch is not None
-                   else Fraction(0))
-    return out
+    matched = _matched_branches(event.branches, f"event '{event.name}'",
+                                space)
+    by_branch = np.array([br.occurrence_probability for br in event.branches]
+                         + [Fraction(0)], dtype=object)  # [-1]: no branch
+    return np.repeat(by_branch[matched], space.n_statuses).tolist()
 
 
 def effective_event_matrix(explicit: SparseMatrix,
                            occurrence) -> SparseMatrix:
     """Blend firing and non-firing: row s = O(s)*Pr_e(s,.) + (1-O(s))*delta_s."""
-    out = SparseMatrix(explicit.size)
-    for i in range(explicit.size):
-        o = occurrence[i]
-        row = out.rows[i]
-        if o:
-            for j, p in explicit.rows[i].items():
-                row[j] = row.get(j, 0) + o * p
-        stay = 1 - o
-        if stay:
-            row[i] = row.get(i, 0) + stay
-    return out
+    # The vector repeats a few Fraction objects: convert each object once.
+    _, first, inverse = np.unique(
+        np.fromiter(map(id, occurrence), np.uint64, len(occurrence)),
+        return_index=True, return_inverse=True)
+    distinct = [occurrence[k] for k in first.tolist()]
+    denominator = math.lcm(*(o.denominator for o in distinct))
+    occ = np.array([o.numerator * (denominator // o.denominator)
+                    for o in distinct], dtype=object)[inverse]
+    rows = explicit.entry_rows()
+    fire = occ[rows] != 0
+    stay = denominator - occ
+    diagonal = np.flatnonzero(stay != 0)
+    return SparseMatrix.from_entries(
+        explicit.size, np.concatenate([rows[fire], diagonal]),
+        np.concatenate([explicit.indices[fire], diagonal]),
+        np.concatenate([occ[rows[fire]] * explicit.numerators[fire],
+                        stay[diagonal] * explicit.denominator]),
+        denominator * explicit.denominator)
 
 
 def events_matrix(effective_matrices, size: int) -> SparseMatrix:
@@ -310,27 +502,30 @@ def implicit_action_matrix(explicit: SparseMatrix,
 def reward_matrix(action: ActionDesc, implicit: SparseMatrix,
                   space: StateSpace, automata) -> SparseMatrix:
     """Transition rewards on the support of the implicit matrix: summed
-    requirement rewards minus the action cost (entries may be negative)."""
-    m = SparseMatrix(space.size)
-    cost = action.cost
-    states = {}
+    requirement rewards minus the action cost (entries may be negative,
+    zeros stay stored).
 
-    def full_state(idx):
-        if idx not in states:
-            states[idx] = space.state(idx)
-        return states[idx]
-
-    for i in range(space.size):
-        if not implicit.rows[i]:
-            continue
-        before = full_state(i)
-        for j in implicit.rows[i]:
-            after = full_state(j)
-            total = -cost
-            for auto in automata:
-                total += requirement_reward(auto, before, after)
-            m.set(i, j, Fraction(total))
-    return m
+    Each requirement's reward is called once per distinct key (status and
+    truth combination before, the same after) on the support, with one of
+    the entries that has the key."""
+    before, after = implicit.entry_rows(), implicit.indices
+    total = np.full(implicit.nnz(), -action.cost, dtype=object)
+    for k, auto in enumerate(automata):
+        codes, first = _truth_codes(auto, space)
+        # per state: its status and truth combination as one number
+        state_key = (space.status_digits[:, k] * len(first)
+                     + codes[:, None]).ravel()
+        width = len(auto.statuses) * len(first)
+        keys = state_key[before] * width + state_key[after]
+        entry = np.zeros(width * width, dtype=np.int64)
+        entry[keys] = np.arange(len(keys))  # any entry with each key
+        table = np.zeros(width * width, dtype=object)
+        for p in np.flatnonzero(np.bincount(keys, minlength=width * width)):
+            e = entry[p]
+            table[p] = requirement_reward(auto, space.state(int(before[e])),
+                                          space.state(int(after[e])))
+        total += table[keys]
+    return SparseMatrix(space.size, implicit.indptr, implicit.indices, total)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +544,6 @@ class MdpModel:
     model: Optional[DomainModel] = None
     automata: tuple = ()
     warnings: tuple = ()
-    _csr_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_states(self) -> int:
@@ -360,28 +554,22 @@ class MdpModel:
         return len(self.action_names)
 
     def transition_csr(self, name: str) -> sp.csr_matrix:
-        key = ("t", name)
-        if key not in self._csr_cache:
-            self._csr_cache[key] = self.transitions[name].to_csr()
-        return self._csr_cache[key]
+        return self.transitions[name].csr
 
     def reward_csr(self, name: str) -> sp.csr_matrix:
-        key = ("r", name)
-        if key not in self._csr_cache:
-            self._csr_cache[key] = self.rewards[name].to_csr()
-        return self._csr_cache[key]
+        return self.rewards[name].csr
 
 
 def _check_commutation(names, effective, warnings: list):
-    """Event folding uses declaration order; warn when a pair of events
-    visibly fails to commute."""
-    pairs = list(itertools.combinations(range(len(names)), 2))
-    if len(pairs) > 10:  # sample the first few pairs on large models
-        pairs = pairs[:10]
-    for i, j in pairs:
-        ab = effective[i].matmul(effective[j])
-        ba = effective[j].matmul(effective[i])
-        if ab != ba:
+    """Event folding uses declaration order; warn for every pair of events
+    whose effective matrices do not commute. Rows where both are the unit
+    row are the unit row of both products, so only the other rows are
+    multiplied out."""
+    moving = [~m.unit_rows() for m in effective]
+    for i, j in itertools.combinations(range(len(names)), 2):
+        rows = moving[i] | moving[j]
+        if effective[i].select_rows(rows).matmul(effective[j]) != \
+                effective[j].select_rows(rows).matmul(effective[i]):
             warnings.append(
                 f"events '{names[i]}' and '{names[j]}' do not commute; "
                 "using declaration order")
@@ -465,14 +653,9 @@ def dump_mdp(mdp: MdpModel) -> str:
         lines.append(f"state {i} {atoms}")
     for action in mdp.actions:
         lines.append(f"action {action.name} {action.cost}")
-        t = mdp.transitions[action.name]
-        r = mdp.rewards[action.name]
-        for i in range(mdp.n_states):
-            for j in sorted(t.rows[i]):
-                lines.append(f"t {i} {j} {float(t.rows[i][j])!r}")
-        for i in range(mdp.n_states):
-            for j in sorted(r.rows[i]):
-                lines.append(f"r {i} {j} {float(r.rows[i][j])!r}")
+        for tag, m in (("t", mdp.transitions[action.name]),
+                       ("r", mdp.rewards[action.name])):
+            lines.extend(f"{tag} {i} {j} {v!r}" for i, j, v in m.entries())
     lines.append("end")
     return "\n".join(lines) + "\n"
 
@@ -480,74 +663,131 @@ def dump_mdp(mdp: MdpModel) -> str:
 def load_mdp(text: str) -> MdpModel:
     """Parse an obdmdp/1 document back into a solvable model.
 
-    Probabilities and rewards come back as floats; the domain model and
-    automata are not recoverable from this format, so the result supports
-    solving and export but not simulation.
+    Probabilities and rewards come back as the exact values of the written
+    floats; the domain model and automata are not recoverable from this
+    format, so the result supports solving and export but not simulation.
+    Malformed documents raise CompileError naming the line.
     """
     lines = text.splitlines()
     if not lines or lines[0] != FORMAT_MDP:
         raise CompileError(f"not an {FORMAT_MDP} document")
+    pos = 1  # index of the next line; line numbers are 1-based
 
-    def split(line, tag):
-        parts = line.split()
+    def error(message: str):
+        return CompileError(f"line {pos}: {message}")
+
+    def fields(tag: str) -> list:
+        nonlocal pos
+        if pos >= len(lines):
+            pos += 1
+            raise error(f"expected '{tag}' line, got end of input")
+        parts = lines[pos].split()
+        pos += 1
         if not parts or parts[0] != tag:
-            raise CompileError(f"expected '{tag}' line, got: {line!r}")
+            raise error(f"expected '{tag}' line, got: {lines[pos - 1]!r}")
         return parts[1:]
 
-    gamma = Fraction(split(lines[1], "gamma")[0])
-    n_states = int(split(lines[2], "states")[0])
-    n_actions = int(split(lines[3], "actions")[0])
-    initial = int(split(lines[4], "initial")[0])
+    def single(tag: str) -> str:
+        parts = fields(tag)
+        if len(parts) != 1:
+            raise error(f"'{tag}' takes one value")
+        return parts[0]
 
-    pos = 5
-    names = None
-    domains = None
+    def integer(text: str, low: Optional[int] = None,
+                high: Optional[int] = None) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise error(f"not an integer: {text!r}") from None
+        if low is not None and value < low:
+            raise error(f"{value} is below {low}")
+        if high is not None and value >= high:
+            raise error(f"{value} is not below {high}")
+        return value
+
+    try:
+        gamma = Fraction(single("gamma"))
+    except ValueError:
+        raise error("discount factor is not a number") from None
+    if not (0 < gamma < 1):
+        raise error(f"discount factor {float(gamma)} outside (0,1)")
+    n_states = integer(single("states"), 1)
+    n_actions = integer(single("actions"), 1)
+    initial = integer(single("initial"), 0, n_states)
+
     raw_states = []
-    for _ in range(n_states):
-        parts = split(lines[pos], "state")
-        pos += 1
+    for index in range(n_states):
+        parts = fields("state")
+        if not parts or integer(parts[0], 0) != index:
+            raise error(f"expected state {index}")
         atoms = [p.partition("=") for p in parts[1:]]
+        if any(not sep for _, sep, _ in atoms):
+            raise error("state atoms must read var=value")
         raw_states.append([(a, c) for a, _, c in atoms])
-    if raw_states:
-        names = tuple(a for a, _ in raw_states[0])
-        values: dict = {name: [] for name in names}
-        for state in raw_states:
-            for name, value in state:
-                if value not in values[name]:
-                    values[name].append(value)
-        domains = tuple(tuple(values[name]) for name in names)
-    else:
-        names, domains = (), ()
-    space = StateSpace(names, domains, len(names))
+        if [a for a, _ in raw_states[-1]] != [a for a, _ in raw_states[0]]:
+            raise error("state variables differ from those of state 0")
+    names = tuple(a for a, _ in raw_states[0])
+    values: dict = {name: [] for name in names}
+    for state in raw_states:
+        for name, value in state:
+            if value not in values[name]:
+                values[name].append(value)
+    space = StateSpace(names, tuple(tuple(values[n]) for n in names),
+                       len(names))
+    if space.size != n_states or any(
+            space.index_of(dict(s)) != i for i, s in enumerate(raw_states)):
+        raise CompileError("state lines do not list every assignment in "
+                           "lexicographic order")
 
-    action_names = []
     actions = []
-    transitions = {}
-    rewards = {}
-    current = None
-    while pos < len(lines):
-        line = lines[pos]
+    triples: dict = {}  # (action, tag) -> {(row, col): value}
+    while True:
+        if pos >= len(lines):
+            pos += 1
+            raise error("missing 'end' line")
+        parts = lines[pos].split()
         pos += 1
-        if line == "end":
+        if parts == ["end"]:
             break
-        parts = line.split()
-        if parts[0] == "action":
-            current = parts[1]
-            action_names.append(current)
-            actions.append(ActionDesc(current, branches=(), cost=int(parts[2])))
-            transitions[current] = SparseMatrix(n_states)
-            rewards[current] = SparseMatrix(n_states)
-        elif parts[0] == "t":
-            transitions[current].set(int(parts[1]), int(parts[2]),
-                                     float(parts[3]))
-        elif parts[0] == "r":
-            rewards[current].set(int(parts[1]), int(parts[2]),
-                                 float(parts[3]))
+        tag = parts[0] if parts else ""
+        if tag == "action":
+            if len(parts) != 3:
+                raise error("'action' takes a name and a cost")
+            if any(a.name == parts[1] for a in actions):
+                raise error(f"action '{parts[1]}' appears twice")
+            actions.append(ActionDesc(parts[1], branches=(),
+                                      cost=integer(parts[2])))
+            for t in ("t", "r"):
+                triples[parts[1], t] = {}
+        elif tag in ("t", "r"):
+            if not actions:
+                raise error(f"'{tag}' line before any 'action' line")
+            if len(parts) != 4:
+                raise error(f"'{tag}' takes a row, a column and a value")
+            at = (integer(parts[1], 0, n_states),
+                  integer(parts[2], 0, n_states))
+            try:
+                value = float(parts[3])
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise error(f"not a finite number: {parts[3]!r}")
+            entries = triples[actions[-1].name, tag]
+            if at in entries:
+                raise error(f"second '{tag}' entry for {at[0]} {at[1]}")
+            entries[at] = value
         else:
-            raise CompileError(f"unexpected line: {line!r}")
-    if len(action_names) != n_actions:
-        raise CompileError(
-            f"expected {n_actions} actions, found {len(action_names)}")
-    return MdpModel(space=space, action_names=tuple(action_names),
-                    actions=tuple(actions), transitions=transitions,
-                    rewards=rewards, gamma=gamma, initial_index=initial)
+            raise error(f"unexpected line: {lines[pos - 1]!r}")
+    if len(actions) != n_actions:
+        raise error(f"expected {n_actions} actions, found {len(actions)}")
+
+    def matrix(entries: dict) -> SparseMatrix:
+        return SparseMatrix.from_floats(
+            n_states, [i for i, _ in entries], [j for _, j in entries],
+            list(entries.values()))
+
+    names = tuple(a.name for a in actions)
+    return MdpModel(space=space, action_names=names, actions=tuple(actions),
+                    transitions={a: matrix(triples[a, "t"]) for a in names},
+                    rewards={a: matrix(triples[a, "r"]) for a in names},
+                    gamma=gamma, initial_index=initial)

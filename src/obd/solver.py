@@ -100,16 +100,15 @@ def value_iteration(mdp: MdpModel,
                     method="value-iteration")
 
 
-def _policy_matrices(mdp: MdpModel, mats, expected, policy: np.ndarray):
-    n = mdp.n_states
-    rows = []
-    r_pi = np.empty(n)
-    for s in range(n):
-        a = policy[s]
-        rows.append(mats[a].getrow(s))
-        r_pi[s] = expected[a][s]
-    p_pi = sp.vstack(rows, format="csr")
-    return p_pi, r_pi
+def _stacked(mats, expected):
+    """All actions' transition rows in one CSR (row a*n + s) and their
+    expected rewards, so a policy's rows are one gather."""
+    return sp.vstack(mats, format="csr"), np.concatenate(expected)
+
+
+def _policy_matrices(stacked, stacked_expected, policy: np.ndarray):
+    rows = policy * len(policy) + np.arange(len(policy))
+    return stacked[rows], stacked_expected[rows]
 
 
 def evaluate_policy(mdp: MdpModel, policy: np.ndarray) -> np.ndarray:
@@ -117,7 +116,7 @@ def evaluate_policy(mdp: MdpModel, policy: np.ndarray) -> np.ndarray:
     cutoff, fixed-point iteration above it."""
     gamma = float(mdp.gamma)
     mats, expected = _prepared(mdp)
-    p_pi, r_pi = _policy_matrices(mdp, mats, expected, policy)
+    p_pi, r_pi = _policy_matrices(*_stacked(mats, expected), policy)
     n = mdp.n_states
     if n <= DIRECT_SOLVE_LIMIT:
         system = sp.identity(n, format="csr") - gamma * p_pi
@@ -135,11 +134,12 @@ def policy_iteration(mdp: MdpModel) -> Strategy:
     """Exact evaluation + greedy improvement until the policy is stable."""
     gamma = float(mdp.gamma)
     mats, expected = _prepared(mdp)
+    stacked = _stacked(mats, expected)
     n = mdp.n_states
     policy = np.zeros(n, dtype=np.int64)
     iterations = 0
     while True:
-        p_pi, r_pi = _policy_matrices(mdp, mats, expected, policy)
+        p_pi, r_pi = _policy_matrices(*stacked, policy)
         system = sp.identity(n, format="csr") - gamma * p_pi
         values = spla.spsolve(system.tocsc(), r_pi) if n > 1 else \
             np.array([r_pi[0] / (1.0 - gamma * p_pi[0, 0])])

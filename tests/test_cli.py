@@ -96,6 +96,17 @@ def test_solve_accepts_compiled_mdp(tmp_path):
 # simulate
 
 
+def test_solve_truncated_mdp_exits_1(tmp_path):
+    mdp = tmp_path / "toy.mdp"
+    assert invoke("compile", TOY, "--out", str(mdp)).exit_code == 0
+    lines = mdp.read_text().splitlines(keepends=True)
+    mdp.write_text("".join(lines[:12]))
+    result = invoke("solve", str(mdp))
+    assert result.exit_code == 1
+    assert result.output == (f"{mdp}: error: line 13: expected 'state' "
+                             "line, got end of input\n")
+
+
 def test_simulate_csv(tmp_path):
     out = tmp_path / "metrics.csv"
     result = invoke("simulate", TOY, "--controller", "reflex,replan,random",

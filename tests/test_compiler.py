@@ -158,6 +158,24 @@ def test_random_models_match_brute_force(seed):
     _check_against_oracle(model, mdp)
 
 
+def test_fold_stays_exact_beyond_int64():
+    """Events with distinct large prime denominators: the folded rows'
+    denominators pass 2**63, and every row still equals the oracle."""
+    primes = [(1000003, 1000033), (1000037, 1000039), (999983, 999979),
+              (999961, 999959)]
+    lines = [f"Variable x{k}" for k in range(len(primes))]
+    lines.append("Action a if x0 effects <!x0 prob 1/999953>")
+    for k, (p, q) in enumerate(primes):
+        lines.append(f"Event e{k} if x{k} occur prob 1/{p} "
+                     f"effects <!x{k} prob {q - 1}/{q}>")
+    init = ", ".join(f"x{k}" for k in range(len(primes)))
+    model = parse_domain("\n".join(lines) + f"\nInit {{ {init} }}\n")
+    mdp = compile_model(model)
+    _check_against_oracle(model, mdp)
+    assert max(v.denominator for i in range(mdp.n_states)
+               for v in mdp.transitions["a"].row(i).values()) > 2 ** 63
+
+
 def test_rows_are_exactly_stochastic(toy_mdp, restaurant_mdp):
     for mdp in (toy_mdp, restaurant_mdp):
         for name in mdp.action_names:
@@ -266,6 +284,22 @@ def test_commuting_events_order_invariant():
         assert m12.rewards[name] == m21.rewards[name]
 
 
+def test_commutation_check_covers_every_pair():
+    """Six events make 15 pairs; the one pair that does not commute,
+    (e4, e5), is the last."""
+    lines = [f"Variable x{k}" for k in range(4)] + [
+        "Variable z",
+        "Action a if x0 effects <!x0>"]
+    lines += [f"Event e{k} if x{k} occur prob 1/2 effects <!x{k}>"
+              for k in range(4)]
+    lines += ["Event e4 if z occur prob 1/2 effects <!z>",
+              "Event e5 if !z occur prob 1/3 effects <z>",
+              "Init { x0, x1, x2, x3, z }"]
+    mdp = compile_model(parse_domain("\n".join(lines) + "\n"))
+    assert mdp.warnings == (
+        "events 'e4' and 'e5' do not commute; using declaration order",)
+
+
 def test_zero_reward_requirement_does_not_change_dynamics():
     """Adding a reward-0 unconditional requirement leaves the base
     transition probabilities untouched (marginalized over statuses)."""
@@ -307,3 +341,51 @@ def test_mdp_round_trip(toy_mdp):
 def test_load_mdp_rejects_garbage():
     with pytest.raises(CompileError):
         load_mdp("not a model\n")
+
+
+def _load_error(lines) -> str:
+    with pytest.raises(CompileError) as err:
+        load_mdp("\n".join(lines) + "\n")
+    return str(err.value)
+
+
+def _replace_first(lines, prefix, line):
+    k = next(k for k, text in enumerate(lines) if text.startswith(prefix))
+    return lines[:k] + [line] + lines[k + 1:]
+
+
+def test_load_mdp_rejects_truncated_document(toy_mdp):
+    assert _load_error(dump_mdp(toy_mdp).splitlines()[:12]) == \
+        "line 13: expected 'state' line, got end of input"
+
+
+def test_load_mdp_rejects_missing_end(toy_mdp):
+    lines = dump_mdp(toy_mdp).splitlines()
+    assert "missing 'end' line" in _load_error(lines[:-1])
+
+
+def test_load_mdp_rejects_wrong_action_count(toy_mdp):
+    lines = _replace_first(dump_mdp(toy_mdp).splitlines(), "actions ",
+                           "actions 4")
+    assert "expected 4 actions, found 3" in _load_error(lines)
+
+
+def test_load_mdp_rejects_transition_index_out_of_range(toy_mdp):
+    lines = dump_mdp(toy_mdp).splitlines()
+    k = lines.index("action noop 0") + 1
+    lines[k] = "t 8 0 1.0"
+    assert _load_error(lines) == f"line {k + 1}: 8 is not below 8"
+
+
+def test_load_mdp_rejects_reward_index_out_of_range(toy_mdp):
+    lines = _replace_first(dump_mdp(toy_mdp).splitlines(), "r ",
+                           "r 0 -1 0.0")
+    assert "-1 is below 0" in _load_error(lines)
+
+
+def test_load_mdp_rejects_triple_before_action(toy_mdp):
+    lines = dump_mdp(toy_mdp).splitlines()
+    k = lines.index("action noop 0")
+    del lines[k]
+    assert _load_error(lines) == \
+        f"line {k + 1}: 't' line before any 'action' line"
