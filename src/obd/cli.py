@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 parse/validation/input error, 2 state-limit
 breach. Machine outputs (obdmdp/1, obdpolicy/1, CSV, DOT) are
-newline-terminated UTF-8 and byte-stable across runs with equal inputs.
+newline-terminated UTF-8. obdmdp/1, obdpolicy/1 and DOT are byte-stable
+across runs with equal inputs; the CSV's medianLatencyNs column is a
+wall-clock timing and varies.
 """
 
 from __future__ import annotations
@@ -193,7 +195,10 @@ def cmd_simulate(input_path, controllers, ticks, seeds, gamma, epsilon,
                 text = Path(policy_path).read_text(encoding="utf-8")
             except OSError:
                 _fail(f"{policy_path}: missing policy for reflex mode")
-            strategy = load_policy(text, mdp)
+            try:
+                strategy = load_policy(text, mdp)
+            except ObdError as exc:
+                _fail(f"{policy_path}: error: {exc}")
         else:
             strategy = value_iteration(mdp, epsilon)
 

@@ -89,16 +89,17 @@ def eval_formula(f: Formula, atoms: Mapping[str, str]) -> bool:
     raise TypeError(f"not a formula node: {f!r}")
 
 
-def formula_variables(f: Formula) -> set:
-    if isinstance(f, Atom):
-        return {f.var}
-    if isinstance(f, BoolLit):
-        return set()
+def _walk(f: Formula):
+    yield f
     if isinstance(f, Not):
-        return formula_variables(f.operand)
-    if isinstance(f, (And, Or)):
-        return formula_variables(f.left) | formula_variables(f.right)
-    raise TypeError(f"not a formula node: {f!r}")
+        yield from _walk(f.operand)
+    elif isinstance(f, (And, Or)):
+        yield from _walk(f.left)
+        yield from _walk(f.right)
+
+
+def formula_variables(f: Formula) -> set:
+    return {g.var for g in _walk(f) if isinstance(g, Atom)}
 
 
 def format_formula(f: Formula) -> str:
@@ -230,9 +231,6 @@ class DomainModel:
             if v.name == name:
                 return v
         raise KeyError(name)
-
-    def initial_assignment(self) -> dict:
-        return dict(self.initial_state)
 
 
 @dataclass(frozen=True)
@@ -699,14 +697,8 @@ class _Parser:
                 for var in sorted(formula_variables(f)):
                     note(var)
 
-        for a, _ in actions:
-            for br in a.branches:
-                note_formula(br.precondition)
-                for eff in br.effects:
-                    for var, _v in eff.assignments:
-                        note(var)
-        for e, _ in events:
-            for br in e.branches:
+        for owner, _ in actions + events:
+            for br in owner.branches:
                 note_formula(br.precondition)
                 for eff in br.effects:
                     for var, _v in eff.assignments:
@@ -740,13 +732,8 @@ class _Parser:
                     self.error(
                         f"unknown value '{value}' for variable '{var}'", tok)
 
-        for a, tok in actions:
-            for br in a.branches:
-                check_formula(br.precondition, tok)
-                for eff in br.effects:
-                    check_assignments(eff.assignments, tok)
-        for e, tok in events:
-            for br in e.branches:
+        for owner, tok in actions + events:
+            for br in owner.branches:
                 check_formula(br.precondition, tok)
                 for eff in br.effects:
                     check_assignments(eff.assignments, tok)
@@ -770,15 +757,6 @@ class _Parser:
         return DomainModel(tuple(all_vars), tuple(a for a, _ in actions),
                            tuple(e for e, _ in events),
                            tuple(r for r, _ in requirements), initial)
-
-
-def _walk(f: Formula):
-    yield f
-    if isinstance(f, Not):
-        yield from _walk(f.operand)
-    elif isinstance(f, (And, Or)):
-        yield from _walk(f.left)
-        yield from _walk(f.right)
 
 
 def parse_domain(text: str) -> DomainModel:
@@ -920,46 +898,32 @@ def validate(model: DomainModel) -> list:
             diags.append(Diagnostic(
                 "error", f"requirement '{r.name}': negative reward"))
 
-    def check_branches(owner: str, branches, effects_of, pre_of):
+    assigned = {var: {value} for var, value in model.initial_state}
+    for item in model.actions + model.events:
+        label = "action" if isinstance(item, ActionDesc) else "event"
+        owner = f"{label} '{item.name}'"
         seen_pres = []
-        for br in branches:
-            pre = pre_of(br)
-            if pre in seen_pres:
+        for br in item.branches:
+            if br.precondition in seen_pres:
                 diags.append(Diagnostic(
                     "warning",
                     f"{owner}: overlapping preconditions "
-                    f"({format_formula(pre)} repeated)"))
-            seen_pres.append(pre)
+                    f"({format_formula(br.precondition)} repeated)"))
+            seen_pres.append(br.precondition)
             total = Fraction(0)
-            for eff in effects_of(br):
+            for eff in br.effects:
                 if eff.probability <= 0:
                     diags.append(Diagnostic(
                         "error", f"{owner}: zero-probability effect"))
                 total += eff.probability
+                for var, value in eff.assignments:
+                    assigned.setdefault(var, set()).add(value)
             if total > 1:
                 diags.append(Diagnostic(
                     "error",
                     f"{owner}: effect probabilities sum to {total} > 1"))
 
-    for a in model.actions:
-        check_branches(f"action '{a.name}'", a.branches,
-                       lambda br: br.effects, lambda br: br.precondition)
-    for e in model.events:
-        check_branches(f"event '{e.name}'", e.branches,
-                       lambda br: br.effects, lambda br: br.precondition)
-
     # Domain values nothing can ever assign are likely spelling mistakes.
-    assigned = {var: {value} for var, value in model.initial_state}
-    for a in model.actions:
-        for br in a.branches:
-            for eff in br.effects:
-                for var, value in eff.assignments:
-                    assigned.setdefault(var, set()).add(value)
-    for e in model.events:
-        for br in e.branches:
-            for eff in br.effects:
-                for var, value in eff.assignments:
-                    assigned.setdefault(var, set()).add(value)
     for name, domain in domains.items():
         for value in domain:
             if value not in assigned.get(name, set()):

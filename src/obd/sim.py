@@ -317,10 +317,6 @@ class Metrics:
         return self.total_reward / self.ticks if self.ticks else 0.0
 
     @property
-    def mean_latency_ns(self) -> float:
-        return statistics.fmean(self.latencies_ns) if self.latencies_ns else 0.0
-
-    @property
     def median_latency_ns(self) -> float:
         return statistics.median(self.latencies_ns) if self.latencies_ns else 0.0
 

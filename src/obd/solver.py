@@ -1,14 +1,17 @@
 """Optimal memoryless strategies for compiled models.
 
 Value iteration runs Bellman backups to a max-norm stopping rule; policy
-iteration alternates exact evaluation with greedy improvement. Both return
-the same Strategy shape: a total state-to-action map with its value
-function and solver metadata.
+iteration alternates exact evaluation with greedy improvement. Every entry
+point reads one Bellman operator built once per solve, with all actions'
+transition rows stacked in one matrix, and policy evaluation is always a
+direct sparse solve. Both solvers return the same Strategy shape: a total
+state-to-action map with its value function and solver metadata.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +23,6 @@ from obd.dsl import ObdError
 
 FORMAT_POLICY = "obdpolicy/1"
 DEFAULT_EPSILON = 1e-6
-DIRECT_SOLVE_LIMIT = 50_000
 ROW_SUM_TOL = 1e-9
 
 
@@ -43,36 +45,47 @@ class Strategy:
         return mdp.action_names[self.actions[state]]
 
 
-def _prepared(mdp: MdpModel):
-    """CSR transition matrices and expected one-step rewards per action,
-    with a defensive row-stochasticity re-check."""
-    mats = []
-    expected = []
-    for name in mdp.action_names:
-        p = mdp.transition_csr(name)
+class _Bellman:
+    """The Bellman operator of a model: every action's transition rows
+    stacked in one CSR (row a*n + s), their expected one-step rewards, and
+    a defensive row-stochasticity re-check."""
+
+    def __init__(self, mdp: MdpModel):
+        n = mdp.n_states
+        p = sp.vstack([mdp.transition_csr(a) for a in mdp.action_names],
+                      format="csr")
+        r = sp.vstack([mdp.reward_csr(a) for a in mdp.action_names],
+                      format="csr")
         sums = np.asarray(p.sum(axis=1)).ravel()
-        if np.max(np.abs(sums - 1.0)) > ROW_SUM_TOL:
-            bad = int(np.argmax(np.abs(sums - 1.0)))
+        bad = np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)
+        if bad.size:
+            action, state = divmod(int(bad[0]), n)
             raise SolverError(
-                f"action '{name}': transition row {bad} sums to {sums[bad]}")
-        r = mdp.reward_csr(name)
-        expected.append(np.asarray(p.multiply(r).sum(axis=1)).ravel())
-        mats.append(p)
-    return mats, expected
+                f"action '{mdp.action_names[action]}': transition row "
+                f"{state} sums to {sums[bad[0]]}")
+        self.n = n
+        self.gamma = float(mdp.gamma)
+        self.matrix = p
+        self.expected = np.asarray(p.multiply(r).sum(axis=1)).ravel()
 
+    def q_values(self, values: np.ndarray) -> np.ndarray:
+        """Q-values, shape (n_actions, n_states)."""
+        return (self.expected + self.gamma * (self.matrix @ values)).reshape(
+            -1, self.n)
 
-def _q_values(mats, expected, gamma: float, values: np.ndarray) -> np.ndarray:
-    return np.column_stack(
-        [r + gamma * (p @ values) for p, r in zip(mats, expected)])
+    def evaluate(self, policy: np.ndarray) -> np.ndarray:
+        """Solve (I - gamma*P_pi) V = r_pi directly."""
+        rows = policy * self.n + np.arange(self.n)
+        system = (sp.identity(self.n, format="csr")
+                  - self.gamma * self.matrix[rows])
+        return spla.spsolve(system.tocsc(), self.expected[rows])
 
 
 def greedy_policy(mdp: MdpModel, values: np.ndarray) -> Strategy:
     """One-step lookahead argmax; ties go to the lowest action index
     (noop is index 0)."""
-    mats, expected = _prepared(mdp)
-    q = _q_values(mats, expected, float(mdp.gamma), values)
-    actions = np.argmax(q, axis=1)
-    return Strategy(actions=actions, values=q.max(axis=1),
+    q = _Bellman(mdp).q_values(values)
+    return Strategy(actions=np.argmax(q, axis=0), values=q.max(axis=0),
                     iterations=0, residual=0.0, method="greedy")
 
 
@@ -82,73 +95,40 @@ def value_iteration(mdp: MdpModel,
     epsilon*(1-gamma)/(2*gamma); the result is within epsilon of optimal."""
     if epsilon <= 0:
         raise SolverError("epsilon must be positive")
-    gamma = float(mdp.gamma)
-    mats, expected = _prepared(mdp)
-    threshold = epsilon * (1.0 - gamma) / (2.0 * gamma)
+    bellman = _Bellman(mdp)
+    threshold = epsilon * (1.0 - bellman.gamma) / (2.0 * bellman.gamma)
     values = np.zeros(mdp.n_states)
     iterations = 0
     residual = np.inf
     while residual >= threshold:
-        q = _q_values(mats, expected, gamma, values)
-        new_values = q.max(axis=1) if q.size else values
-        residual = float(np.max(np.abs(new_values - values))) if q.size else 0.0
+        new_values = bellman.q_values(values).max(axis=0)
+        residual = float(np.max(np.abs(new_values - values)))
         values = new_values
         iterations += 1
-    q = _q_values(mats, expected, gamma, values)
-    return Strategy(actions=np.argmax(q, axis=1), values=values,
-                    iterations=iterations, residual=residual,
+    return Strategy(actions=np.argmax(bellman.q_values(values), axis=0),
+                    values=values, iterations=iterations, residual=residual,
                     method="value-iteration")
 
 
-def _stacked(mats, expected):
-    """All actions' transition rows in one CSR (row a*n + s) and their
-    expected rewards, so a policy's rows are one gather."""
-    return sp.vstack(mats, format="csr"), np.concatenate(expected)
-
-
-def _policy_matrices(stacked, stacked_expected, policy: np.ndarray):
-    rows = policy * len(policy) + np.arange(len(policy))
-    return stacked[rows], stacked_expected[rows]
-
-
 def evaluate_policy(mdp: MdpModel, policy: np.ndarray) -> np.ndarray:
-    """Solve (I - gamma*P_pi) V = r_pi; direct sparse solve below the size
-    cutoff, fixed-point iteration above it."""
-    gamma = float(mdp.gamma)
-    mats, expected = _prepared(mdp)
-    p_pi, r_pi = _policy_matrices(*_stacked(mats, expected), policy)
-    n = mdp.n_states
-    if n <= DIRECT_SOLVE_LIMIT:
-        system = sp.identity(n, format="csr") - gamma * p_pi
-        return spla.spsolve(system.tocsc(), r_pi)
-    values = np.zeros(n)
-    threshold = DEFAULT_EPSILON * (1.0 - gamma)
-    while True:
-        new_values = r_pi + gamma * (p_pi @ values)
-        if np.max(np.abs(new_values - values)) < threshold:
-            return new_values
-        values = new_values
+    """Values of a fixed policy, by one direct sparse solve."""
+    return _Bellman(mdp).evaluate(policy)
 
 
 def policy_iteration(mdp: MdpModel) -> Strategy:
     """Exact evaluation + greedy improvement until the policy is stable."""
-    gamma = float(mdp.gamma)
-    mats, expected = _prepared(mdp)
-    stacked = _stacked(mats, expected)
-    n = mdp.n_states
-    policy = np.zeros(n, dtype=np.int64)
+    bellman = _Bellman(mdp)
+    states = np.arange(mdp.n_states)
+    policy = np.zeros(mdp.n_states, dtype=np.int64)
     iterations = 0
     while True:
-        p_pi, r_pi = _policy_matrices(*stacked, policy)
-        system = sp.identity(n, format="csr") - gamma * p_pi
-        values = spla.spsolve(system.tocsc(), r_pi) if n > 1 else \
-            np.array([r_pi[0] / (1.0 - gamma * p_pi[0, 0])])
+        values = bellman.evaluate(policy)
         iterations += 1
-        q = _q_values(mats, expected, gamma, values)
-        improved = np.argmax(q, axis=1)
+        q = bellman.q_values(values)
+        improved = np.argmax(q, axis=0)
         # keep the incumbent action when it is still (tied-)optimal, so the
         # iteration cannot cycle between equal-value policies
-        keep = np.isclose(q[np.arange(n), policy], q.max(axis=1),
+        keep = np.isclose(q[policy, states], q.max(axis=0),
                           rtol=0.0, atol=1e-12)
         improved[keep] = policy[keep]
         if np.array_equal(improved, policy):
@@ -171,15 +151,47 @@ def dump_policy(strategy: Strategy, mdp: MdpModel) -> str:
 
 
 def load_policy(text: str, mdp: MdpModel) -> Strategy:
+    """Parse an obdpolicy/1 document for `mdp`: one `<state> <action>
+    <value>` line per state. Malformed documents raise SolverError naming
+    the line."""
     lines = text.splitlines()
     if not lines or lines[0] != FORMAT_POLICY:
         raise SolverError(f"not an {FORMAT_POLICY} document")
-    actions = np.zeros(mdp.n_states, dtype=np.int64)
-    values = np.zeros(mdp.n_states)
-    for line in lines[1:]:
-        idx, name, value = line.split()
-        actions[int(idx)] = mdp.action_names.index(name)
-        values[int(idx)] = float(value)
+    n = mdp.n_states
+    actions = np.full(n, -1, dtype=np.int64)
+    values = np.zeros(n)
+    number = 1  # line number, 1-based
+
+    def error(message: str):
+        return SolverError(f"line {number}: {message}")
+
+    for number, line in enumerate(lines[1:], start=2):
+        parts = line.split()
+        if len(parts) != 3:
+            raise error(f"expected '<state> <action> <value>', got: {line!r}")
+        index, name, value = parts
+        try:
+            state = int(index)
+        except ValueError:
+            raise error(f"not a state index: {index!r}") from None
+        if not 0 <= state < n:
+            raise error(f"state {state} outside 0..{n - 1}")
+        if actions[state] >= 0:
+            raise error(f"second line for state {state}")
+        if name not in mdp.action_names:
+            raise error(f"unknown action '{name}'")
+        try:
+            values[state] = float(value)
+        except ValueError:
+            values[state] = math.nan
+        if not math.isfinite(values[state]):
+            raise error(f"not a finite number: {value!r}")
+        actions[state] = mdp.action_names.index(name)
+    missing = np.flatnonzero(actions < 0)
+    if missing.size:
+        number = len(lines) + 1
+        raise error(f"end of input with {missing.size} of {n} states "
+                    f"missing, the first being state {missing[0]}")
     return Strategy(actions=actions, values=values, iterations=0,
                     residual=0.0, method="loaded")
 

@@ -92,10 +92,6 @@ def test_solve_accepts_compiled_mdp(tmp_path):
     assert from_obd.read_text() == from_mdp.read_text()
 
 
-# ---------------------------------------------------------------------------
-# simulate
-
-
 def test_solve_truncated_mdp_exits_1(tmp_path):
     mdp = tmp_path / "toy.mdp"
     assert invoke("compile", TOY, "--out", str(mdp)).exit_code == 0
@@ -105,6 +101,27 @@ def test_solve_truncated_mdp_exits_1(tmp_path):
     assert result.exit_code == 1
     assert result.output == (f"{mdp}: error: line 13: expected 'state' "
                              "line, got end of input\n")
+
+
+def test_solve_substochastic_row_exits_1(tmp_path):
+    """The stacked operator's row check names the action and the state row,
+    not the row's index in the stacked matrix."""
+    mdp = tmp_path / "toy.mdp"
+    assert invoke("compile", TOY, "--out", str(mdp)).exit_code == 0
+    text = mdp.read_text()
+    head, _, tail = text.partition("action b 5\n")
+    assert "t 6 7 0.8\n" in tail
+    mdp.write_text(head + "action b 5\n"
+                   + tail.replace("t 6 7 0.8\n", "t 6 7 0.3\n", 1))
+    for method in ("value", "policy"):
+        result = invoke("solve", str(mdp), "--method", method)
+        assert result.exit_code == 1
+        assert result.output == (f"{mdp}: error: action 'b': transition row "
+                                 "6 sums to 0.5\n")
+
+
+# ---------------------------------------------------------------------------
+# simulate
 
 
 def test_simulate_csv(tmp_path):
@@ -131,6 +148,17 @@ def test_simulate_missing_policy_exits_1():
     result = invoke("simulate", TOY, "--controller", "reflex",
                     "--ticks", "10", "--policy", "missing.policy")
     assert result.exit_code == 1
+
+
+def test_simulate_malformed_policy_exits_1(tmp_path):
+    pol = tmp_path / "toy.policy"
+    assert invoke("solve", TOY, "--out", str(pol)).exit_code == 0
+    pol.write_text(pol.read_text().replace("\n5 a ", "\n5 fly ", 1))
+    result = invoke("simulate", TOY, "--controller", "reflex",
+                    "--ticks", "10", "--policy", str(pol))
+    assert result.exit_code == 1
+    assert result.output == (f"{pol}: error: line 7: unknown action "
+                             "'fly'\n")
 
 
 def test_simulate_unknown_controller_exits_1():

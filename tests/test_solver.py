@@ -2,12 +2,13 @@
 
 import json
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from obd.compiler import compile_model
+from obd.compiler import compile_model, dump_mdp, load_mdp
 from obd.dsl import parse_domain
 from obd.solver import (
     SolverError,
@@ -224,3 +225,56 @@ def test_policy_json_mirror(toy_mdp):
 def test_load_policy_rejects_garbage(toy_mdp):
     with pytest.raises(SolverError):
         load_policy("bogus\n", toy_mdp)
+
+
+def _policy_lines(mdp):
+    return dump_policy(policy_iteration(mdp), mdp).splitlines()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("3 b", "line 5: expected '<state> <action> <value>', got: '3 b'"),
+    ("3 b 1.0 x", "line 5: expected '<state> <action> <value>'"),
+    ("three b 1.0", "line 5: not a state index: 'three'"),
+    ("8 b 1.0", "line 5: state 8 outside 0..7"),
+    ("-1 b 1.0", "line 5: state -1 outside 0..7"),
+    ("2 b 1.0", "line 5: second line for state 2"),
+    ("3 fly 1.0", "line 5: unknown action 'fly'"),
+    ("3 b nan", "line 5: not a finite number: 'nan'"),
+    ("3 b inf", "line 5: not a finite number: 'inf'"),
+    ("3 b lots", "line 5: not a finite number: 'lots'"),
+])
+def test_load_policy_rejects_bad_line(toy_mdp, line, message):
+    lines = _policy_lines(toy_mdp)
+    assert lines[4].startswith("3 ")
+    lines[4] = line
+    with pytest.raises(SolverError, match=f"^{re.escape(message)}"):
+        load_policy("\n".join(lines) + "\n", toy_mdp)
+
+
+def test_load_policy_rejects_missing_states(toy_mdp):
+    lines = _policy_lines(toy_mdp)[:2]
+    with pytest.raises(SolverError, match=re.escape(
+            "line 3: end of input with 7 of 8 states missing, the first "
+            "being state 1")):
+        load_policy("\n".join(lines) + "\n", toy_mdp)
+
+
+def test_load_policy_accepts_any_line_order(toy_mdp):
+    lines = _policy_lines(toy_mdp)
+    text = "\n".join(lines[:1] + lines[:0:-1]) + "\n"
+    assert dump_policy(load_policy(text, toy_mdp), toy_mdp) == \
+        "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("solve", [
+    value_iteration,
+    policy_iteration,
+    lambda mdp: greedy_policy(mdp, np.zeros(mdp.n_states)),
+    lambda mdp: evaluate_policy(mdp, np.zeros(mdp.n_states, dtype=np.int64)),
+], ids=["value", "policy", "greedy", "evaluate"])
+def test_every_entry_point_checks_row_sums(toy_mdp, solve):
+    text = dump_mdp(toy_mdp).replace("t 6 7 0.8\n", "t 6 7 0.3\n")
+    broken = load_mdp(text)
+    with pytest.raises(SolverError, match=re.escape(
+            "action 'noop': transition row 6 sums to 0.5")):
+        solve(broken)
