@@ -640,24 +640,76 @@ def compile_model(model: DomainModel, gamma: Fraction = DEFAULT_GAMMA,
 #   t <row> <col> <probability>
 #   r <row> <col> <reward>
 #   end
+#
+# Large sections are written as whole blocks: each distinct piece of text
+# (a row number, a column number, the repr of a distinct float) is encoded
+# once into a row of a byte table, the tables are gathered per line and
+# laid side by side, and the padding is dropped. Every float is still
+# written as Python's repr.
+
+_PAD = 0xFF  # pads table rows; UTF-8 never uses this byte
+
+
+def text_table(texts) -> np.ndarray:
+    """The UTF-8 bytes of each text as one row of a uint8 table, padded
+    to a common width with _PAD."""
+    encoded = [t.encode() for t in texts]
+    table = np.array(encoded, dtype=bytes)
+    table = table.view(np.uint8).reshape(len(encoded), table.itemsize)
+    lengths = np.array([len(e) for e in encoded], dtype=np.int64)
+    table[np.arange(table.shape[1]) >= lengths[:, None]] = _PAD
+    return table
+
+
+def float_column(values: np.ndarray, template: str) -> tuple:
+    """(table, index) column writing each value as `template.format(v)`,
+    with `{!r}` in the template: one text per distinct float, distinct by
+    bit pattern so that 0.0 and -0.0 keep their own texts."""
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+    # np.unique, like argsort's default quicksort, raised the peak RSS of
+    # a small pipeline pass by about 0.2 MB; the stable sort does not
+    order = np.argsort(bits, kind="stable")
+    ordered = bits[order]
+    first = np.ones(len(bits), dtype=bool)  # first of each run of equals
+    first[1:] = ordered[1:] != ordered[:-1]
+    inverse = np.empty(len(bits), dtype=np.int64)
+    inverse[order] = np.cumsum(first) - 1
+    return text_table(template.format(v) for v in
+                      ordered[first].view(np.float64).tolist()), inverse
+
+
+def join_columns(*columns) -> str:
+    """Text whose k-th piece is, for each (table, index) column in turn,
+    row index[k] of the table."""
+    block = np.hstack([table[index] for table, index in columns])
+    return block[block != _PAD].tobytes().decode()
 
 
 def dump_mdp(mdp: MdpModel) -> str:
+    space = mdp.space
     lines = [FORMAT_MDP,
              f"gamma {float(mdp.gamma)!r}",
              f"states {mdp.n_states}",
              f"actions {mdp.n_actions}",
              f"initial {mdp.initial_index}"]
-    for i in range(mdp.n_states):
-        atoms = " ".join(f"{k}={v}" for k, v in mdp.space.atoms(i))
-        lines.append(f"state {i} {atoms}")
+    # the product varies the last variable fastest: the state index order
+    tokens = [[f"{name}={value}" for value in domain]
+              for name, domain in zip(space.names, space.domains)]
+    lines.extend(f"state {i} {' '.join(atoms)}"
+                 for i, atoms in enumerate(itertools.product(*tokens)))
+    parts = ["\n".join(lines) + "\n"]
+    heads = {tag: text_table(f"{tag} {i} " for i in range(mdp.n_states))
+             for tag in ("t", "r")}
+    numbers = text_table(str(j) for j in range(mdp.n_states))
     for action in mdp.actions:
-        lines.append(f"action {action.name} {action.cost}")
+        parts.append(f"action {action.name} {action.cost}\n")
         for tag, m in (("t", mdp.transitions[action.name]),
                        ("r", mdp.rewards[action.name])):
-            lines.extend(f"{tag} {i} {j} {v!r}" for i, j, v in m.entries())
-    lines.append("end")
-    return "\n".join(lines) + "\n"
+            parts.append(join_columns((heads[tag], m.entry_rows()),
+                                      (numbers, m.indices),
+                                      float_column(m.csr.data, " {!r}\n")))
+    parts.append("end\n")
+    return "".join(parts)
 
 
 def load_mdp(text: str) -> MdpModel:
@@ -705,12 +757,16 @@ def load_mdp(text: str) -> MdpModel:
             raise error(f"{value} is not below {high}")
         return value
 
+    field = single("gamma")
     try:
-        gamma = Fraction(single("gamma"))
+        # the float first: it checks the range without building the exact
+        # value of an exponent such as 1e999999999
+        approx = float(field)
+        gamma = Fraction(field) if 0 < approx < 1 else None
     except ValueError:
         raise error("discount factor is not a number") from None
-    if not (0 < gamma < 1):
-        raise error(f"discount factor {float(gamma)} outside (0,1)")
+    if gamma is None:
+        raise error(f"discount factor {approx} outside (0,1)")
     n_states = integer(single("states"), 1)
     n_actions = integer(single("actions"), 1)
     initial = integer(single("initial"), 0, n_states)

@@ -728,6 +728,10 @@ class _Parser:
 
         def check_assignments(assignments, tok: Token):
             for var, value in assignments:
+                if var in req_names:
+                    self.error(
+                        f"effect assigns requirement '{var}' "
+                        "(only state variables can be assigned)", tok)
                 if value not in domains[var]:
                     self.error(
                         f"unknown value '{value}' for variable '{var}'", tok)
@@ -746,6 +750,9 @@ class _Parser:
         for var, value, tok in init_items:
             if var in assignment:
                 self.error(f"variable '{var}' assigned twice in Init", tok)
+            if var in req_names:
+                self.error(f"Init assigns requirement '{var}' "
+                           "(only state variables are assigned)", tok)
             if value not in domains[var]:
                 self.error(f"unknown value '{value}' for variable '{var}'", tok)
             assignment[var] = value

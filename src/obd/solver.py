@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from obd.compiler import MdpModel
+from obd.compiler import MdpModel, float_column, join_columns, text_table
 from obd.dsl import ObdError
 
 FORMAT_POLICY = "obdpolicy/1"
@@ -143,11 +143,13 @@ def policy_iteration(mdp: MdpModel) -> Strategy:
 
 
 def dump_policy(strategy: Strategy, mdp: MdpModel) -> str:
-    lines = [FORMAT_POLICY]
-    for s in range(mdp.n_states):
-        name = mdp.action_names[strategy.actions[s]]
-        lines.append(f"{s} {name} {float(strategy.values[s])!r}")
-    return "\n".join(lines) + "\n"
+    """One `<state> <action> <value>` line per state, written as one
+    block like the triples of obdmdp/1."""
+    n = mdp.n_states
+    return FORMAT_POLICY + "\n" + join_columns(
+        (text_table(f"{s} " for s in range(n)), np.arange(n)),
+        (text_table(f"{a} " for a in mdp.action_names), strategy.actions),
+        float_column(strategy.values, "{!r}\n"))
 
 
 def load_policy(text: str, mdp: MdpModel) -> Strategy:

@@ -2,8 +2,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# CI: the same examples on every run, so a failure reproduces, and no
+# per-example deadline, which slow shared runners would miss at random
+settings.register_profile("ci", derandomize=True, deadline=None)
 
 from obd.compiler import compile_model
 from obd.dsl import parse_domain

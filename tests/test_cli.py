@@ -54,6 +54,34 @@ def test_compile_parse_error_exits_1(tmp_path):
     assert rest.startswith("error")
 
 
+def _compile_diagnostic(tmp_path, text: str) -> str:
+    """Compile `text` expecting a diagnostic, not a traceback; returns its
+    first line."""
+    bad = tmp_path / "bad.obd"
+    bad.write_text(text)
+    result = invoke("compile", str(bad))
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # no Python traceback
+    return result.output.splitlines()[0]
+
+
+def test_compile_init_assigning_requirement_exits_1(tmp_path):
+    head = _compile_diagnostic(
+        tmp_path,
+        "Variable x\nReqID m maintain x reward 1\nInit { x, m }\n")
+    assert head.startswith(f"{tmp_path / 'bad.obd'}:3:11: error:")
+    assert "requirement 'm'" in head
+
+
+def test_compile_effect_assigning_requirement_exits_1(tmp_path):
+    head = _compile_diagnostic(
+        tmp_path,
+        "Variable x\nAction a if x effects <m>\n"
+        "ReqID m maintain x reward 1\nInit { x }\n")
+    assert head.startswith(f"{tmp_path / 'bad.obd'}:2:1: error:")
+    assert "requirement 'm'" in head
+
+
 def test_compile_state_limit_exits_2():
     result = invoke("compile", TOY, "--max-states", "4")
     assert result.exit_code == 2

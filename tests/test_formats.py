@@ -1,0 +1,269 @@
+"""The obdmdp/1 and obdpolicy/1 writers and readers.
+
+`dump_mdp` and `dump_policy` write whole numeric blocks at once; the
+per-entry formatters below are the plain reading of both formats, and the
+writers must match them byte for byte. The fuzz tests feed mutated model,
+obdmdp/1 and obdpolicy/1 texts to the readers, which may reject them only
+with an ObdError.
+"""
+
+import random
+import re
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from obd.compiler import (
+    FORMAT_MDP,
+    CompileError,
+    compile_model,
+    dump_mdp,
+    load_mdp,
+)
+from obd.dsl import KEYWORDS, ObdError, parse_domain, validate
+from obd.solver import (
+    FORMAT_POLICY,
+    Strategy,
+    dump_policy,
+    load_policy,
+    policy_iteration,
+    value_iteration,
+)
+
+import oracles
+
+ROOT = Path(__file__).parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+
+from models import restaurant_text  # noqa: E402
+
+
+def reference_dump_mdp(mdp) -> str:
+    """obdmdp/1, one line at a time."""
+    lines = [FORMAT_MDP,
+             f"gamma {float(mdp.gamma)!r}",
+             f"states {mdp.n_states}",
+             f"actions {mdp.n_actions}",
+             f"initial {mdp.initial_index}"]
+    for i in range(mdp.n_states):
+        atoms = " ".join(f"{k}={v}" for k, v in mdp.space.atoms(i))
+        lines.append(f"state {i} {atoms}")
+    for action in mdp.actions:
+        lines.append(f"action {action.name} {action.cost}")
+        for tag, m in (("t", mdp.transitions[action.name]),
+                       ("r", mdp.rewards[action.name])):
+            lines.extend(f"{tag} {i} {j} {v!r}" for i, j, v in m.entries())
+    lines.append("end")
+    return "\n".join(lines) + "\n"
+
+
+def reference_dump_policy(strategy, mdp) -> str:
+    """obdpolicy/1, one line at a time."""
+    lines = [FORMAT_POLICY]
+    for s in range(mdp.n_states):
+        name = mdp.action_names[strategy.actions[s]]
+        lines.append(f"{s} {name} {float(strategy.values[s])!r}")
+    return "\n".join(lines) + "\n"
+
+
+NON_ASCII = """
+    Variable café domain {froid, tiède, chaud}
+    Variable prêt
+    Action réchauffer if café=froid || café=tiède
+        effects <café=chaud prob 0.7> <café=tiède prob 0.3> cost 2
+    Action servir if café=chaud effects <prêt> cost 1
+    Event refroidir if café=chaud occur prob 0.25 effects <café=tiède>
+    ReqID goûter achieve prêt reward 40
+    Init { café=froid, !prêt }
+"""
+
+# probabilities and rewards whose repr is in scientific notation
+SCIENTIFIC = """
+    Variable x
+    Variable y
+    Action a if !x effects <x prob 0.00001> <y prob 0.99999> cost 3
+    Action b if x effects <!x> cost 100000000000000000
+    Event e if y occur prob 0.00002 effects <!y>
+    ReqID m achieve x reward 100000000000000000000
+    Init { !x, !y }
+"""
+
+# few words, one of them a requirement name, for the fuzz tests
+REQUIREMENT = """
+    ReqID m maintain x reward 1
+    Action a if x effects <x>
+    Init { x }
+"""
+
+
+def _text_models():
+    yield "toy", (ROOT / "models" / "toy.obd").read_text()
+    yield "restaurant", (ROOT / "models" / "restaurant.obd").read_text()
+    yield "non-ascii", NON_ASCII
+    yield "scientific", SCIENTIFIC
+    yield "requirement", REQUIREMENT
+    yield "2-table", restaurant_text(2, 0)  # 1,024 states
+
+
+TEXT_MODELS = dict(_text_models())
+
+
+def _models():
+    for name, text in TEXT_MODELS.items():
+        yield name, compile_model(parse_domain(text))
+    for seed in range(12):
+        yield f"random-{seed}", compile_model(
+            oracles.random_model(random.Random(4000 + seed)))
+
+
+@pytest.fixture(scope="module")
+def models():
+    return dict(_models())
+
+
+def _assert_same_outputs(mdp):
+    assert dump_mdp(mdp) == reference_dump_mdp(mdp)
+    for strategy in (value_iteration(mdp), policy_iteration(mdp)):
+        assert dump_policy(strategy, mdp) == \
+            reference_dump_policy(strategy, mdp)
+
+
+def test_writers_match_reference_formatters(models):
+    for name, mdp in models.items():
+        _assert_same_outputs(mdp)
+
+
+def test_models_reach_the_edge_cases(models):
+    """The models above reach what the block writer must get right."""
+    texts = {name: dump_mdp(mdp) for name, mdp in models.items()}
+    assert any(ord(c) > 127 for c in texts["non-ascii"])
+    assert "1e-05" in texts["scientific"]
+    assert "1e+17" in texts["scientific"]
+    assert models["2-table"].n_states > 100
+    rewards = np.concatenate([m.csr.data for m in
+                              models["restaurant"].rewards.values()])
+    assert (rewards < 0).any() and (rewards == 0).any()
+
+
+def test_writers_match_reference_after_reload(models):
+    for name in ("restaurant", "non-ascii", "scientific"):
+        _assert_same_outputs(load_mdp(dump_mdp(models[name])))
+
+
+def test_policy_values_keep_their_own_text(toy_mdp):
+    """Values equal as floats but printed differently (0.0 and -0.0)
+    keep their own text."""
+    values = np.array([0.0, -0.0, 1e-05, -2.5, 1e+300, 0.1, 0.0, -0.0])
+    strategy = Strategy(actions=np.array([0, 1, 2, 0, 1, 2, 0, 1]),
+                        values=values, iterations=0, residual=0.0,
+                        method="loaded")
+    text = dump_policy(strategy, toy_mdp)
+    assert text == reference_dump_policy(strategy, toy_mdp)
+    assert text.splitlines()[1:3] == ["0 noop 0.0", "1 a -0.0"]
+
+
+# ---------------------------------------------------------------------------
+# Round trips beyond the toy model
+
+
+@pytest.mark.parametrize("text", [
+    TEXT_MODELS["restaurant"],
+    restaurant_text(1, 0, within=3),
+], ids=["restaurant", "1-table-within-3"])
+def test_mdp_round_trip_is_byte_identical(text):
+    dumped = dump_mdp(compile_model(parse_domain(text)))
+    assert dump_mdp(load_mdp(dumped)) == dumped
+
+
+@pytest.mark.parametrize("gamma, shown", [
+    ("1e400", "inf"), ("1e999999999", "inf"), ("1e-400", "0.0"),
+    ("-1e400", "-inf"), ("nan", "nan"),
+])
+def test_load_mdp_rejects_gamma_beyond_float_range(toy_mdp, gamma, shown):
+    text = dump_mdp(toy_mdp).replace("gamma 0.95\n", f"gamma {gamma}\n")
+    with pytest.raises(CompileError,
+                       match=rf"^line 2: discount factor {shown} outside"):
+        load_mdp(text)
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing the readers
+
+TOKENS = (
+    list(" \n\t{}<>()!,.=&|/#-_+:;") + ["||", "0", "1", "7", "x", "é", "\x00"]
+    + sorted(KEYWORDS) + ["tt", "ff"]
+    + ["state", "action", "t", "r", "end", "gamma", "states", "actions",
+       "initial", "noop", "nan", "inf", "-inf", "1e400", "-1", "0.5",
+       "99999999999999999999", "1.0", "obdmdp/1", "obdpolicy/1"]
+)
+
+WORD = re.compile(r"[^\W\d]\w*")
+
+
+@st.composite
+def mutated(draw, text: str) -> str:
+    """`text` after a few edits: a span deleted or duplicated, a token
+    inserted, or a name replaced by another name of the text (such as a
+    variable by a requirement). Inserted tokens are those of any format or
+    words of the text."""
+    tokens = st.sampled_from(TOKENS) | st.sampled_from(text.split())
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("delete", "duplicate", "insert",
+                                     "rename", "rename")))
+        names = [w for w in WORD.finditer(text) if w.group() not in KEYWORDS]
+        if kind == "rename" and names:
+            i, j = draw(st.sampled_from(names)).span()
+            other = draw(st.sampled_from(sorted({w.group() for w in names})))
+            text = text[:i] + other + text[j:]
+            continue
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 40)))
+        if kind == "delete":
+            text = text[:i] + text[j:]
+        elif kind == "duplicate":
+            text = text[:i] + text[i:j] + text[i:]
+        else:
+            text = text[:i] + draw(tokens) + text[i:]
+    return text
+
+
+FUZZ = settings(max_examples=150, deadline=None)
+
+
+@pytest.mark.parametrize("name", ["toy", "restaurant", "requirement"])
+@FUZZ
+@given(data=st.data())
+def test_fuzz_parse_domain_raises_only_obd_errors(name, data):
+    text = data.draw(mutated(TEXT_MODELS[name]))
+    try:
+        validate(parse_domain(text))
+    except ObdError:
+        pass
+
+
+@pytest.fixture(scope="module")
+def toy_texts(toy_mdp):
+    return dump_mdp(toy_mdp), dump_policy(value_iteration(toy_mdp), toy_mdp)
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzz_load_mdp_raises_only_obd_errors(toy_texts, data):
+    text = data.draw(mutated(toy_texts[0]))
+    try:
+        load_mdp(text)
+    except ObdError:
+        pass
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzz_load_policy_raises_only_obd_errors(toy_mdp, toy_texts, data):
+    text = data.draw(mutated(toy_texts[1]))
+    try:
+        load_policy(text, toy_mdp)
+    except ObdError:
+        pass
