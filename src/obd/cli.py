@@ -1,16 +1,21 @@
 """Command-line front end: compile, solve, simulate, export-dot.
 
-Exit codes: 0 success, 1 parse/validation/input error, 2 state-limit
-breach. Machine outputs (obdmdp/1, obdpolicy/1, CSV, DOT) are
-newline-terminated UTF-8. obdmdp/1, obdpolicy/1 and DOT are byte-stable
-across runs with equal inputs; the CSV's medianLatencyNs column is a
-wall-clock timing and varies.
+Exit codes: 0 success, 1 bad input, 2 state-limit breach. Every bad file,
+flag or output path gives a one-line diagnostic that names it and exit
+code 1, never a traceback: `file:line:col: error: message` for parse and
+validation errors, `name: error: message` otherwise. Click's own usage
+errors (an unknown option, `--ticks abc`) exit 2. Machine outputs
+(obdmdp/1, obdpolicy/1, CSV, DOT) are newline-terminated UTF-8.
+obdmdp/1, obdpolicy/1 and DOT are byte-stable across runs with equal
+inputs; the CSV's medianLatencyNs column is a wall-clock timing and varies.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -47,51 +52,72 @@ def _fail(message: str, code: int = EXIT_ERROR):
     sys.exit(code)
 
 
-def _load_model(path: str) -> dsl.DomainModel:
+@contextmanager
+def _reporting(path: str):
+    """The one error boundary: an error raised while working on `path`
+    becomes a diagnostic naming it, and the process exits."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        _fail(f"{path}: {exc.strerror or exc}")
-    try:
-        model = dsl.parse_domain(text)
+        yield
     except ParseError as exc:
         _fail(f"{path}:{exc.line}:{exc.col}: error: {exc.message}")
-    diagnostics = dsl.validate(model)
-    errors = False
-    for diag in diagnostics:
-        if diag.severity == "error":
-            errors = True
-            click.echo(diag.render(path), err=True)
-    if errors:
-        sys.exit(EXIT_ERROR)
-    return model
-
-
-def _compile(path: str, gamma: float, max_states: int) -> MdpModel:
-    model = _load_model(path)
-    try:
-        mdp = compile_model(model, gamma=Fraction(str(gamma)),
-                            limit=max_states)
     except StateLimitError as exc:
         _fail(f"{path}: error: {exc}", EXIT_STATE_LIMIT)
     except ObdError as exc:
         _fail(f"{path}: error: {exc}")
+    except OSError as exc:
+        _fail(f"{path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        _fail(f"{path}: error: not UTF-8 text (byte offset {exc.start})")
+
+
+def _model(path: str, gamma, max_states: int) -> MdpModel:
+    """Load an obdmdp/1 file, or parse, validate and compile a model."""
+    with _reporting(path):
+        text = Path(path).read_text(encoding="utf-8")
+        if text.partition("\n")[0] == FORMAT_MDP:
+            return load_mdp(text)
+        model = dsl.parse_domain(text)
+        errors = [d for d in dsl.validate(model) if d.severity == "error"]
+        for diag in errors:
+            click.echo(diag.render(path), err=True)
+        if errors:
+            sys.exit(EXIT_ERROR)
+        mdp = compile_model(model, gamma=gamma, limit=max_states)
     for warning in mdp.warnings:
         click.echo(f"{path}: warning: {warning}", err=True)
     return mdp
 
 
-def _solve(mdp: MdpModel, method: str, epsilon: float) -> Strategy:
-    if method == "policy":
-        return policy_iteration(mdp)
-    return value_iteration(mdp, epsilon)
+def _solve(path: str, mdp: MdpModel, method: str, epsilon: float) -> Strategy:
+    with _reporting(path):
+        if method == "policy":
+            return policy_iteration(mdp)
+        return value_iteration(mdp, epsilon)
 
 
 def _write(path, text: str):
     if path is None or path == "-":
         click.echo(text, nl=False)
-    else:
+        return
+    with _reporting(path):
         Path(path).write_text(text, encoding="utf-8")
+
+
+def _exact(ctx, param, value: float):
+    """The decimal the user wrote, as an exact fraction; a non-finite
+    value is passed on for the compiler's range check to report."""
+    return Fraction(str(value)) if math.isfinite(value) else value
+
+
+gamma_option = click.option("--gamma", default=0.95, show_default=True,
+                            callback=_exact, help="Discount factor in (0,1).")
+max_states_option = click.option(
+    "--max-states", default=DEFAULT_STATE_LIMIT, show_default=True,
+    help="Abort when the state space exceeds this size.")
+epsilon_option = click.option("--epsilon", default=DEFAULT_EPSILON,
+                              show_default=True)
+method_option = click.option("--method", type=click.Choice(["value", "policy"]),
+                             default="value", show_default=True)
 
 
 @click.group()
@@ -102,16 +128,14 @@ def main():
 
 @main.command("compile")
 @click.argument("input_path", metavar="MODEL.obd")
-@click.option("--gamma", default=0.95, show_default=True,
-              help="Discount factor in (0,1).")
-@click.option("--max-states", default=DEFAULT_STATE_LIMIT, show_default=True,
-              help="Abort when the state space exceeds this size.")
+@gamma_option
+@max_states_option
 @click.option("--out", "out_path", default=None,
               help="Write the obdmdp/1 serialization here ('-' = stdout).")
 def cmd_compile(input_path, gamma, max_states, out_path):
     """Parse, validate and compile a domain description."""
     started = time.perf_counter()
-    mdp = _compile(input_path, gamma, max_states)
+    mdp = _model(input_path, gamma, max_states)
     elapsed = time.perf_counter() - started
     transitions = sum(mdp.transitions[name].nnz() for name in mdp.action_names)
     click.echo(f"{mdp.n_states} states, {mdp.n_actions} actions (incl. noop), "
@@ -122,11 +146,10 @@ def cmd_compile(input_path, gamma, max_states, out_path):
 
 @main.command("solve")
 @click.argument("input_path", metavar="MODEL.obd|MODEL.mdp")
-@click.option("--method", type=click.Choice(["value", "policy"]),
-              default="value", show_default=True)
-@click.option("--epsilon", default=DEFAULT_EPSILON, show_default=True)
-@click.option("--gamma", default=0.95, show_default=True)
-@click.option("--max-states", default=DEFAULT_STATE_LIMIT, show_default=True)
+@method_option
+@epsilon_option
+@gamma_option
+@max_states_option
 @click.option("--out", "out_path", default=None,
               help="Write the obdpolicy/1 strategy here ('-' = stdout).")
 @click.option("--json-out", "json_path", default=None,
@@ -134,30 +157,14 @@ def cmd_compile(input_path, gamma, max_states, out_path):
 def cmd_solve(input_path, method, epsilon, gamma, max_states, out_path,
               json_path):
     """Compute the optimal strategy of a model (or a compiled .mdp file)."""
-    mdp = _load_mdp_or_model(input_path, gamma, max_states)
-    try:
-        strategy = _solve(mdp, method, epsilon)
-    except ObdError as exc:
-        _fail(f"{input_path}: error: {exc}")
+    mdp = _model(input_path, gamma, max_states)
+    strategy = _solve(input_path, mdp, method, epsilon)
     click.echo(f"{strategy.method}: {strategy.iterations} iterations, "
                f"residual {strategy.residual:.3e}")
     if out_path is not None:
         _write(out_path, dump_policy(strategy, mdp))
     if json_path is not None:
         _write(json_path, policy_to_json(strategy, mdp))
-
-
-def _load_mdp_or_model(input_path, gamma, max_states) -> MdpModel:
-    try:
-        first = Path(input_path).open(encoding="utf-8").readline().rstrip("\n")
-    except OSError as exc:
-        _fail(f"{input_path}: {exc.strerror or exc}")
-    if first == FORMAT_MDP:
-        try:
-            return load_mdp(Path(input_path).read_text(encoding="utf-8"))
-        except ObdError as exc:
-            _fail(f"{input_path}: error: {exc}")
-    return _compile(input_path, gamma, max_states)
 
 
 @main.command("simulate")
@@ -168,9 +175,9 @@ def _load_mdp_or_model(input_path, gamma, max_states) -> MdpModel:
 @click.option("--ticks", default=10_000, show_default=True)
 @click.option("--seeds", default=1, show_default=True,
               help="Run seeds 0..N-1 for every controller.")
-@click.option("--gamma", default=0.95, show_default=True)
-@click.option("--epsilon", default=DEFAULT_EPSILON, show_default=True)
-@click.option("--max-states", default=DEFAULT_STATE_LIMIT, show_default=True)
+@gamma_option
+@epsilon_option
+@max_states_option
 @click.option("--policy", "policy_path", default=None,
               help="Reuse a saved obdpolicy/1 strategy for the reflex "
                    "controller instead of solving in-process.")
@@ -181,38 +188,38 @@ def cmd_simulate(input_path, controllers, ticks, seeds, gamma, epsilon,
                  max_states, policy_path, planner_budget, out_path):
     """Run controllers against the simulated environment."""
     if ticks < 0:
-        _fail("--ticks must be >= 0")
+        _fail("--ticks: error: must be >= 0")
+    if seeds < 1:
+        _fail("--seeds: error: must be >= 1")
+    if planner_budget < 1:
+        _fail("--planner-budget: error: must be >= 1")
     names = [c.strip() for c in controllers.split(",") if c.strip()]
     unknown = [c for c in names if c not in ("reflex", "replan", "random")]
     if unknown:
-        _fail(f"unknown controller(s): {', '.join(unknown)}")
-    mdp = _compile(input_path, gamma, max_states)
+        _fail(f"--controller: error: unknown controller(s): "
+              f"{', '.join(unknown)}")
+    if not names:
+        _fail("--controller: error: names no controller")
+    mdp = _model(input_path, gamma, max_states)
 
     strategy = None
-    if "reflex" in names:
-        if policy_path is not None:
-            try:
-                text = Path(policy_path).read_text(encoding="utf-8")
-            except OSError:
-                _fail(f"{policy_path}: missing policy for reflex mode")
-            try:
-                strategy = load_policy(text, mdp)
-            except ObdError as exc:
-                _fail(f"{policy_path}: error: {exc}")
-        else:
-            strategy = value_iteration(mdp, epsilon)
+    if "reflex" in names and policy_path is not None:
+        with _reporting(policy_path):
+            strategy = load_policy(
+                Path(policy_path).read_text(encoding="utf-8"), mdp)
+    elif "reflex" in names:
+        strategy = _solve(input_path, mdp, "value", epsilon)
 
-    rows = []
-    for name in names:
-        for seed in range(seeds):
-            controller = _make_controller(name, mdp, strategy, planner_budget)
-            rows.append(simulation.run(mdp, controller, ticks, seed))
+    with _reporting(input_path):  # an obdmdp/1 file cannot be simulated
+        rows = [simulation.run(mdp, _controller(name, mdp, strategy,
+                                                planner_budget), ticks, seed)
+                for name in names for seed in range(seeds)]
     _write(out_path, simulation.metrics_csv(rows))
     if out_path is not None:
         click.echo(simulation.metrics_summary(rows), nl=False)
 
 
-def _make_controller(name, mdp, strategy, planner_budget):
+def _controller(name, mdp, strategy, planner_budget):
     if name == "reflex":
         return simulation.ReflexController(mdp, strategy)
     if name == "replan":
@@ -222,10 +229,6 @@ def _make_controller(name, mdp, strategy, planner_budget):
 
 # ---------------------------------------------------------------------------
 # DOT export
-
-
-def _fmt_value(x: float) -> str:
-    return format(x, "g")
 
 
 def dot_text(mdp: MdpModel, strategy=None, full: bool = False) -> str:
@@ -246,7 +249,7 @@ def dot_text(mdp: MdpModel, strategy=None, full: bool = False) -> str:
         for i, j, p in mdp.transitions[name].entries():
             rew = rewards.get((i, j), 0.0)
             edges[name][i].append(
-                f'  s{i} -> s{j} [label="{name}, {_fmt_value(p)}, {rew:+g}"];')
+                f'  s{i} -> s{j} [label="{name}, {p:g}, {rew:+g}"];')
     for i in range(mdp.n_states):
         if full:
             chosen = mdp.action_names
@@ -262,23 +265,17 @@ def dot_text(mdp: MdpModel, strategy=None, full: bool = False) -> str:
 @click.argument("input_path", metavar="MODEL.obd|MODEL.mdp")
 @click.option("--full", is_flag=True,
               help="Emit every action's edges instead of the strategy's.")
-@click.option("--method", type=click.Choice(["value", "policy"]),
-              default="value", show_default=True)
-@click.option("--epsilon", default=DEFAULT_EPSILON, show_default=True)
-@click.option("--gamma", default=0.95, show_default=True)
-@click.option("--max-states", default=DEFAULT_STATE_LIMIT, show_default=True)
+@method_option
+@epsilon_option
+@gamma_option
+@max_states_option
 @click.option("--out", "out_path", default=None,
               help="Write the DOT text here ('-' = stdout).")
 def cmd_export_dot(input_path, full, method, epsilon, gamma, max_states,
                    out_path):
     """Emit DOT text for the compiled MDP or its optimal strategy."""
-    mdp = _load_mdp_or_model(input_path, gamma, max_states)
-    strategy = None
-    if not full:
-        try:
-            strategy = _solve(mdp, method, epsilon)
-        except ObdError as exc:
-            _fail(f"{input_path}: error: {exc}")
+    mdp = _model(input_path, gamma, max_states)
+    strategy = None if full else _solve(input_path, mdp, method, epsilon)
     _write(out_path, dot_text(mdp, strategy, full=full))
 
 

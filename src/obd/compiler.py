@@ -95,10 +95,7 @@ class StateSpace:
 
     @property
     def size(self) -> int:
-        out = 1
-        for d in self.domains:
-            out *= len(d)
-        return out
+        return math.prod(len(d) for d in self.domains)
 
     @property
     def n_statuses(self) -> int:
@@ -144,13 +141,11 @@ def enumerate_states(model: DomainModel, automata,
     for auto in automata:
         names.append(auto.name)
         domains.append(auto.statuses)
-    count = 1
-    for d in domains:
-        count *= len(d)
-    if count > limit:
-        raise StateLimitError(
-            f"state space has {count} states, exceeding the limit of {limit}")
-    return StateSpace(tuple(names), tuple(domains), len(model.variables))
+    space = StateSpace(tuple(names), tuple(domains), len(model.variables))
+    if space.size > limit:
+        raise StateLimitError(f"state space has {space.size} states, "
+                              f"exceeding the limit of {limit}")
+    return space
 
 
 # ---------------------------------------------------------------------------
@@ -360,12 +355,6 @@ def _targets(space: StateSpace, bases: np.ndarray, assignments) -> np.ndarray:
     return out
 
 
-def _base_assignment(space: StateSpace, b: int) -> dict:
-    return {name: space.domains[pos][digit] for pos, (name, digit) in
-            enumerate(zip(space.names[:space.n_base],
-                          space.base_digits[b].tolist()))}
-
-
 def _truth_codes(auto, space: StateSpace):
     """Per base state, the index of its truth combination of the
     requirement's required, activation and cancellation formulas among the
@@ -388,7 +377,7 @@ def _next_statuses(space: StateSpace, automata, advance) -> np.ndarray:
         codes, first = _truth_codes(auto, space)
         table = np.array([[auto.statuses.index(advance(auto, status, base))
                            for status in auto.statuses]
-                          for base in (_base_assignment(space, b)
+                          for base in (space.state(b * space.n_statuses)
                                        for b in first.tolist())])
         out += table[codes][:, space.status_digits[:, k]] * stride
     return out
@@ -579,9 +568,9 @@ def compile_model(model: DomainModel, gamma: Fraction = DEFAULT_GAMMA,
                   limit: int = DEFAULT_STATE_LIMIT) -> MdpModel:
     """Assemble the full MDP: state space, implicit-event transition and
     reward matrices per action (noop included), discount factor."""
-    gamma = Fraction(gamma)
-    if not (0 < gamma < 1):
+    if not (0 < gamma < 1):  # before Fraction(), which rejects nan and inf
         raise CompileError(f"discount factor {gamma} outside (0,1)")
+    gamma = Fraction(gamma)
     for a in model.actions:
         if a.name == NOOP:
             raise CompileError(f"'{NOOP}' is a reserved action name")
@@ -666,16 +655,9 @@ def float_column(values: np.ndarray, template: str) -> tuple:
     with `{!r}` in the template: one text per distinct float, distinct by
     bit pattern so that 0.0 and -0.0 keep their own texts."""
     bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
-    # np.unique, like argsort's default quicksort, raised the peak RSS of
-    # a small pipeline pass by about 0.2 MB; the stable sort does not
-    order = np.argsort(bits, kind="stable")
-    ordered = bits[order]
-    first = np.ones(len(bits), dtype=bool)  # first of each run of equals
-    first[1:] = ordered[1:] != ordered[:-1]
-    inverse = np.empty(len(bits), dtype=np.int64)
-    inverse[order] = np.cumsum(first) - 1
+    distinct, inverse = np.unique(bits, return_inverse=True)
     return text_table(template.format(v) for v in
-                      ordered[first].view(np.float64).tolist()), inverse
+                      distinct.view(np.float64).tolist()), inverse
 
 
 def join_columns(*columns) -> str:

@@ -76,9 +76,9 @@ def step(mdp: MdpModel, state_index: int, action_name: str, rng):
     statuses = {auto.name: before[auto.name] for auto in automata}
 
     try:
-        action = next(a for a in mdp.actions if a.name == action_name)
-    except StopIteration:
-        raise SimulationError(f"unknown action '{action_name}'")
+        action = mdp.actions[mdp.action_names.index(action_name)]
+    except ValueError:
+        raise SimulationError(f"unknown action '{action_name}'") from None
 
     branch = _matched_branch(action.branches, base)
     new_base = _sample_effects(branch, base, rng) if branch is not None else base
@@ -229,13 +229,13 @@ class ReplanningController(Controller):
         self.failures = 0
         self.tracked = [auto for auto in mdp.automata
                         if auto.requirement.kind.value in self.TRACKED_KINDS]
+        self.actions = {a.name: a for a in self.model.actions}
 
     @property
     def plan_failures(self) -> int:
         return self.failures
 
-    def _base_of(self, state_index: int) -> dict:
-        state = self.mdp.space.state(state_index)
+    def _base_of(self, state: dict) -> dict:
         return {name: state[name]
                 for name in self.mdp.space.names[:self.mdp.space.n_base]}
 
@@ -254,7 +254,7 @@ class ReplanningController(Controller):
         if self.plan_queue:
             return self._execute_head()
         state = self.mdp.space.state(state_index)
-        base = self._base_of(state_index)
+        base = self._base_of(state)
         goals = self._active_goals(state, base)
         if not goals:
             self.predicted_base = None
@@ -274,14 +274,14 @@ class ReplanningController(Controller):
 
     def _execute_head(self) -> str:
         action_name = self.plan_queue.pop(0)
-        action = next(a for a in self.model.actions if a.name == action_name)
-        predicted = _determinized_successor(action, self.current_base)
+        predicted = _determinized_successor(self.actions[action_name],
+                                            self.current_base)
         self.predicted_base = predicted if predicted is not None \
             else dict(self.current_base)
         return action_name
 
     def observe(self, prev_index: int, action: str, next_index: int) -> None:
-        actual = self._base_of(next_index)
+        actual = self._base_of(self.mdp.space.state(next_index))
         if self.predicted_base is not None:
             if actual != self.predicted_base:
                 self.failures += 1

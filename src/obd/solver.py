@@ -93,7 +93,7 @@ def value_iteration(mdp: MdpModel,
                     epsilon: float = DEFAULT_EPSILON) -> Strategy:
     """Bellman backups from V=0 until the max-norm residual drops below
     epsilon*(1-gamma)/(2*gamma); the result is within epsilon of optimal."""
-    if epsilon <= 0:
+    if not epsilon > 0:  # nan too, which would stop before the first sweep
         raise SolverError("epsilon must be positive")
     bellman = _Bellman(mdp)
     threshold = epsilon * (1.0 - bellman.gamma) / (2.0 * bellman.gamma)

@@ -1,8 +1,12 @@
 """End-to-end command-line tests via click's runner."""
 
+import errno
 import json
+import os
+import warnings
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 from obd.cli import main
@@ -13,6 +17,16 @@ TOY = str(MODELS / "toy.obd")
 
 def invoke(*args):
     return CliRunner().invoke(main, list(args))
+
+
+def diagnostic(*args) -> str:
+    """Run a command expecting exit 1 with a one-line diagnostic on stderr
+    and no Python traceback; returns the line."""
+    result = invoke(*args)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # no Python traceback
+    assert len(result.stderr.splitlines()) == 1, result.stderr
+    return result.stderr.rstrip("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -38,6 +52,7 @@ def test_compile_writes_obdmdp(tmp_path):
 def test_compile_missing_file_exits_1():
     result = invoke("compile", "no-such-file.obd")
     assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
 
 
 def test_compile_parse_error_exits_1(tmp_path):
@@ -55,14 +70,11 @@ def test_compile_parse_error_exits_1(tmp_path):
 
 
 def _compile_diagnostic(tmp_path, text: str) -> str:
-    """Compile `text` expecting a diagnostic, not a traceback; returns its
-    first line."""
+    """Compile `text` expecting a one-line diagnostic, not a traceback;
+    returns it."""
     bad = tmp_path / "bad.obd"
     bad.write_text(text)
-    result = invoke("compile", str(bad))
-    assert result.exit_code == 1
-    assert isinstance(result.exception, SystemExit)  # no Python traceback
-    return result.output.splitlines()[0]
+    return diagnostic("compile", str(bad))
 
 
 def test_compile_init_assigning_requirement_exits_1(tmp_path):
@@ -118,6 +130,16 @@ def test_solve_accepts_compiled_mdp(tmp_path):
     assert invoke("solve", str(mdp_path),
                   "--out", str(from_mdp)).exit_code == 0
     assert from_obd.read_text() == from_mdp.read_text()
+
+
+def test_solve_closes_its_input(tmp_path):
+    mdp = tmp_path / "toy.mdp"
+    assert invoke("compile", TOY, "--out", str(mdp)).exit_code == 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        for path in (TOY, str(mdp)):
+            assert invoke("solve", path).exit_code == 0
+    assert [w for w in caught if w.category is ResourceWarning] == []
 
 
 def test_solve_truncated_mdp_exits_1(tmp_path):
@@ -176,6 +198,7 @@ def test_simulate_missing_policy_exits_1():
     result = invoke("simulate", TOY, "--controller", "reflex",
                     "--ticks", "10", "--policy", "missing.policy")
     assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
 
 
 def test_simulate_malformed_policy_exits_1(tmp_path):
@@ -192,6 +215,7 @@ def test_simulate_malformed_policy_exits_1(tmp_path):
 def test_simulate_unknown_controller_exits_1():
     result = invoke("simulate", TOY, "--controller", "oracle")
     assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +239,89 @@ def test_export_dot_full_has_more_edges(tmp_path):
     invoke("export-dot", TOY, "--full", "--out", str(full))
     count = lambda p: sum("->" in line for line in p.read_text().splitlines())
     assert count(full) > count(strat)
+
+
+# ---------------------------------------------------------------------------
+# bad files, flags and output paths: one diagnostic line, exit 1
+
+
+COMMANDS = (("compile",), ("solve",), ("export-dot",),
+            ("simulate", "--ticks", "10"))
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+@pytest.mark.parametrize("gamma,shown", [("nan", "nan"), ("inf", "inf"),
+                                         ("1e400", "inf"), ("-inf", "-inf")])
+def test_non_finite_gamma_exits_1(command, gamma, shown):
+    head = diagnostic(command[0], TOY, *command[1:], "--gamma", gamma)
+    assert head == f"{TOY}: error: discount factor {shown} outside (0,1)"
+
+
+@pytest.mark.parametrize("command", COMMANDS[1:], ids=lambda c: c[0])
+@pytest.mark.parametrize("epsilon", ["0", "-1", "nan"])
+def test_bad_epsilon_exits_1(command, epsilon):
+    head = diagnostic(command[0], TOY, *command[1:], "--epsilon", epsilon)
+    assert head == f"{TOY}: error: epsilon must be positive"
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+def test_unwritable_out_exits_1(tmp_path, command):
+    out = tmp_path / "missing-dir" / "out.txt"
+    head = diagnostic(command[0], TOY, *command[1:], "--out", str(out))
+    assert head == f"{out}: {os.strerror(errno.ENOENT)}"
+
+
+def test_unwritable_json_out_exits_1(tmp_path):
+    head = diagnostic("solve", TOY, "--json-out", str(tmp_path))
+    assert head == f"{tmp_path}: {os.strerror(errno.EISDIR)}"
+
+
+def test_non_utf8_model_exits_1(tmp_path):
+    bad = tmp_path / "bad.obd"
+    bad.write_bytes(b"Variable x\nInit { x }  # caf\xe9\n")
+    for command in ("compile", "solve", "export-dot", "simulate"):
+        assert diagnostic(command, str(bad)) == \
+            f"{bad}: error: not UTF-8 text (byte offset 28)"
+
+
+def test_non_utf8_obdmdp_exits_1(tmp_path):
+    mdp = tmp_path / "toy.mdp"
+    assert invoke("compile", TOY, "--out", str(mdp)).exit_code == 0
+    mdp.write_bytes(mdp.read_bytes().replace(b"x=tt", b"x=\xff", 1))
+    assert diagnostic("solve", str(mdp)).startswith(
+        f"{mdp}: error: not UTF-8 text")
+
+
+def test_non_utf8_policy_exits_1(tmp_path):
+    pol = tmp_path / "toy.policy"
+    pol.write_bytes(b"obdpolicy/1\n\xff\n")
+    head = diagnostic("simulate", TOY, "--ticks", "10", "--policy", str(pol))
+    assert head == f"{pol}: error: not UTF-8 text (byte offset 12)"
+
+
+def test_simulate_obdmdp_file_exits_1(tmp_path):
+    mdp = tmp_path / "toy.mdp"
+    assert invoke("compile", TOY, "--out", str(mdp)).exit_code == 0
+    for controller in ("reflex", "replan", "random"):
+        head = diagnostic("simulate", str(mdp), "--ticks", "10",
+                          "--controller", controller)
+        assert head.startswith(f"{mdp}: error: ")
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--ticks", "-1", "--ticks: error: must be >= 0"),
+    ("--seeds", "-2", "--seeds: error: must be >= 1"),
+    ("--seeds", "0", "--seeds: error: must be >= 1"),
+    ("--planner-budget", "-1", "--planner-budget: error: must be >= 1"),
+    ("--controller", ",", "--controller: error: names no controller"),
+    ("--controller", "reflex,oracle",
+     "--controller: error: unknown controller(s): oracle"),
+])
+def test_simulate_bad_flag_exits_1(tmp_path, flag, value, message):
+    out = tmp_path / "metrics.csv"
+    assert diagnostic("simulate", TOY, flag, value, "--out", str(out)) \
+        == message
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
