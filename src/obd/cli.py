@@ -77,8 +77,10 @@ def _model(path: str, gamma, max_states: int) -> MdpModel:
         if text.partition("\n")[0] == FORMAT_MDP:
             return load_mdp(text)
         model = dsl.parse_domain(text)
-        errors = [d for d in dsl.validate(model) if d.severity == "error"]
-        for diag in errors:
+        diagnostics = dsl.validate(model)
+        errors = [d for d in diagnostics if d.severity == "error"]
+        # errors alone when there are any; warnings and infos otherwise
+        for diag in errors or diagnostics:
             click.echo(diag.render(path), err=True)
         if errors:
             sys.exit(EXIT_ERROR)
@@ -137,9 +139,10 @@ def cmd_compile(input_path, gamma, max_states, out_path):
     started = time.perf_counter()
     mdp = _model(input_path, gamma, max_states)
     elapsed = time.perf_counter() - started
-    transitions = sum(mdp.transitions[name].nnz() for name in mdp.action_names)
+    explicit = sum(m.nnz() for m in mdp.explicit.values())
     click.echo(f"{mdp.n_states} states, {mdp.n_actions} actions (incl. noop), "
-               f"{transitions} transitions, built in {elapsed:.3f} s")
+               f"{mdp.events.nnz()} event-product entries, {explicit} "
+               f"action-matrix entries, built in {elapsed:.3f} s")
     if out_path is not None:
         _write(out_path, dump_mdp(mdp))
 

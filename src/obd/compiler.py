@@ -2,9 +2,14 @@
 
 Pipeline: enumerate every assignment of state variables and requirement
 statuses, build the explicit per-action and per-event transition matrices,
-blend each event with its occurrence vector, fold all events into each
-action by matrix product (action first, then events in declaration order),
-and attach transition rewards. Probabilities stay exact rationals until the
+blend each event with its occurrence vector, and fold all events, in
+declaration order, into one event product E. The model keeps its factors:
+E, each action's explicit matrix X_a, and one rank-1 reward factor
+(r_k, g_k, h_k) per requirement k, the reward r_k being paid on a
+transition s -> j where g_k(s) and h_k(j) hold. The implicit-event matrix
+P_a = X_a E (action first, then the events) and the reward matrix
+R_a = -c_a + sum_k r_k g_k(s) h_k(j) on its support are multiplied out
+only when first read. Probabilities stay exact rationals until the
 matrices are exported for the solver.
 
 State index `b * S + sigma` pairs the base state `b` (the declared
@@ -20,10 +25,11 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Mapping, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -488,37 +494,78 @@ def implicit_action_matrix(explicit: SparseMatrix,
     return explicit.matmul(events)
 
 
-def reward_matrix(action: ActionDesc, implicit: SparseMatrix,
-                  space: StateSpace, automata) -> SparseMatrix:
-    """Transition rewards on the support of the implicit matrix: summed
-    requirement rewards minus the action cost (entries may be negative,
-    zeros stay stored).
+class RewardFactor(NamedTuple):
+    """One requirement's reward, `reward` on every transition from a state
+    where `before` holds to one where `after` holds (per-state masks)."""
 
-    Each requirement's reward is called once per distinct key (status and
-    truth combination before, the same after) on the support, with one of
-    the entries that has the key."""
+    reward: int
+    before: np.ndarray
+    after: np.ndarray
+
+
+def _reward_factor(auto, k: int, space: StateSpace) -> RewardFactor:
+    """Requirement k's reward as a rank-1 factor.
+
+    `reqauto.reward` is called once for every pair of keys (status and
+    truth combination before, the same after); the table must read
+    r * g(key before) * h(key after) for 0/1 vectors g and h."""
+    codes, first = _truth_codes(auto, space)
+    stride = math.prod(len(d) for d in space.domains[space.n_base + k + 1:])
+    # one state per key, status-major like `keys` below
+    states = [space.state(b * space.n_statuses + status * stride)
+              for status in range(len(auto.statuses)) for b in first.tolist()]
+    table = np.array([[requirement_reward(auto, before, after)
+                       for after in states] for before in states],
+                     dtype=object)
+    nonzero = table != 0
+    g, h = nonzero.any(axis=1), nonzero.any(axis=0)
+    r = table[nonzero][0] if nonzero.any() else 0
+    rank_one = np.zeros_like(table)
+    rank_one[np.outer(g, h)] = r
+    if not (table == rank_one).all():
+        raise CompileError(f"requirement '{auto.name}': reward table is "
+                           "not of the form r * [before] * [after]")
+    keys = (space.status_digits[:, k] * len(first) + codes[:, None]).ravel()
+    return RewardFactor(r, g[keys], h[keys])
+
+
+def reward_matrix(action: ActionDesc, implicit: SparseMatrix,
+                  factors) -> SparseMatrix:
+    """Transition rewards on the support of the implicit matrix: the
+    reward of every factor whose `before` holds at the row and `after` at
+    the column, minus the action cost (entries may be negative, zeros
+    stay stored)."""
     before, after = implicit.entry_rows(), implicit.indices
     total = np.full(implicit.nnz(), -action.cost, dtype=object)
-    for k, auto in enumerate(automata):
-        codes, first = _truth_codes(auto, space)
-        # per state: its status and truth combination as one number
-        state_key = (space.status_digits[:, k] * len(first)
-                     + codes[:, None]).ravel()
-        width = len(auto.statuses) * len(first)
-        keys = state_key[before] * width + state_key[after]
-        entry = np.zeros(width * width, dtype=np.int64)
-        entry[keys] = np.arange(len(keys))  # any entry with each key
-        table = np.zeros(width * width, dtype=object)
-        for p in np.flatnonzero(np.bincount(keys, minlength=width * width)):
-            e = entry[p]
-            table[p] = requirement_reward(auto, space.state(int(before[e])),
-                                          space.state(int(after[e])))
-        total += table[keys]
-    return SparseMatrix(space.size, implicit.indptr, implicit.indices, total)
+    for f in factors:
+        total[f.before[before] & f.after[after]] += f.reward
+    return SparseMatrix(implicit.size, implicit.indptr, implicit.indices,
+                        total)
 
 
 # ---------------------------------------------------------------------------
 # Whole-model compilation
+
+
+class _Products(Mapping):
+    """Action name -> SparseMatrix, built by `build(name)` when first
+    read and kept."""
+
+    def __init__(self, names: tuple, build: Callable[[str], SparseMatrix]):
+        self._names = names
+        self._build = build
+        self._built: dict = {}
+
+    def __getitem__(self, name: str) -> SparseMatrix:
+        if name not in self._built:
+            self._built[name] = self._build(name)  # KeyError if unknown
+        return self._built[name]
+
+    def __iter__(self):
+        return iter(self._names)
+
+    def __len__(self) -> int:
+        return len(self._names)
 
 
 @dataclass
@@ -526,8 +573,13 @@ class MdpModel:
     space: StateSpace
     action_names: tuple  # noop first, then declaration order
     actions: tuple  # of ActionDesc, parallel to action_names
-    transitions: dict  # action name -> SparseMatrix (implicit-event)
-    rewards: dict  # action name -> SparseMatrix, defined on the support
+    events: SparseMatrix  # E, the event product; identity for load_mdp
+    explicit: Mapping  # action name -> X_a; P_a itself for load_mdp
+    # one RewardFactor per requirement; None for load_mdp, whose rewards
+    # are known only as matrices
+    reward_factors: Optional[tuple]
+    transitions: Mapping  # action name -> P_a = X_a E, built when read
+    rewards: Mapping  # action name -> R_a on the support of P_a, same
     gamma: Fraction
     initial_index: int
     model: Optional[DomainModel] = None
@@ -566,8 +618,10 @@ def _check_commutation(names, effective, warnings: list):
 
 def compile_model(model: DomainModel, gamma: Fraction = DEFAULT_GAMMA,
                   limit: int = DEFAULT_STATE_LIMIT) -> MdpModel:
-    """Assemble the full MDP: state space, implicit-event transition and
-    reward matrices per action (noop included), discount factor."""
+    """Assemble the full MDP: state space, discount factor, the event
+    product, the explicit matrix of each action (noop included) and the
+    reward factors; the implicit-event transition and reward matrices are
+    built when first read."""
     if not (0 < gamma < 1):  # before Fraction(), which rejects nan and inf
         raise CompileError(f"discount factor {gamma} outside (0,1)")
     gamma = Fraction(gamma)
@@ -579,33 +633,35 @@ def compile_model(model: DomainModel, gamma: Fraction = DEFAULT_GAMMA,
     space = enumerate_states(model, automata, limit)
 
     warnings: list = []
-    effective = []
-    event_names = []
-    for ev in model.events:
-        explicit = explicit_event_matrix(ev, space, automata)
-        occ = occurrence_vector(ev, space)
-        effective.append(effective_event_matrix(explicit, occ))
-        event_names.append(ev.name)
-    _check_commutation(event_names, effective, warnings)
-    ev_matrix = events_matrix(effective, space.size)
+    effective = [effective_event_matrix(
+        explicit_event_matrix(ev, space, automata),
+        occurrence_vector(ev, space)) for ev in model.events]
+    _check_commutation([ev.name for ev in model.events], effective, warnings)
+    events = events_matrix(effective, space.size)
 
     noop = ActionDesc(NOOP, branches=(), cost=0)
     all_actions = (noop,) + tuple(model.actions)
-    transitions = {}
-    rewards = {}
-    for action in all_actions:
-        explicit = explicit_action_matrix(action, space, automata)
-        implicit = implicit_action_matrix(explicit, ev_matrix)
-        transitions[action.name] = implicit
-        rewards[action.name] = reward_matrix(action, implicit, space, automata)
+    names = tuple(a.name for a in all_actions)
+    explicit = {a.name: explicit_action_matrix(a, space, automata)
+                for a in all_actions}
+    factors = tuple(_reward_factor(auto, k, space)
+                    for k, auto in enumerate(automata))
+    transitions = _Products(
+        names, lambda name: implicit_action_matrix(explicit[name], events))
+    by_name = dict(zip(names, all_actions))
+    rewards = _Products(names, lambda name: reward_matrix(
+        by_name[name], transitions[name], factors))
 
     initial = dict(model.initial_state)
     for auto in automata:
         initial[auto.name] = auto.initial_status
     return MdpModel(
         space=space,
-        action_names=tuple(a.name for a in all_actions),
+        action_names=names,
         actions=all_actions,
+        events=events,
+        explicit=explicit,
+        reward_factors=factors,
         transitions=transitions,
         rewards=rewards,
         gamma=gamma,
@@ -825,7 +881,10 @@ def load_mdp(text: str) -> MdpModel:
             list(entries.values()))
 
     names = tuple(a.name for a in actions)
+    transitions = {a: matrix(triples[a, "t"]) for a in names}
     return MdpModel(space=space, action_names=names, actions=tuple(actions),
-                    transitions={a: matrix(triples[a, "t"]) for a in names},
+                    events=SparseMatrix.identity(n_states),
+                    explicit=transitions, reward_factors=None,
+                    transitions=transitions,
                     rewards={a: matrix(triples[a, "r"]) for a in names},
                     gamma=gamma, initial_index=initial)

@@ -2,10 +2,15 @@
 
 Value iteration runs Bellman backups to a max-norm stopping rule; policy
 iteration alternates exact evaluation with greedy improvement. Every entry
-point reads one Bellman operator built once per solve, with all actions'
-transition rows stacked in one matrix, and policy evaluation is always a
-direct sparse solve. Both solvers return the same Strategy shape: a total
-state-to-action map with its value function and solver metadata.
+point reads one Bellman operator built once per solve from the model's
+factors, never from the multiplied-out transition matrices: the event
+product E and every action's explicit rows X_a stacked in one matrix X
+(row a*n + s). A backup is q = r + gamma * X (E v), two sparse products
+of the factors' size (one, by the float product X E, on models so small
+that a second call costs more than the entries it saves), and policy
+evaluation is a direct sparse solve against P_pi = X[pi] E. Both solvers
+return the same Strategy shape: a total state-to-action map with its
+value function and solver metadata.
 """
 
 from __future__ import annotations
@@ -24,6 +29,9 @@ from obd.dsl import ObdError
 FORMAT_POLICY = "obdpolicy/1"
 DEFAULT_EPSILON = 1e-6
 ROW_SUM_TOL = 1e-9
+# A sparse product call costs a few microseconds before its first entry,
+# about as much as this many entries (scipy 1.17, 2-vCPU x86 VM).
+FOLD_ENTRIES = 4096
 
 
 class SolverError(ObdError):
@@ -45,18 +53,42 @@ class Strategy:
         return mdp.action_names[self.actions[state]]
 
 
+def _expected_rewards(mdp: MdpModel, explicit, events) -> np.ndarray:
+    """Expected one-step reward of every stacked row a*n + s:
+    -c_a + sum_k r_k g_k(s) (X_a E h_k)(s) from the reward factors, or,
+    for a model read from obdmdp/1 (E = I there, so P_a = X_a), the
+    row sums of P_a * R_a."""
+    if mdp.reward_factors is None:
+        rewards = sp.vstack([mdp.reward_csr(a) for a in mdp.action_names],
+                            format="csr")
+        return np.asarray(explicit.multiply(rewards).sum(axis=1)).ravel()
+    out = -np.repeat([float(a.cost) for a in mdp.actions], mdp.n_states)
+    if mdp.reward_factors:
+        after = np.column_stack([f.after for f in mdp.reward_factors])
+        before = np.column_stack([float(f.reward) * f.before
+                                  for f in mdp.reward_factors])
+        reached = explicit @ (events @ after.astype(np.float64))
+        out += np.einsum("ik,ik->i", reached,
+                         np.tile(before, (mdp.n_actions, 1)))
+    return out
+
+
 class _Bellman:
-    """The Bellman operator of a model: every action's transition rows
-    stacked in one CSR (row a*n + s), their expected one-step rewards, and
-    a defensive row-stochasticity re-check."""
+    """The Bellman operator of a model, from its factors: the event
+    product E, every action's explicit rows stacked in one CSR X (row
+    a*n + s), their expected one-step rewards, and a defensive
+    row-stochasticity re-check of X E.
+
+    Where the float product X E has at most FOLD_ENTRIES more entries than
+    X and E together, E is folded into X once per solve (`events` is then
+    None): one sparse call per sweep then costs less than two."""
 
     def __init__(self, mdp: MdpModel):
         n = mdp.n_states
-        p = sp.vstack([mdp.transition_csr(a) for a in mdp.action_names],
-                      format="csr")
-        r = sp.vstack([mdp.reward_csr(a) for a in mdp.action_names],
-                      format="csr")
-        sums = np.asarray(p.sum(axis=1)).ravel()
+        events = mdp.events.csr
+        explicit = sp.vstack([mdp.explicit[a].csr for a in mdp.action_names],
+                             format="csr")
+        sums = explicit @ (events @ np.ones(n))
         bad = np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)
         if bad.size:
             action, state = divmod(int(bad[0]), n)
@@ -65,19 +97,32 @@ class _Bellman:
                 f"{state} sums to {sums[bad[0]]}")
         self.n = n
         self.gamma = float(mdp.gamma)
-        self.matrix = p
-        self.expected = np.asarray(p.multiply(r).sum(axis=1)).ravel()
+        self.expected = _expected_rewards(mdp, explicit, events)
+        self.q = np.empty_like(self.expected)
+        # X(i,k) E(k,j) terms: at least the entries of the product
+        terms = int(np.diff(events.indptr)[explicit.indices].sum())
+        if terms <= explicit.nnz + events.nnz + FOLD_ENTRIES:
+            explicit, events = explicit @ events, None
+            explicit.sort_indices()  # sum rows in column order, as P is stored
+        self.explicit = explicit
+        self.events = events
 
     def q_values(self, values: np.ndarray) -> np.ndarray:
-        """Q-values, shape (n_actions, n_states)."""
-        return (self.expected + self.gamma * (self.matrix @ values)).reshape(
-            -1, self.n)
+        """Q-values, shape (n_actions, n_states), in a buffer that the
+        next call overwrites."""
+        if self.events is not None:
+            values = self.events @ values
+        np.multiply(self.explicit @ values, self.gamma, out=self.q)
+        self.q += self.expected
+        return self.q.reshape(-1, self.n)
 
     def evaluate(self, policy: np.ndarray) -> np.ndarray:
-        """Solve (I - gamma*P_pi) V = r_pi directly."""
+        """Solve (I - gamma*P_pi) V = r_pi directly, P_pi = X[pi] E."""
         rows = policy * self.n + np.arange(self.n)
-        system = (sp.identity(self.n, format="csr")
-                  - self.gamma * self.matrix[rows])
+        p = self.explicit[rows]
+        if self.events is not None:
+            p = p @ self.events
+        system = sp.identity(self.n, format="csr") - self.gamma * p
         return spla.spsolve(system.tocsc(), self.expected[rows])
 
 
@@ -102,7 +147,8 @@ def value_iteration(mdp: MdpModel,
     residual = np.inf
     while residual >= threshold:
         new_values = bellman.q_values(values).max(axis=0)
-        residual = float(np.max(np.abs(new_values - values)))
+        # array methods: np.max and np.abs would add a few us per sweep
+        residual = float(abs(new_values - values).max())
         values = new_values
         iterations += 1
     return Strategy(actions=np.argmax(bellman.q_values(values), axis=0),
