@@ -139,10 +139,15 @@ def cmd_compile(input_path, gamma, max_states, out_path):
     started = time.perf_counter()
     mdp = _model(input_path, gamma, max_states)
     elapsed = time.perf_counter() - started
-    explicit = sum(m.nnz() for m in mdp.explicit.values())
+    if mdp.events is None:  # read from obdmdp/1, which holds the products
+        nnz = sum(m.nnz() for m in mdp.transitions.values())
+        sizes = f"{nnz} transition entries"
+    else:
+        nnz = sum(m.nnz() for m in mdp.explicit.values())
+        sizes = (f"{mdp.events.nnz()} event-product entries, {nnz} "
+                 "action-matrix entries")
     click.echo(f"{mdp.n_states} states, {mdp.n_actions} actions (incl. noop), "
-               f"{mdp.events.nnz()} event-product entries, {explicit} "
-               f"action-matrix entries, built in {elapsed:.3f} s")
+               f"{sizes}, built in {elapsed:.3f} s")
     if out_path is not None:
         _write(out_path, dump_mdp(mdp))
 

@@ -503,30 +503,44 @@ class RewardFactor(NamedTuple):
     after: np.ndarray
 
 
-def _reward_factor(auto, k: int, space: StateSpace) -> RewardFactor:
+def _reward_factor(auto, k: int, space: StateSpace, moves,
+                   events) -> RewardFactor:
     """Requirement k's reward as a rank-1 factor.
 
-    `reqauto.reward` is called once for every pair of keys (status and
-    truth combination before, the same after); the table must read
+    The reward depends on a state only through its key: the requirement's
+    status and the truth of the formulas it reads. `reqauto.reward` is
+    called once for every pair of keys that an entry of `moves` (rows and
+    columns of every action's explicit entries) followed by one of
+    `events` (the same for E) can join, a superset of the pairs on the
+    support of any X_a E. On those pairs the table must read
     r * g(key before) * h(key after) for 0/1 vectors g and h."""
     codes, first = _truth_codes(auto, space)
-    stride = math.prod(len(d) for d in space.domains[space.n_base + k + 1:])
-    # one state per key, status-major like `keys` below
-    states = [space.state(b * space.n_statuses + status * stride)
-              for status in range(len(auto.statuses)) for b in first.tolist()]
-    table = np.array([[requirement_reward(auto, before, after)
-                       for after in states] for before in states],
+    key = (space.status_digits[:, k] * len(first) + codes[:, None]).ravel()
+    width = len(auto.statuses) * len(first)
+
+    def joined(rows, cols) -> sp.csr_matrix:
+        return sp.csr_matrix((np.ones(len(rows), dtype=bool),
+                              (key[rows], key[cols])), shape=(width, width))
+
+    pairs = (joined(*moves) @ joined(*events)).tocoo()
+    before, after = pairs.row, pairs.col
+    some_state = np.empty(width, dtype=np.int64)
+    some_state[key] = np.arange(space.size)
+    states = {q: space.state(int(some_state[q]))
+              for q in np.union1d(before, after).tolist()}
+    table = np.array([requirement_reward(auto, states[b], states[a])
+                      for b, a in zip(before.tolist(), after.tolist())],
                      dtype=object)
     nonzero = table != 0
-    g, h = nonzero.any(axis=1), nonzero.any(axis=0)
+    g, h = np.zeros(width, dtype=bool), np.zeros(width, dtype=bool)
+    g[before[nonzero]] = h[after[nonzero]] = True
     r = table[nonzero][0] if nonzero.any() else 0
     rank_one = np.zeros_like(table)
-    rank_one[np.outer(g, h)] = r
+    rank_one[g[before] & h[after]] = r
     if not (table == rank_one).all():
         raise CompileError(f"requirement '{auto.name}': reward table is "
                            "not of the form r * [before] * [after]")
-    keys = (space.status_digits[:, k] * len(first) + codes[:, None]).ravel()
-    return RewardFactor(r, g[keys], h[keys])
+    return RewardFactor(r, g[key], h[key])
 
 
 def reward_matrix(action: ActionDesc, implicit: SparseMatrix,
@@ -573,11 +587,11 @@ class MdpModel:
     space: StateSpace
     action_names: tuple  # noop first, then declaration order
     actions: tuple  # of ActionDesc, parallel to action_names
-    events: SparseMatrix  # E, the event product; identity for load_mdp
-    explicit: Mapping  # action name -> X_a; P_a itself for load_mdp
-    # one RewardFactor per requirement; None for load_mdp, whose rewards
-    # are known only as matrices
-    reward_factors: Optional[tuple]
+    # The factors; None for a model read from obdmdp/1, which holds only
+    # the products. E, the event product:
+    events: Optional[SparseMatrix]
+    explicit: Optional[Mapping]  # action name -> X_a
+    reward_factors: Optional[tuple]  # one RewardFactor per requirement
     transitions: Mapping  # action name -> P_a = X_a E, built when read
     rewards: Mapping  # action name -> R_a on the support of P_a, same
     gamma: Fraction
@@ -644,7 +658,10 @@ def compile_model(model: DomainModel, gamma: Fraction = DEFAULT_GAMMA,
     names = tuple(a.name for a in all_actions)
     explicit = {a.name: explicit_action_matrix(a, space, automata)
                 for a in all_actions}
-    factors = tuple(_reward_factor(auto, k, space)
+    moves = (np.concatenate([m.entry_rows() for m in explicit.values()]),
+             np.concatenate([m.indices for m in explicit.values()]))
+    factors = tuple(_reward_factor(auto, k, space, moves,
+                                   (events.entry_rows(), events.indices))
                     for k, auto in enumerate(automata))
     transitions = _Products(
         names, lambda name: implicit_action_matrix(explicit[name], events))
@@ -881,10 +898,8 @@ def load_mdp(text: str) -> MdpModel:
             list(entries.values()))
 
     names = tuple(a.name for a in actions)
-    transitions = {a: matrix(triples[a, "t"]) for a in names}
     return MdpModel(space=space, action_names=names, actions=tuple(actions),
-                    events=SparseMatrix.identity(n_states),
-                    explicit=transitions, reward_factors=None,
-                    transitions=transitions,
+                    events=None, explicit=None, reward_factors=None,
+                    transitions={a: matrix(triples[a, "t"]) for a in names},
                     rewards={a: matrix(triples[a, "r"]) for a in names},
                     gamma=gamma, initial_index=initial)

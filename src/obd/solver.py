@@ -2,15 +2,17 @@
 
 Value iteration runs Bellman backups to a max-norm stopping rule; policy
 iteration alternates exact evaluation with greedy improvement. Every entry
-point reads one Bellman operator built once per solve from the model's
-factors, never from the multiplied-out transition matrices: the event
-product E and every action's explicit rows X_a stacked in one matrix X
-(row a*n + s). A backup is q = r + gamma * X (E v), two sparse products
-of the factors' size (one, by the float product X E, on models so small
-that a second call costs more than the entries it saves), and policy
-evaluation is a direct sparse solve against P_pi = X[pi] E. Both solvers
-return the same Strategy shape: a total state-to-action map with its
-value function and solver metadata.
+point reads one Bellman operator built once per solve. For a compiled
+model it reads the factors, never the multiplied-out transition matrices:
+the event product E and every action's explicit rows X_a stacked in one
+matrix X (row a*n + s). A backup is then q = r + gamma * X (E v), two
+sparse products of the factors' size, and policy evaluation is a direct
+sparse solve against P_pi = X[pi] E. A model read from obdmdp/1 has only
+the products P_a, and so does a compiled model small enough that building
+them exactly costs less than the second product per sweep saves; there a
+backup is q = r + gamma * P v, as the model read back computes it. Both
+solvers return the same Strategy shape: a total state-to-action map with
+its value function and solver metadata.
 """
 
 from __future__ import annotations
@@ -29,9 +31,12 @@ from obd.dsl import ObdError
 FORMAT_POLICY = "obdpolicy/1"
 DEFAULT_EPSILON = 1e-6
 ROW_SUM_TOL = 1e-9
-# A sparse product call costs a few microseconds before its first entry,
-# about as much as this many entries (scipy 1.17, 2-vCPU x86 VM).
-FOLD_ENTRIES = 4096
+# Models whose products X_a E take at most this many terms X(i,k) E(k,j)
+# are swept through their exact products. Value iteration that builds them
+# first was at most as slow as sweeping the factors up to 3,278 terms,
+# 4-10% slower at 4,768 and 6,258 terms, and 2.9x slower at 60,648
+# (restaurant models, medians of 21 runs, scipy 1.17, 2-vCPU x86 VM).
+PRODUCT_TERMS = 4096
 
 
 class SolverError(ObdError):
@@ -54,14 +59,8 @@ class Strategy:
 
 
 def _expected_rewards(mdp: MdpModel, explicit, events) -> np.ndarray:
-    """Expected one-step reward of every stacked row a*n + s:
-    -c_a + sum_k r_k g_k(s) (X_a E h_k)(s) from the reward factors, or,
-    for a model read from obdmdp/1 (E = I there, so P_a = X_a), the
-    row sums of P_a * R_a."""
-    if mdp.reward_factors is None:
-        rewards = sp.vstack([mdp.reward_csr(a) for a in mdp.action_names],
-                            format="csr")
-        return np.asarray(explicit.multiply(rewards).sum(axis=1)).ravel()
+    """Expected one-step reward of every stacked row a*n + s from the
+    factors: -c_a + sum_k r_k g_k(s) (X_a E h_k)(s)."""
     out = -np.repeat([float(a.cost) for a in mdp.actions], mdp.n_states)
     if mdp.reward_factors:
         after = np.column_stack([f.after for f in mdp.reward_factors])
@@ -73,22 +72,40 @@ def _expected_rewards(mdp: MdpModel, explicit, events) -> np.ndarray:
     return out
 
 
-class _Bellman:
-    """The Bellman operator of a model, from its factors: the event
-    product E, every action's explicit rows stacked in one CSR X (row
-    a*n + s), their expected one-step rewards, and a defensive
-    row-stochasticity re-check of X E.
+def _factored(mdp: MdpModel) -> bool:
+    """Whether to sweep the factors rather than the exact products P_a:
+    when the model has factors and building the products would take more
+    than PRODUCT_TERMS terms X(i,k) E(k,j)."""
+    if mdp.events is None:
+        return False
+    fan_out = np.diff(mdp.events.indptr)
+    terms = sum(int(fan_out[m.indices].sum()) for m in mdp.explicit.values())
+    return terms > PRODUCT_TERMS
 
-    Where the float product X E has at most FOLD_ENTRIES more entries than
-    X and E together, E is folded into X once per solve (`events` is then
-    None): one sparse call per sweep then costs less than two."""
+
+class _Bellman:
+    """The Bellman operator of a model: every action's rows stacked in one
+    CSR `matrix` (row a*n + s), either the explicit rows X_a, then applied
+    after the event product `events` E, or the transition rows P_a
+    themselves (`events` is None); their expected one-step rewards; and a
+    defensive row-stochasticity re-check."""
 
     def __init__(self, mdp: MdpModel):
         n = mdp.n_states
-        events = mdp.events.csr
-        explicit = sp.vstack([mdp.explicit[a].csr for a in mdp.action_names],
-                             format="csr")
-        sums = explicit @ (events @ np.ones(n))
+        if _factored(mdp):
+            events = mdp.events.csr
+            matrix = sp.vstack([mdp.explicit[a].csr
+                                for a in mdp.action_names], format="csr")
+            expected = _expected_rewards(mdp, matrix, events)
+            sums = matrix @ (events @ np.ones(n))
+        else:
+            events = None
+            matrix = sp.vstack([mdp.transition_csr(a)
+                                for a in mdp.action_names], format="csr")
+            rewards = sp.vstack([mdp.reward_csr(a) for a in mdp.action_names],
+                                format="csr")
+            expected = np.asarray(matrix.multiply(rewards).sum(axis=1)).ravel()
+            sums = np.asarray(matrix.sum(axis=1)).ravel()
         bad = np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)
         if bad.size:
             action, state = divmod(int(bad[0]), n)
@@ -97,29 +114,24 @@ class _Bellman:
                 f"{state} sums to {sums[bad[0]]}")
         self.n = n
         self.gamma = float(mdp.gamma)
-        self.expected = _expected_rewards(mdp, explicit, events)
-        self.q = np.empty_like(self.expected)
-        # X(i,k) E(k,j) terms: at least the entries of the product
-        terms = int(np.diff(events.indptr)[explicit.indices].sum())
-        if terms <= explicit.nnz + events.nnz + FOLD_ENTRIES:
-            explicit, events = explicit @ events, None
-            explicit.sort_indices()  # sum rows in column order, as P is stored
-        self.explicit = explicit
+        self.matrix = matrix
         self.events = events
+        self.expected = expected
+        self.q = np.empty_like(expected)
 
     def q_values(self, values: np.ndarray) -> np.ndarray:
         """Q-values, shape (n_actions, n_states), in a buffer that the
         next call overwrites."""
         if self.events is not None:
             values = self.events @ values
-        np.multiply(self.explicit @ values, self.gamma, out=self.q)
+        np.multiply(self.matrix @ values, self.gamma, out=self.q)
         self.q += self.expected
         return self.q.reshape(-1, self.n)
 
     def evaluate(self, policy: np.ndarray) -> np.ndarray:
         """Solve (I - gamma*P_pi) V = r_pi directly, P_pi = X[pi] E."""
         rows = policy * self.n + np.arange(self.n)
-        p = self.explicit[rows]
+        p = self.matrix[rows]
         if self.events is not None:
             p = p @ self.events
         system = sp.identity(self.n, format="csr") - self.gamma * p

@@ -3,16 +3,19 @@ rank-1 reward factors, against the multiplied-out exact matrices."""
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from obd import compiler, solver
 from obd.compiler import CompileError, compile_model, dump_mdp, load_mdp
+from obd.dsl import parse_domain
 from obd.solver import _Bellman
 
 import oracles
 
+MODELS = Path(__file__).parent.parent / "models"
 RANDOM_SEEDS = range(8)
 
 
@@ -49,20 +52,24 @@ def test_factors_give_the_exact_expected_reward(toy_mdp, restaurant_mdp):
                 assert _factored_expected(mdp, name, s) == materialised
 
 
-@pytest.mark.parametrize("fold", [False, True], ids=["factored", "folded"])
+@pytest.mark.parametrize("factored", [True, False],
+                         ids=["factors", "products"])
 def test_q_values_match_the_model_read_back(toy_mdp, restaurant_mdp,
-                                            monkeypatch, fold):
-    # fold E into X always, or never
-    monkeypatch.setattr(solver, "FOLD_ENTRIES", 10 ** 9 if fold else -10 ** 9)
+                                            monkeypatch, factored):
+    # sweep the factors always, or the exact products always
+    monkeypatch.setattr(solver, "PRODUCT_TERMS", -1 if factored else 10 ** 9)
     rng = np.random.default_rng(0)
     for mdp in _models(toy_mdp, restaurant_mdp):
         bellman = _Bellman(mdp)
-        assert (bellman.events is None) == fold
+        assert (bellman.events is not None) == factored
         values = rng.normal(scale=100.0, size=mdp.n_states)
         q = bellman.q_values(values).copy()
         loaded = _Bellman(load_mdp(dump_mdp(mdp))).q_values(values)
-        scale = max(1.0, float(np.abs(q).max()))
-        assert np.abs(q - loaded).max() <= 1e-12 * scale
+        if factored:
+            scale = max(1.0, float(np.abs(q).max()))
+            assert np.abs(q - loaded).max() <= 1e-12 * scale
+        else:  # the same float matrices as the model read back
+            assert np.array_equal(q, loaded)
 
 
 def test_reward_table_must_be_rank_one(toy_model, monkeypatch):
@@ -91,3 +98,28 @@ def test_products_are_built_when_first_read(toy_model, monkeypatch):
     assert mdp.rewards["a"] is mdp.rewards["a"]
     assert len(built) == 1
     assert first == mdp.explicit["a"].matmul(mdp.events)
+
+
+def test_reward_is_read_on_the_reachable_key_pairs(monkeypatch):
+    # 41 statuses x 4 truth combinations: a full key table would take
+    # 164 ** 2 = 26,896 calls
+    text = (MODELS / "restaurant.obd").read_text().replace(
+        "    achieve table1=received",
+        "    maintain table1=received for 20 within 20")
+    calls = []
+    reward = compiler.requirement_reward
+    monkeypatch.setattr(compiler, "requirement_reward",
+                        lambda auto, before, after: calls.append(
+                            (before, after)) or reward(auto, before, after))
+    mdp = compile_model(parse_domain(text))
+    auto = mdp.automata[0]
+    codes, first = compiler._truth_codes(auto, mdp.space)
+    key = (mdp.space.status_digits[:, 0] * len(first)
+           + codes[:, None]).ravel()
+    on_support = set()
+    for name in mdp.action_names:
+        t = mdp.transitions[name]
+        on_support |= set(zip(key[t.entry_rows()].tolist(),
+                              key[t.indices].tolist()))
+    # one call per key pair that some transition joins, and no other
+    assert len(calls) == len(on_support)
