@@ -883,6 +883,8 @@ def load_mdp(text: str) -> MdpModel:
                 value = math.nan
             if not math.isfinite(value):
                 raise error(f"not a finite number: {parts[3]!r}")
+            if tag == "t" and value < 0:
+                raise error(f"negative probability: {parts[3]!r}")
             entries = triples[actions[-1].name, tag]
             if at in entries:
                 raise error(f"second '{tag}' entry for {at[0]} {at[1]}")

@@ -133,6 +133,11 @@ BOOL_DOMAIN = ("tt", "ff")
 class VariableDecl:
     name: str
     domain: tuple = BOOL_DOMAIN
+    # Source position of the declared name, for diagnostics (None when the
+    # model is built in code). Left out of equality, so a model built in
+    # code or re-parsed from format_model's text still compares equal.
+    line: Optional[int] = field(default=None, compare=False)
+    col: Optional[int] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -154,6 +159,8 @@ class ActionDesc:
     name: str
     branches: tuple  # of ActionBranch
     cost: int = 0
+    line: Optional[int] = field(default=None, compare=False)  # as above
+    col: Optional[int] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -167,6 +174,8 @@ class EventBranch:
 class EventDesc:
     name: str
     branches: tuple  # of EventBranch
+    line: Optional[int] = field(default=None, compare=False)  # as above
+    col: Optional[int] = field(default=None, compare=False)
 
 
 class ReqKind(str, Enum):
@@ -216,6 +225,8 @@ class Requirement:
     deadline: Optional[int] = None
     duration: Optional[int] = None
     reward: int = 0
+    line: Optional[int] = field(default=None, compare=False)  # as above
+    col: Optional[int] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -505,7 +516,7 @@ class _Parser:
             if len(set(values)) != len(values):
                 self.error(f"duplicate value in domain of '{name.text}'", name)
             domain = tuple(values)
-        return VariableDecl(name.text, domain)
+        return VariableDecl(name.text, domain, name.line, name.col)
 
     def parse_action(self) -> ActionDesc:
         self.expect_kw("Action")
@@ -523,7 +534,8 @@ class _Parser:
         if self.at_kw("cost"):
             self.next()
             cost = self.expect_nat()
-        return ActionDesc(name.text, tuple(branches), cost)
+        return ActionDesc(name.text, tuple(branches), cost, name.line,
+                          name.col)
 
     def parse_event(self) -> EventDesc:
         self.expect_kw("Event")
@@ -542,7 +554,7 @@ class _Parser:
             branches.append(EventBranch(pre, occur, effects))
         if not branches:
             self.error(f"event '{name.text}' has no 'if ... effects' branch", name)
-        return EventDesc(name.text, tuple(branches))
+        return EventDesc(name.text, tuple(branches), name.line, name.col)
 
     def parse_requirement(self) -> Requirement:
         self.expect_kw("ReqID")
@@ -589,7 +601,7 @@ class _Parser:
         kind = self._requirement_kind(name, achieve, activation is not None,
                                       duration, deadline, exact, once)
         return Requirement(name.text, kind, required, activation, cancellation,
-                           deadline, duration, reward)
+                           deadline, duration, reward, name.line, name.col)
 
     def _requirement_kind(self, name: Token, achieve: bool, conditional: bool,
                           duration, deadline, exact, once) -> ReqKind:
@@ -685,32 +697,35 @@ class _Parser:
                 self.error(f"'{v.name}' names both a variable and a requirement", tok)
 
         # Undeclared variables referenced anywhere become implicit booleans,
-        # in order of first reference.
-        implicit = []
+        # in order of first reference, placed where the first declaration
+        # (or Init item) referencing them is.
+        implicit = {}
 
-        def note(var: str):
-            if var not in declared and var not in req_names and var not in implicit:
-                implicit.append(var)
+        def note(var: str, at):
+            if var not in declared and var not in req_names:
+                implicit.setdefault(var, at)
 
-        def note_formula(f: Optional[Formula]):
+        def note_formula(f: Optional[Formula], at):
             if f is not None:
                 for var in sorted(formula_variables(f)):
-                    note(var)
+                    note(var, at)
 
         for owner, _ in actions + events:
             for br in owner.branches:
-                note_formula(br.precondition)
+                note_formula(br.precondition, owner)
                 for eff in br.effects:
                     for var, _v in eff.assignments:
-                        note(var)
+                        note(var, owner)
         for r, _ in requirements:
-            note_formula(r.required)
-            note_formula(r.activation)
-            note_formula(r.cancellation)
-        for var, _value, _tok in init_items:
-            note(var)
+            note_formula(r.required, r)
+            note_formula(r.activation, r)
+            note_formula(r.cancellation, r)
+        for var, _value, tok in init_items:
+            note(var, tok)
 
-        all_vars = [v for v, _ in variables] + [VariableDecl(n) for n in implicit]
+        all_vars = [v for v, _ in variables] + [
+            VariableDecl(n, line=at.line, col=at.col)
+            for n, at in implicit.items()]
         domains = {v.name: v.domain for v in all_vars}
 
         def check_formula(f: Optional[Formula], tok: Token):
@@ -864,46 +879,41 @@ def format_model(model: DomainModel) -> str:
 def validate(model: DomainModel) -> list:
     """Static checks on a parsed (or programmatically built) model.
 
-    Returns diagnostics as data; nothing is raised. Precondition
-    disjointness is only approximated here by syntactic equality; exact
-    per-state enforcement happens during compilation.
+    Returns diagnostics as data; nothing is raised. Each one carries the
+    source position of the declaration it names (none for a model built
+    in code). Precondition disjointness is only approximated here by
+    syntactic equality; exact per-state enforcement happens during
+    compilation.
     """
     diags = []
-    domains = {v.name: v.domain for v in model.variables}
+
+    def report(severity: str, message: str, at) -> None:
+        diags.append(Diagnostic(severity, message, at.line, at.col))
 
     for r in model.requirements:
         kind = r.kind
         if not kind.is_conditional:
             if r.activation is not None:
-                diags.append(Diagnostic(
-                    "error",
-                    f"requirement '{r.name}': activation clause forbidden "
-                    f"for unconditional kind {kind.value}"))
+                report("error",
+                       f"requirement '{r.name}': activation clause forbidden "
+                       f"for unconditional kind {kind.value}", r)
             if r.cancellation is not None:
-                diags.append(Diagnostic(
-                    "error",
-                    f"requirement '{r.name}': cancellation clause forbidden "
-                    f"for unconditional kind {kind.value}"))
+                report("error",
+                       f"requirement '{r.name}': cancellation clause "
+                       f"forbidden for unconditional kind {kind.value}", r)
         elif r.activation is None:
-            diags.append(Diagnostic(
-                "error",
-                f"requirement '{r.name}': kind {kind.value} needs an "
-                "activation clause"))
+            report("error", f"requirement '{r.name}': kind {kind.value} "
+                   "needs an activation clause", r)
         if kind.has_deadline != (r.deadline is not None):
-            diags.append(Diagnostic(
-                "error",
-                f"requirement '{r.name}': deadline "
-                f"{'missing' if kind.has_deadline else 'forbidden'} "
-                f"for kind {kind.value}"))
+            report("error", f"requirement '{r.name}': deadline "
+                   f"{'missing' if kind.has_deadline else 'forbidden'} "
+                   f"for kind {kind.value}", r)
         if kind.has_duration != (r.duration is not None):
-            diags.append(Diagnostic(
-                "error",
-                f"requirement '{r.name}': duration "
-                f"{'missing' if kind.has_duration else 'forbidden'} "
-                f"for kind {kind.value}"))
+            report("error", f"requirement '{r.name}': duration "
+                   f"{'missing' if kind.has_duration else 'forbidden'} "
+                   f"for kind {kind.value}", r)
         if r.reward < 0:
-            diags.append(Diagnostic(
-                "error", f"requirement '{r.name}': negative reward"))
+            report("error", f"requirement '{r.name}': negative reward", r)
 
     assigned = {var: {value} for var, value in model.initial_state}
     for item in model.actions + model.events:
@@ -912,29 +922,25 @@ def validate(model: DomainModel) -> list:
         seen_pres = []
         for br in item.branches:
             if br.precondition in seen_pres:
-                diags.append(Diagnostic(
-                    "warning",
-                    f"{owner}: overlapping preconditions "
-                    f"({format_formula(br.precondition)} repeated)"))
+                report("warning", f"{owner}: overlapping preconditions "
+                       f"({format_formula(br.precondition)} repeated)", item)
             seen_pres.append(br.precondition)
             total = Fraction(0)
             for eff in br.effects:
                 if eff.probability <= 0:
-                    diags.append(Diagnostic(
-                        "error", f"{owner}: zero-probability effect"))
+                    report("error", f"{owner}: zero-probability effect", item)
                 total += eff.probability
                 for var, value in eff.assignments:
                     assigned.setdefault(var, set()).add(value)
             if total > 1:
-                diags.append(Diagnostic(
-                    "error",
-                    f"{owner}: effect probabilities sum to {total} > 1"))
+                report("error",
+                       f"{owner}: effect probabilities sum to {total} > 1",
+                       item)
 
     # Domain values nothing can ever assign are likely spelling mistakes.
-    for name, domain in domains.items():
-        for value in domain:
-            if value not in assigned.get(name, set()):
-                diags.append(Diagnostic(
-                    "info",
-                    f"value '{value}' of variable '{name}' is never assigned"))
+    for variable in model.variables:
+        for value in variable.domain:
+            if value not in assigned.get(variable.name, set()):
+                report("info", f"value '{value}' of variable "
+                       f"'{variable.name}' is never assigned", variable)
     return diags

@@ -6,11 +6,17 @@ point reads one Bellman operator built once per solve. For a compiled
 model it reads the factors, never the multiplied-out transition matrices:
 the event product E and every action's explicit rows X_a stacked in one
 matrix X (row a*n + s). A backup is then q = r + gamma * X (E v), two
-sparse products of the factors' size, and policy evaluation is a direct
-sparse solve against P_pi = X[pi] E. A model read from obdmdp/1 has only
+sparse products of the factors' size. A model read from obdmdp/1 has only
 the products P_a, and so does a compiled model small enough that building
 them exactly costs less than the second product per sweep saves; there a
-backup is q = r + gamma * P v, as the model read back computes it. Both
+backup is q = r + gamma * P v, as the model read back computes it.
+
+Policy evaluation multiplies P_pi = X[pi] E out in float (or takes the
+rows of P), orders the states by the strongly connected components of
+P_pi, sources first, so that I - gamma*P_pi is block upper triangular
+(Tarjan 1972; Duff & Reid 1978), and factors it once with SuperLU in that
+order without pivoting. That is safe because the matrix is strictly
+diagonally dominant by rows; the order only keeps the fill small. Both
 solvers return the same Strategy shape: a total state-to-action map with
 its value function and solver metadata.
 """
@@ -24,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse import csgraph
 
 from obd.compiler import MdpModel, float_column, join_columns, text_table
 from obd.dsl import ObdError
@@ -83,6 +90,31 @@ def _factored(mdp: MdpModel) -> bool:
     return terms > PRODUCT_TERMS
 
 
+def _gather(indptr: np.ndarray, rows: np.ndarray, extra: int = 0):
+    """Row pointers of the rows `rows` of a CSR matrix with row pointers
+    `indptr`, each followed by `extra` more slots, and for every entry the
+    position in the matrix's arrays that it takes (past the row's end for
+    the extra slots, which the caller points elsewhere). A numpy gather:
+    on models of a few dozen states, SciPy's m[rows] costs several times
+    more in call overhead."""
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts + extra
+    out = np.zeros(rows.size + 1, dtype=indptr.dtype)
+    np.cumsum(counts, out=out[1:])
+    return out, np.arange(out[-1]) + np.repeat(starts - out[:-1], counts)
+
+
+def component_order(p) -> np.ndarray:
+    """The states of a square sparse matrix grouped by strongly connected
+    component, sources first: each component is contiguous and no entry
+    leads back to an earlier component, so p[order][:, order] is block
+    upper triangular. SciPy numbers the components as Tarjan's algorithm
+    completes them, sinks first."""
+    _, labels = csgraph.connected_components(p, directed=True,
+                                             connection="strong")
+    return np.argsort(-labels, kind="stable")
+
+
 class _Bellman:
     """The Bellman operator of a model: every action's rows stacked in one
     CSR `matrix` (row a*n + s), either the explicit rows X_a, then applied
@@ -118,6 +150,7 @@ class _Bellman:
         self.events = events
         self.expected = expected
         self.q = np.empty_like(expected)
+        self.states = np.arange(n)
 
     def q_values(self, values: np.ndarray) -> np.ndarray:
         """Q-values, shape (n_actions, n_states), in a buffer that the
@@ -129,13 +162,40 @@ class _Bellman:
         return self.q.reshape(-1, self.n)
 
     def evaluate(self, policy: np.ndarray) -> np.ndarray:
-        """Solve (I - gamma*P_pi) V = r_pi directly, P_pi = X[pi] E."""
-        rows = policy * self.n + np.arange(self.n)
-        p = self.matrix[rows]
+        """Solve (I - gamma*P_pi) V = r_pi, P_pi = X[pi] E, by one LU
+        factorization in component order (component_order) without
+        pivoting. The matrix is strictly diagonally dominant by rows:
+        every row of P_pi is non-negative (load_mdp rejects a negative
+        probability) and sums to 1 (checked at construction), and
+        gamma < 1. So are its Schur complements, whatever the symmetric
+        order, and no pivot is zero. The order only decides the fill:
+        with P_pi block triangular, eliminating one component leaves the
+        diagonal blocks of the others unchanged."""
+        n = self.n
+        rows = policy * n + self.states
+        indptr, take = _gather(self.matrix.indptr, rows)
+        p = sp.csr_matrix((self.matrix.data[take], self.matrix.indices[take],
+                           indptr), shape=(n, self.matrix.shape[1]))
         if self.events is not None:
             p = p @ self.events
-        system = sp.identity(self.n, format="csr") - self.gamma * p
-        return spla.spsolve(system.tocsc(), self.expected[rows])
+        order = component_order(p)
+        position = np.empty_like(order)
+        position[order] = self.states
+        # row k of A = (I - gamma*P)[order][:, order] is row order[k] of
+        # -gamma*P, then its diagonal 1, taken from after P's entries
+        indptr, take = _gather(p.indptr, order, extra=1)
+        take[indptr[1:] - 1] = p.indptr[-1] + order
+        # A's CSR arrays read as CSC are A transposed, the form SuperLU
+        # factored fastest; solve(trans="T") solves with A itself
+        system = sp.csc_matrix(
+            (np.append(-self.gamma * p.data, np.ones(n))[take],
+             position[np.append(p.indices, self.states)[take]], indptr),
+            shape=(n, n))
+        system.sum_duplicates()  # adds the 1 to -gamma*P(s, s)
+        lu = spla.splu(system, permc_spec="NATURAL", diag_pivot_thresh=0.0)
+        values = np.empty(n)
+        values[order] = lu.solve(self.expected[rows[order]], trans="T")
+        return values
 
 
 def greedy_policy(mdp: MdpModel, values: np.ndarray) -> Strategy:
@@ -169,8 +229,20 @@ def value_iteration(mdp: MdpModel,
 
 
 def evaluate_policy(mdp: MdpModel, policy: np.ndarray) -> np.ndarray:
-    """Values of a fixed policy, by one direct sparse solve."""
-    return _Bellman(mdp).evaluate(policy)
+    """Values of a fixed policy, one action index per state, by one
+    sparse LU factorization in component order (_Bellman.evaluate)."""
+    policy = np.asarray(policy)
+    if not np.issubdtype(policy.dtype, np.integer):
+        raise SolverError(
+            f"policy must hold integer action indices, not {policy.dtype}")
+    if policy.shape != (mdp.n_states,):
+        raise SolverError(f"policy has shape {policy.shape}, "
+                          f"not ({mdp.n_states},)")
+    bad = np.flatnonzero((policy < 0) | (policy >= mdp.n_actions))
+    if bad.size:
+        raise SolverError(f"policy: action {policy[bad[0]]} of state "
+                          f"{bad[0]} outside 0..{mdp.n_actions - 1}")
+    return _Bellman(mdp).evaluate(policy.astype(np.int64))
 
 
 def policy_iteration(mdp: MdpModel) -> Strategy:

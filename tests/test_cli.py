@@ -110,7 +110,8 @@ def test_compile_prints_warnings_and_infos():
     path = str(MODELS / "restaurant.obd")
     result = invoke("compile", path)
     assert result.exit_code == 0
-    assert (f"{path}:0:0: info: value 'inKitchen' of variable 'location' "
+    # `location` is declared on line 5, its name in column 10
+    assert (f"{path}:5:10: info: value 'inKitchen' of variable 'location' "
             "is never assigned") in result.stderr.splitlines()
 
 

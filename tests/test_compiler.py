@@ -389,3 +389,15 @@ def test_load_mdp_rejects_triple_before_action(toy_mdp):
     del lines[k]
     assert _load_error(lines) == \
         f"line {k + 1}: 't' line before any 'action' line"
+
+
+def test_load_mdp_rejects_negative_probability(toy_mdp):
+    """The solver factors I - gamma*P without pivoting, which is safe
+    only for non-negative rows; a row summing to 1 is not enough."""
+    lines = dump_mdp(toy_mdp).splitlines()
+    k = lines.index("t 6 7 0.8")
+    lines[k:k + 1] = ["t 6 6 1.6", "t 6 7 -0.8"]  # row 6 still sums to 1
+    assert _load_error(lines) == \
+        f"line {k + 2}: negative probability: '-0.8'"
+    lines[k:k + 2] = ["t 6 6 0.8", "t 6 7 -0.0"]
+    load_mdp("\n".join(lines) + "\n")

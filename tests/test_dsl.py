@@ -259,3 +259,25 @@ def test_diagnostic_render_format():
     assert parts[0] == "m.obd"
     assert parts[1].isdigit() and parts[2].isdigit()
     assert rest.split(":")[0] in ("error", "warning", "info")
+
+
+def test_validate_places_diagnostics_at_declarations():
+    model = parse_domain(
+        "Variable m domain {a, b}\n"
+        "Action go\n"
+        "    if m=a effects <m=a>\n"
+        "    if m=a effects <m=a prob 0.5>\n"
+        "Event e if m=a effects <z>\n"
+        "ReqID r maintain m=a for 2 if m=a reward 1\n"
+        "Init { m=a, z }\n")
+    # validate checks models built in code too; replace keeps the position
+    broken = replace(model, requirements=(
+        replace(model.requirements[0], duration=None),))
+    assert sorted(d.render("m.obd") for d in validate(broken)) == [
+        "m.obd:1:10: info: value 'b' of variable 'm' is never assigned",
+        "m.obd:2:8: warning: action 'go': overlapping preconditions "
+        "(m=a repeated)",
+        # z is an implicit boolean, first referenced by event e
+        "m.obd:5:7: info: value 'ff' of variable 'z' is never assigned",
+        "m.obd:6:7: error: requirement 'r': duration missing for kind PM",
+    ]

@@ -3,15 +3,22 @@
 import json
 import random
 import re
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from scipy.sparse import csgraph
 
+from obd import solver
 from obd.compiler import compile_model, dump_mdp, load_mdp
 from obd.dsl import parse_domain
 from obd.solver import (
     SolverError,
+    component_order,
     dump_policy,
     evaluate_policy,
     greedy_policy,
@@ -22,6 +29,10 @@ from obd.solver import (
 )
 
 import oracles
+
+sys.path.insert(0, str(Path(__file__).parent.parent / "bench"))
+
+from models import restaurant_text  # noqa: E402
 
 
 def _tiny(text, gamma=Fraction(9, 10)):
@@ -164,6 +175,115 @@ def test_policy_evaluation_is_linear_solve(toy_mdp):
                 toy_mdp.rewards[name].get(s, j))
     direct = np.linalg.solve(np.eye(n) - gamma * p, r)
     assert np.allclose(values, direct, atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Policy evaluation against a reference solve
+
+
+@pytest.fixture(scope="module")
+def two_tables():
+    """1,024 states, above PRODUCT_TERMS: the factored path."""
+    return compile_model(parse_domain(restaurant_text(2, 0)))
+
+
+def _policy_rows(mdp, policy):
+    """P_pi and r_pi from the multiplied-out matrices."""
+    n = mdp.n_states
+    rows = np.asarray(policy) * n + np.arange(n)
+    p = sp.vstack([mdp.transition_csr(a) for a in mdp.action_names],
+                  format="csr")[rows]
+    r = sp.vstack([mdp.reward_csr(a) for a in mdp.action_names],
+                  format="csr")[rows]
+    return p, np.asarray(p.multiply(r).sum(axis=1)).ravel()
+
+
+def _reference_values(mdp, policy):
+    p, r = _policy_rows(mdp, policy)
+    system = sp.identity(mdp.n_states) - float(mdp.gamma) * p
+    if mdp.n_states <= 64:
+        return np.linalg.solve(system.toarray(), r)
+    return spla.spsolve(system.tocsc(), r)
+
+
+def _evaluation_models(toy_mdp, restaurant_mdp, two_tables):
+    yield "toy", toy_mdp
+    yield "restaurant", restaurant_mdp
+    yield "2 tables", two_tables
+    for seed in range(15):  # the models of test_agreement_random_models
+        model = oracles.random_model(random.Random(2000 + seed))
+        yield f"random {2000 + seed}", compile_model(model)
+
+
+@pytest.mark.parametrize("factored", [True, False],
+                         ids=["factors", "products"])
+def test_evaluation_matches_reference_solve(toy_mdp, restaurant_mdp,
+                                            two_tables, monkeypatch,
+                                            factored):
+    # evaluate through the factors always, or the exact products always
+    monkeypatch.setattr(solver, "PRODUCT_TERMS", -1 if factored else 10 ** 9)
+    rng = np.random.default_rng(7)
+    for name, mdp in _evaluation_models(toy_mdp, restaurant_mdp, two_tables):
+        for _ in range(5):
+            policy = rng.integers(0, mdp.n_actions, mdp.n_states)
+            reference = _reference_values(mdp, policy)
+            values = evaluate_policy(mdp, policy)
+            tol = 1e-12 * max(1.0, np.abs(reference).max())
+            assert np.abs(values - reference).max() <= tol, name
+
+
+@pytest.mark.parametrize("which", ["noop", "value-iteration"])
+def test_component_order_leaves_p_block_triangular(two_tables, monkeypatch,
+                                                   which):
+    """The order that evaluate factors in keeps every strongly connected
+    component of P_pi contiguous and puts no entry below the diagonal
+    blocks. A SciPy that numbered its components otherwise would leave
+    the values right but the factorization slow; this test catches it."""
+    mdp = two_tables
+    policy = (np.zeros(mdp.n_states, dtype=np.int64) if which == "noop"
+              else value_iteration(mdp).actions)
+    used = []
+
+    def recorded(p):
+        used.append(component_order(p))
+        return used[-1]
+
+    monkeypatch.setattr(solver, "component_order", recorded)
+    evaluate_policy(mdp, policy)
+    [order] = used
+    p, _ = _policy_rows(mdp, policy)
+    _, labels = csgraph.connected_components(p, connection="strong")
+    runs = labels[order]
+    first = np.r_[True, runs[1:] != runs[:-1]]
+    assert np.count_nonzero(first) == labels.max() + 1  # contiguous
+    block = np.empty(mdp.n_states, dtype=np.int64)
+    block[order] = np.cumsum(first)
+    entries = p.tocoo()
+    assert labels.max() > 100  # many components: the order matters
+    assert np.all(block[entries.row] <= block[entries.col])
+
+
+@pytest.mark.parametrize("policy, message", [
+    (np.full(8, -1), "policy: action -1 of state 0 outside 0..2"),
+    (np.r_[np.zeros(5, dtype=np.int64), 3, 0, 0],
+     "policy: action 3 of state 5 outside 0..2"),
+    (np.zeros(7, dtype=np.int64), "policy has shape (7,), not (8,)"),
+    (np.zeros((8, 1), dtype=np.int64), "policy has shape (8, 1), not (8,)"),
+    (np.zeros(8), "policy must hold integer action indices, not float64"),
+    (np.zeros(8, dtype=bool),
+     "policy must hold integer action indices, not bool"),
+], ids=["negative", "too-large", "short", "column", "float", "bool"])
+def test_evaluate_policy_rejects_bad_policy(toy_mdp, policy, message):
+    with pytest.raises(SolverError, match=f"^{re.escape(message)}$"):
+        evaluate_policy(toy_mdp, policy)
+
+
+def test_evaluate_policy_accepts_any_integer_vector(toy_mdp):
+    policy = policy_iteration(toy_mdp).actions
+    values = evaluate_policy(toy_mdp, policy)
+    for same in (policy.tolist(), policy.astype(np.uint8),
+                 policy.astype(np.int32)):
+        assert np.array_equal(evaluate_policy(toy_mdp, same), values)
 
 
 def test_greedy_policy_reproduces_optimal(toy_mdp):
