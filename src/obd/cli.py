@@ -86,7 +86,7 @@ def _model(path: str, gamma, max_states: int) -> MdpModel:
             sys.exit(EXIT_ERROR)
         mdp = compile_model(model, gamma=gamma, limit=max_states)
     for warning in mdp.warnings:
-        click.echo(f"{path}: warning: {warning}", err=True)
+        click.echo(warning.render(path), err=True)
     return mdp
 
 

@@ -39,6 +39,7 @@ from obd.dsl import (
     And,
     Atom,
     BoolLit,
+    Diagnostic,
     DomainModel,
     EvaluationError,
     EventDesc,
@@ -158,29 +159,56 @@ def enumerate_states(model: DomainModel, automata,
 # Sparse matrices over exact rationals
 
 
+# Numerators are int64 when a bound on every value computed from them, the
+# sums of products included, is below this; Python ints otherwise. Keeping
+# stored values below 2**62 leaves room for one more addition.
+_INT64_BOUND = 2 ** 62
+# Integers below this are exact float64 values.
+_FLOAT_EXACT = 2 ** 53
+
+
+def _dtype(bound: int):
+    """int64 when `bound` bounds every |value| below _INT64_BOUND, object
+    (Python ints, which never overflow) otherwise."""
+    return np.int64 if bound < _INT64_BOUND else object
+
+
+def _magnitude(numerators: np.ndarray) -> int:
+    """Largest absolute value in an integer array, as a Python int."""
+    if not numerators.size:
+        return 0
+    return max(int(numerators.max()), -int(numerators.min()))
+
+
 class SparseMatrix:
     """Square sparse matrix of exact rationals.
 
     Canonical CSR: one entry per position, columns ascending within each
-    row, stored zeros kept. Values are integer numerators in a numpy object
-    array (Python ints, so they never overflow) over one common
+    row, stored zeros kept. Values are integer numerators over one common
     denominator, in lowest terms, which makes equal matrices equal field by
-    field. Instances are not modified after construction: `csr`, the
-    float64 copy for the solver, is built once.
+    field. The numerators are int64 when every one is below 2**62 in
+    absolute value, Python ints in an object array otherwise; `largest` is
+    that absolute value. Instances are not modified after construction:
+    `csr`, the float64 copy for the solver, is built once.
     """
 
     def __init__(self, size: int, indptr, indices, numerators,
                  denominator: int = 1):
-        numerators = np.asarray(numerators, dtype=object)
-        common = math.gcd(denominator, *numerators.tolist())
+        numerators = np.asarray(numerators)
+        largest = _magnitude(numerators)
+        divisor = int(np.gcd.reduce(numerators))
+        common = math.gcd(denominator, divisor)
         if common > 1:
-            numerators = numerators // common
+            if divisor:  # else all are 0 and `common` may not fit int64
+                numerators = numerators // common
+                largest //= common
             denominator //= common
         self.size = size
         self.indptr = indptr
         self.indices = indices
-        self.numerators = numerators
+        self.numerators = numerators.astype(_dtype(largest), copy=False)
         self.denominator = denominator
+        self.largest = largest
 
     @classmethod
     def from_entries(cls, size: int, rows, cols, numerators,
@@ -192,7 +220,9 @@ class SparseMatrix:
         key, numerators = key[order], numerators[order]
         starts = np.flatnonzero(np.diff(key, prepend=-1))
         if len(starts) < len(key):
-            numerators = np.add.reduceat(numerators, starts)
+            terms = int(np.diff(starts, append=len(key)).max())
+            numerators = np.add.reduceat(numerators.astype(
+                _dtype(_magnitude(numerators) * terms), copy=False), starts)
             key = key[starts]
         rows = key // size
         indptr = np.zeros(size + 1, dtype=np.int64)
@@ -213,7 +243,7 @@ class SparseMatrix:
     @classmethod
     def identity(cls, size: int) -> "SparseMatrix":
         return cls(size, np.arange(size + 1), np.arange(size),
-                   np.ones(size, dtype=object))
+                   np.ones(size, dtype=np.int64))
 
     def entry_rows(self) -> np.ndarray:
         """Row index of every stored entry, parallel to `indices`."""
@@ -250,7 +280,7 @@ class SparseMatrix:
         lo, hi = self.indptr[i], self.indptr[i + 1]
         k = lo + np.searchsorted(self.indices[lo:hi], j)
         if k < hi and self.indices[k] == j:
-            return Fraction(self.numerators[k], self.denominator)
+            return Fraction(int(self.numerators[k]), self.denominator)
         return Fraction(0)
 
     def row_sums(self) -> list:
@@ -259,23 +289,33 @@ class SparseMatrix:
         return [Fraction(s, self.denominator) for s in sums.tolist()]
 
     def matmul(self, other: "SparseMatrix") -> "SparseMatrix":
-        """Exact product: every entry (i, k) of self meets row k of other."""
+        """Exact product: every entry (i, k) of self meets row k of other.
+        An entry of the product sums at most one term per entry of a row
+        of self, which bounds the numerators and picks their dtype."""
         starts = other.indptr[self.indices]
         counts = other.indptr[self.indices + 1] - starts
         skip = np.repeat(starts - (np.cumsum(counts) - counts), counts)
         positions = skip + np.arange(len(skip))
+        longest = int(np.diff(self.indptr).max(initial=0))
+        dtype = _dtype(self.largest * other.largest * longest)
         return SparseMatrix.from_entries(
             self.size, np.repeat(self.entry_rows(), counts),
             other.indices[positions],
-            np.repeat(self.numerators, counts) * other.numerators[positions],
+            np.repeat(self.numerators.astype(dtype, copy=False), counts)
+            * other.numerators.astype(dtype, copy=False)[positions],
             self.denominator * other.denominator)
 
     @cached_property
     def csr(self) -> sp.csr_matrix:
-        """float64 copy. Each value is numerator / denominator in Python
-        int arithmetic, which rounds correctly: the float of the exact
-        Fraction."""
-        data = (self.numerators / self.denominator).astype(np.float64)
+        """float64 copy holding the float of each exact Fraction. Below
+        2**53 numerators and denominator are exact doubles and IEEE
+        division rounds correctly; otherwise the division is done on
+        Python ints, which round correctly too."""
+        if self.denominator < _FLOAT_EXACT and self.largest < _FLOAT_EXACT:
+            data = self.numerators.astype(np.float64) / self.denominator
+        else:
+            data = (self.numerators.astype(object)
+                    / self.denominator).astype(np.float64)
         return sp.csr_matrix((data, self.indices, self.indptr),
                              shape=(self.size, self.size))
 
@@ -415,9 +455,11 @@ def _explicit_matrix(branches, owner: str, space: StateSpace, automata,
             targets.append(bases)
             probs.append(residual)
     denominator = math.lcm(*(p.denominator for p in probs))
+    # probabilities: every numerator and every sum of them is at most
+    # the denominator
     numerators = np.repeat(
         np.array([p.numerator * (denominator // p.denominator)
-                  for p in probs], dtype=object),
+                  for p in probs], dtype=_dtype(denominator)),
         [len(s) for s in sources])
     src, dst = np.concatenate(sources), np.concatenate(targets)
     # row b * S + sigma, column b' * S + (status tuple after sigma at b')
@@ -465,8 +507,11 @@ def effective_event_matrix(explicit: SparseMatrix,
         return_index=True, return_inverse=True)
     distinct = [occurrence[k] for k in first.tolist()]
     denominator = math.lcm(*(o.denominator for o in distinct))
+    # a row of the result sums to the product of the two denominators,
+    # which bounds every entry and every term
+    dtype = _dtype(denominator * explicit.denominator)
     occ = np.array([o.numerator * (denominator // o.denominator)
-                    for o in distinct], dtype=object)[inverse]
+                    for o in distinct], dtype=dtype)[inverse]
     rows = explicit.entry_rows()
     fire = occ[rows] != 0
     stay = denominator - occ
@@ -474,8 +519,10 @@ def effective_event_matrix(explicit: SparseMatrix,
     return SparseMatrix.from_entries(
         explicit.size, np.concatenate([rows[fire], diagonal]),
         np.concatenate([explicit.indices[fire], diagonal]),
-        np.concatenate([occ[rows[fire]] * explicit.numerators[fire],
-                        stay[diagonal] * explicit.denominator]),
+        np.concatenate([
+            occ[rows[fire]]
+            * explicit.numerators[fire].astype(dtype, copy=False),
+            stay[diagonal] * explicit.denominator]),
         denominator * explicit.denominator)
 
 
@@ -550,7 +597,8 @@ def reward_matrix(action: ActionDesc, implicit: SparseMatrix,
     the column, minus the action cost (entries may be negative, zeros
     stay stored)."""
     before, after = implicit.entry_rows(), implicit.indices
-    total = np.full(implicit.nnz(), -action.cost, dtype=object)
+    bound = abs(action.cost) + sum(abs(f.reward) for f in factors)
+    total = np.full(implicit.nnz(), -action.cost, dtype=_dtype(bound))
     for f in factors:
         total[f.before[before] & f.after[after]] += f.reward
     return SparseMatrix(implicit.size, implicit.indptr, implicit.indices,
@@ -598,7 +646,7 @@ class MdpModel:
     initial_index: int
     model: Optional[DomainModel] = None
     automata: tuple = ()
-    warnings: tuple = ()
+    warnings: tuple = ()  # of dsl.Diagnostic
 
     @property
     def n_states(self) -> int:
@@ -615,19 +663,22 @@ class MdpModel:
         return self.rewards[name].csr
 
 
-def _check_commutation(names, effective, warnings: list):
-    """Event folding uses declaration order; warn for every pair of events
-    whose effective matrices do not commute. Rows where both are the unit
-    row are the unit row of both products, so only the other rows are
-    multiplied out."""
+def _check_commutation(events, effective) -> list:
+    """Event folding uses declaration order; warn, at the later event of
+    the pair, for every pair of events whose effective matrices do not
+    commute. Rows where both are the unit row are the unit row of both
+    products, so only the other rows are multiplied out."""
+    warnings = []
     moving = [~m.unit_rows() for m in effective]
-    for i, j in itertools.combinations(range(len(names)), 2):
+    for i, j in itertools.combinations(range(len(events)), 2):
         rows = moving[i] | moving[j]
         if effective[i].select_rows(rows).matmul(effective[j]) != \
                 effective[j].select_rows(rows).matmul(effective[i]):
-            warnings.append(
-                f"events '{names[i]}' and '{names[j]}' do not commute; "
-                "using declaration order")
+            warnings.append(Diagnostic(
+                "warning", f"events '{events[i].name}' and "
+                f"'{events[j].name}' do not commute; using declaration "
+                "order", events[j].line, events[j].col))
+    return warnings
 
 
 def compile_model(model: DomainModel, gamma: Fraction = DEFAULT_GAMMA,
@@ -646,11 +697,10 @@ def compile_model(model: DomainModel, gamma: Fraction = DEFAULT_GAMMA,
     automata = tuple(build_automaton(r) for r in model.requirements)
     space = enumerate_states(model, automata, limit)
 
-    warnings: list = []
     effective = [effective_event_matrix(
         explicit_event_matrix(ev, space, automata),
         occurrence_vector(ev, space)) for ev in model.events]
-    _check_commutation([ev.name for ev in model.events], effective, warnings)
+    warnings = _check_commutation(model.events, effective)
     events = events_matrix(effective, space.size)
 
     noop = ActionDesc(NOOP, branches=(), cost=0)

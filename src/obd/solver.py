@@ -44,6 +44,11 @@ ROW_SUM_TOL = 1e-9
 # 4-10% slower at 4,768 and 6,258 terms, and 2.9x slower at 60,648
 # (restaurant models, medians of 21 runs, scipy 1.17, 2-vCPU x86 VM).
 PRODUCT_TERMS = 4096
+# Float slack of policy iteration, relative to the largest |Q| (at least
+# 1): Q-values this close to the best are ties, and values may fall this
+# far below the previous policy's, where exact arithmetic never falls.
+TIE_RELATIVE_TOL = 1e-12
+DECREASE_RELATIVE_TOL = 1e-9
 
 
 class SolverError(ObdError):
@@ -246,26 +251,44 @@ def evaluate_policy(mdp: MdpModel, policy: np.ndarray) -> np.ndarray:
 
 
 def policy_iteration(mdp: MdpModel) -> Strategy:
-    """Exact evaluation + greedy improvement until the policy is stable."""
+    """Exact evaluation + greedy improvement until the policy is stable.
+
+    In exact arithmetic the values never decrease and no policy comes
+    back, so the iteration ends; a decrease beyond float slack or a
+    repeated policy means evaluation is wrong, and raises SolverError
+    instead of looping."""
     bellman = _Bellman(mdp)
     states = np.arange(mdp.n_states)
     policy = np.zeros(mdp.n_states, dtype=np.int64)
+    seen = {policy.tobytes()}
+    previous = None
     iterations = 0
     while True:
         values = bellman.evaluate(policy)
         iterations += 1
+        scale = max(1.0, float(abs(values).max()))
+        if previous is not None and \
+                (values - previous).min() < -DECREASE_RELATIVE_TOL * scale:
+            raise SolverError(f"policy iteration: values decreased at "
+                              f"iteration {iterations}; evaluation is wrong")
         q = bellman.q_values(values)
-        improved = np.argmax(q, axis=0)
-        # keep the incumbent action when it is still (tied-)optimal, so the
-        # iteration cannot cycle between equal-value policies
-        keep = np.isclose(q[policy, states], q.max(axis=0),
-                          rtol=0.0, atol=1e-12)
-        improved[keep] = policy[keep]
+        # actions within float slack of the best are tied: keep the
+        # incumbent when it is one of them, so that the iteration cannot
+        # cycle between equal-value policies, else take the lowest index
+        tie = TIE_RELATIVE_TOL * max(1.0, float(abs(q).max()))
+        tied = q >= q.max(axis=0) - tie
+        improved = np.where(tied[policy, states], policy,
+                            np.argmax(tied, axis=0))
         if np.array_equal(improved, policy):
             return Strategy(actions=policy, values=values,
                             iterations=iterations, residual=0.0,
                             method="policy-iteration")
-        policy = improved
+        if improved.tobytes() in seen:
+            raise SolverError(f"policy iteration: iteration {iterations} "
+                              "returned to an earlier policy; evaluation "
+                              "is wrong")
+        seen.add(improved.tobytes())
+        policy, previous = improved, values
 
 
 # ---------------------------------------------------------------------------

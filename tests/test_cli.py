@@ -113,6 +113,11 @@ def test_compile_prints_warnings_and_infos():
     # `location` is declared on line 5, its name in column 10
     assert (f"{path}:5:10: info: value 'inKitchen' of variable 'location' "
             "is never assigned") in result.stderr.splitlines()
+    # each commutation warning points at the name of the later event,
+    # `customer_leaves` on line 34
+    assert (f"{path}:34:7: warning: events 'customer_arrives' and "
+            "'customer_leaves' do not commute; using declaration order") \
+        in result.stderr.splitlines()
 
 
 def test_compile_prints_only_errors_when_there_are_any(monkeypatch):

@@ -5,9 +5,11 @@ interleaving enumerator in tests/oracles.py, which walks every action
 branch and every occur/skip split of every event explicitly.
 """
 
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from obd.compiler import (
@@ -176,6 +178,189 @@ def test_fold_stays_exact_beyond_int64():
                for v in mdp.transitions["a"].row(i).values()) > 2 ** 63
 
 
+# ---------------------------------------------------------------------------
+# int64 numerators and the bound that switches to Python ints
+
+
+def _python_product(a, b):
+    """indptr, indices, numerators (Python ints) and denominator of the
+    exact product a @ b, summed entry by entry over Python ints and
+    reduced to lowest terms; positions the product reaches keep their
+    entry even when it sums to 0."""
+    def rows(m):
+        return [list(zip(m.indices[m.indptr[i]:m.indptr[i + 1]].tolist(),
+                         m.numerators[m.indptr[i]:m.indptr[i + 1]].tolist()))
+                for i in range(m.size)]
+    right = rows(b)
+    indptr, indices, numerators = [0], [], []
+    for row in rows(a):
+        sums = {}
+        for k, x in row:
+            for j, y in right[k]:
+                sums[j] = sums.get(j, 0) + x * y
+        indices += sorted(sums)
+        numerators += [sums[j] for j in sorted(sums)]
+        indptr.append(len(indices))
+    denominator = a.denominator * b.denominator
+    common = math.gcd(denominator, *numerators)
+    return (indptr, indices, [n // common for n in numerators],
+            denominator // common)
+
+
+def _fields(m):
+    return (m.indptr.tolist(), m.indices.tolist(), m.numerators.tolist(),
+            m.denominator)
+
+
+def _two_by_two(numerators, denominator):
+    return SparseMatrix(2, np.array([0, 2, 4]), np.array([0, 1, 0, 1]),
+                        np.array(numerators, dtype=object), denominator)
+
+
+@pytest.mark.parametrize("p, q, dtype", [(2 ** 31 - 1, 2 ** 30, np.int64),
+                                         (2 ** 31, 2 ** 30, object),
+                                         (2 ** 31, 2 ** 31, object)])
+def test_matmul_at_the_int64_bound(p, q, dtype):
+    """Row 0 of the left factor holds p twice, the right factor's
+    largest numerator is q: the bound 2*p*q sits just below 2**62, at it,
+    and past int64. Entry (0, 0) of the product is 2*p*q."""
+    left = _two_by_two([p, p, 1, 0], 7)
+    right = _two_by_two([q, 1, q, 3], 2 ** 70 + 1)
+    assert left.numerators.dtype == right.numerators.dtype == np.int64
+    assert left.largest * right.largest * 2 == 2 * p * q
+    product = left.matmul(right)
+    assert product.numerators.dtype == dtype
+    assert _fields(product) == _python_product(left, right)
+
+
+def test_from_entries_sums_int64_past_the_bound():
+    """Entries at one position are summed as Python ints when their sum
+    could pass the bound, even when each one is int64."""
+    m = SparseMatrix.from_entries(
+        2, np.array([0, 0, 1, 0]), np.array([1, 1, 0, 1]),
+        np.array([2 ** 62, 2 ** 62, 1, 2 ** 62], dtype=np.int64))
+    assert m.numerators.tolist() == [3 * 2 ** 62, 1]
+    assert m.numerators.dtype == object
+
+
+def test_numerators_fit_int64_after_reduction():
+    """Numerators past 2**62 that share a factor with the denominator are
+    stored reduced, as int64."""
+    m = _two_by_two([3 * 2 ** 61, 3, 0, 6], 9)
+    assert m.numerators.dtype == np.int64
+    assert m.numerators.tolist() == [2 ** 61, 1, 0, 2]
+    assert m.denominator == 3 and m.largest == 2 ** 61
+    assert m.get(0, 0) == Fraction(3 * 2 ** 61, 9)
+
+
+def test_fold_crosses_the_int64_bound_and_matches_the_oracle():
+    """Five events whose prime occurrence and effect denominators
+    multiply to about 2**12 each: the fold's common denominator grows by
+    12 or 13 bits per event, its first four products stay int64 and the
+    fifth passes the bound; every row of every product still equals the
+    oracle's."""
+    primes = [(59, 61), (67, 71), (73, 79), (83, 89), (97, 101)]
+    lines = [f"Variable x{k}" for k in range(len(primes))]
+    lines.append("Action a if x0 effects <!x0 prob 1/53>")
+    for k, (p, q) in enumerate(primes):
+        lines.append(f"Event e{k} if x{k} occur prob 1/{p} "
+                     f"effects <!x{k} prob {q - 1}/{q}>")
+    init = ", ".join(f"x{k}" for k in range(len(primes)))
+    model = parse_domain("\n".join(lines) + f"\nInit {{ {init} }}\n")
+    space, automata = _space_and_automata(model)
+    product, dtypes = SparseMatrix.identity(space.size), []
+    for event in model.events:
+        product = product.matmul(effective_event_matrix(
+            explicit_event_matrix(event, space, automata),
+            occurrence_vector(event, space)))
+        dtypes.append(product.numerators.dtype)
+    assert dtypes == [np.int64] * 4 + [object]
+    mdp = compile_model(model)
+    assert mdp.events == product
+    _check_against_oracle(model, mdp)
+
+
+def test_single_steps_with_denominators_past_int64():
+    """An action whose effect probabilities have denominators near 2**32
+    (their lcm passes 2**63) and an event whose occurrence and effect
+    denominators multiply past 2**62: the explicit and effective matrices
+    are built over Python ints and match the oracle."""
+    model = parse_domain("""
+        Variable x
+        Variable y
+        Action a if x effects <!x prob 1/4294967291> <y prob 1/4294967279>
+        Event e if y occur prob 1/4294967231 effects <!y prob 1/4294967197>
+        Init { x, y }
+    """)
+    mdp = compile_model(model)
+    assert mdp.explicit["a"].denominator > 2 ** 63
+    assert mdp.events.denominator > 2 ** 63
+    _check_against_oracle(model, mdp)
+
+
+def test_zero_matrix_over_a_large_denominator():
+    m = SparseMatrix(2, np.array([0, 1, 2]), np.array([0, 1]),
+                     np.zeros(2, dtype=np.int64), 2 ** 70)
+    assert m.numerators.tolist() == [0, 0] and m.denominator == 1
+
+
+def _bits(values) -> list:
+    return np.array(values, dtype=np.float64).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("denominator", [
+    2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1, 3 * 2 ** 51 + 1, 2 ** 52 - 3])
+def test_float_export_is_the_float_of_the_fraction(denominator):
+    """Numerators and denominators just below, at and above 2**53, where
+    the export switches from float division to Python int division."""
+    rng = random.Random(denominator)
+    numerators = [2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1, -(2 ** 53 - 1),
+                  -(2 ** 53 + 1), 1, 0, denominator - 1]
+    numerators += [rng.randrange(-2 ** 54, 2 ** 54) for _ in range(200)]
+    size = len(numerators)
+    m = SparseMatrix(size, np.arange(size + 1), np.arange(size),
+                     np.array(numerators, dtype=object), denominator)
+    assert _bits(m.csr.data) == _bits(
+        [float(Fraction(n, denominator)) for n in numerators])
+
+
+def test_float_export_rounds_like_the_fraction_below_2_53():
+    """On the float-division path every value is the correctly rounded
+    quotient."""
+    rng = random.Random(53)
+    numerators = [rng.randrange(1, 2 ** 53) for _ in range(2000)]
+    denominator = rng.randrange(2 ** 52, 2 ** 53) | 1
+    m = SparseMatrix(len(numerators), np.arange(len(numerators) + 1),
+                     np.arange(len(numerators)),
+                     np.array(numerators, dtype=np.int64), denominator)
+    assert m.denominator < 2 ** 53 and m.largest < 2 ** 53
+    assert _bits(m.csr.data) == _bits(
+        [float(Fraction(n, denominator)) for n in numerators])
+
+
+@pytest.mark.parametrize("cost, reward, dtype", [
+    (2 ** 62 - 8, 5, np.int64),
+    (2 ** 63 + 1, 5, object),  # past int64 itself
+    (1, 3 * 2 ** 61, object),  # the two rewards sum past int64
+])
+def test_reward_matrix_near_the_int64_bound(cost, reward, dtype):
+    """The bound is the cost plus every requirement's reward. Both
+    requirements pay on the step into x: from 2**62 the rewards are
+    Python ints, and either way equal the oracle's exact sums."""
+    model = parse_domain(f"""
+        Variable x
+        Variable y
+        Action a if !x effects <x prob 1/2> cost {cost}
+        Event e if x occur prob 1/3 effects <!x>
+        ReqID m achieve x reward {reward}
+        ReqID n achieve x reward {reward}
+        Init {{ !x, y }}
+    """)
+    mdp = compile_model(model)
+    assert mdp.rewards["a"].numerators.dtype == dtype
+    _check_against_oracle(model, mdp)
+
+
 def test_rows_are_exactly_stochastic(toy_mdp, restaurant_mdp):
     for mdp in (toy_mdp, restaurant_mdp):
         for name in mdp.action_names:
@@ -262,7 +447,7 @@ def test_compile_is_deterministic(toy_model):
 
 
 def test_commutation_warning_on_restaurant(restaurant_mdp):
-    assert any("commute" in w for w in restaurant_mdp.warnings)
+    assert any("commute" in w.message for w in restaurant_mdp.warnings)
 
 
 def test_commuting_events_order_invariant():
@@ -286,7 +471,7 @@ def test_commuting_events_order_invariant():
 
 def test_commutation_check_covers_every_pair():
     """Six events make 15 pairs; the one pair that does not commute,
-    (e4, e5), is the last."""
+    (e4, e5), is the last. The warning points at the name of e5."""
     lines = [f"Variable x{k}" for k in range(4)] + [
         "Variable z",
         "Action a if x0 effects <!x0>"]
@@ -296,8 +481,9 @@ def test_commutation_check_covers_every_pair():
               "Event e5 if !z occur prob 1/3 effects <z>",
               "Init { x0, x1, x2, x3, z }"]
     mdp = compile_model(parse_domain("\n".join(lines) + "\n"))
-    assert mdp.warnings == (
-        "events 'e4' and 'e5' do not commute; using declaration order",)
+    assert [(w.message, w.line, w.col) for w in mdp.warnings] == [
+        ("events 'e4' and 'e5' do not commute; using declaration order",
+         12, 7)]
 
 
 def test_zero_reward_requirement_does_not_change_dynamics():

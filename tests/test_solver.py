@@ -398,3 +398,72 @@ def test_every_entry_point_checks_row_sums(toy_mdp, solve):
     with pytest.raises(SolverError, match=re.escape(
             "action 'noop': transition row 6 sums to 0.5")):
         solve(broken)
+
+
+# ---------------------------------------------------------------------------
+# Policy iteration stops when evaluation is wrong
+
+
+def _wrong_evaluation(monkeypatch, values_of):
+    """Replace policy evaluation by `values_of(call, exact values)`; more
+    than 50 calls fail the test instead of looping on."""
+    exact = solver._Bellman.evaluate
+    calls = []
+
+    def evaluate(bellman, policy):
+        calls.append(policy.copy())
+        assert len(calls) <= 50, "policy iteration did not stop"
+        return values_of(len(calls), exact(bellman, policy))
+
+    monkeypatch.setattr(solver._Bellman, "evaluate", evaluate)
+    return calls
+
+
+def test_policy_iteration_rejects_decreasing_values(monkeypatch,
+                                                   restaurant_mdp):
+    calls = _wrong_evaluation(monkeypatch,
+                              lambda call, values: values - 1e6 * call)
+    with pytest.raises(SolverError, match="values decreased at iteration 2"):
+        policy_iteration(restaurant_mdp)
+    assert len(calls) == 2
+
+
+def test_policy_iteration_rejects_a_repeated_policy(monkeypatch,
+                                                    restaurant_mdp):
+    """Values that rise on every call but alternate between two shapes
+    send the greedy step back and forth between two policies."""
+    rng = np.random.default_rng(7)
+    shapes = 1e3 * rng.random((2, restaurant_mdp.n_states))
+    calls = _wrong_evaluation(
+        monkeypatch, lambda call, _: shapes[call % 2] + 1e4 * call)
+    with pytest.raises(SolverError, match="returned to an earlier policy"):
+        policy_iteration(restaurant_mdp)
+    assert len(calls) == 3
+    assert not np.array_equal(calls[1], calls[2])
+
+
+def _symmetric_text(scale: int) -> str:
+    """Five interchangeable switches, any of them on paying the reward:
+    every action that turns one on ties with the others in exact
+    arithmetic, and their float Q-values differ by rounding."""
+    lines = [f"Variable y{i}" for i in range(5)]
+    lines += [f"Action a{i} if !y{i} effects <y{i} prob 1/3> cost {scale}"
+              for i in range(5)]
+    lines += [f"Event e{i} if y{i} occur prob 2/7 effects <!y{i} prob 5/9>"
+              for i in range(5)]
+    lines.append("ReqID m maintain " + " || ".join(
+        f"y{i}" for i in range(5)) + f" reward {7 * scale}")
+    lines.append("Init { " + ", ".join(f"!y{i}" for i in range(5)) + " }")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("scale", [10 ** 3, 10 ** 9, 10 ** 15])
+def test_policy_iteration_tie_rule_scales_with_values(scale):
+    """Scaling every reward and cost scales the rounding of tied Q-values
+    past any absolute slack; PI still ends with the unscaled policy in
+    the same number of iterations."""
+    small = policy_iteration(_tiny(_symmetric_text(1)))
+    large = policy_iteration(_tiny(_symmetric_text(scale)))
+    assert np.array_equal(large.actions, small.actions)
+    assert large.iterations == small.iterations
+    assert np.allclose(large.values, scale * small.values, rtol=1e-12)
