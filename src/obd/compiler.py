@@ -231,14 +231,21 @@ class SparseMatrix:
 
     @classmethod
     def from_floats(cls, size: int, rows, cols, values) -> "SparseMatrix":
-        """Matrix holding the exact binary value of each float."""
+        """Matrix holding the exact binary value of each float, at distinct
+        positions. Its `csr` holds the floats themselves, the float of
+        each exact value."""
         ratios = [v.as_integer_ratio() for v in values]
         denominator = max((d for _, d in ratios), default=1)  # powers of 2
         numerators = np.array([n * (denominator // d) for n, d in ratios],
                               dtype=object)
-        return cls.from_entries(size, np.array(rows, dtype=np.int64),
-                                np.array(cols, dtype=np.int64), numerators,
-                                denominator)
+        rows = np.array(rows, dtype=np.int64)
+        cols = np.array(cols, dtype=np.int64)
+        matrix = cls.from_entries(size, rows, cols, numerators, denominator)
+        order = np.argsort(rows * size + cols, kind="stable")
+        matrix.csr = sp.csr_matrix(
+            (np.array(values, dtype=np.float64)[order], matrix.indices,
+             matrix.indptr), shape=(size, size))
+        return matrix
 
     @classmethod
     def identity(cls, size: int) -> "SparseMatrix":
@@ -290,14 +297,13 @@ class SparseMatrix:
 
     def matmul(self, other: "SparseMatrix") -> "SparseMatrix":
         """Exact product: every entry (i, k) of self meets row k of other.
-        An entry of the product sums at most one term per entry of a row
-        of self, which bounds the numerators and picks their dtype."""
+        Each term is bounded by the product of the two largest numerators,
+        which picks its dtype; from_entries bounds the sums of terms."""
         starts = other.indptr[self.indices]
         counts = other.indptr[self.indices + 1] - starts
         skip = np.repeat(starts - (np.cumsum(counts) - counts), counts)
         positions = skip + np.arange(len(skip))
-        longest = int(np.diff(self.indptr).max(initial=0))
-        dtype = _dtype(self.largest * other.largest * longest)
+        dtype = _dtype(self.largest * other.largest)
         return SparseMatrix.from_entries(
             self.size, np.repeat(self.entry_rows(), counts),
             other.indices[positions],
@@ -693,6 +699,14 @@ def compile_model(model: DomainModel, gamma: Fraction = DEFAULT_GAMMA,
     for a in model.actions:
         if a.name == NOOP:
             raise CompileError(f"'{NOOP}' is a reserved action name")
+    for r in model.requirements:  # the counts the automata count down from
+        for label, needed, value in (
+                ("deadline", r.kind.has_deadline, r.deadline),
+                ("duration", r.kind.has_duration, r.duration)):
+            if needed and (value is None or value < 1):
+                raise CompileError(f"requirement '{r.name}': kind "
+                                   f"{r.kind.value} needs a positive {label}, "
+                                   f"not {value}")
 
     automata = tuple(build_automaton(r) for r in model.requirements)
     space = enumerate_states(model, automata, limit)

@@ -9,6 +9,7 @@ row-stochasticity checks downstream do not drift.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -96,10 +97,6 @@ def _walk(f: Formula):
     elif isinstance(f, (And, Or)):
         yield from _walk(f.left)
         yield from _walk(f.right)
-
-
-def formula_variables(f: Formula) -> set:
-    return {g.var for g in _walk(f) if isinstance(g, Atom)}
 
 
 def format_formula(f: Formula) -> str:
@@ -266,7 +263,16 @@ KEYWORDS = {
     "reward_once", "after", "within", "for", "Init", "true", "false",
 }
 
-_PUNCT = {"{", "}", ",", "=", "<", ">", "!", "&", "(", ")", "/"}
+# Blanks, then one alternative per token kind, tried in order; a comment
+# (unnamed) is skipped. A word starts with a letter or '_' (checked in
+# _tokenize, since [^\W\d] also admits numeric characters such as '½') and
+# goes on with letters, digits and '_'; a number is decimal digits with an
+# optional fraction. BAD takes no blank, so trailing blanks match nothing.
+_TOKEN = re.compile(r"""[ \t\r]*(?:
+    (?P<NL>\n) | \#[^\n]*
+  | (?P<ID>[^\W\d]\w*) | (?P<NUM>\d+(?:\.\d+)?)
+  | (?P<OR>\|\|) | (?P<PUNCT>[{},=<>!&()/]) | (?P<BAD>[^ \t\r]))
+""", re.VERBOSE)
 
 
 @dataclass(frozen=True)
@@ -279,60 +285,24 @@ class Token:
 
 def _tokenize(text: str) -> list:
     tokens = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
+    line, line_start = 1, 0  # offset where the current line starts
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = "KW" if word in KEYWORDS else "ID"
-            tokens.append(Token(kind, word, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            tokens.append(Token("NUM", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c == "|":
-            if i + 1 < n and text[i + 1] == "|":
-                tokens.append(Token("OR", "||", start_line, start_col))
-                i += 2
-                col += 2
-                continue
-            raise ParseError("single '|' (use '||')", start_line, start_col)
-        if c in _PUNCT:
-            tokens.append(Token("PUNCT", c, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", start_line, start_col)
-    tokens.append(Token("EOF", "", line, col))
+        word, col = m.group(kind), m.start(kind) - line_start + 1
+        if kind == "NL":
+            line, line_start = line + 1, m.end()
+        elif kind == "BAD" and word == "|":
+            raise ParseError("single '|' (use '||')", line, col)
+        elif kind == "BAD" or (kind == "ID" and not (word[0].isalpha()
+                                                     or word[0] == "_")):
+            raise ParseError(f"unexpected character {word[0]!r}", line, col)
+        else:
+            if kind == "ID" and word in KEYWORDS:
+                kind = "KW"
+            tokens.append(Token(kind, word, line, col))
+    tokens.append(Token("EOF", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -612,8 +582,6 @@ class _Parser:
         if achieve:
             if duration is not None:
                 self.error("'for' duration is only for maintain requirements", name)
-            if once:
-                self.error("'reward_once' is only for maintain requirements", name)
             if deadline is not None:
                 return ReqKind.DEA if exact else ReqKind.DFA
             return ReqKind.CA if conditional else ReqKind.UA
@@ -690,87 +658,60 @@ class _Parser:
                     self.error(f"duplicate {label} '{obj.name}'", tok)
                 seen[obj.name] = obj
 
-        declared = {v.name for v, _ in variables}
+        domains = {v.name: v.domain for v, _ in variables}
         req_names = {r.name for r, _ in requirements}
         for v, tok in variables:
             if v.name in req_names:
                 self.error(f"'{v.name}' names both a variable and a requirement", tok)
 
         # Undeclared variables referenced anywhere become implicit booleans,
-        # in order of first reference, placed where the first declaration
-        # (or Init item) referencing them is.
+        # in order of first reference (by name within one formula), placed
+        # where the first declaration (or Init item) referencing them is.
         implicit = {}
 
+        def check(var: str, value: str, tok: Token, as_requirement: str):
+            if var in req_names:
+                self.error(as_requirement.format(var), tok)
+            if value not in domains.get(var, BOOL_DOMAIN):
+                self.error(f"unknown value '{value}' for variable '{var}'", tok)
+
         def note(var: str, at):
-            if var not in declared and var not in req_names:
+            if var not in domains:
                 implicit.setdefault(var, at)
 
-        def note_formula(f: Optional[Formula], at):
-            if f is not None:
-                for var in sorted(formula_variables(f)):
-                    note(var, at)
-
-        for owner, _ in actions + events:
-            for br in owner.branches:
-                note_formula(br.precondition, owner)
-                for eff in br.effects:
-                    for var, _v in eff.assignments:
-                        note(var, owner)
-        for r, _ in requirements:
-            note_formula(r.required, r)
-            note_formula(r.activation, r)
-            note_formula(r.cancellation, r)
-        for var, _value, tok in init_items:
-            note(var, tok)
-
-        all_vars = [v for v, _ in variables] + [
-            VariableDecl(n, line=at.line, col=at.col)
-            for n, at in implicit.items()]
-        domains = {v.name: v.domain for v in all_vars}
-
-        def check_formula(f: Optional[Formula], tok: Token):
+        def formula(f: Optional[Formula], tok: Token, owner):
             if f is None:
                 return
-            for g in _walk(f):
-                if isinstance(g, Atom):
-                    if g.var in req_names:
-                        self.error(
-                            f"condition references requirement '{g.var}' "
-                            "(only state variables are allowed)", tok)
-                    if g.value not in domains[g.var]:
-                        self.error(
-                            f"unknown value '{g.value}' for variable '{g.var}'", tok)
-
-        def check_assignments(assignments, tok: Token):
-            for var, value in assignments:
-                if var in req_names:
-                    self.error(
-                        f"effect assigns requirement '{var}' "
-                        "(only state variables can be assigned)", tok)
-                if value not in domains[var]:
-                    self.error(
-                        f"unknown value '{value}' for variable '{var}'", tok)
+            atoms = [g for g in _walk(f) if isinstance(g, Atom)]
+            for g in atoms:
+                check(g.var, g.value, tok, "condition references requirement "
+                      "'{}' (only state variables are allowed)")
+            for var in sorted({g.var for g in atoms}):
+                note(var, owner)
 
         for owner, tok in actions + events:
             for br in owner.branches:
-                check_formula(br.precondition, tok)
+                formula(br.precondition, tok, owner)
                 for eff in br.effects:
-                    check_assignments(eff.assignments, tok)
+                    for var, value in eff.assignments:
+                        check(var, value, tok, "effect assigns requirement "
+                              "'{}' (only state variables can be assigned)")
+                        note(var, owner)
         for r, tok in requirements:
-            check_formula(r.required, tok)
-            check_formula(r.activation, tok)
-            check_formula(r.cancellation, tok)
+            for f in (r.required, r.activation, r.cancellation):
+                formula(f, tok, r)
 
         assignment = {}
         for var, value, tok in init_items:
             if var in assignment:
                 self.error(f"variable '{var}' assigned twice in Init", tok)
-            if var in req_names:
-                self.error(f"Init assigns requirement '{var}' "
-                           "(only state variables are assigned)", tok)
-            if value not in domains[var]:
-                self.error(f"unknown value '{value}' for variable '{var}'", tok)
+            check(var, value, tok, "Init assigns requirement '{}' "
+                  "(only state variables are assigned)")
+            note(var, tok)
             assignment[var] = value
+        all_vars = [v for v, _ in variables] + [
+            VariableDecl(n, line=at.line, col=at.col)
+            for n, at in implicit.items()]
         missing = [v.name for v in all_vars if v.name not in assignment]
         if missing:
             self.error(f"Init does not assign: {', '.join(missing)}", init_tok)
@@ -904,14 +845,16 @@ def validate(model: DomainModel) -> list:
         elif r.activation is None:
             report("error", f"requirement '{r.name}': kind {kind.value} "
                    "needs an activation clause", r)
-        if kind.has_deadline != (r.deadline is not None):
-            report("error", f"requirement '{r.name}': deadline "
-                   f"{'missing' if kind.has_deadline else 'forbidden'} "
-                   f"for kind {kind.value}", r)
-        if kind.has_duration != (r.duration is not None):
-            report("error", f"requirement '{r.name}': duration "
-                   f"{'missing' if kind.has_duration else 'forbidden'} "
-                   f"for kind {kind.value}", r)
+        for label, needed, value in (
+                ("deadline", kind.has_deadline, r.deadline),
+                ("duration", kind.has_duration, r.duration)):
+            if needed != (value is not None):
+                report("error", f"requirement '{r.name}': {label} "
+                       f"{'missing' if needed else 'forbidden'} "
+                       f"for kind {kind.value}", r)
+            elif value is not None and value < 1:
+                report("error", f"requirement '{r.name}': {label} must be "
+                       f"positive, not {value}", r)
         if r.reward < 0:
             report("error", f"requirement '{r.name}': negative reward", r)
 

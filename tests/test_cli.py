@@ -106,6 +106,13 @@ def test_compile_effect_assigning_requirement_exits_1(tmp_path):
     assert "requirement 'm'" in head
 
 
+def test_compile_non_decimal_digit_exits_1(tmp_path):
+    head = _compile_diagnostic(
+        tmp_path, "Variable x\nAction a if x effects <!x> cost ²\nInit { x }\n")
+    assert head == f"{tmp_path / 'bad.obd'}:2:33: error: " \
+        "unexpected character '²'"
+
+
 def test_compile_prints_warnings_and_infos():
     path = str(MODELS / "restaurant.obd")
     result = invoke("compile", path)

@@ -7,6 +7,7 @@ branch and every occur/skip split of every event explicitly.
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +28,7 @@ from obd.compiler import (
     load_mdp,
     occurrence_vector,
 )
-from obd.dsl import parse_domain
+from obd.dsl import ReqKind, parse_domain
 from obd.reqauto import build_automaton
 
 import oracles
@@ -400,6 +401,26 @@ def test_gamma_range_enforced(toy_model):
         compile_model(toy_model, gamma=Fraction(1))
     with pytest.raises(CompileError):
         compile_model(toy_model, gamma=Fraction(0))
+
+
+@pytest.mark.parametrize("kind, deadline, duration, message", [
+    (ReqKind.DFA, 0, None, "kind DFA needs a positive deadline, not 0"),
+    (ReqKind.DFA, None, None, "kind DFA needs a positive deadline, not None"),
+    (ReqKind.PM, None, 0, "kind PM needs a positive duration, not 0"),
+])
+def test_requirement_counts_checked(kind, deadline, duration, message):
+    """Models built in code can hold counts the parser never gives."""
+    model = parse_domain("""
+        Variable x
+        ReqID r achieve x within 2 if !x reward 1
+        Init { x }
+    """)
+    broken = replace(model, requirements=(replace(
+        model.requirements[0], kind=kind, deadline=deadline,
+        duration=duration),))
+    with pytest.raises(CompileError) as err:
+        compile_model(broken)
+    assert str(err.value) == f"requirement 'r': {message}"
 
 
 def test_overlapping_preconditions_rejected():

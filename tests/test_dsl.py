@@ -11,6 +11,7 @@ from obd.dsl import (
     And,
     Atom,
     BoolLit,
+    Effect,
     Not,
     Or,
     ParseError,
@@ -165,6 +166,73 @@ def test_parse_errors_positioned(text, line):
     assert err.value.col >= 1
 
 
+X = "Variable x\n"
+
+
+@pytest.mark.parametrize("text, message, line, col", [
+    (X + "Action a if x | x effects <!x>\nInit { x }",
+     "single '|' (use '||')", 2, 15),
+    (X + "Action a if x effects <!x prob y>\nInit { x }",
+     "expected probability", 2, 32),
+    (X + "Action a if x effects <!x prob 1/0.5>\nInit { x }",
+     "expected integer denominator", 2, 34),
+    (X + "Action a if x effects <!x prob 1/0>\nInit { x }",
+     "zero denominator", 2, 34),
+    (X + "Action a if x effects <prob 0.5>\nInit { x }",
+     "empty effect group", 2, 23),
+    (X + "Action a if x effects <!x x>\nInit { x }",
+     "variable 'x' assigned twice in one effect", 2, 23),
+    (X + "Event e if x effects <!x prob 0.6> <x prob 0.5>\nInit { x }",
+     "effect probabilities sum to 11/10 > 1", 2, 9),
+    ("Variable m domain {a, b, a}\nInit { m=a }",
+     "duplicate value in domain of 'm'", 1, 10),
+    (X + "ReqID r maintain x for 0 if x\nInit { x }",
+     "duration must be positive", 2, 7),
+    (X + "ReqID r achieve x within 0 if !x\nInit { x }",
+     "deadline must be positive", 2, 7),
+    (X + "ReqID r achieve x within 2\nInit { x }",
+     "deadline/duration requirements need an 'if' clause", 2, 7),
+    (X + "ReqID r maintain x if x reward_once 1\nInit { x }",
+     "'reward_once' needs a 'for' duration", 2, 7),
+    (X + "ReqID r achieve x for 2 if !x\nInit { x }",
+     "'for' duration is only for maintain requirements", 2, 7),
+    # reward_once needs a duration, so an achieve requirement with one
+    # fails on the duration first
+    (X + "ReqID r achieve x for 2 if !x reward_once 1\nInit { x }",
+     "'for' duration is only for maintain requirements", 2, 7),
+    (X + "Init { x }\nInit { x }", "duplicate Init block", 3, 1),
+    (X + "ReqID x maintain true reward 1\nInit { x }",
+     "'x' names both a variable and a requirement", 1, 1),
+    (X + "Init { x, !x }", "variable 'x' assigned twice in Init", 2, 12),
+])
+def test_parse_error_messages(text, message, line, col):
+    with pytest.raises(ParseError) as err:
+        parse_domain(text)
+    assert (err.value.message, err.value.line, err.value.col) == \
+        (message, line, col)
+
+
+@pytest.mark.parametrize("cost, error", [
+    ("²", "unexpected character '²'"),  # a digit, but not a decimal one
+    ("½", "unexpected character '½'"),  # numeric, but not a letter
+    ("٣", None),  # a decimal digit: reads as 3
+])
+def test_numbers_are_decimal_digits(cost, error):
+    text = f"Variable x\nAction a if x effects <!x> cost {cost}\nInit {{ x }}"
+    if error is None:
+        assert parse_domain(text).actions[0].cost == 3
+        return
+    with pytest.raises(ParseError) as err:
+        parse_domain(text)
+    assert (err.value.message, err.value.line, err.value.col) == (error, 2, 33)
+
+
+def test_end_of_text_after_a_comment_is_positioned_at_its_end():
+    with pytest.raises(ParseError) as err:
+        parse_domain("Variable x # no Init")
+    assert (err.value.line, err.value.col) == (1, 21)
+
+
 def test_missing_init_rejected():
     with pytest.raises(ParseError):
         parse_domain("Variable x\n")
@@ -281,3 +349,48 @@ def test_validate_places_diagnostics_at_declarations():
         "m.obd:5:7: info: value 'ff' of variable 'z' is never assigned",
         "m.obd:6:7: error: requirement 'r': duration missing for kind PM",
     ]
+
+
+BASE = parse_domain("Variable x\n"
+                    "Action a if x effects <!x>\n"
+                    "ReqID r achieve x within 2 if !x reward 1\n"
+                    "Init { x }\n")
+
+
+def _edit_requirement(**changes):
+    return lambda m: replace(m, requirements=(
+        replace(m.requirements[0], **changes),))
+
+
+def _two_effects(m):
+    action = m.actions[0]
+    effect = Effect((("x", "ff"),), Fraction(3, 5))
+    return replace(m, actions=(replace(action, branches=(replace(
+        action.branches[0], effects=(effect, effect)),)),))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_edit_requirement(kind=ReqKind.UA, deadline=None),
+     "requirement 'r': activation clause forbidden for unconditional "
+     "kind UA"),
+    (_edit_requirement(kind=ReqKind.UM, deadline=None, activation=None,
+                       cancellation=Atom("x", "ff")),
+     "requirement 'r': cancellation clause forbidden for unconditional "
+     "kind UM"),
+    (_edit_requirement(kind=ReqKind.CA, deadline=None, activation=None),
+     "requirement 'r': kind CA needs an activation clause"),
+    (_edit_requirement(deadline=None),
+     "requirement 'r': deadline missing for kind DFA"),
+    (_edit_requirement(kind=ReqKind.CA),
+     "requirement 'r': deadline forbidden for kind CA"),
+    (_edit_requirement(deadline=0),
+     "requirement 'r': deadline must be positive, not 0"),
+    (_edit_requirement(kind=ReqKind.PM, deadline=None, duration=0),
+     "requirement 'r': duration must be positive, not 0"),
+    (_edit_requirement(reward=-1), "requirement 'r': negative reward"),
+    (_two_effects, "action 'a': effect probabilities sum to 6/5 > 1"),
+])
+def test_validate_reports_errors_of_models_built_in_code(edit, message):
+    assert "error" not in _severities(BASE)
+    errors = [d.message for d in validate(edit(BASE)) if d.severity == "error"]
+    assert errors == [message]

@@ -10,6 +10,7 @@ with an ObdError.
 import random
 import re
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -178,6 +179,20 @@ def test_mdp_round_trip_is_byte_identical(text):
     assert dump_mdp(load_mdp(dumped)) == dumped
 
 
+def test_loaded_matrices_export_the_floats_read(toy_mdp):
+    """A loaded matrix exports the floats of its text, which are the
+    floats of its exact values; a -0.0 stays -0.0."""
+    text = dump_mdp(toy_mdp).replace("\nr 0 0 0.0\n", "\nr 0 0 -0.0\n", 1)
+    assert "r 0 0 -0.0" in text
+    loaded = load_mdp(text)
+    assert dump_mdp(loaded) == text
+    for name in loaded.action_names:
+        for m in (loaded.transitions[name], loaded.rewards[name]):
+            assert m.csr.data.tolist() == [
+                float(Fraction(n, m.denominator))
+                for n in m.numerators.tolist()]
+
+
 @pytest.mark.parametrize("gamma, shown", [
     ("1e400", "inf"), ("1e999999999", "inf"), ("1e-400", "0.0"),
     ("-1e400", "-inf"), ("nan", "nan"),
@@ -194,6 +209,7 @@ def test_load_mdp_rejects_gamma_beyond_float_range(toy_mdp, gamma, shown):
 
 TOKENS = (
     list(" \n\t{}<>()!,.=&|/#-_+:;") + ["||", "0", "1", "7", "x", "é", "\x00"]
+    + ["²", "٣", "½"]  # a digit, a decimal digit, a numeric: only ٣ is a number
     + sorted(KEYWORDS) + ["tt", "ff"]
     + ["state", "action", "t", "r", "end", "gamma", "states", "actions",
        "initial", "noop", "nan", "inf", "-inf", "1e400", "-1", "0.5",

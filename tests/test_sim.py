@@ -204,6 +204,46 @@ def test_replanning_noop_when_no_goal_active():
     assert controller.choose(mdp.initial_index, rng) == "noop"
 
 
+def _first_choice(text: str):
+    mdp = compile_model(parse_domain(text))
+    controller = ReplanningController(mdp)
+    action = controller.choose(mdp.initial_index, np.random.default_rng(0))
+    return action, controller.plan_failures
+
+
+def test_replanning_plans_toward_an_unmet_unconditional_goal():
+    assert _first_choice("""
+        Variable x
+        Action set if !x effects <x>
+        ReqID g achieve x reward 1
+        Init { !x }
+    """) == ("set", 0)
+
+
+def test_replanning_plans_toward_any_active_goal():
+    """Two active goals are joined with Or: the cheaper one is planned
+    for, although it is the second."""
+    assert _first_choice("""
+        Variable x
+        Variable y
+        Action set_x if !x effects <x> cost 5
+        Action set_y if !y effects <y> cost 1
+        ReqID gx achieve x reward 1
+        ReqID gy achieve y reward 1
+        Init { !x, !y }
+    """) == ("set_y", 0)
+
+
+def test_replanning_counts_an_unreachable_goal_as_a_plan_failure():
+    assert _first_choice("""
+        Variable x
+        Variable y
+        Action set_y if !y effects <y>
+        ReqID g achieve x reward 1
+        Init { !x, !y }
+    """) == ("noop", 1)
+
+
 # ---------------------------------------------------------------------------
 # Runs and metrics
 
