@@ -1,9 +1,10 @@
 """Compile a domain model into a discounted-reward MDP.
 
 Pipeline: enumerate every assignment of state variables and requirement
-statuses, build the explicit per-action and per-event transition matrices,
-blend each event with its occurrence vector, and fold all events, in
-declaration order, into one event product E. The model keeps its factors:
+statuses, build every action's and event's step matrix with one builder
+(an event branch fires with its occurrence probability, the rest of the
+mass stays put), and fold the events, in declaration order, into one
+event product E. The model keeps its factors:
 E, each action's explicit matrix X_a, and one rank-1 reward factor
 (r_k, g_k, h_k) per requirement k, the reward r_k being paid on a
 transition s -> j where g_k(s) and h_k(j) hold. The implicit-event matrix
@@ -18,7 +19,8 @@ tuples in all). Every formula is evaluated once per base state, as a
 boolean mask. A requirement's status update and reward see a state only
 through its status and the truth of the requirement's formulas, so both
 are tabulated from one `reqauto` call per distinct key and then looked up
-for every state or matrix entry.
+for every state or matrix entry: two status tables, after an action and
+after an event, serve every matrix.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from obd.dsl import (
 from obd.reqauto import (
     build_automaton,
     reward as requirement_reward,
+    status_count,
     update_action,
     update_event,
 )
@@ -140,19 +143,14 @@ class StateSpace:
         return tuple((name, state[name]) for name in self.names)
 
 
-def enumerate_states(model: DomainModel, automata,
-                     limit: int = DEFAULT_STATE_LIMIT) -> StateSpace:
-    """Deterministic state enumeration; errors out above the state limit."""
+def enumerate_states(model: DomainModel, automata) -> StateSpace:
+    """Deterministic state enumeration."""
     names = [v.name for v in model.variables]
     domains = [v.domain for v in model.variables]
     for auto in automata:
         names.append(auto.name)
         domains.append(auto.statuses)
-    space = StateSpace(tuple(names), tuple(domains), len(model.variables))
-    if space.size > limit:
-        raise StateLimitError(f"state space has {space.size} states, "
-                              f"exceeding the limit of {limit}")
-    return space
+    return StateSpace(tuple(names), tuple(domains), len(model.variables))
 
 
 # ---------------------------------------------------------------------------
@@ -439,59 +437,56 @@ def _next_statuses(space: StateSpace, automata, advance) -> np.ndarray:
 # Matrix construction
 
 
-def _explicit_matrix(branches, owner: str, space: StateSpace, automata,
-                     advance) -> SparseMatrix:
-    """One action or event step: the matched branch's effects, plus the
-    residual probability keeping the base; base states no branch matches
-    keep their base. Statuses advance either way, against the successor
-    base, by the status update `advance`."""
+def _explicit_matrix(branches, firing, owner: str, space: StateSpace,
+                     successors: np.ndarray) -> SparseMatrix:
+    """One action or event step. A base state that branch k matches fires
+    with probability firing[k], one that no branch matches with
+    firing[-1]. Firing takes the branch's effects, the residual
+    probability keeping the base, and advances the statuses against the
+    successor base by the `_next_statuses` table `successors`; the mass
+    that does not fire stays where it is, statuses included."""
     matched = _matched_branches(branches, owner, space)
-    idle = np.flatnonzero(matched < 0)
-    sources, targets, probs = [idle], [idle], [Fraction(1)]
-    for k, br in enumerate(branches):
+    # row b * S + sigma, column b' * S + (status tuple after sigma at b')
+    n_sigma = space.n_statuses
+    unchanged = np.arange(n_sigma)
+    pieces = []  # (rows, columns, probability)
+    for k in range(-1, len(branches)):
         bases = np.flatnonzero(matched == k)
-        residual = Fraction(1)
-        for eff in br.effects:
-            sources.append(bases)
-            targets.append(_targets(space, bases, eff.assignments))
-            probs.append(eff.probability)
-            residual -= eff.probability
+        sources = (bases[:, None] * n_sigma + unchanged).ravel()
+        effects = branches[k].effects if k >= 0 else ()
+        moves = [(_targets(space, bases, eff.assignments), eff.probability)
+                 for eff in effects]
+        residual = 1 - sum(eff.probability for eff in effects)
         if residual > 0:
-            sources.append(bases)
-            targets.append(bases)
-            probs.append(residual)
+            moves.append((bases, residual))
+        if firing[k]:
+            pieces += [(sources,
+                        (t[:, None] * n_sigma + successors[t]).ravel(),
+                        firing[k] * p) for t, p in moves]
+        if firing[k] < 1:
+            pieces.append((sources, sources, 1 - firing[k]))
+    rows, cols, probs = zip(*pieces)
     denominator = math.lcm(*(p.denominator for p in probs))
     # probabilities: every numerator and every sum of them is at most
     # the denominator
     numerators = np.repeat(
         np.array([p.numerator * (denominator // p.denominator)
                   for p in probs], dtype=_dtype(denominator)),
-        [len(s) for s in sources])
-    src, dst = np.concatenate(sources), np.concatenate(targets)
-    # row b * S + sigma, column b' * S + (status tuple after sigma at b')
-    n_sigma = space.n_statuses
-    successors = _next_statuses(space, automata, advance)
-    return SparseMatrix.from_entries(
-        space.size, (src[:, None] * n_sigma + np.arange(n_sigma)).ravel(),
-        (dst[:, None] * n_sigma + successors[dst]).ravel(),
-        np.repeat(numerators, n_sigma), denominator)
+        [len(r) for r in rows])
+    return SparseMatrix.from_entries(space.size, np.concatenate(rows),
+                                     np.concatenate(cols), numerators,
+                                     denominator)
 
 
 def explicit_action_matrix(action: ActionDesc, space: StateSpace,
-                           automata) -> SparseMatrix:
-    """Per-state action execution; statuses advance via the action update.
+                           successors: np.ndarray) -> SparseMatrix:
+    """Per-state action execution; statuses advance by `successors`.
 
     States where no precondition holds self-loop on the base but still
     advance statuses. Overlapping preconditions raise with a witness state.
     """
-    return _explicit_matrix(action.branches, f"action '{action.name}'",
-                            space, automata, update_action)
-
-
-def explicit_event_matrix(event: EventDesc, space: StateSpace,
-                          automata) -> SparseMatrix:
-    return _explicit_matrix(event.branches, f"event '{event.name}'",
-                            space, automata, update_event)
+    return _explicit_matrix(action.branches, [1] * (len(action.branches) + 1),
+                            f"action '{action.name}'", space, successors)
 
 
 def occurrence_vector(event: EventDesc, space: StateSpace) -> list:
@@ -504,32 +499,16 @@ def occurrence_vector(event: EventDesc, space: StateSpace) -> list:
     return np.repeat(by_branch[matched], space.n_statuses).tolist()
 
 
-def effective_event_matrix(explicit: SparseMatrix,
-                           occurrence) -> SparseMatrix:
-    """Blend firing and non-firing: row s = O(s)*Pr_e(s,.) + (1-O(s))*delta_s."""
-    # The vector repeats a few Fraction objects: convert each object once.
-    _, first, inverse = np.unique(
-        np.fromiter(map(id, occurrence), np.uint64, len(occurrence)),
-        return_index=True, return_inverse=True)
-    distinct = [occurrence[k] for k in first.tolist()]
-    denominator = math.lcm(*(o.denominator for o in distinct))
-    # a row of the result sums to the product of the two denominators,
-    # which bounds every entry and every term
-    dtype = _dtype(denominator * explicit.denominator)
-    occ = np.array([o.numerator * (denominator // o.denominator)
-                    for o in distinct], dtype=dtype)[inverse]
-    rows = explicit.entry_rows()
-    fire = occ[rows] != 0
-    stay = denominator - occ
-    diagonal = np.flatnonzero(stay != 0)
-    return SparseMatrix.from_entries(
-        explicit.size, np.concatenate([rows[fire], diagonal]),
-        np.concatenate([explicit.indices[fire], diagonal]),
-        np.concatenate([
-            occ[rows[fire]]
-            * explicit.numerators[fire].astype(dtype, copy=False),
-            stay[diagonal] * explicit.denominator]),
-        denominator * explicit.denominator)
+def effective_event_matrix(event: EventDesc, space: StateSpace,
+                           successors: np.ndarray) -> SparseMatrix:
+    """P-hat_e = diag(O_e) Pr_e + diag(1 - O_e): the event step in which a
+    matched branch fires with its occurrence probability and an unmatched
+    state never does; statuses advance by `successors`, the table after
+    an event."""
+    return _explicit_matrix(
+        event.branches,
+        [br.occurrence_probability for br in event.branches] + [0],
+        f"event '{event.name}'", space, successors)
 
 
 def events_matrix(effective_matrices, size: int) -> SparseMatrix:
@@ -707,20 +686,27 @@ def compile_model(model: DomainModel, gamma: Fraction = DEFAULT_GAMMA,
                 raise CompileError(f"requirement '{r.name}': kind "
                                    f"{r.kind.value} needs a positive {label}, "
                                    f"not {value}")
+    # counted before any automaton lists the statuses of a huge deadline
+    size = math.prod(len(v.domain) for v in model.variables) \
+        * math.prod(status_count(r) for r in model.requirements)
+    if size > limit:
+        raise StateLimitError(f"state space has {size} states, "
+                              f"exceeding the limit of {limit}")
 
     automata = tuple(build_automaton(r) for r in model.requirements)
-    space = enumerate_states(model, automata, limit)
+    space = enumerate_states(model, automata)
 
-    effective = [effective_event_matrix(
-        explicit_event_matrix(ev, space, automata),
-        occurrence_vector(ev, space)) for ev in model.events]
+    after_event = _next_statuses(space, automata, update_event)
+    effective = [effective_event_matrix(ev, space, after_event)
+                 for ev in model.events]
     warnings = _check_commutation(model.events, effective)
     events = events_matrix(effective, space.size)
 
     noop = ActionDesc(NOOP, branches=(), cost=0)
     all_actions = (noop,) + tuple(model.actions)
     names = tuple(a.name for a in all_actions)
-    explicit = {a.name: explicit_action_matrix(a, space, automata)
+    after_action = _next_statuses(space, automata, update_action)
+    explicit = {a.name: explicit_action_matrix(a, space, after_action)
                 for a in all_actions}
     moves = (np.concatenate([m.entry_rows() for m in explicit.values()]),
              np.concatenate([m.indices for m in explicit.values()]))

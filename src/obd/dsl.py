@@ -267,11 +267,12 @@ KEYWORDS = {
 # (unnamed) is skipped. A word starts with a letter or '_' (checked in
 # _tokenize, since [^\W\d] also admits numeric characters such as '½') and
 # goes on with letters, digits and '_'; a number is decimal digits with an
-# optional fraction. BAD takes no blank, so trailing blanks match nothing.
-_TOKEN = re.compile(r"""[ \t\r]*(?:
-    (?P<NL>\n) | \#[^\n]*
+# optional fraction. A line ends at "\r\n", "\r" or "\n". BAD takes no
+# blank, so trailing blanks match nothing.
+_TOKEN = re.compile(r"""[ \t]*(?:
+    (?P<NL>\r\n?|\n) | \#[^\r\n]*
   | (?P<ID>[^\W\d]\w*) | (?P<NUM>\d+(?:\.\d+)?)
-  | (?P<OR>\|\|) | (?P<PUNCT>[{},=<>!&()/]) | (?P<BAD>[^ \t\r]))
+  | (?P<OR>\|\|) | (?P<PUNCT>[{},=<>!&()/]) | (?P<BAD>[^ \t]))
 """, re.VERBOSE)
 
 

@@ -66,6 +66,17 @@ def build_automaton(req: Requirement) -> RequirementAutomaton:
     return RequirementAutomaton(req, tuple(statuses), "I")
 
 
+def status_count(req: Requirement) -> int:
+    """How many statuses `build_automaton(req)` lists, without listing
+    them."""
+    if req.kind in (ReqKind.UA, ReqKind.UM):
+        return 1
+    if req.kind in (ReqKind.CA, ReqKind.CM):
+        return 2
+    return (1 + (req.deadline if req.kind.has_deadline else 1)
+            + (req.duration if req.kind.has_duration else 0))
+
+
 def _counter(status: str) -> Optional[tuple]:
     if status.endswith(")") and "(" in status:
         head, _, num = status[:-1].partition("(")

@@ -3,6 +3,7 @@
 import errno
 import json
 import os
+import time
 import warnings
 from pathlib import Path
 
@@ -138,6 +139,23 @@ def test_compile_prints_only_errors_when_there_are_any(monkeypatch):
 def test_compile_state_limit_exits_2():
     result = invoke("compile", TOY, "--max-states", "4")
     assert result.exit_code == 2
+
+
+def test_compile_huge_deadline_exits_2_at_once(tmp_path):
+    """The state count comes from each requirement's kind, deadline and
+    duration, before any automaton lists its 10**12 statuses."""
+    path = tmp_path / "huge.obd"
+    path.write_text("Variable x\nAction a if x effects <!x>\n"
+                    "ReqID m achieve x within 1000000000000 if !x reward 1\n"
+                    "Init { x }\n")
+    start = time.perf_counter()
+    result = invoke("compile", str(path))
+    assert time.perf_counter() - start < 1
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # no Python traceback
+    assert result.stderr == (f"{path}: error: state space has "
+                             "2000000000002 states, exceeding the limit of "
+                             "2000000\n")
 
 
 # ---------------------------------------------------------------------------

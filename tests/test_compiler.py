@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from obd import compiler
 from obd.compiler import (
     CompileError,
     SparseMatrix,
@@ -23,20 +24,25 @@ from obd.compiler import (
     enumerate_states,
     events_matrix,
     explicit_action_matrix,
-    explicit_event_matrix,
     implicit_action_matrix,
     load_mdp,
     occurrence_vector,
 )
 from obd.dsl import ReqKind, parse_domain
-from obd.reqauto import build_automaton
+from obd.reqauto import build_automaton, update_action, update_event
 
 import oracles
 
 
-def _space_and_automata(model, limit=2_000_000):
+def _space_and_automata(model):
     automata = tuple(build_automaton(r) for r in model.requirements)
-    return enumerate_states(model, automata, limit), automata
+    return enumerate_states(model, automata), automata
+
+
+def _after(model, advance):
+    """The space and its status table after a step of `advance`."""
+    space, automata = _space_and_automata(model)
+    return space, compiler._next_statuses(space, automata, advance)
 
 
 # ---------------------------------------------------------------------------
@@ -87,20 +93,37 @@ def test_toy_reward_entry(toy_model, toy_mdp):
 # Pipeline composition identities
 
 
+# an event with a residual, a branch that always fires and states neither
+# branch matches, read by a requirement with a deadline
+RESIDUAL_EVENT = """
+    Variable x
+    Variable y
+    Action a if x effects <!x prob 1/2>
+    Event e if !x occur prob 1/3 effects <x prob 1/2>
+            if x & y occur prob 1 effects <!y>
+    ReqID m achieve y within 2 if x reward 1
+    Init { x, y }
+"""
+
+
 def test_effective_event_formula(toy_model):
-    """P-hat_e = diag(O_e) Pr_e + diag(1 - O_e), entry by entry."""
-    space, automata = _space_and_automata(toy_model)
-    event = toy_model.events[0]
-    explicit = explicit_event_matrix(event, space, automata)
-    occ = occurrence_vector(event, space)
-    effective = effective_event_matrix(explicit, occ)
-    n = space.size
-    for i in range(n):
-        for j in range(n):
-            expected = occ[i] * explicit.get(i, j)
-            if i == j:
-                expected += 1 - occ[i]
-            assert effective.get(i, j) == expected
+    """P-hat_e = diag(O_e) Pr_e + diag(1 - O_e), entry by entry, where Pr_e
+    is the event step whose every branch always fires."""
+    for model in (toy_model, parse_domain(RESIDUAL_EVENT)):
+        space, after = _after(model, update_event)
+        for event in model.events:
+            always = replace(event, branches=tuple(
+                replace(br, occurrence_probability=Fraction(1))
+                for br in event.branches))
+            explicit = effective_event_matrix(always, space, after)
+            occ = occurrence_vector(event, space)
+            effective = effective_event_matrix(event, space, after)
+            for i in range(space.size):
+                for j in range(space.size):
+                    expected = occ[i] * explicit.get(i, j)
+                    if i == j:
+                        expected += 1 - occ[i]
+                    assert effective.get(i, j) == expected
 
 
 def test_events_matrix_empty_is_identity():
@@ -109,22 +132,18 @@ def test_events_matrix_empty_is_identity():
 
 
 def test_events_matrix_single_is_itself(toy_model):
-    space, automata = _space_and_automata(toy_model)
-    event = toy_model.events[0]
-    effective = effective_event_matrix(
-        explicit_event_matrix(event, space, automata),
-        occurrence_vector(event, space))
+    space, after = _after(toy_model, update_event)
+    effective = effective_event_matrix(toy_model.events[0], space, after)
     assert events_matrix([effective], space.size) == effective
 
 
 def test_implicit_is_explicit_times_events(toy_model):
-    space, automata = _space_and_automata(toy_model)
-    event = toy_model.events[0]
+    space, after_event = _after(toy_model, update_event)
+    _, after_action = _after(toy_model, update_action)
     ev = events_matrix([effective_event_matrix(
-        explicit_event_matrix(event, space, automata),
-        occurrence_vector(event, space))], space.size)
+        toy_model.events[0], space, after_event)], space.size)
     for action in toy_model.actions:
-        explicit = explicit_action_matrix(action, space, automata)
+        explicit = explicit_action_matrix(action, space, after_action)
         assert implicit_action_matrix(explicit, ev) == explicit.matmul(ev)
 
 
@@ -268,12 +287,10 @@ def test_fold_crosses_the_int64_bound_and_matches_the_oracle():
                      f"effects <!x{k} prob {q - 1}/{q}>")
     init = ", ".join(f"x{k}" for k in range(len(primes)))
     model = parse_domain("\n".join(lines) + f"\nInit {{ {init} }}\n")
-    space, automata = _space_and_automata(model)
+    space, after = _after(model, update_event)
     product, dtypes = SparseMatrix.identity(space.size), []
     for event in model.events:
-        product = product.matmul(effective_event_matrix(
-            explicit_event_matrix(event, space, automata),
-            occurrence_vector(event, space)))
+        product = product.matmul(effective_event_matrix(event, space, after))
         dtypes.append(product.numerators.dtype)
     assert dtypes == [np.int64] * 4 + [object]
     mdp = compile_model(model)
@@ -443,6 +460,25 @@ def test_state_limit_enforced(restaurant_model):
     assert compile_model(restaurant_model, limit=48).n_states == 48
 
 
+def test_each_update_is_called_once_per_key(monkeypatch, restaurant_text):
+    """Compiling calls the action and the event update once per
+    requirement, status and truth combination, not once per matrix
+    (restaurant.obd builds five action and four event matrices)."""
+    for text in (restaurant_text, RESIDUAL_EVENT):
+        calls = {"action": 0, "event": 0}
+        for kind, update in (("action", update_action),
+                             ("event", update_event)):
+            def counting(*args, kind=kind, update=update):
+                calls[kind] += 1
+                return update(*args)
+            monkeypatch.setattr(compiler, f"update_{kind}", counting)
+        mdp = compile_model(parse_domain(text))
+        keys = sum(len(auto.statuses)
+                   * len(compiler._truth_codes(auto, mdp.space)[1])
+                   for auto in mdp.automata)
+        assert calls == {"action": keys, "event": keys}
+
+
 def test_state_count_formula():
     """7 ternary-ish variables and counters multiply out exactly."""
     text_vars = "\n".join(
@@ -456,7 +492,7 @@ def test_state_count_formula():
         Init {{ {init}, w }}
     """)
     automata = tuple(build_automaton(r) for r in model.requirements)
-    space = enumerate_states(model, automata, 2_000_000)
+    space = enumerate_states(model, automata)
     # 3^4 base combinations, 2 for w, 4 statuses (I, A(3..1))
     assert space.size == 81 * 2 * 4
 

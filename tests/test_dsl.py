@@ -3,6 +3,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,6 +17,7 @@ from obd.dsl import (
     Or,
     ParseError,
     ReqKind,
+    _tokenize,
     eval_formula,
     format_model,
     parse_domain,
@@ -231,6 +233,16 @@ def test_end_of_text_after_a_comment_is_positioned_at_its_end():
     with pytest.raises(ParseError) as err:
         parse_domain("Variable x # no Init")
     assert (err.value.line, err.value.col) == (1, 21)
+
+
+@pytest.mark.parametrize("ending", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_line_endings_give_the_same_token_positions(ending):
+    # a comment and a blank line, so that both end at a line ending
+    text = ((Path(__file__).parent.parent / "models" / "restaurant.obd")
+            .read_text().replace("\n", " # note\n\n", 3))
+    assert _tokenize(text.replace("\n", ending)) == _tokenize(text)
+    with pytest.raises(ParseError, match="^2:1: duplicate variable 'x'"):
+        parse_domain(f"Variable x{ending}Variable x{ending}Init {{ x }}")
 
 
 def test_missing_init_rejected():

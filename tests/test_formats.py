@@ -260,6 +260,37 @@ def test_fuzz_parse_domain_raises_only_obd_errors(name, data):
         pass
 
 
+# a number follows each of these; NUMBERS has those models/*.obd lack
+NUMBER_POSITION = re.compile(
+    r"(\b(?:cost|prob|reward|for|within|after)\b|/)\s*(\d+(?:\.\d+)?)")
+NUMBERS = """
+    Variable x
+    Action a if x effects <!x prob 1/3>
+    ReqID m maintain x for 2 after 3 if !x reward 5
+    ReqID n achieve x within 4 if x reward 1
+    Init { x }
+"""
+
+
+@pytest.mark.parametrize("char", ["²", "½", "٣", "Ⅻ"])
+def test_digit_like_characters_at_number_positions(char):
+    """Each character replaces, and goes before, every number of the
+    texts; the parser and validator raise only ObdError."""
+    texts = [p.read_text() for p in sorted((ROOT / "models").glob("*.obd"))]
+    found = [(text, m) for text in texts + [NUMBERS]
+             for m in NUMBER_POSITION.finditer(text)]
+    assert {m.group(1) for _, m in found} == {
+        "cost", "prob", "reward", "for", "within", "after", "/"}
+    for text, m in found:
+        i, j = m.span(2)
+        for edited in (text[:i] + char + text[j:],
+                       text[:i] + char + text[i:]):
+            try:
+                validate(parse_domain(edited))
+            except ObdError:
+                pass
+
+
 @pytest.fixture(scope="module")
 def toy_texts(toy_mdp):
     return dump_mdp(toy_mdp), dump_policy(value_iteration(toy_mdp), toy_mdp)

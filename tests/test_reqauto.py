@@ -14,6 +14,7 @@ from obd.dsl import Atom, Not, ReqKind, Requirement
 from obd.reqauto import (
     build_automaton,
     reward,
+    status_count,
     update_action,
     update_event,
 )
@@ -58,6 +59,7 @@ def test_status_domain(kind):
     req = make_req(kind)
     auto = build_automaton(req)
     assert auto.statuses == oracles.oracle_statuses(req)
+    assert status_count(req) == len(auto.statuses)
     assert auto.initial_status == auto.statuses[0]
     assert len(set(auto.statuses)) == len(auto.statuses)
 
