@@ -68,6 +68,9 @@ def _reporting(path: str):
         _fail(f"{path}: {exc.strerror or exc}")
     except UnicodeDecodeError as exc:
         _fail(f"{path}: error: not UTF-8 text (byte offset {exc.start})")
+    except MemoryError:
+        _fail(f"{path}: error: out of memory; a smaller model or "
+              "--max-states may fit")
 
 
 def _model(path: str, gamma, max_states: int) -> MdpModel:

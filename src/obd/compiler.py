@@ -3,15 +3,16 @@
 Pipeline: enumerate every assignment of state variables and requirement
 statuses, build every action's and event's step matrix with one builder
 (an event branch fires with its occurrence probability, the rest of the
-mass stays put), and fold the events, in declaration order, into one
-event product E. The model keeps its factors:
-E, each action's explicit matrix X_a, and one rank-1 reward factor
-(r_k, g_k, h_k) per requirement k, the reward r_k being paid on a
-transition s -> j where g_k(s) and h_k(j) hold. The implicit-event matrix
-P_a = X_a E (action first, then the events) and the reward matrix
-R_a = -c_a + sum_k r_k g_k(s) h_k(j) on its support are multiplied out
-only when first read. Probabilities stay exact rationals until the
-matrices are exported for the solver.
+mass stays put), warn about every pair of events whose step matrices do
+not commute (found by a fingerprint, without multiplying them), and fold
+the events, in declaration order, into one event product E. The model
+keeps its factors: E, each action's explicit matrix X_a, and one rank-1
+reward factor (r_k, g_k, h_k) per requirement k, the reward r_k being
+paid on a transition s -> j where g_k(s) and h_k(j) hold. The
+implicit-event matrix P_a = X_a E (action first, then the events) and the
+reward matrix R_a = -c_a + sum_k r_k g_k(s) h_k(j) on its support are
+multiplied out only when first read. Probabilities stay exact rationals
+until the matrices are exported for the solver.
 
 State index `b * S + sigma` pairs the base state `b` (the declared
 variables) with the status tuple `sigma` (one status per requirement, S
@@ -178,6 +179,20 @@ def _magnitude(numerators: np.ndarray) -> int:
     return max(int(numerators.max()), -int(numerators.min()))
 
 
+def gather_rows(indptr: np.ndarray, rows: np.ndarray, extra: int = 0):
+    """Row pointers of the rows `rows` of a CSR matrix with row pointers
+    `indptr`, each followed by `extra` more slots, and for every entry the
+    position in the matrix's arrays that it takes (past the row's end for
+    the extra slots, which the caller points elsewhere). A numpy gather:
+    on models of a few dozen states, SciPy's m[rows] costs several times
+    more in call overhead."""
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts + extra
+    out = np.zeros(rows.size + 1, dtype=indptr.dtype)
+    np.cumsum(counts, out=out[1:])
+    return out, np.arange(out[-1]) + np.repeat(starts - out[:-1], counts)
+
+
 class SparseMatrix:
     """Square sparse matrix of exact rationals.
 
@@ -266,14 +281,6 @@ class SparseMatrix:
         out[single] = (self.indices[at] == single) \
             & (self.numerators[at] == self.denominator)
         return out
-
-    def select_rows(self, rows: np.ndarray) -> "SparseMatrix":
-        """The same matrix with the rows outside the mask `rows` empty."""
-        keep = rows[self.entry_rows()]
-        indptr = np.zeros(self.size + 1, dtype=np.int64)
-        np.cumsum(np.where(rows, np.diff(self.indptr), 0), out=indptr[1:])
-        return SparseMatrix(self.size, indptr, self.indices[keep],
-                            self.numerators[keep], self.denominator)
 
     def row(self, i: int) -> dict:
         """Column -> exact Fraction for the stored entries of row i."""
@@ -489,16 +496,6 @@ def explicit_action_matrix(action: ActionDesc, space: StateSpace,
                             f"action '{action.name}'", space, successors)
 
 
-def occurrence_vector(event: EventDesc, space: StateSpace) -> list:
-    """Per-state probability that the event fires: op of the matched
-    branch, 0 where no precondition holds."""
-    matched = _matched_branches(event.branches, f"event '{event.name}'",
-                                space)
-    by_branch = np.array([br.occurrence_probability for br in event.branches]
-                         + [Fraction(0)], dtype=object)  # [-1]: no branch
-    return np.repeat(by_branch[matched], space.n_statuses).tolist()
-
-
 def effective_event_matrix(event: EventDesc, space: StateSpace,
                            successors: np.ndarray) -> SparseMatrix:
     """P-hat_e = diag(O_e) Pr_e + diag(1 - O_e): the event step in which a
@@ -648,22 +645,81 @@ class MdpModel:
         return self.rewards[name].csr
 
 
+# Freivalds' fingerprint of the event commutators: this many fixed random
+# vectors with entries below 2**_FINGERPRINT_BITS, drawn from a generator
+# with a constant seed, so that the warnings are the same on every run.
+_FINGERPRINT_BITS = 20
+_FINGERPRINT_VECTORS = 3
+_FINGERPRINT_SEED = 1977
+
+
 def _check_commutation(events, effective) -> list:
     """Event folding uses declaration order; warn, at the later event of
     the pair, for every pair of events whose effective matrices do not
-    commute. Rows where both are the unit row are the unit row of both
-    products, so only the other rows are multiplied out."""
-    warnings = []
-    moving = [~m.unit_rows() for m in effective]
-    for i, j in itertools.combinations(range(len(events)), 2):
-        rows = moving[i] | moving[j]
-        if effective[i].select_rows(rows).matmul(effective[j]) != \
-                effective[j].select_rows(rows).matmul(effective[i]):
-            warnings.append(Diagnostic(
-                "warning", f"events '{events[i].name}' and "
-                f"'{events[j].name}' do not commute; using declaration "
-                "order", events[j].line, events[j].col))
-    return warnings
+    commute, by Freivalds' fingerprint: no product is multiplied out.
+
+    With D_e = numerators(Phat_e) - d_e I over the denominator d_e of
+    Phat_e, Phat_i Phat_j - Phat_j Phat_i = (D_i D_j - D_j D_i) / (d_i d_j),
+    since I commutes with everything, so integers decide. Pair (i, j) warns
+    iff D_i (D_j R) != D_j (D_i R), compared exactly, for the fixed random
+    n x V matrix R with entries in [0, 2**B) (V = _FINGERPRINT_VECTORS,
+    B = _FINGERPRINT_BITS). A flagged pair certainly does not commute; one
+    that does not commute is missed with probability at most
+    2**-(B*V) = 2**-60 (Freivalds 1977; Schwartz 1980). D_e is zero on the
+    unit rows of Phat_e, so only its other rows are kept, and those of
+    every D_e are stacked into one matrix: it multiplies R once, then the
+    products D_j R, laid side by side, once per column of R. Every row of
+    D_e sums to at most 2 d_e in absolute value, so every |D_i D_j R| is
+    at most 4 d_i d_j 2**B; that bound picks int64 or Python ints."""
+    k = len(effective)
+    if k < 2:
+        return []
+    kept = np.flatnonzero(~np.concatenate([m.unit_rows() for m in effective]))
+    n = effective[0].size
+    owner, rows = np.divmod(kept, n)  # stacked row -> event, state
+    dtype = _dtype(4 * max(m.denominator for m in effective) ** 2
+                   * 2 ** _FINGERPRINT_BITS)
+    # the stack: each kept row's entries, then -d_e on its diagonal, taken
+    # from after the entries of every Phat_e
+    offsets = np.cumsum([0] + [m.nnz() for m in effective])
+    indptr, take = gather_rows(np.concatenate(
+        [o + m.indptr[:-1] for o, m in zip(offsets, effective)]
+        + [offsets[-1:]]), kept, extra=1)
+    take[indptr[1:] - 1] = offsets[-1] + np.arange(kept.size)
+    indices = np.concatenate([m.indices for m in effective] + [rows])[take]
+    diagonal = np.array([-m.denominator for m in effective], dtype=dtype)
+    data = np.concatenate([m.numerators.astype(dtype, copy=False)
+                           for m in effective] + [diagonal[owner]])[take]
+    if dtype is object:  # SciPy has no Python-int matrices
+        def times(dense):  # every stacked row holds at least its diagonal
+            return np.add.reduceat(data[:, None] * dense[indices],
+                                   indptr[:-1], axis=0)
+    else:
+        times = sp.csr_matrix((data, indices, indptr),
+                              shape=(kept.size, n)).__matmul__
+    vectors = np.random.default_rng(_FINGERPRINT_SEED).integers(
+        2 ** _FINGERPRINT_BITS, size=(n, _FINGERPRINT_VECTORS))
+    first = times(vectors.astype(dtype))  # stacked row s: (D_e R)[state]
+    # entry (s, j) of the second product is (D_owner D_j R)[state], and its
+    # partner (D_j D_owner R)[state], or one of k zeros past the end where
+    # that row of D_j is zero
+    at = np.full((n, k), kept.size)
+    at[rows, owner] = np.arange(kept.size)
+    partner = (at[rows] * k + owner[:, None]).ravel()
+    differ = np.zeros(partner.size, dtype=bool)
+    for column in first.T:
+        right = np.zeros((n, k), dtype=dtype)  # column j: D_j R
+        right[rows, owner] = column
+        second = np.concatenate([times(right).ravel(), np.zeros(k, dtype)])
+        differ |= second[:-k] != second[partner]
+    flagged = np.zeros((k, k), dtype=bool)
+    s, j = np.divmod(np.flatnonzero(differ), k)
+    flagged[owner[s], j] = True
+    return [Diagnostic("warning", f"events '{events[i].name}' and "
+                       f"'{events[j].name}' do not commute; using "
+                       "declaration order", events[j].line, events[j].col)
+            for i, j in itertools.combinations(range(k), 2)
+            if flagged[i, j] or flagged[j, i]]
 
 
 def compile_model(model: DomainModel, gamma: Fraction = DEFAULT_GAMMA,
@@ -754,23 +810,23 @@ def compile_model(model: DomainModel, gamma: Fraction = DEFAULT_GAMMA,
 #   end
 #
 # Large sections are written as whole blocks: each distinct piece of text
-# (a row number, a column number, the repr of a distinct float) is encoded
-# once into a row of a byte table, the tables are gathered per line and
-# laid side by side, and the padding is dropped. Every float is still
-# written as Python's repr.
+# (a line's tag, a row or column number, the repr of a distinct float) is
+# encoded once into a fixed-width record of a table, every line gathers
+# one record per column into the fields of one record array, and the
+# padding bytes are dropped. Every float is still written as Python's repr.
 
-_PAD = 0xFF  # pads table rows; UTF-8 never uses this byte
+_PAD = b"\xff"  # pads table records; UTF-8 never uses this byte
 
 
 def text_table(texts) -> np.ndarray:
-    """The UTF-8 bytes of each text as one row of a uint8 table, padded
-    to a common width with _PAD."""
+    """The UTF-8 bytes of each text as one fixed-width record (a numpy
+    void type), padded to a common width with _PAD."""
     encoded = [t.encode() for t in texts]
     table = np.array(encoded, dtype=bytes)
-    table = table.view(np.uint8).reshape(len(encoded), table.itemsize)
+    rows = table.view(np.uint8).reshape(len(encoded), table.itemsize)
     lengths = np.array([len(e) for e in encoded], dtype=np.int64)
-    table[np.arange(table.shape[1]) >= lengths[:, None]] = _PAD
-    return table
+    rows[np.arange(table.itemsize) >= lengths[:, None]] = _PAD[0]
+    return table.view(f"V{table.itemsize}")
 
 
 def float_column(values: np.ndarray, template: str) -> tuple:
@@ -785,9 +841,15 @@ def float_column(values: np.ndarray, template: str) -> tuple:
 
 def join_columns(*columns) -> str:
     """Text whose k-th piece is, for each (table, index) column in turn,
-    row index[k] of the table."""
-    block = np.hstack([table[index] for table, index in columns])
-    return block[block != _PAD].tobytes().decode()
+    record index[k] of the table; a scalar index gives every piece the
+    same record."""
+    indices = [index for _, index in columns]
+    block = np.empty(np.broadcast(*indices).shape,
+                     dtype=[(f"c{k}", table.dtype)
+                            for k, (table, _) in enumerate(columns)])
+    for k, (table, index) in enumerate(columns):
+        block[f"c{k}"] = table[index]
+    return block.tobytes().translate(None, _PAD).decode()
 
 
 def dump_mdp(mdp: MdpModel) -> str:
@@ -803,16 +865,15 @@ def dump_mdp(mdp: MdpModel) -> str:
     lines.extend(f"state {i} {' '.join(atoms)}"
                  for i, atoms in enumerate(itertools.product(*tokens)))
     parts = ["\n".join(lines) + "\n"]
-    heads = {tag: text_table(f"{tag} {i} " for i in range(mdp.n_states))
-             for tag in ("t", "r")}
-    numbers = text_table(str(j) for j in range(mdp.n_states))
+    tags = text_table(["t ", "r "])
+    numbers = text_table(f"{j} " for j in range(mdp.n_states))
     for action in mdp.actions:
         parts.append(f"action {action.name} {action.cost}\n")
-        for tag, m in (("t", mdp.transitions[action.name]),
-                       ("r", mdp.rewards[action.name])):
-            parts.append(join_columns((heads[tag], m.entry_rows()),
+        for tag, m in enumerate((mdp.transitions[action.name],
+                                 mdp.rewards[action.name])):
+            parts.append(join_columns((tags, tag), (numbers, m.entry_rows()),
                                       (numbers, m.indices),
-                                      float_column(m.csr.data, " {!r}\n")))
+                                      float_column(m.csr.data, "{!r}\n")))
     parts.append("end\n")
     return "".join(parts)
 

@@ -32,7 +32,13 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse import csgraph
 
-from obd.compiler import MdpModel, float_column, join_columns, text_table
+from obd.compiler import (
+    MdpModel,
+    float_column,
+    gather_rows,
+    join_columns,
+    text_table,
+)
 from obd.dsl import ObdError
 
 FORMAT_POLICY = "obdpolicy/1"
@@ -93,20 +99,6 @@ def _factored(mdp: MdpModel) -> bool:
     fan_out = np.diff(mdp.events.indptr)
     terms = sum(int(fan_out[m.indices].sum()) for m in mdp.explicit.values())
     return terms > PRODUCT_TERMS
-
-
-def _gather(indptr: np.ndarray, rows: np.ndarray, extra: int = 0):
-    """Row pointers of the rows `rows` of a CSR matrix with row pointers
-    `indptr`, each followed by `extra` more slots, and for every entry the
-    position in the matrix's arrays that it takes (past the row's end for
-    the extra slots, which the caller points elsewhere). A numpy gather:
-    on models of a few dozen states, SciPy's m[rows] costs several times
-    more in call overhead."""
-    starts = indptr[rows]
-    counts = indptr[rows + 1] - starts + extra
-    out = np.zeros(rows.size + 1, dtype=indptr.dtype)
-    np.cumsum(counts, out=out[1:])
-    return out, np.arange(out[-1]) + np.repeat(starts - out[:-1], counts)
 
 
 def component_order(p) -> np.ndarray:
@@ -178,7 +170,7 @@ class _Bellman:
         diagonal blocks of the others unchanged."""
         n = self.n
         rows = policy * n + self.states
-        indptr, take = _gather(self.matrix.indptr, rows)
+        indptr, take = gather_rows(self.matrix.indptr, rows)
         p = sp.csr_matrix((self.matrix.data[take], self.matrix.indices[take],
                            indptr), shape=(n, self.matrix.shape[1]))
         if self.events is not None:
@@ -188,7 +180,7 @@ class _Bellman:
         position[order] = self.states
         # row k of A = (I - gamma*P)[order][:, order] is row order[k] of
         # -gamma*P, then its diagonal 1, taken from after P's entries
-        indptr, take = _gather(p.indptr, order, extra=1)
+        indptr, take = gather_rows(p.indptr, order, extra=1)
         take[indptr[1:] - 1] = p.indptr[-1] + order
         # A's CSR arrays read as CSC are A transposed, the form SuperLU
         # factored fastest; solve(trans="T") solves with A itself
@@ -197,7 +189,12 @@ class _Bellman:
              position[np.append(p.indices, self.states)[take]], indptr),
             shape=(n, n))
         system.sum_duplicates()  # adds the 1 to -gamma*P(s, s)
-        lu = spla.splu(system, permc_spec="NATURAL", diag_pivot_thresh=0.0)
+        try:
+            lu = spla.splu(system, permc_spec="NATURAL",
+                           diag_pivot_thresh=0.0)
+        except RuntimeError as exc:  # SuperLU's allocation failures
+            raise SolverError(f"policy evaluation: sparse LU of {n} states "
+                              f"failed: {exc}") from None
         values = np.empty(n)
         values[order] = lu.solve(self.expected[rows[order]], trans="T")
         return values

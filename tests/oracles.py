@@ -4,8 +4,10 @@ Everything here is written from the normative tables and execution rules
 directly, on purpose duplicating none of the production code paths: a
 literal case-table transcription of the requirement status updates and
 rewards, a brute-force interleaving enumerator for one tick of
-action-then-events, exhaustive policy enumeration for tiny MDPs, and a
-random model generator.
+action-then-events, the per-state occurrence probabilities of an event,
+the pairs of effective event matrices whose exact products differ,
+exhaustive policy enumeration for tiny MDPs, and a random model
+generator.
 """
 
 from __future__ import annotations
@@ -288,6 +290,17 @@ def interleaving_distribution(model: DomainModel, space, action: ActionDesc,
     return dist
 
 
+def occurrence_vector(event: EventDesc, space) -> list:
+    """O_e: per state, the occurrence probability of the event's branch
+    whose precondition holds there, 0 where none does."""
+    out = []
+    for i in range(space.size):
+        branch = _matched(event.branches, space.state(i))
+        out.append(branch.occurrence_probability if branch is not None
+                   else Fraction(0))
+    return out
+
+
 def pair_rewards(model: DomainModel, space, action: ActionDesc,
                  i: int, j: int) -> int:
     before = space.state(i)
@@ -296,6 +309,19 @@ def pair_rewards(model: DomainModel, space, action: ActionDesc,
     for req in model.requirements:
         total += oracle_reward(req, before, after)
     return total
+
+
+# ---------------------------------------------------------------------------
+# Event commutation by exact products
+
+
+def noncommuting_pairs(effective) -> list:
+    """Every index pair (i, j), i < j, of the effective event matrices
+    (exact SparseMatrix instances) whose two products Phat_i Phat_j and
+    Phat_j Phat_i, multiplied out exactly, differ."""
+    return [(i, j) for i, j in itertools.combinations(range(len(effective)), 2)
+            if effective[i].matmul(effective[j])
+            != effective[j].matmul(effective[i])]
 
 
 # ---------------------------------------------------------------------------

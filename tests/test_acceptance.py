@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from obd.compiler import compile_model, dump_mdp, occurrence_vector
+from obd.compiler import compile_model, dump_mdp
 from obd.dsl import parse_domain
 from obd.reqauto import build_automaton, reward, update_action, update_event
 from obd.sim import (
@@ -60,7 +60,7 @@ def test_criterion_1_worked_example(capsys, toy_model):
         s4 = space.index_of({"x": "tt", "y": "ff", "m": "I"})
         assert mdp.transitions["a"].get(s2, s4) == Fraction(4, 5)
 
-        occ = occurrence_vector(toy_model.events[0], space)
+        occ = oracles.occurrence_vector(toy_model.events[0], space)
         not_x = [i for i in range(8) if space.state(i)["x"] == "ff"]
         assert len(not_x) == 4
         for i in range(8):

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from obd import dsl
+from obd import dsl, solver
 from obd.cli import main
 
 MODELS = Path(__file__).parent.parent / "models"
@@ -227,6 +227,28 @@ def test_solve_substochastic_row_exits_1(tmp_path):
         assert result.exit_code == 1
         assert result.output == (f"{mdp}: error: action 'b': transition row "
                                  "6 sums to 0.5\n")
+
+
+def _failing_splu(monkeypatch, error):
+    def splu(*args, **kwargs):
+        raise error
+    monkeypatch.setattr(solver.spla, "splu", splu)
+
+
+def test_solve_lu_failure_exits_1(monkeypatch):
+    """SuperLU reports an allocation failure as a RuntimeError."""
+    _failing_splu(monkeypatch, RuntimeError(
+        "SUPERLU_MALLOC fails for buf in intMalloc()"))
+    assert diagnostic("solve", TOY, "--method", "policy") == (
+        f"{TOY}: error: policy evaluation: sparse LU of 8 states failed: "
+        "SUPERLU_MALLOC fails for buf in intMalloc()")
+
+
+def test_solve_out_of_memory_exits_1(monkeypatch):
+    _failing_splu(monkeypatch, MemoryError())
+    assert diagnostic("solve", TOY, "--method", "policy") == (
+        f"{TOY}: error: out of memory; a smaller model or --max-states "
+        "may fit")
 
 
 # ---------------------------------------------------------------------------

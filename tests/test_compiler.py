@@ -7,8 +7,10 @@ branch and every occur/skip split of every event explicitly.
 
 import math
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,12 +28,16 @@ from obd.compiler import (
     explicit_action_matrix,
     implicit_action_matrix,
     load_mdp,
-    occurrence_vector,
 )
-from obd.dsl import ReqKind, parse_domain
+from obd.dsl import EventDesc, ReqKind, parse_domain
 from obd.reqauto import build_automaton, update_action, update_event
 
 import oracles
+
+ROOT = Path(__file__).parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+
+from models import restaurant_text  # noqa: E402
 
 
 def _space_and_automata(model):
@@ -75,7 +81,7 @@ def test_toy_action_transition_entry(toy_model, toy_mdp):
 
 def test_toy_occurrence_vector(toy_model):
     space, _ = _space_and_automata(toy_model)
-    occ = occurrence_vector(toy_model.events[0], space)
+    occ = oracles.occurrence_vector(toy_model.events[0], space)
     for i in range(8):
         expected = Fraction(1, 5) if space.state(i)["x"] == "ff" \
             else Fraction(0)
@@ -116,7 +122,7 @@ def test_effective_event_formula(toy_model):
                 replace(br, occurrence_probability=Fraction(1))
                 for br in event.branches))
             explicit = effective_event_matrix(always, space, after)
-            occ = occurrence_vector(event, space)
+            occ = oracles.occurrence_vector(event, space)
             effective = effective_event_matrix(event, space, after)
             for i in range(space.size):
                 for j in range(space.size):
@@ -541,6 +547,122 @@ def test_commutation_check_covers_every_pair():
     assert [(w.message, w.line, w.col) for w in mdp.warnings] == [
         ("events 'e4' and 'e5' do not commute; using declaration order",
          12, 7)]
+
+
+def _effective(model):
+    space, after = _after(model, update_event)
+    return [effective_event_matrix(ev, space, after) for ev in model.events]
+
+
+def _oracle_warnings(model, effective) -> list:
+    """(message, line, col) of the warning for every pair whose exact
+    products differ, in the compiler's order."""
+    events = model.events
+    return [(f"events '{events[i].name}' and '{events[j].name}' do not "
+             "commute; using declaration order", events[j].line, events[j].col)
+            for i, j in oracles.noncommuting_pairs(effective)]
+
+
+def _warnings(mdp) -> list:
+    return [(w.message, w.line, w.col) for w in mdp.warnings]
+
+
+def _commutation_models():
+    for name in ("toy", "restaurant"):
+        yield name, (ROOT / "models" / f"{name}.obd").read_text()
+    for tables in (1, 2):
+        for seed in range(3):
+            for within in (None, 3):
+                yield (f"{tables}t-seed{seed}-within{within}",
+                       restaurant_text(tables, seed, within=within))
+
+
+@pytest.mark.parametrize("text", [t for _, t in _commutation_models()],
+                         ids=[n for n, _ in _commutation_models()])
+def test_commutation_warnings_equal_the_exact_oracle(text):
+    model = parse_domain(text)
+    assert _warnings(compile_model(model)) == \
+        _oracle_warnings(model, _effective(model))
+
+
+def test_commutation_warnings_equal_the_oracle_on_random_models():
+    """50 random models with two or more events."""
+    checked, seed = 0, 0
+    while checked < 50:
+        seed += 1
+        model = oracles.random_model(random.Random(5000 + seed))
+        if len(model.events) < 2:
+            continue
+        assert _warnings(compile_model(model)) == \
+            _oracle_warnings(model, _effective(model)), seed
+        checked += 1
+
+
+def _spy_dtypes(monkeypatch) -> list:
+    """The dtypes that compiler._dtype returns from now on."""
+    dtypes = []
+    dtype = compiler._dtype
+    monkeypatch.setattr(compiler, "_dtype", lambda bound:
+                        dtypes.append(dtype(bound)) or dtypes[-1])
+    return dtypes
+
+
+def test_commutation_check_sees_one_numerator_unit(monkeypatch):
+    """Phat_a = I + D_a / d and Phat_b = I + D_b / d with D_a = E_01 + M T
+    and D_b = E_11 + M T, T = E_01 - E_11: D_a D_b - D_b D_a = E_01, so the
+    products differ in one entry by one unit of their denominator d**2.
+    With d just below 2**20 the check stays int64, its values reaching
+    M**2 2**20, about 2**59."""
+    d, big = 2 ** 20 - 3, 700_001
+    shared = np.zeros((3, 3), dtype=np.int64)
+    shared[0, 1], shared[1, 1] = big, -big  # M T
+    steps = []
+    for own in ((0, 1), (1, 1)):
+        numerators = d * np.eye(3, dtype=np.int64) + shared
+        numerators[own] += 1
+        rows, cols = np.nonzero(numerators)
+        steps.append(SparseMatrix.from_entries(3, rows, cols,
+                                               numerators[rows, cols], d))
+    a, b = steps
+    ab, ba = a.matmul(b), b.matmul(a)
+    assert {(i, j): ab.get(i, j) - ba.get(i, j) for i in range(3)
+            for j in range(3) if ab.get(i, j) != ba.get(i, j)} == \
+        {(0, 1): Fraction(1, d * d)}
+    events = [EventDesc("a", (), 1, 7), EventDesc("b", (), 2, 7)]
+    assert oracles.noncommuting_pairs([a, b]) == [(0, 1)]
+    dtypes = _spy_dtypes(monkeypatch)
+    assert [(w.message, w.line, w.col)
+            for w in compiler._check_commutation(events, [a, b])] == [
+        ("events 'a' and 'b' do not commute; using declaration order", 2, 7)]
+    assert dtypes == [np.int64]
+
+
+# event denominators near 10**12: the fingerprint's bound passes int64
+LARGE_DENOMINATORS = """
+    Variable x0
+    Variable x1
+    Variable x2
+    Action a if x0 effects <!x0 prob 1/2>
+    Event e0 if x0 occur prob 1/1000003 effects <!x0 prob 1000032/1000033>
+    Event e1 if !x0 occur prob 1/1000037 effects <x0 prob 1000038/1000039>
+    Event e2 if x1 occur prob 1/999983 effects <!x1 prob 999978/999979>
+    Event e3 if x1 & !x2 occur prob 1/999961 effects <x2 prob 1/999959>
+    Init { x0, x1, x2 }
+"""
+
+
+def test_commutation_check_past_int64_matches_the_oracle(monkeypatch):
+    """Past the bound the fingerprint is computed over Python ints and
+    flags the same pairs as the exact products."""
+    model = parse_domain(LARGE_DENOMINATORS)
+    effective = _effective(model)
+    pairs = oracles.noncommuting_pairs(effective)
+    assert pairs and len(pairs) < 6  # some pairs commute, some do not
+    dtypes = _spy_dtypes(monkeypatch)
+    warnings = compiler._check_commutation(model.events, effective)
+    assert dtypes == [object]
+    assert [(w.message, w.line, w.col) for w in warnings] == \
+        _oracle_warnings(model, effective)
 
 
 def test_zero_reward_requirement_does_not_change_dynamics():
