@@ -255,9 +255,12 @@ def dot_text(mdp: MdpModel, strategy=None, full: bool = False) -> str:
         lines.append(f'  s{i} [label="{label}"];')
     edges = {}  # action name -> DOT edge lines per source state
     for name in mdp.action_names:
-        rewards = {(i, j): r for i, j, r in mdp.rewards[name].entries()}
+        t, r = mdp.transitions[name], mdp.rewards[name]
+        rewards = dict(zip(zip(r.entry_rows().tolist(), r.indices.tolist()),
+                           r.csr.data.tolist()))
         edges[name] = [[] for _ in range(mdp.n_states)]
-        for i, j, p in mdp.transitions[name].entries():
+        for i, j, p in zip(t.entry_rows().tolist(), t.indices.tolist(),
+                           t.csr.data.tolist()):
             rew = rewards.get((i, j), 0.0)
             edges[name][i].append(
                 f'  s{i} -> s{j} [label="{name}, {p:g}, {rew:+g}"];')

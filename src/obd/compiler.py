@@ -6,9 +6,10 @@ statuses, build every action's and event's step matrix with one builder
 mass stays put), warn about every pair of events whose step matrices do
 not commute (found by a fingerprint, without multiplying them), and fold
 the events, in declaration order, into one event product E. The model
-keeps its factors: E, each action's explicit matrix X_a, and one rank-1
-reward factor (r_k, g_k, h_k) per requirement k, the reward r_k being
-paid on a transition s -> j where g_k(s) and h_k(j) hold. The
+keeps its factors: E, each action's explicit matrix X_a, and one reward
+factor (r_k, g_k, h_k) per requirement k, the reward r_k being paid on a
+transition s -> j where g_k(s) and h_k(j) hold: the before-part and the
+after-part of the requirement's reward condition in `reqauto`. The
 implicit-event matrix P_a = X_a E (action first, then the events) and the
 reward matrix R_a = -c_a + sum_k r_k g_k(s) h_k(j) on its support are
 multiplied out only when first read. Probabilities stay exact rationals
@@ -17,11 +18,11 @@ until the matrices are exported for the solver.
 State index `b * S + sigma` pairs the base state `b` (the declared
 variables) with the status tuple `sigma` (one status per requirement, S
 tuples in all). Every formula is evaluated once per base state, as a
-boolean mask. A requirement's status update and reward see a state only
-through its status and the truth of the requirement's formulas, so both
-are tabulated from one `reqauto` call per distinct key and then looked up
-for every state or matrix entry: two status tables, after an action and
-after an event, serve every matrix.
+boolean mask. A requirement's status update and the parts of its reward
+condition see a state only through its status and the truth of the
+requirement's formulas, so each is tabulated from one `reqauto` call per
+distinct key and then looked up for every state: two status tables, after
+an action and after an event, serve every matrix.
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ from obd.dsl import (
     format_formula,
 )
 from obd.reqauto import (
+    REWARD_PARTS,
     build_automaton,
-    reward as requirement_reward,
     status_count,
     update_action,
     update_event,
@@ -330,12 +331,6 @@ class SparseMatrix:
         return sp.csr_matrix((data, self.indices, self.indptr),
                              shape=(self.size, self.size))
 
-    def entries(self):
-        """(row, column, float value) of every stored entry, row by row
-        with columns ascending."""
-        return zip(self.entry_rows().tolist(), self.indices.tolist(),
-                   self.csr.data.tolist())
-
     def __eq__(self, other):
         return (isinstance(other, SparseMatrix) and self.size == other.size
                 and self.denominator == other.denominator
@@ -415,23 +410,26 @@ def _targets(space: StateSpace, bases: np.ndarray, assignments) -> np.ndarray:
 def _truth_codes(auto, space: StateSpace):
     """Per base state, the index of its truth combination of the
     requirement's required, activation and cancellation formulas among the
-    distinct combinations; and the first base state showing each."""
+    distinct combinations; the first base state showing each; and each
+    combination, those truths as the bits 4, 2 and 1."""
     req = auto.requirement
     bits = (4 * _mask(req.required, space) + 2 * _mask(req.activation, space)
             + _mask(req.cancellation, space))
-    _, first, codes = np.unique(bits, return_index=True, return_inverse=True)
-    return codes, first
+    combos, first, codes = np.unique(bits, return_index=True,
+                                     return_inverse=True)
+    return codes, first, combos
 
 
-def _next_statuses(space: StateSpace, automata, advance) -> np.ndarray:
+def _next_statuses(space: StateSpace, automata, truths,
+                   advance) -> np.ndarray:
     """Status tuple after one step of `advance`, for every successor base
     state (rows) and status tuple before the step (columns). `advance` is
-    called once per requirement, status and distinct truth combination."""
+    called once per requirement, status and distinct truth combination
+    (`truths`, one per requirement)."""
     out = np.zeros((len(space.base_digits), space.n_statuses), dtype=np.int64)
     stride = space.n_statuses
-    for k, auto in enumerate(automata):
+    for k, (auto, (codes, first, _)) in enumerate(zip(automata, truths)):
         stride //= len(auto.statuses)
-        codes, first = _truth_codes(auto, space)
         table = np.array([[auto.statuses.index(advance(auto, status, base))
                            for status in auto.statuses]
                           for base in (space.state(b * space.n_statuses)
@@ -532,44 +530,22 @@ class RewardFactor(NamedTuple):
     after: np.ndarray
 
 
-def _reward_factor(auto, k: int, space: StateSpace, moves,
-                   events) -> RewardFactor:
-    """Requirement k's reward as a rank-1 factor.
-
-    The reward depends on a state only through its key: the requirement's
-    status and the truth of the formulas it reads. `reqauto.reward` is
-    called once for every pair of keys that an entry of `moves` (rows and
-    columns of every action's explicit entries) followed by one of
-    `events` (the same for E) can join, a superset of the pairs on the
-    support of any X_a E. On those pairs the table must read
-    r * g(key before) * h(key after) for 0/1 vectors g and h."""
-    codes, first = _truth_codes(auto, space)
-    key = (space.status_digits[:, k] * len(first) + codes[:, None]).ravel()
-    width = len(auto.statuses) * len(first)
-
-    def joined(rows, cols) -> sp.csr_matrix:
-        return sp.csr_matrix((np.ones(len(rows), dtype=bool),
-                              (key[rows], key[cols])), shape=(width, width))
-
-    pairs = (joined(*moves) @ joined(*events)).tocoo()
-    before, after = pairs.row, pairs.col
-    some_state = np.empty(width, dtype=np.int64)
-    some_state[key] = np.arange(space.size)
-    states = {q: space.state(int(some_state[q]))
-              for q in np.union1d(before, after).tolist()}
-    table = np.array([requirement_reward(auto, states[b], states[a])
-                      for b, a in zip(before.tolist(), after.tolist())],
-                     dtype=object)
-    nonzero = table != 0
-    g, h = np.zeros(width, dtype=bool), np.zeros(width, dtype=bool)
-    g[before[nonzero]] = h[after[nonzero]] = True
-    r = table[nonzero][0] if nonzero.any() else 0
-    rank_one = np.zeros_like(table)
-    rank_one[g[before] & h[after]] = r
-    if not (table == rank_one).all():
-        raise CompileError(f"requirement '{auto.name}': reward table is "
-                           "not of the form r * [before] * [after]")
-    return RewardFactor(r, g[key], h[key])
+def _reward_factor(auto, k: int, space: StateSpace, truths) -> RewardFactor:
+    """Requirement k's reward, r * g(s) * h(j) on a transition s -> j: g
+    and h are the two parts of its `reqauto.REWARD_PARTS` condition, each
+    called once per status and distinct truth combination (`truths`, from
+    `_truth_codes`) and looked up for every state."""
+    req = auto.requirement
+    paid_before, paid_after = REWARD_PARTS[req.kind]
+    codes, _, bits = truths
+    combos = [(bool(c & 4), bool(c & 1)) for c in bits.tolist()]
+    g = np.array([[paid_before(st, s) for s, _ in combos]
+                  for st in auto.statuses], dtype=bool)
+    h = np.array([[paid_after(st, s, z) for s, z in combos]
+                  for st in auto.statuses], dtype=bool)
+    # row b, column sigma: state b * S + sigma
+    at = (space.status_digits[:, k], codes[:, None])
+    return RewardFactor(req.reward, g[at].ravel(), h[at].ravel())
 
 
 def reward_matrix(action: ActionDesc, implicit: SparseMatrix,
@@ -752,7 +728,8 @@ def compile_model(model: DomainModel, gamma: Fraction = DEFAULT_GAMMA,
     automata = tuple(build_automaton(r) for r in model.requirements)
     space = enumerate_states(model, automata)
 
-    after_event = _next_statuses(space, automata, update_event)
+    truths = [_truth_codes(auto, space) for auto in automata]
+    after_event = _next_statuses(space, automata, truths, update_event)
     effective = [effective_event_matrix(ev, space, after_event)
                  for ev in model.events]
     warnings = _check_commutation(model.events, effective)
@@ -761,14 +738,11 @@ def compile_model(model: DomainModel, gamma: Fraction = DEFAULT_GAMMA,
     noop = ActionDesc(NOOP, branches=(), cost=0)
     all_actions = (noop,) + tuple(model.actions)
     names = tuple(a.name for a in all_actions)
-    after_action = _next_statuses(space, automata, update_action)
+    after_action = _next_statuses(space, automata, truths, update_action)
     explicit = {a.name: explicit_action_matrix(a, space, after_action)
                 for a in all_actions}
-    moves = (np.concatenate([m.entry_rows() for m in explicit.values()]),
-             np.concatenate([m.indices for m in explicit.values()]))
-    factors = tuple(_reward_factor(auto, k, space, moves,
-                                   (events.entry_rows(), events.indices))
-                    for k, auto in enumerate(automata))
+    factors = tuple(_reward_factor(auto, k, space, t)
+                    for k, (auto, t) in enumerate(zip(automata, truths)))
     transitions = _Products(
         names, lambda name: implicit_action_matrix(explicit[name], events))
     by_name = dict(zip(names, all_actions))
@@ -852,18 +826,22 @@ def join_columns(*columns) -> str:
     return block.tobytes().translate(None, _PAD).decode()
 
 
+def state_lines(space: StateSpace):
+    """The `state` line of every state of `space`, in index order."""
+    # the product varies the last variable fastest: the state index order
+    tokens = [[f"{name}={value}" for value in domain]
+              for name, domain in zip(space.names, space.domains)]
+    return (f"state {i} {' '.join(atoms)}"
+            for i, atoms in enumerate(itertools.product(*tokens)))
+
+
 def dump_mdp(mdp: MdpModel) -> str:
-    space = mdp.space
     lines = [FORMAT_MDP,
              f"gamma {float(mdp.gamma)!r}",
              f"states {mdp.n_states}",
              f"actions {mdp.n_actions}",
              f"initial {mdp.initial_index}"]
-    # the product varies the last variable fastest: the state index order
-    tokens = [[f"{name}={value}" for value in domain]
-              for name, domain in zip(space.names, space.domains)]
-    lines.extend(f"state {i} {' '.join(atoms)}"
-                 for i, atoms in enumerate(itertools.product(*tokens)))
+    lines.extend(state_lines(mdp.space))
     parts = ["\n".join(lines) + "\n"]
     tags = text_table(["t ", "r "])
     numbers = text_table(f"{j} " for j in range(mdp.n_states))
@@ -937,6 +915,7 @@ def load_mdp(text: str) -> MdpModel:
     n_actions = integer(single("actions"), 1)
     initial = integer(single("initial"), 0, n_states)
 
+    first_state = pos
     raw_states = []
     for index in range(n_states):
         parts = fields("state")
@@ -956,10 +935,17 @@ def load_mdp(text: str) -> MdpModel:
                 values[name].append(value)
     space = StateSpace(names, tuple(tuple(values[n]) for n in names),
                        len(names))
-    if space.size != n_states or any(
-            space.index_of(dict(s)) != i for i, s in enumerate(raw_states)):
-        raise CompileError("state lines do not list every assignment in "
-                           "lexicographic order")
+    # every assignment once, in index order, as dump_mdp writes them; one
+    # line further when the space has an assignment more than listed
+    for number, want in enumerate(itertools.islice(
+            state_lines(space), n_states + 1), first_state + 1):
+        got = lines[number - 1] if number <= len(lines) else ""
+        if got.split() != want.split():
+            pos = number
+            raise error(f"expected '{want}', got: {got!r}")
+    if space.size < n_states:
+        pos = first_state + space.size + 1
+        raise error(f"state {space.size} repeats an earlier assignment")
 
     actions = []
     triples: dict = {}  # (action, tag) -> {(row, col): value}

@@ -5,7 +5,8 @@ functions advance a status against a freshly computed base state: the action
 variant decrements deadline/duration counters (actions advance time), the
 event variant leaves counters alone except that an exhausted duration still
 expires. A transition-reward function pays the requirement's reward on
-compliant consecutive state pairs.
+compliant consecutive state pairs: where a condition on the state before
+and one on the state after both hold.
 
 Status labels: `-` (stateless), `I` (inactive), `R` (in force), `A`
 (activated, duration kinds), `A(k)` (k ticks to the deadline), `R(k)`
@@ -175,48 +176,54 @@ def update_event(auto: RequirementAutomaton, status: str,
     return _update(auto, status, new_base, time_step=False)
 
 
+# Every kind's reward condition, in two parts: the before-part reads the
+# status before a step and whether the required formula held there, the
+# after-part the status after it and whether the required and the
+# cancellation formulas hold there. The reward is paid exactly where both
+# parts hold.
+REWARD_PARTS = {
+    ReqKind.UA: (lambda st, s: not s, lambda st, s, z: s),
+    ReqKind.UM: (lambda st, s: s, lambda st, s, z: s),
+    ReqKind.CA: (lambda st, s: st == "R" and not s, lambda st, s, z: s),
+    ReqKind.CM: (lambda st, s: st == "R", lambda st, s, z: s and not z),
+    ReqKind.DEA: (lambda st, s: st == "A(1)", lambda st, s, z: s),
+    ReqKind.DFA: (lambda st, s: st.startswith("A(") and not s,
+                  lambda st, s, z: s),
+    ReqKind.DEM: (lambda st, s: st == "A(1)" and s, lambda st, s, z: s),
+    ReqKind.DFM: (lambda st, s: st.startswith("A(") and s,
+                  lambda st, s, z: s),
+}
+# compliant in the duration window, before and after
+REWARD_PARTS.update(dict.fromkeys(
+    (ReqKind.PM, ReqKind.PDEM, ReqKind.PDFM),
+    (lambda st, s: s and st.startswith("R("),
+     lambda st, s, z: s and st.startswith("R("))))
+# strict duration kinds: one reward on leaving R(1) compliantly
+REWARD_PARTS.update(dict.fromkeys(
+    (ReqKind.RPM, ReqKind.RPDEM, ReqKind.RPDFM),
+    (lambda st, s: st == "R(1)", lambda st, s, z: s)))
+
+
 def reward(auto: RequirementAutomaton, before: Mapping[str, str],
            after: Mapping[str, str]) -> int:
-    """Reward earned by this requirement on the transition before -> after.
+    """Reward earned by this requirement on the transition before -> after,
+    where both parts of its REWARD_PARTS condition hold.
 
     Both arguments are full expanded states: base atoms plus this
     requirement's status atom.
     """
     req = auto.requirement
-    kind = req.kind
-    name = req.name
-    if kind not in (ReqKind.UA, ReqKind.UM):
+    if req.kind in (ReqKind.UA, ReqKind.UM):
+        st_before = st_after = "-"
+    else:
+        name = req.name
         if name not in before or name not in after:
             raise EvaluationError(
                 f"missing status atom for requirement '{name}'")
-        st_before = before[name]
-        st_after = after[name]
-
-    r = req.reward
-    s_before = _sat(req.required, before)
-    s_after = _sat(req.required, after)
-
-    if kind is ReqKind.UA:
-        return r if (not s_before and s_after) else 0
-    if kind is ReqKind.UM:
-        return r if (s_before and s_after) else 0
-    if kind is ReqKind.CA:
-        return r if (st_before == "R" and not s_before and s_after) else 0
-    if kind is ReqKind.CM:
-        z_after = _sat(req.cancellation, after)
-        return r if (st_before == "R" and s_after and not z_after) else 0
-    if kind is ReqKind.DEA:
-        return r if (st_before == "A(1)" and s_after) else 0
-    if kind is ReqKind.DFA:
-        in_window = st_before.startswith("A(")
-        return r if (in_window and not s_before and s_after) else 0
-    if kind is ReqKind.DEM:
-        return r if (st_before == "A(1)" and s_before and s_after) else 0
-    if kind is ReqKind.DFM:
-        in_window = st_before.startswith("A(")
-        return r if (in_window and s_before and s_after) else 0
-    if kind in (ReqKind.PM, ReqKind.PDEM, ReqKind.PDFM):
-        return r if (s_before and st_before.startswith("R(")
-                     and s_after and st_after.startswith("R(")) else 0
-    # strict duration kinds: one reward on leaving R(1) compliantly
-    return r if (st_before == "R(1)" and s_after) else 0
+        st_before, st_after = before[name], after[name]
+    paid_before, paid_after = REWARD_PARTS[req.kind]
+    if (paid_before(st_before, _sat(req.required, before))
+            and paid_after(st_after, _sat(req.required, after),
+                           _sat(req.cancellation, after))):
+        return req.reward
+    return 0

@@ -72,9 +72,6 @@ class Strategy:
     residual: float
     method: str
 
-    def action_name(self, mdp: MdpModel, state: int) -> str:
-        return mdp.action_names[self.actions[state]]
-
 
 def _expected_rewards(mdp: MdpModel, explicit, events) -> np.ndarray:
     """Expected one-step reward of every stacked row a*n + s from the

@@ -212,6 +212,18 @@ def test_solve_truncated_mdp_exits_1(tmp_path):
                              "line, got end of input\n")
 
 
+def test_solve_mdp_with_states_out_of_order_names_the_line(tmp_path):
+    mdp = tmp_path / "toy.mdp"
+    assert invoke("compile", TOY, "--out", str(mdp)).exit_code == 0
+    lines = mdp.read_text().splitlines(keepends=True)
+    lines[7], lines[8] = ("state 2 " + lines[8].split(" ", 2)[2],
+                          "state 3 " + lines[7].split(" ", 2)[2])
+    mdp.write_text("".join(lines))
+    assert diagnostic("solve", str(mdp)) == (
+        f"{mdp}: error: line 8: expected 'state 2 x=tt y=ff m=I', "
+        "got: 'state 2 x=tt y=ff m=R'")
+
+
 def test_solve_substochastic_row_exits_1(tmp_path):
     """The stacked operator's row check names the action and the state row,
     not the row's index in the stacked matrix."""

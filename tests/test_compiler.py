@@ -29,7 +29,7 @@ from obd.compiler import (
     implicit_action_matrix,
     load_mdp,
 )
-from obd.dsl import EventDesc, ReqKind, parse_domain
+from obd.dsl import Atom, EventDesc, ReqKind, Requirement, parse_domain
 from obd.reqauto import build_automaton, update_action, update_event
 
 import oracles
@@ -48,7 +48,8 @@ def _space_and_automata(model):
 def _after(model, advance):
     """The space and its status table after a step of `advance`."""
     space, automata = _space_and_automata(model)
-    return space, compiler._next_statuses(space, automata, advance)
+    truths = [compiler._truth_codes(auto, space) for auto in automata]
+    return space, compiler._next_statuses(space, automata, truths, advance)
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +185,36 @@ def test_random_models_match_brute_force(seed):
     model = oracles.random_model(random.Random(1000 + seed))
     mdp = compile_model(model)
     _check_against_oracle(model, mdp)
+
+
+# required s, activation a, cancellation z: an action moves s, events move
+# a and z, so one step reaches every truth combination of the three
+EVERY_TRUTH = """
+    Variable s
+    Variable a
+    Variable z
+    Action set_s if !s effects <s prob 1/2>
+    Action clear_s if s effects <!s prob 1/2>
+    Event flip_a if a occur prob 1/2 effects <!a>
+        if !a occur prob 1/2 effects <a>
+    Event flip_z if z occur prob 1/2 effects <!z>
+        if !z occur prob 1/2 effects <z>
+    Init { !s, !a, !z }
+"""
+
+
+@pytest.mark.parametrize("kind", list(ReqKind), ids=lambda k: k.value)
+def test_every_kind_matches_brute_force(kind):
+    """Every requirement kind's reward factor, with three distinct
+    formulas, against the oracle's reward table."""
+    req = Requirement(
+        "m", kind, Atom("s", "tt"),
+        Atom("a", "tt") if kind.is_conditional else None,
+        Atom("z", "tt") if kind.is_conditional else None,
+        2 if kind.has_deadline else None, 2 if kind.has_duration else None,
+        7)
+    model = replace(parse_domain(EVERY_TRUTH), requirements=(req,))
+    _check_against_oracle(model, compile_model(model))
 
 
 def test_fold_stays_exact_beyond_int64():

@@ -1,5 +1,6 @@
 """The factored model: event product E, explicit action matrices X_a and
-rank-1 reward factors, against the multiplied-out exact matrices."""
+one reward factor per requirement, against the multiplied-out exact
+matrices."""
 
 import random
 from fractions import Fraction
@@ -8,8 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from obd import compiler, solver
-from obd.compiler import CompileError, compile_model, dump_mdp, load_mdp
+from obd import compiler, reqauto, solver
+from obd.compiler import compile_model, dump_mdp, load_mdp
 from obd.dsl import parse_domain
 from obd.solver import _Bellman
 
@@ -72,15 +73,6 @@ def test_q_values_match_the_model_read_back(toy_mdp, restaurant_mdp,
             assert np.array_equal(q, loaded)
 
 
-def test_reward_table_must_be_rank_one(toy_model, monkeypatch):
-    # pays on a change of x in either direction: two distinct non-zero rows
-    monkeypatch.setattr(compiler, "requirement_reward",
-                        lambda auto, before, after:
-                        int(before["x"] != after["x"]))
-    with pytest.raises(CompileError, match="requirement 'm'"):
-        compile_model(toy_model)
-
-
 def test_products_are_built_when_first_read(toy_model, monkeypatch):
     built = []
     product = compiler.implicit_action_matrix
@@ -100,26 +92,36 @@ def test_products_are_built_when_first_read(toy_model, monkeypatch):
     assert first == mdp.explicit["a"].matmul(mdp.events)
 
 
-def test_reward_is_read_on_the_reachable_key_pairs(monkeypatch):
-    # 41 statuses x 4 truth combinations: a full key table would take
-    # 164 ** 2 = 26,896 calls
+def test_reward_parts_are_read_once_per_key(monkeypatch):
+    # 41 statuses x 4 truth combinations: one table of 164 keys per part,
+    # where a key-pair table would take up to 164 ** 2 = 26,896 entries
     text = (MODELS / "restaurant.obd").read_text().replace(
         "    achieve table1=received",
         "    maintain table1=received for 20 within 20")
-    calls = []
-    reward = compiler.requirement_reward
-    monkeypatch.setattr(compiler, "requirement_reward",
-                        lambda auto, before, after: calls.append(
-                            (before, after)) or reward(auto, before, after))
-    mdp = compile_model(parse_domain(text))
+    model = parse_domain(text)
+    kind = model.requirements[0].kind
+    calls = {"before": 0, "after": 0}
+    paid_before, paid_after = reqauto.REWARD_PARTS[kind]
+
+    def before(st, s):
+        calls["before"] += 1
+        return paid_before(st, s)
+
+    def after(st, s, z):
+        calls["after"] += 1
+        return paid_after(st, s, z)
+
+    monkeypatch.setitem(reqauto.REWARD_PARTS, kind, (before, after))
+
+    def no_reward(*args):
+        raise AssertionError("compile_model called reqauto.reward")
+
+    monkeypatch.setattr(reqauto, "reward", no_reward)
+    assert not hasattr(compiler, "requirement_reward")
+    mdp = compile_model(model)
     auto = mdp.automata[0]
-    codes, first = compiler._truth_codes(auto, mdp.space)
-    key = (mdp.space.status_digits[:, 0] * len(first)
-           + codes[:, None]).ravel()
-    on_support = set()
-    for name in mdp.action_names:
-        t = mdp.transitions[name]
-        on_support |= set(zip(key[t.entry_rows()].tolist(),
-                              key[t.indices].tolist()))
-    # one call per key pair that some transition joins, and no other
-    assert len(calls) == len(on_support)
+    _, _, combos = compiler._truth_codes(auto, mdp.space)
+    assert (len(auto.statuses), len(combos)) == (41, 4)
+    # at most one call per part, status and truth combination
+    assert 0 < calls["before"] <= 41 * 4
+    assert 0 < calls["after"] <= 41 * 4

@@ -7,6 +7,8 @@ obdmdp/1 and obdpolicy/1 texts to the readers, which may reject them only
 with an ObdError.
 """
 
+import hashlib
+import json
 import random
 import re
 import sys
@@ -17,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from obd.cli import dot_text
 from obd.compiler import (
     FORMAT_MDP,
     CompileError,
@@ -56,7 +59,9 @@ def reference_dump_mdp(mdp) -> str:
         lines.append(f"action {action.name} {action.cost}")
         for tag, m in (("t", mdp.transitions[action.name]),
                        ("r", mdp.rewards[action.name])):
-            lines.extend(f"{tag} {i} {j} {v!r}" for i, j, v in m.entries())
+            lines.extend(f"{tag} {i} {j} {v!r}" for i, j, v in zip(
+                m.entry_rows().tolist(), m.indices.tolist(),
+                m.csr.data.tolist()))
     lines.append("end")
     return "\n".join(lines) + "\n"
 
@@ -67,6 +72,24 @@ def reference_dump_policy(strategy, mdp) -> str:
     for s in range(mdp.n_states):
         name = mdp.action_names[strategy.actions[s]]
         lines.append(f"{s} {name} {float(strategy.values[s])!r}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_dot_text(mdp, strategy=None, full: bool = False) -> str:
+    """DOT, one node and one edge at a time."""
+    lines = ["digraph mdp {", "  rankdir=LR;"]
+    for i in range(mdp.n_states):
+        label = "\\n".join(f"{k}={v}" for k, v in mdp.space.atoms(i))
+        lines.append(f'  s{i} [label="{label}"];')
+    for i in range(mdp.n_states):
+        names = mdp.action_names if full \
+            else [mdp.action_names[strategy.actions[i]]]
+        for name in names:
+            for j, p in sorted(mdp.transitions[name].row(i).items()):
+                r = float(mdp.rewards[name].get(i, j))
+                lines.append(f'  s{i} -> s{j} '
+                             f'[label="{name}, {float(p):g}, {r:+g}"];')
+    lines.append("}")
     return "\n".join(lines) + "\n"
 
 
@@ -154,6 +177,16 @@ def test_writers_match_reference_after_reload(models):
         _assert_same_outputs(load_mdp(dump_mdp(models[name])))
 
 
+def test_dot_matches_reference_formatter(models):
+    for name in ("toy", "restaurant", "non-ascii"):
+        for mdp in (models[name], load_mdp(dump_mdp(models[name]))):
+            strategy = value_iteration(mdp)
+            assert dot_text(mdp, strategy) == \
+                reference_dot_text(mdp, strategy)
+            assert dot_text(mdp, full=True) == \
+                reference_dot_text(mdp, full=True)
+
+
 def test_policy_values_keep_their_own_text(toy_mdp):
     """Values equal as floats but printed differently (0.0 and -0.0)
     keep their own text."""
@@ -202,6 +235,59 @@ def test_load_mdp_rejects_gamma_beyond_float_range(toy_mdp, gamma, shown):
     with pytest.raises(CompileError,
                        match=rf"^line 2: discount factor {shown} outside"):
         load_mdp(text)
+
+
+def test_load_mdp_names_the_first_state_line_out_of_order(toy_mdp):
+    lines = dump_mdp(toy_mdp).splitlines(keepends=True)
+    assert lines[7:9] == ["state 2 x=tt y=ff m=I\n", "state 3 x=tt y=ff m=R\n"]
+    lines[7:9] = ["state 2 x=tt y=ff m=R\n", "state 3 x=tt y=ff m=I\n"]
+    with pytest.raises(CompileError, match=re.escape(
+            "line 8: expected 'state 2 x=tt y=ff m=I', "
+            "got: 'state 2 x=tt y=ff m=R'")):
+        load_mdp("".join(lines))
+
+
+@pytest.mark.parametrize("states, message", [
+    # x=b y=c is missing; at the end, the line after the states differs
+    (["x=a y=c", "x=a y=d", "x=b y=d"],
+     "line 8: expected 'state 2 x=b y=c', got: 'state 2 x=b y=d'"),
+    (["x=a y=c", "x=a y=d", "x=b y=c"],
+     "line 9: expected 'state 3 x=b y=d', got: 'action noop 0'"),
+    (["x=a", "x=a"], "line 7: state 1 repeats an earlier assignment"),
+], ids=["missing-inside", "missing-last", "repeated"])
+def test_load_mdp_names_the_state_line_that_differs(states, message):
+    text = "".join(
+        ["obdmdp/1\ngamma 0.5\n", f"states {len(states)}\n",
+         "actions 1\ninitial 0\n"]
+        + [f"state {i} {atoms}\n" for i, atoms in enumerate(states)]
+        + ["action noop 0\nend\n"])
+    with pytest.raises(CompileError, match=f"^{re.escape(message)}$"):
+        load_mdp(text)
+
+
+# ---------------------------------------------------------------------------
+# The benchmark's stored outputs
+
+
+BENCH_MODELS = {  # (workload, model key) -> model text
+    **{("restaurant-2t", str(k)): restaurant_text(2, k) for k in range(3)},
+    **{("deadline-2t", str(k)): restaurant_text(2, k, within=3)
+       for k in range(3)},
+    ("simulate-restaurant", "restaurant.obd"): TEXT_MODELS["restaurant"],
+}
+
+
+@pytest.mark.parametrize("workload, key", BENCH_MODELS,
+                         ids=[f"{w}-{k}" for w, k in BENCH_MODELS])
+def test_bench_models_dump_the_stored_digests(workload, key):
+    """The sha256 of each benchmark model's obdmdp/1 text, as stored in
+    bench/expected.json: an output change fails here, not only in a
+    benchmark run."""
+    expected = json.loads((ROOT / "bench" / "expected.json").read_text())
+    mdp_text = dump_mdp(compile_model(parse_domain(
+        BENCH_MODELS[workload, key])))
+    assert hashlib.sha256(mdp_text.encode()).hexdigest() == \
+        expected["mdp_sha256"][workload][key]
 
 
 # ---------------------------------------------------------------------------

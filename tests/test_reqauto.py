@@ -12,6 +12,7 @@ import pytest
 
 from obd.dsl import Atom, Not, ReqKind, Requirement
 from obd.reqauto import (
+    REWARD_PARTS,
     build_automaton,
     reward,
     status_count,
@@ -218,6 +219,25 @@ def test_reward_matches_oracle(kind):
         after["m"] = rng.choice(auto.statuses)
         assert reward(auto, before, after) == \
             oracles.oracle_reward(req, before, after), (kind, before, after)
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=[k.value for k in KINDS])
+def test_reward_is_the_product_of_its_parts_exhaustive(kind):
+    """reward = r * before-part * after-part = the oracle's table, for
+    every status before and after and every truth of the required formula
+    before and after and of the cancellation formula after."""
+    req = make_req(kind, reward_value=7)
+    auto = build_automaton(req)
+    paid_before, paid_after = REWARD_PARTS[kind]
+    flag = {True: "tt", False: "ff"}
+    for st_b, st_a in itertools.product(auto.statuses, repeat=2):
+        for s_b, s_a, z_a in itertools.product((True, False), repeat=3):
+            before = {"s": flag[s_b], "a": "ff", "z": "ff", "m": st_b}
+            after = {"s": flag[s_a], "a": "ff", "z": flag[z_a], "m": st_a}
+            product = 7 * paid_before(st_b, s_b) * paid_after(st_a, s_a, z_a)
+            assert reward(auto, before, after) == product == \
+                oracles.oracle_reward(req, before, after), \
+                (st_b, st_a, s_b, s_a, z_a)
 
 
 def test_reward_scales_linearly():

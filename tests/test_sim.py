@@ -158,7 +158,8 @@ def test_reflex_controller_is_table_lookup(toy_mdp):
     controller = ReflexController(toy_mdp, strategy)
     rng = np.random.default_rng(0)
     for i in range(toy_mdp.n_states):
-        assert controller.choose(i, rng) == strategy.action_name(toy_mdp, i)
+        assert controller.choose(i, rng) == \
+            toy_mdp.action_names[strategy.actions[i]]
 
 
 def test_random_controller_covers_all_actions(toy_mdp):
