@@ -23,6 +23,7 @@ import click
 
 from obd import dsl
 from obd.compiler import (
+    DEFAULT_GAMMA,
     DEFAULT_STATE_LIMIT,
     FORMAT_MDP,
     MdpModel,
@@ -74,11 +75,15 @@ def _reporting(path: str):
 
 
 def _model(path: str, gamma, max_states: int) -> MdpModel:
-    """Load an obdmdp/1 file, or parse, validate and compile a model."""
+    """Load an obdmdp/1 file, or parse, validate and compile a model.
+    `gamma` is None when --gamma is not given."""
     with _reporting(path):
         text = Path(path).read_text(encoding="utf-8")
         if text.partition("\n")[0] == FORMAT_MDP:
-            return load_mdp(text)
+            if gamma is not None:
+                _fail(f"--gamma: error: {path} is an {FORMAT_MDP} file, "
+                      "which stores its own discount factor")
+            return load_mdp(text, max_states)
         model = dsl.parse_domain(text)
         diagnostics = dsl.validate(model)
         errors = [d for d in diagnostics if d.severity == "error"]
@@ -87,7 +92,8 @@ def _model(path: str, gamma, max_states: int) -> MdpModel:
             click.echo(diag.render(path), err=True)
         if errors:
             sys.exit(EXIT_ERROR)
-        mdp = compile_model(model, gamma=gamma, limit=max_states)
+        mdp = compile_model(model, DEFAULT_GAMMA if gamma is None else gamma,
+                            max_states)
     for warning in mdp.warnings:
         click.echo(warning.render(path), err=True)
     return mdp
@@ -108,14 +114,17 @@ def _write(path, text: str):
         Path(path).write_text(text, encoding="utf-8")
 
 
-def _exact(ctx, param, value: float):
+def _exact(ctx, param, value: float | None):
     """The decimal the user wrote, as an exact fraction; a non-finite
     value is passed on for the compiler's range check to report."""
-    return Fraction(str(value)) if math.isfinite(value) else value
+    if value is None or not math.isfinite(value):
+        return value
+    return Fraction(str(value))
 
 
-gamma_option = click.option("--gamma", default=0.95, show_default=True,
-                            callback=_exact, help="Discount factor in (0,1).")
+gamma_option = click.option(
+    "--gamma", type=float, default=None, show_default="0.95", callback=_exact,
+    help="Discount factor in (0,1); an obdmdp/1 file stores its own.")
 max_states_option = click.option(
     "--max-states", default=DEFAULT_STATE_LIMIT, show_default=True,
     help="Abort when the state space exceeds this size.")

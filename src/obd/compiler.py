@@ -74,6 +74,12 @@ class StateLimitError(CompileError):
     pass
 
 
+def _check_size(size: int, limit: int) -> None:
+    if size > limit:
+        raise StateLimitError(f"state space has {size} states, "
+                              f"exceeding the limit of {limit}")
+
+
 # ---------------------------------------------------------------------------
 # State space
 
@@ -721,9 +727,7 @@ def compile_model(model: DomainModel, gamma: Fraction = DEFAULT_GAMMA,
     # counted before any automaton lists the statuses of a huge deadline
     size = math.prod(len(v.domain) for v in model.variables) \
         * math.prod(status_count(r) for r in model.requirements)
-    if size > limit:
-        raise StateLimitError(f"state space has {size} states, "
-                              f"exceeding the limit of {limit}")
+    _check_size(size, limit)
 
     automata = tuple(build_automaton(r) for r in model.requirements)
     space = enumerate_states(model, automata)
@@ -856,13 +860,14 @@ def dump_mdp(mdp: MdpModel) -> str:
     return "".join(parts)
 
 
-def load_mdp(text: str) -> MdpModel:
+def load_mdp(text: str, limit: int = DEFAULT_STATE_LIMIT) -> MdpModel:
     """Parse an obdmdp/1 document back into a solvable model.
 
     Probabilities and rewards come back as the exact values of the written
     floats; the domain model and automata are not recoverable from this
     format, so the result supports solving and export but not simulation.
-    Malformed documents raise CompileError naming the line.
+    Malformed documents raise CompileError naming the line; a `states`
+    count above `limit` raises StateLimitError before any state is read.
     """
     lines = text.splitlines()
     if not lines or lines[0] != FORMAT_MDP:
@@ -912,6 +917,7 @@ def load_mdp(text: str) -> MdpModel:
     if gamma is None:
         raise error(f"discount factor {approx} outside (0,1)")
     n_states = integer(single("states"), 1)
+    _check_size(n_states, limit)
     n_actions = integer(single("actions"), 1)
     initial = integer(single("initial"), 0, n_states)
 

@@ -330,55 +330,62 @@ class _Parser:
         tok = tok or self.peek()
         raise ParseError(message, tok.line, tok.col)
 
-    def at_kw(self, word: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "KW" and tok.text == word
+    # Keyword and punctuation texts never spell an identifier or a number,
+    # so the text alone tells whether the next token is the one asked for.
 
-    def at_punct(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "PUNCT" and tok.text == text
+    def at(self, text: str) -> bool:
+        return self.tokens[self.pos].text == text
 
-    def expect_kw(self, word: str) -> Token:
-        if not self.at_kw(word):
-            self.error(f"expected '{word}'")
-        return self.next()
+    def accept(self, text: str) -> Optional[Token]:
+        """Consume and return the next token if it is this keyword or
+        punctuation."""
+        tok = self.tokens[self.pos]
+        if tok.text != text:
+            return None
+        self.pos += 1
+        return tok
 
-    def expect_punct(self, text: str) -> Token:
-        if not self.at_punct(text):
+    def expect(self, text: str) -> Token:
+        tok = self.accept(text)
+        if tok is None:
             self.error(f"expected '{text}'")
-        return self.next()
+        return tok
 
     def expect_id(self) -> Token:
-        tok = self.peek()
+        tok = self.next()
         if tok.kind != "ID":
-            self.error("expected identifier")
-        return self.next()
+            self.error("expected identifier", tok)
+        return tok
 
     def expect_nat(self) -> int:
-        tok = self.peek()
+        tok = self.next()
         if tok.kind != "NUM" or "." in tok.text:
-            self.error("expected non-negative integer")
-        self.next()
+            self.error("expected non-negative integer", tok)
         return int(tok.text)
 
     def expect_prob(self) -> Fraction:
-        tok = self.peek()
+        tok = self.next()
         if tok.kind != "NUM":
-            self.error("expected probability")
-        self.next()
+            self.error("expected probability", tok)
         value = Fraction(tok.text)
-        if self.at_punct("/"):  # exact rational form p/q
-            self.next()
-            den = self.peek()
+        if self.accept("/"):  # exact rational form p/q
+            den = self.next()
             if den.kind != "NUM" or "." in den.text:
-                self.error("expected integer denominator")
-            self.next()
+                self.error("expected integer denominator", den)
             if int(den.text) == 0:
                 self.error("zero denominator", den)
             value = value / int(den.text)
         if not (0 < value <= 1):
             self.error(f"probability {tok.text} outside (0,1]", tok)
         return value
+
+    def parse_assignment(self) -> tuple:
+        """`x=v`, `x` (x=tt) or `!x` (x=ff): the variable's token and the
+        value, as effect groups, Init and condition atoms write them."""
+        if self.accept("!"):
+            return self.expect_id(), "ff"
+        var = self.expect_id()
+        return var, self.expect_id().text if self.accept("=") else "tt"
 
     # -- conditions
 
@@ -387,69 +394,46 @@ class _Parser:
 
     def _parse_or(self) -> Formula:
         left = self._parse_and()
-        while self.peek().kind == "OR":
-            self.next()
+        while self.accept("||"):
             left = Or(left, self._parse_and())
         return left
 
     def _parse_and(self) -> Formula:
         left = self._parse_unary()
-        while self.at_punct("&"):
-            self.next()
+        while self.accept("&"):
             left = And(left, self._parse_unary())
         return left
 
     def _parse_unary(self) -> Formula:
-        if self.at_punct("!"):
-            self.next()
+        if self.accept("!"):
             return Not(self._parse_unary())
         return self._parse_primary()
 
     def _parse_primary(self) -> Formula:
-        if self.at_punct("("):
-            self.next()
+        if self.accept("("):
             inner = self.parse_condition()
-            self.expect_punct(")")
+            self.expect(")")
             return inner
-        if self.at_kw("true"):
-            self.next()
+        if self.accept("true"):
             return TRUE
-        if self.at_kw("false"):
-            self.next()
+        if self.accept("false"):
             return FALSE
-        name = self.expect_id()
-        if self.at_punct("="):
-            self.next()
-            value = self.expect_id()
-            return Atom(name.text, value.text)
-        return Atom(name.text, "tt")  # bare id is boolean shorthand
+        var, value = self.parse_assignment()  # _parse_unary read any '!'
+        return Atom(var.text, value)
 
     # -- effects
 
     def parse_effect_group(self) -> Effect:
-        open_tok = self.expect_punct("<")
+        open_tok = self.expect("<")
         assignments = []
         prob = Fraction(1)
-        while True:
-            if self.at_kw("prob"):
-                self.next()
+        while not self.at(">"):
+            if self.accept("prob"):
                 prob = self.expect_prob()
                 break
-            if self.at_punct(">"):
-                break
-            if self.at_punct("!"):
-                self.next()
-                var = self.expect_id()
-                assignments.append((var.text, "ff"))
-                continue
-            var = self.expect_id()
-            if self.at_punct("="):
-                self.next()
-                value = self.expect_id()
-                assignments.append((var.text, value.text))
-            else:
-                assignments.append((var.text, "tt"))
-        self.expect_punct(">")
+            var, value = self.parse_assignment()
+            assignments.append((var.text, value))
+        self.expect(">")
         if not assignments:
             self.error("empty effect group", open_tok)
         seen = set()
@@ -461,7 +445,7 @@ class _Parser:
 
     def parse_effect_groups(self, where: Token) -> tuple:
         effects = []
-        while self.at_punct("<"):
+        while self.at("<"):
             effects.append(self.parse_effect_group())
         if not effects:
             self.error("expected at least one '<...>' effect group")
@@ -473,54 +457,46 @@ class _Parser:
     # -- declarations
 
     def parse_variable(self) -> VariableDecl:
-        self.expect_kw("Variable")
+        self.expect("Variable")
         name = self.expect_id()
         domain = BOOL_DOMAIN
-        if self.at_kw("domain"):
-            self.next()
-            self.expect_punct("{")
+        if self.accept("domain"):
+            self.expect("{")
             values = [self.expect_id().text]
-            while self.at_punct(","):
-                self.next()
+            while self.accept(","):
                 values.append(self.expect_id().text)
-            self.expect_punct("}")
+            self.expect("}")
             if len(set(values)) != len(values):
                 self.error(f"duplicate value in domain of '{name.text}'", name)
             domain = tuple(values)
         return VariableDecl(name.text, domain, name.line, name.col)
 
     def parse_action(self) -> ActionDesc:
-        self.expect_kw("Action")
+        self.expect("Action")
         name = self.expect_id()
         branches = []
-        while self.at_kw("if"):
-            kw = self.next()
+        while kw := self.accept("if"):
             pre = self.parse_condition()
-            self.expect_kw("effects")
+            self.expect("effects")
             effects = self.parse_effect_groups(kw)
             branches.append(ActionBranch(pre, effects))
         if not branches:
             self.error(f"action '{name.text}' has no 'if ... effects' branch", name)
-        cost = 0
-        if self.at_kw("cost"):
-            self.next()
-            cost = self.expect_nat()
+        cost = self.expect_nat() if self.accept("cost") else 0
         return ActionDesc(name.text, tuple(branches), cost, name.line,
                           name.col)
 
     def parse_event(self) -> EventDesc:
-        self.expect_kw("Event")
+        self.expect("Event")
         name = self.expect_id()
         branches = []
-        while self.at_kw("if"):
-            kw = self.next()
+        while kw := self.accept("if"):
             pre = self.parse_condition()
             occur = Fraction(1)
-            if self.at_kw("occur"):
-                self.next()
-                self.expect_kw("prob")
+            if self.accept("occur"):
+                self.expect("prob")
                 occur = self.expect_prob()
-            self.expect_kw("effects")
+            self.expect("effects")
             effects = self.parse_effect_groups(kw)
             branches.append(EventBranch(pre, occur, effects))
         if not branches:
@@ -528,47 +504,31 @@ class _Parser:
         return EventDesc(name.text, tuple(branches), name.line, name.col)
 
     def parse_requirement(self) -> Requirement:
-        self.expect_kw("ReqID")
+        self.expect("ReqID")
         name = self.expect_id()
-        if self.at_kw("achieve"):
-            achieve = True
-        elif self.at_kw("maintain"):
-            achieve = False
-        else:
+        achieve = self.accept("achieve") is not None
+        if not achieve and not self.accept("maintain"):
             self.error("expected 'achieve' or 'maintain'")
-        self.next()
         required = self.parse_condition()
         duration = None
         deadline = None
-        exact = None
-        if self.at_kw("for"):
-            self.next()
+        if self.accept("for"):
             duration = self.expect_nat()
             if duration < 1:
                 self.error("duration must be positive", name)
-        if self.at_kw("after") or self.at_kw("within"):
-            exact = self.at_kw("after")
-            self.next()
+        exact = self.accept("after")
+        if exact or self.accept("within"):
             deadline = self.expect_nat()
             if deadline < 1:
                 self.error("deadline must be positive", name)
         activation = None
         cancellation = None
-        if self.at_kw("if"):
-            self.next()
+        if self.accept("if"):
             activation = self.parse_condition()
-            if self.at_kw("unless"):
-                self.next()
+            if self.accept("unless"):
                 cancellation = self.parse_condition()
-        reward = 0
-        once = False
-        if self.at_kw("reward"):
-            self.next()
-            reward = self.expect_nat()
-        elif self.at_kw("reward_once"):
-            self.next()
-            reward = self.expect_nat()
-            once = True
+        once = self.accept("reward_once")
+        reward = self.expect_nat() if once or self.accept("reward") else 0
         kind = self._requirement_kind(name, achieve, activation is not None,
                                       duration, deadline, exact, once)
         return Requirement(name.text, kind, required, activation, cancellation,
@@ -576,46 +536,30 @@ class _Parser:
 
     def _requirement_kind(self, name: Token, achieve: bool, conditional: bool,
                           duration, deadline, exact, once) -> ReqKind:
+        """Spell the kind with the letters ReqKind's properties read."""
         if (duration is not None or deadline is not None) and not conditional:
             self.error("deadline/duration requirements need an 'if' clause", name)
         if once and duration is None:
             self.error("'reward_once' needs a 'for' duration", name)
-        if achieve:
-            if duration is not None:
-                self.error("'for' duration is only for maintain requirements", name)
-            if deadline is not None:
-                return ReqKind.DEA if exact else ReqKind.DFA
-            return ReqKind.CA if conditional else ReqKind.UA
-        if duration is not None:
-            if deadline is not None:
-                if exact:
-                    return ReqKind.RPDEM if once else ReqKind.PDEM
-                return ReqKind.RPDFM if once else ReqKind.PDFM
-            return ReqKind.RPM if once else ReqKind.PM
+        if achieve and duration is not None:
+            self.error("'for' duration is only for maintain requirements", name)
+        letters = ("R" if once else "") + ("P" if duration is not None else "")
         if deadline is not None:
-            return ReqKind.DEM if exact else ReqKind.DFM
-        return ReqKind.CM if conditional else ReqKind.UM
+            letters += "DE" if exact else "DF"
+        elif duration is None:
+            letters += "C" if conditional else "U"
+        return ReqKind(letters + ("A" if achieve else "M"))
 
     def parse_init(self) -> list:
-        self.expect_kw("Init")
-        self.expect_punct("{")
+        self.expect("Init")
+        self.expect("{")
         items = []
-        while not self.at_punct("}"):
+        while not self.at("}"):
             if items:
-                self.expect_punct(",")
-            if self.at_punct("!"):
-                self.next()
-                var = self.expect_id()
-                items.append((var.text, "ff", var))
-                continue
-            var = self.expect_id()
-            if self.at_punct("="):
-                self.next()
-                value = self.expect_id()
-                items.append((var.text, value.text, var))
-            else:
-                items.append((var.text, "tt", var))
-        self.expect_punct("}")
+                self.expect(",")
+            var, value = self.parse_assignment()
+            items.append((var.text, value, var))
+        self.expect("}")
         return items
 
     # -- whole model
@@ -629,15 +573,15 @@ class _Parser:
         init_tok = None
         while self.peek().kind != "EOF":
             tok = self.peek()
-            if self.at_kw("Variable"):
+            if self.at("Variable"):
                 variables.append((self.parse_variable(), tok))
-            elif self.at_kw("Action"):
+            elif self.at("Action"):
                 actions.append((self.parse_action(), tok))
-            elif self.at_kw("Event"):
+            elif self.at("Event"):
                 events.append((self.parse_event(), tok))
-            elif self.at_kw("ReqID"):
+            elif self.at("ReqID"):
                 requirements.append((self.parse_requirement(), tok))
-            elif self.at_kw("Init"):
+            elif self.at("Init"):
                 if init_items is not None:
                     self.error("duplicate Init block", tok)
                 init_tok = tok

@@ -215,8 +215,6 @@ class ReplanningController(Controller):
 
     name = "replan"
 
-    TRACKED_KINDS = ("UA", "CA", "DEA", "DFA")
-
     def __init__(self, mdp: MdpModel, budget: int = 10_000):
         if mdp.model is None:
             raise SimulationError("replanning needs an in-process compile")
@@ -227,8 +225,10 @@ class ReplanningController(Controller):
         self.predicted_base: Optional[dict] = None
         self.current_base: Optional[dict] = None
         self.failures = 0
-        self.tracked = [auto for auto in mdp.automata
-                        if auto.requirement.kind.value in self.TRACKED_KINDS]
+        # achieve requirements, each with whether it waits for activation
+        self.tracked = [(auto, auto.requirement.kind.is_conditional)
+                        for auto in mdp.automata
+                        if auto.requirement.kind.is_achieve]
         self.actions = {a.name: a for a in self.model.actions}
 
     @property
@@ -241,9 +241,9 @@ class ReplanningController(Controller):
 
     def _active_goals(self, state: dict, base: dict) -> list:
         goals = []
-        for auto in self.tracked:
+        for auto, conditional in self.tracked:
             req = auto.requirement
-            if req.kind.value == "UA":
+            if not conditional:
                 if not eval_formula(req.required, base):
                     goals.append(req.required)
             elif state[auto.name] != "I":

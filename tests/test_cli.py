@@ -224,6 +224,40 @@ def test_solve_mdp_with_states_out_of_order_names_the_line(tmp_path):
         "got: 'state 2 x=tt y=ff m=R'")
 
 
+@pytest.mark.parametrize("command", ["solve", "export-dot"])
+def test_obdmdp_input_honours_max_states(tmp_path, command):
+    mdp = tmp_path / "toy.mdp"
+    assert invoke("compile", TOY, "--out", str(mdp)).exit_code == 0
+    result = invoke(command, str(mdp), "--max-states", "4")
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # no Python traceback
+    assert result.stderr == (f"{mdp}: error: state space has 8 states, "
+                             "exceeding the limit of 4\n")
+    assert invoke(command, str(mdp), "--max-states", "8").exit_code == 0
+
+
+@pytest.mark.parametrize("command", ["solve", "export-dot"])
+def test_obdmdp_input_rejects_gamma(tmp_path, command):
+    mdp = tmp_path / "toy.mdp"
+    assert invoke("compile", TOY, "--out", str(mdp)).exit_code == 0
+    assert diagnostic(command, str(mdp), "--gamma", "0.5") == (
+        f"--gamma: error: {mdp} is an obdmdp/1 file, which stores its own "
+        "discount factor")
+
+
+@pytest.mark.parametrize("command", ["solve", "export-dot"])
+def test_gamma_defaults_to_the_obd_default_or_the_files_own(tmp_path,
+                                                           command):
+    mdp = tmp_path / "toy.mdp"
+    assert invoke("compile", TOY, "--out", str(mdp)).exit_code == 0
+    outputs = [invoke(command, *args, "--out", "-").output
+               for args in ([TOY], [TOY, "--gamma", "0.95"], [str(mdp)],
+                            [TOY, "--gamma", "0.5"])]
+    assert outputs[0] == outputs[1] == outputs[2]
+    if command == "solve":  # the strategy's values
+        assert outputs[3] != outputs[0]
+
+
 def test_solve_substochastic_row_exits_1(tmp_path):
     """The stacked operator's row check names the action and the state row,
     not the row's index in the stacked matrix."""

@@ -755,6 +755,14 @@ def test_load_mdp_rejects_truncated_document(toy_mdp):
         "line 13: expected 'state' line, got end of input"
 
 
+def test_load_mdp_checks_the_state_limit_before_any_state_line(toy_mdp):
+    lines = dump_mdp(toy_mdp).splitlines()
+    with pytest.raises(StateLimitError, match="^state space has 8 states, "
+                       "exceeding the limit of 7$"):
+        load_mdp("\n".join(lines[:3]) + "\n", limit=7)
+    assert load_mdp(dump_mdp(toy_mdp), limit=8).n_states == 8
+
+
 def test_load_mdp_rejects_missing_end(toy_mdp):
     lines = dump_mdp(toy_mdp).splitlines()
     assert "missing 'end' line" in _load_error(lines[:-1])

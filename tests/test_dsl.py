@@ -150,6 +150,33 @@ def test_format_round_trip_random(seed):
     assert parse_domain(format_model(reparsed)) == reparsed
 
 
+# The clauses that spell each requirement kind, in format_model's order.
+KIND_CLAUSES = {
+    ReqKind.UA: "achieve x reward 5",
+    ReqKind.UM: "maintain x reward 5",
+    ReqKind.CA: "achieve x if !x unless y reward 5",
+    ReqKind.CM: "maintain x if x reward 5",
+    ReqKind.DEA: "achieve x after 2 if !x reward 5",
+    ReqKind.DFA: "achieve x within 2 if !x unless y reward 5",
+    ReqKind.DEM: "maintain x after 2 if x reward 5",
+    ReqKind.DFM: "maintain x within 2 if x reward 5",
+    ReqKind.PM: "maintain x for 2 if x reward 5",
+    ReqKind.PDEM: "maintain x for 2 after 3 if x unless y reward 5",
+    ReqKind.PDFM: "maintain x for 2 within 3 if x reward 5",
+    ReqKind.RPM: "maintain x for 2 if x reward_once 5",
+    ReqKind.RPDEM: "maintain x for 2 after 3 if x reward_once 5",
+    ReqKind.RPDFM: "maintain x for 2 within 3 if x unless y reward_once 5",
+}
+
+
+@pytest.mark.parametrize("kind", list(ReqKind), ids=lambda k: k.value)
+def test_every_kind_reads_from_its_clauses(kind):
+    clauses = KIND_CLAUSES[kind]
+    model = parse_domain(f"Variable x\nReqID r {clauses}\nInit {{ x, !y }}")
+    assert model.requirements[0].kind is kind
+    assert f"\nReqID r {clauses}\n" in format_model(model)
+
+
 # ---------------------------------------------------------------------------
 # Parse errors carry positions
 
