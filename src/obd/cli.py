@@ -221,6 +221,8 @@ def cmd_simulate(input_path, controllers, ticks, seeds, gamma, epsilon,
     if not names:
         _fail("--controller: error: names no controller")
     mdp = _model(input_path, gamma, max_states)
+    with _reporting(input_path):  # before solving: obdmdp/1 cannot simulate
+        simulation.require_source(mdp)
 
     strategy = None
     if "reflex" in names and policy_path is not None:
@@ -230,7 +232,7 @@ def cmd_simulate(input_path, controllers, ticks, seeds, gamma, epsilon,
     elif "reflex" in names:
         strategy = _solve(input_path, mdp, "value", epsilon)
 
-    with _reporting(input_path):  # an obdmdp/1 file cannot be simulated
+    with _reporting(input_path):
         rows = [simulation.run(mdp, _controller(name, mdp, strategy,
                                                 planner_budget), ticks, seed)
                 for name in names for seed in range(seeds)]

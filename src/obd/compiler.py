@@ -594,7 +594,7 @@ class _Products(Mapping):
         return len(self._names)
 
 
-@dataclass
+@dataclass(eq=False)  # compared by identity: the simulator keys tables by it
 class MdpModel:
     space: StateSpace
     action_names: tuple  # noop first, then declaration order

@@ -6,6 +6,20 @@ state fires independently with its occurrence probability, in declaration
 order, at most once. This mirrors the compiler's matrix product exactly,
 so empirical step frequencies converge to the implicit transition rows.
 
+Every outcome of a tick is a function of the state, the action and the
+draws, so `step` looks it up in three tables kept per model (memo
+functions, Michie 1968): per action or event and base state, the matched
+branch's occurrence probability and its effects' cumulative thresholds and
+successor bases; per action or event step, the status tuple after it; and
+per (state before, state after), the requirement rewards and the names of
+the requirements satisfied. The simulator's own branch matcher and
+`reqauto`'s status updates and reward fill each entry the first time a
+tick reads it; the compiled matrices are never read, so criterion 6
+still compares two transcriptions of the tick. The decoded base and
+status dicts the fills read are kept too, read-only, and the replanning
+controller shares them. The tables live as long as their model and grow
+with the states and transitions the runs on it visit.
+
 Randomness comes from numpy's default generator (PCG64), seeded per run,
 so traces replay across platforms.
 """
@@ -17,8 +31,9 @@ import heapq
 import io
 import statistics
 import time
+import weakref
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -32,23 +47,48 @@ class SimulationError(ObdError):
     pass
 
 
+def require_source(mdp: MdpModel) -> None:
+    """Raise SimulationError unless `mdp` was compiled from `.obd` source
+    in this process: a model read from obdmdp/1 has no branches to sample."""
+    if mdp.model is None:
+        raise SimulationError("model was loaded from obdmdp text; "
+                              "simulation needs an in-process compile")
+
+
 # ---------------------------------------------------------------------------
-# One simulation step
+# Step tables
 
 
-def _sample_effects(branch, base: dict, rng) -> dict:
-    """Pick one effect set of the branch (or the residual no-change
-    outcome) and apply it to the base."""
-    u = rng.random()
-    acc = 0.0
-    for eff in branch.effects:
-        acc += float(eff.probability)
-        if u < acc:
-            new = dict(base)
-            for var, value in eff.assignments:
-                new[var] = value
-            return new
-    return dict(base)
+class _Memo(dict):
+    """A dict that computes a missing entry with `fill` on first read."""
+
+    def __init__(self, fill: Callable):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+class _Tables(NamedTuple):
+    n_statuses: int  # S, in state index = base index * S + sigma
+    # action name -> (cost, base index -> None when no branch matches,
+    # else the effects as ((cumulative probability, successor base), ...))
+    actions: dict
+    # per event, declaration order: base index -> None, or
+    # (occurrence probability, effects as above)
+    events: tuple
+    after_action: _Memo  # successor base * S + sigma -> sigma after
+    after_event: _Memo  # the same, for an event occurrence
+    rewards: _Memo  # (index before, index after) -> (reward, satisfied)
+    bases: _Memo  # base index -> {variable: value}; read-only
+    statuses: _Memo  # sigma -> {requirement: status}; read-only
+
+
+# Keyed by the model, so the tables are freed with it; they hold no
+# reference back to it.
+_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _matched_branch(branches, base: dict):
@@ -58,56 +98,140 @@ def _matched_branch(branches, base: dict):
     return None
 
 
+def _new_tables(mdp: MdpModel) -> _Tables:
+    require_source(mdp)
+    space = mdp.space
+    automata = mdp.automata
+    n_statuses = space.n_statuses
+    base_names = space.names[:space.n_base]
+
+    def base(b: int) -> dict:  # the first fill at any base: checks indices
+        if not 0 <= b * n_statuses < space.size:
+            raise SimulationError(f"state index outside 0..{space.size - 1}")
+        state = space.state(b * n_statuses)
+        return {name: state[name] for name in base_names}
+
+    def statuses(sigma: int) -> dict:
+        state = space.state(sigma)
+        return {auto.name: state[auto.name] for auto in automata}
+
+    bases = _Memo(base)
+    status_dicts = _Memo(statuses)
+
+    def effects(branch, b: int) -> tuple:
+        """Each effect's cumulative probability, summed in declaration
+        order as floats, and the base it leads to; a draw below no
+        threshold leaves the base unchanged."""
+        out = []
+        acc = 0.0
+        for eff in branch.effects:
+            acc += float(eff.probability)
+            state = space.state(b * n_statuses)
+            state.update(eff.assignments)
+            out.append((acc, space.index_of(state) // n_statuses))
+        return tuple(out)
+
+    def action_outcomes(action: ActionDesc) -> _Memo:
+        def fill(b: int):
+            branch = _matched_branch(action.branches, bases[b])
+            return None if branch is None else effects(branch, b)
+        return _Memo(fill)
+
+    def event_outcomes(event) -> _Memo:
+        def fill(b: int):
+            branch = _matched_branch(event.branches, bases[b])
+            if branch is None:
+                return None
+            return float(branch.occurrence_probability), effects(branch, b)
+        return _Memo(fill)
+
+    def after_step(update) -> _Memo:
+        def fill(key: int) -> int:
+            b, sigma = divmod(key, n_statuses)
+            new_base = bases[b]
+            before = status_dicts[sigma]
+            state = dict(new_base)
+            state.update((auto.name, update(auto, before[auto.name], new_base))
+                         for auto in automata)
+            return space.index_of(state) % n_statuses
+        return _Memo(fill)
+
+    def reward(key: tuple) -> tuple:
+        before, after = space.state(key[0]), space.state(key[1])
+        total = 0
+        satisfied = []
+        for auto in automata:
+            r = requirement_reward(auto, before, after)
+            if r:
+                satisfied.append(auto.name)
+            total += r
+        return total, tuple(satisfied)
+
+    return _Tables(
+        n_statuses,
+        {name: (action.cost, action_outcomes(action))
+         for name, action in zip(mdp.action_names, mdp.actions)},
+        tuple(event_outcomes(event) for event in mdp.model.events),
+        after_step(update_action), after_step(update_event), _Memo(reward),
+        bases, status_dicts)
+
+
+def _tables(mdp: MdpModel) -> _Tables:
+    try:
+        return _TABLES[mdp]
+    except KeyError:
+        tables = _TABLES[mdp] = _new_tables(mdp)
+        return tables
+
+
+# ---------------------------------------------------------------------------
+# One simulation step
+
+
 def step(mdp: MdpModel, state_index: int, action_name: str, rng):
     """Advance one tick: apply the action, then fire events.
 
     Returns (next_state_index, reward_earned, satisfied_requirement_names).
     The reward is the same quantity the compiled reward matrix assigns to
-    the sampled transition (requirement rewards minus action cost).
+    the sampled transition (requirement rewards minus action cost). Draws
+    one number for the action when a branch matches, and for each event
+    whose branch matches one for its occurrence and, when it occurs, one
+    for its effect.
     """
-    if mdp.model is None:
-        raise SimulationError("model was loaded from obdmdp text; "
-                              "simulation needs an in-process compile")
-    space = mdp.space
-    automata = mdp.automata
-    before = space.state(state_index)
-    base_names = space.names[:space.n_base]
-    base = {name: before[name] for name in base_names}
-    statuses = {auto.name: before[auto.name] for auto in automata}
-
+    n_statuses, actions, events, after_action, after_event, rewards, _, _ \
+        = _tables(mdp)
+    b, sigma = divmod(state_index, n_statuses)
     try:
-        action = mdp.actions[mdp.action_names.index(action_name)]
-    except ValueError:
+        cost, outcomes = actions[action_name]
+    except KeyError:
         raise SimulationError(f"unknown action '{action_name}'") from None
 
-    branch = _matched_branch(action.branches, base)
-    new_base = _sample_effects(branch, base, rng) if branch is not None else base
-    statuses = {auto.name: update_action(auto, statuses[auto.name], new_base)
-                for auto in automata}
-    base = new_base
+    effects = outcomes[b]
+    if effects is not None:
+        u = rng.random()
+        for threshold, successor in effects:
+            if u < threshold:
+                b = successor
+                break
+    sigma = after_action[b * n_statuses + sigma]
 
-    for event in mdp.model.events:
-        branch = _matched_branch(event.branches, base)
-        if branch is None:
+    for outcomes in events:
+        outcome = outcomes[b]
+        if outcome is None:
             continue
-        if rng.random() >= float(branch.occurrence_probability):
+        occurrence, effects = outcome
+        if rng.random() >= occurrence:
             continue
-        base = _sample_effects(branch, base, rng)
-        statuses = {auto.name: update_event(auto, statuses[auto.name], base)
-                    for auto in automata}
+        u = rng.random()
+        for threshold, successor in effects:
+            if u < threshold:
+                b = successor
+                break
+        sigma = after_event[b * n_statuses + sigma]
 
-    after = dict(base)
-    after.update(statuses)
-    next_index = space.index_of(after)
-
-    earned = -action.cost
-    satisfied = []
-    for auto in automata:
-        r = requirement_reward(auto, before, after)
-        if r:
-            satisfied.append(auto.name)
-        earned += r
-    return next_index, earned, tuple(satisfied)
+    next_index = b * n_statuses + sigma
+    reward, satisfied = rewards[state_index, next_index]
+    return next_index, reward - cost, satisfied
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +340,7 @@ class ReplanningController(Controller):
     name = "replan"
 
     def __init__(self, mdp: MdpModel, budget: int = 10_000):
-        if mdp.model is None:
-            raise SimulationError("replanning needs an in-process compile")
-        self.mdp = mdp
+        self.tables = _tables(mdp)  # the base and status dicts, read-only
         self.model = mdp.model
         self.budget = budget
         self.plan_queue: list = []
@@ -235,27 +357,23 @@ class ReplanningController(Controller):
     def plan_failures(self) -> int:
         return self.failures
 
-    def _base_of(self, state: dict) -> dict:
-        return {name: state[name]
-                for name in self.mdp.space.names[:self.mdp.space.n_base]}
-
-    def _active_goals(self, state: dict, base: dict) -> list:
+    def _active_goals(self, statuses: dict, base: dict) -> list:
         goals = []
         for auto, conditional in self.tracked:
             req = auto.requirement
             if not conditional:
                 if not eval_formula(req.required, base):
                     goals.append(req.required)
-            elif state[auto.name] != "I":
+            elif statuses[auto.name] != "I":
                 goals.append(req.required)
         return goals
 
     def choose(self, state_index: int, rng) -> str:
         if self.plan_queue:
             return self._execute_head()
-        state = self.mdp.space.state(state_index)
-        base = self._base_of(state)
-        goals = self._active_goals(state, base)
+        b, sigma = divmod(state_index, self.tables.n_statuses)
+        base = self.tables.bases[b]
+        goals = self._active_goals(self.tables.statuses[sigma], base)
         if not goals:
             self.predicted_base = None
             return NOOP
@@ -277,11 +395,11 @@ class ReplanningController(Controller):
         predicted = _determinized_successor(self.actions[action_name],
                                             self.current_base)
         self.predicted_base = predicted if predicted is not None \
-            else dict(self.current_base)
+            else self.current_base
         return action_name
 
     def observe(self, prev_index: int, action: str, next_index: int) -> None:
-        actual = self._base_of(self.mdp.space.state(next_index))
+        actual = self.tables.bases[next_index // self.tables.n_statuses]
         if self.predicted_base is not None:
             if actual != self.predicted_base:
                 self.failures += 1

@@ -4,10 +4,10 @@ Everything here is written from the normative tables and execution rules
 directly, on purpose duplicating none of the production code paths: a
 literal case-table transcription of the requirement status updates and
 rewards, a brute-force interleaving enumerator for one tick of
-action-then-events, the per-state occurrence probabilities of an event,
-the pairs of effective event matrices whose exact products differ,
-exhaustive policy enumeration for tiny MDPs, and a random model
-generator.
+action-then-events, one sampled tick computed straight through, the
+per-state occurrence probabilities of an event, the pairs of effective
+event matrices whose exact products differ, exhaustive policy
+enumeration for tiny MDPs, and a random model generator.
 """
 
 from __future__ import annotations
@@ -309,6 +309,65 @@ def pair_rewards(model: DomainModel, space, action: ActionDesc,
     for req in model.requirements:
         total += oracle_reward(req, before, after)
     return total
+
+
+# ---------------------------------------------------------------------------
+# One simulation tick, straight-line: the reference for the simulator's
+# step tables. It decodes the state, matches branches (first match, as the
+# simulator does), samples effects, advances statuses and pays rewards on
+# every call, drawing from `rng` exactly where a tick draws.
+
+
+def _sample_effects(branch, base, rng) -> dict:
+    """One effect of the branch, or the residual no-change outcome."""
+    u = rng.random()
+    acc = 0.0
+    for eff in branch.effects:
+        acc += float(eff.probability)
+        if u < acc:
+            return _apply(base, eff.assignments)
+    return dict(base)
+
+
+def _first_match(branches, base):
+    return next((br for br in branches if holds(br.precondition, base)), None)
+
+
+def oracle_step(mdp, state_index: int, action_name: str, rng):
+    """(next index, reward earned, satisfied requirement names) of one
+    tick of `mdp`, a model compiled from source."""
+    space = mdp.space
+    model = mdp.model
+    before = space.state(state_index)
+    base = {name: before[name] for name in space.names[:space.n_base]}
+    statuses = {req.name: before[req.name] for req in model.requirements}
+    action = mdp.actions[mdp.action_names.index(action_name)]
+
+    def advance(new_base, time_step):
+        return {req.name: oracle_update(req, statuses[req.name], new_base,
+                                        time_step)
+                for req in model.requirements}
+
+    branch = _first_match(action.branches, base)
+    if branch is not None:
+        base = _sample_effects(branch, base, rng)
+    statuses = advance(base, True)
+    for event in model.events:
+        branch = _first_match(event.branches, base)
+        if branch is None:
+            continue
+        if rng.random() >= float(branch.occurrence_probability):
+            continue
+        base = _sample_effects(branch, base, rng)
+        statuses = advance(base, False)
+
+    after = dict(base)
+    after.update(statuses)
+    satisfied = tuple(req.name for req in model.requirements
+                      if oracle_reward(req, before, after))
+    next_index = space.index_of(after)
+    return (next_index, pair_rewards(model, space, action, state_index,
+                                     next_index), satisfied)
 
 
 # ---------------------------------------------------------------------------

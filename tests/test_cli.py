@@ -435,6 +435,18 @@ def test_simulate_obdmdp_file_exits_1(tmp_path):
         assert head.startswith(f"{mdp}: error: ")
 
 
+def test_simulate_obdmdp_file_exits_before_solving(tmp_path, monkeypatch):
+    mdp = tmp_path / "toy.mdp"
+    assert invoke("compile", TOY, "--out", str(mdp)).exit_code == 0
+    solves = []
+    monkeypatch.setattr("obd.cli.value_iteration",
+                        lambda *args: solves.append(args))
+    assert diagnostic("simulate", str(mdp), "--ticks", "10") == (
+        f"{mdp}: error: model was loaded from obdmdp text; "
+        "simulation needs an in-process compile")
+    assert solves == []
+
+
 @pytest.mark.parametrize("flag,value,message", [
     ("--ticks", "-1", "--ticks: error: must be >= 0"),
     ("--seeds", "-2", "--seeds: error: must be >= 1"),

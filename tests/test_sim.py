@@ -1,10 +1,17 @@
 """Simulator, planner, controllers, metrics."""
 
+import gc
 import math
+import random
+import sys
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oracles
+from obd import sim
 from obd.compiler import compile_model, dump_mdp, load_mdp
 from obd.dsl import Atom, parse_domain
 from obd.sim import (
@@ -19,6 +26,10 @@ from obd.sim import (
     step,
 )
 from obd.solver import value_iteration
+
+sys.path.insert(0, str(Path(__file__).parent.parent / "bench"))
+
+from models import restaurant_text  # noqa: E402
 
 
 # ---------------------------------------------------------------------------
@@ -69,6 +80,13 @@ def test_step_unknown_action(toy_mdp):
         step(toy_mdp, 0, "warp", np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("offset", [-1, 0, 5])
+def test_step_rejects_a_state_index_out_of_range(toy_mdp, offset):
+    index = offset if offset < 0 else toy_mdp.n_states + offset
+    with pytest.raises(SimulationError, match=r"outside 0\.\.7"):
+        step(toy_mdp, index, "noop", np.random.default_rng(0))
+
+
 def test_loaded_mdp_cannot_simulate(toy_mdp):
     loaded = load_mdp(dump_mdp(toy_mdp))
     with pytest.raises(SimulationError):
@@ -92,6 +110,90 @@ def test_empirical_frequencies_match_compiled_row(toy_mdp):
         p = float(p)
         se = math.sqrt(p * (1 - p) / n)
         assert abs(counts.get(j, 0) / n - p) <= 3 * se, (j, p)
+
+
+# ---------------------------------------------------------------------------
+# Step tables against the straight-line tick
+
+
+def _compare_ticks(mdps, ticks: int, seed: int = 0):
+    """`step` and `oracles.oracle_step` on one random action sequence per
+    model, the models taking turns a tick each: equal results, and equal
+    generator states after every tick. Every 100th tick starts from a
+    random state, to reach more of the space."""
+    choosers = [random.Random(seed) for _ in mdps]
+    rngs = [np.random.default_rng(seed) for _ in mdps]
+    oracle_rngs = [np.random.default_rng(seed) for _ in mdps]
+    states = [mdp.initial_index for mdp in mdps]
+    for tick in range(ticks):
+        for k, mdp in enumerate(mdps):
+            if tick % 100 == 99:
+                states[k] = choosers[k].randrange(mdp.n_states)
+            action = choosers[k].choice(mdp.action_names)
+            got = step(mdp, states[k], action, rngs[k])
+            want = oracles.oracle_step(mdp, states[k], action, oracle_rngs[k])
+            assert got == want, (k, tick, states[k], action)
+            assert rngs[k].bit_generator.state == \
+                oracle_rngs[k].bit_generator.state, (k, tick)
+            states[k] = got[0]
+
+
+def test_step_matches_oracle_on_shipped_models(toy_mdp, restaurant_mdp):
+    _compare_ticks([toy_mdp], 2_000, seed=1)
+    _compare_ticks([restaurant_mdp], 5_000, seed=2)
+
+
+@pytest.mark.parametrize("within", [None, 3])
+def test_step_matches_oracle_at_two_tables(within):
+    mdp = compile_model(parse_domain(restaurant_text(2, 0, within=within)))
+    _compare_ticks([mdp], 3_000, seed=3)
+
+
+def test_step_matches_oracle_on_random_models():
+    for seed in range(30):
+        mdp = compile_model(oracles.random_model(random.Random(7000 + seed)))
+        _compare_ticks([mdp], 500, seed=seed)
+
+
+def test_step_tables_never_mix_models():
+    """Two models with the same states, actions and events but other
+    probabilities, ticked in turns with the same draws."""
+    mdps = [compile_model(parse_domain(restaurant_text(2, seed)))
+            for seed in (0, 1)]
+    assert mdps[0].space == mdps[1].space
+    _compare_ticks(mdps, 2_000, seed=4)
+
+
+def test_step_tables_are_freed_with_their_model(toy_text):
+    mdp = compile_model(parse_domain(toy_text))
+    step(mdp, mdp.initial_index, "a", np.random.default_rng(0))
+    model = weakref.ref(mdp)
+    rewards = weakref.ref(sim._TABLES[mdp].rewards)
+    del mdp
+    gc.collect()
+    assert model() is None
+    assert rewards() is None
+
+
+def test_runs_leave_the_table_dicts_unchanged(restaurant_mdp):
+    """The replanning controller plans from the tables' base dicts; no
+    run may write into them."""
+    strategy = value_iteration(restaurant_mdp)
+    for controller in (ReflexController(restaurant_mdp, strategy),
+                       ReplanningController(restaurant_mdp),
+                       RandomController(restaurant_mdp)):
+        run(restaurant_mdp, controller, ticks=3_000, seed=6)
+    space = restaurant_mdp.space
+    tables = sim._TABLES[restaurant_mdp]
+    assert tables.bases and tables.statuses
+    for b, base in tables.bases.items():
+        state = space.state(b * space.n_statuses)
+        assert base == {name: state[name]
+                        for name in space.names[:space.n_base]}
+    for sigma, statuses in tables.statuses.items():
+        state = space.state(sigma)
+        assert statuses == {name: state[name]
+                            for name in space.names[space.n_base:]}
 
 
 # ---------------------------------------------------------------------------
