@@ -220,12 +220,14 @@ def cmd_simulate(input_path, controllers, ticks, seeds, gamma, epsilon,
               f"{', '.join(unknown)}")
     if not names:
         _fail("--controller: error: names no controller")
+    if policy_path is not None and "reflex" not in names:
+        _fail("--policy: error: only the reflex controller reads a policy")
     mdp = _model(input_path, gamma, max_states)
     with _reporting(input_path):  # before solving: obdmdp/1 cannot simulate
         simulation.require_source(mdp)
 
     strategy = None
-    if "reflex" in names and policy_path is not None:
+    if policy_path is not None:
         with _reporting(policy_path):
             strategy = load_policy(
                 Path(policy_path).read_text(encoding="utf-8"), mdp)

@@ -15,10 +15,12 @@ per (state before, state after), the requirement rewards and the names of
 the requirements satisfied. The simulator's own branch matcher and
 `reqauto`'s status updates and reward fill each entry the first time a
 tick reads it; the compiled matrices are never read, so criterion 6
-still compares two transcriptions of the tick. The decoded base and
-status dicts the fills read are kept too, read-only, and the replanning
-controller shares them. The tables live as long as their model and grow
-with the states and transitions the runs on it visit.
+still compares two transcriptions of the tick. A fourth table holds,
+per action and base, the successor base of the matched branch's most
+likely effect: the replanning controller searches base indices through
+it, and reads its goals' truth from the decoded base and status dicts
+the fills keep, read-only. The tables live as long as their model and
+grow with the states and transitions the runs on it visit.
 
 Randomness comes from numpy's default generator (PCG64), seeded per run,
 so traces replay across platforms.
@@ -37,7 +39,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from obd.dsl import ActionDesc, DomainModel, Formula, ObdError, Or, eval_formula
+from obd.dsl import ActionDesc, Formula, ObdError, Or, eval_formula
 from obd.compiler import MdpModel, NOOP
 from obd.reqauto import reward as requirement_reward, update_action, update_event
 from obd.solver import Strategy
@@ -84,6 +86,10 @@ class _Tables(NamedTuple):
     rewards: _Memo  # (index before, index after) -> (reward, satisfied)
     bases: _Memo  # base index -> {variable: value}; read-only
     statuses: _Memo  # sigma -> {requirement: status}; read-only
+    # action name -> (cost, base index -> the successor base of the
+    # matched branch's most likely effect (ties: first declared), or None
+    # when no branch matches, it has no effects or the base is unchanged)
+    determinized: dict
 
 
 # Keyed by the model, so the tables are freed with it; they hold no
@@ -137,6 +143,16 @@ def _new_tables(mdp: MdpModel) -> _Tables:
             return None if branch is None else effects(branch, b)
         return _Memo(fill)
 
+    def most_likely(action: ActionDesc, outcomes: _Memo) -> _Memo:
+        def fill(b: int):
+            branch = _matched_branch(action.branches, bases[b])
+            if branch is None or not branch.effects:
+                return None
+            probabilities = [eff.probability for eff in branch.effects]
+            succ = outcomes[b][probabilities.index(max(probabilities))][1]
+            return None if succ == b else succ
+        return _Memo(fill)
+
     def event_outcomes(event) -> _Memo:
         def fill(b: int):
             branch = _matched_branch(event.branches, bases[b])
@@ -167,13 +183,15 @@ def _new_tables(mdp: MdpModel) -> _Tables:
             total += r
         return total, tuple(satisfied)
 
+    actions = {name: (action.cost, action_outcomes(action))
+               for name, action in zip(mdp.action_names, mdp.actions)}
     return _Tables(
-        n_statuses,
-        {name: (action.cost, action_outcomes(action))
-         for name, action in zip(mdp.action_names, mdp.actions)},
+        n_statuses, actions,
         tuple(event_outcomes(event) for event in mdp.model.events),
         after_step(update_action), after_step(update_event), _Memo(reward),
-        bases, status_dicts)
+        bases, status_dicts,
+        {name: (action.cost, most_likely(action, actions[name][1]))
+         for name, action in zip(mdp.action_names, mdp.actions)})
 
 
 def _tables(mdp: MdpModel) -> _Tables:
@@ -198,8 +216,8 @@ def step(mdp: MdpModel, state_index: int, action_name: str, rng):
     whose branch matches one for its occurrence and, when it occurs, one
     for its effect.
     """
-    n_statuses, actions, events, after_action, after_event, rewards, _, _ \
-        = _tables(mdp)
+    n_statuses, actions, events, after_action, after_event, rewards, _, _, \
+        _ = _tables(mdp)
     b, sigma = divmod(state_index, n_statuses)
     try:
         cost, outcomes = actions[action_name]
@@ -282,53 +300,34 @@ class RandomController(Controller):
 # Forward-search planner on the determinized model
 
 
-def _determinized_successor(action: ActionDesc, base: dict):
-    """Most-likely effect of the action's matched branch (ties: first
-    declared); None when no precondition holds or nothing changes."""
-    branch = _matched_branch(action.branches, base)
-    if branch is None or not branch.effects:
-        return None
-    best = max(branch.effects, key=lambda eff: eff.probability)
-    new = dict(base)
-    for var, value in best.assignments:
-        new[var] = value
-    return new if new != base else None
-
-
-def plan(model: DomainModel, start_base: dict, goal: Formula,
+def plan(mdp: MdpModel, start: int, goal: Formula,
          budget: int = 10_000) -> Optional[list]:
-    """Uniform-cost forward search over the determinized base-state graph.
+    """Uniform-cost forward search over the determinized base-state graph,
+    from base index `start`.
 
     Events are ignored; each action is replaced by its most likely effect.
     Returns the cheapest plan (ties: shorter, then lexicographic action
     order) or None when the budget runs out or the goal is unreachable.
     """
-    var_order = [v.name for v in model.variables]
-
-    def key(base):
-        return tuple(base[v] for v in var_order)
-
-    start = dict(start_base)
-    frontier = [(0, 0, (), key(start), start)]
+    tables = _tables(mdp)
+    bases, determinized = tables.bases, tables.determinized.items()
+    frontier = [(0, 0, (), start)]
     seen = set()
     expanded = 0
     while frontier and expanded < budget:
-        cost, length, actions, k, base = heapq.heappop(frontier)
-        if eval_formula(goal, base):
+        cost, length, actions, b = heapq.heappop(frontier)
+        if eval_formula(goal, bases[b]):
             return list(actions)
-        if k in seen:
+        if b in seen:
             continue
-        seen.add(k)
+        seen.add(b)
         expanded += 1
-        for action in model.actions:
-            succ = _determinized_successor(action, base)
-            if succ is None:
+        for name, (action_cost, successors) in determinized:
+            succ = successors[b]
+            if succ is None or succ in seen:
                 continue
-            sk = key(succ)
-            if sk in seen:
-                continue
-            heapq.heappush(frontier, (cost + action.cost, length + 1,
-                                      actions + (action.name,), sk, succ))
+            heapq.heappush(frontier, (cost + action_cost, length + 1,
+                                      actions + (name,), succ))
     return None
 
 
@@ -340,18 +339,16 @@ class ReplanningController(Controller):
     name = "replan"
 
     def __init__(self, mdp: MdpModel, budget: int = 10_000):
+        self.mdp = mdp
         self.tables = _tables(mdp)  # the base and status dicts, read-only
-        self.model = mdp.model
         self.budget = budget
         self.plan_queue: list = []
-        self.predicted_base: Optional[dict] = None
-        self.current_base: Optional[dict] = None
+        self.predicted: Optional[int] = None  # base index after the action
         self.failures = 0
         # achieve requirements, each with whether it waits for activation
         self.tracked = [(auto, auto.requirement.kind.is_conditional)
                         for auto in mdp.automata
                         if auto.requirement.kind.is_achieve]
-        self.actions = {a.name: a for a in self.model.actions}
 
     @property
     def plan_failures(self) -> int:
@@ -369,43 +366,34 @@ class ReplanningController(Controller):
         return goals
 
     def choose(self, state_index: int, rng) -> str:
-        if self.plan_queue:
-            return self._execute_head()
         b, sigma = divmod(state_index, self.tables.n_statuses)
-        base = self.tables.bases[b]
-        goals = self._active_goals(self.tables.statuses[sigma], base)
-        if not goals:
-            self.predicted_base = None
-            return NOOP
-        goal = goals[0]
-        for g in goals[1:]:
-            goal = Or(goal, g)
-        found = plan(self.model, base, goal, self.budget)
-        if not found:  # unreachable or budget exhausted (empty = already met)
-            if found is None:
-                self.failures += 1
-            self.predicted_base = None
-            return NOOP
-        self.plan_queue = found
-        self.current_base = base
-        return self._execute_head()
-
-    def _execute_head(self) -> str:
+        if not self.plan_queue:
+            goals = self._active_goals(self.tables.statuses[sigma],
+                                       self.tables.bases[b])
+            if not goals:
+                self.predicted = None
+                return NOOP
+            goal = goals[0]
+            for g in goals[1:]:
+                goal = Or(goal, g)
+            found = plan(self.mdp, b, goal, self.budget)
+            if not found:  # unreachable or out of budget (empty = met)
+                if found is None:
+                    self.failures += 1
+                self.predicted = None
+                return NOOP
+            self.plan_queue = found
         action_name = self.plan_queue.pop(0)
-        predicted = _determinized_successor(self.actions[action_name],
-                                            self.current_base)
-        self.predicted_base = predicted if predicted is not None \
-            else self.current_base
+        succ = self.tables.determinized[action_name][1][b]
+        self.predicted = b if succ is None else succ
         return action_name
 
     def observe(self, prev_index: int, action: str, next_index: int) -> None:
-        actual = self.tables.bases[next_index // self.tables.n_statuses]
-        if self.predicted_base is not None:
-            if actual != self.predicted_base:
-                self.failures += 1
-                self.plan_queue = []
-                self.predicted_base = None
-        self.current_base = actual
+        if self.predicted is not None \
+                and next_index // self.tables.n_statuses != self.predicted:
+            self.failures += 1
+            self.plan_queue = []
+            self.predicted = None
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,14 @@ literal case-table transcription of the requirement status updates and
 rewards, a brute-force interleaving enumerator for one tick of
 action-then-events, one sampled tick computed straight through, the
 per-state occurrence probabilities of an event, the pairs of effective
-event matrices whose exact products differ, exhaustive policy
-enumeration for tiny MDPs, and a random model generator.
+event matrices whose exact products differ, a dict-keyed forward-search
+planner on the determinized model, exhaustive policy enumeration for tiny
+MDPs, and a random model generator.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 from fractions import Fraction
@@ -368,6 +370,57 @@ def oracle_step(mdp, state_index: int, action_name: str, rng):
     next_index = space.index_of(after)
     return (next_index, pair_rewards(model, space, action, state_index,
                                      next_index), satisfied)
+
+
+# ---------------------------------------------------------------------------
+# Forward-search planner on dict base states
+
+
+def determinized_successor(action: ActionDesc, base: dict):
+    """Most-likely effect of the action's matched branch (ties: first
+    declared); None when no precondition holds or nothing changes."""
+    branch = _first_match(action.branches, base)
+    if branch is None or not branch.effects:
+        return None
+    best = max(branch.effects, key=lambda eff: eff.probability)
+    new = _apply(base, best.assignments)
+    return new if new != base else None
+
+
+def oracle_plan(model: DomainModel, start_base: dict, goal,
+                budget: int = 10_000):
+    """Uniform-cost forward search over the determinized base-state graph,
+    keyed by dicts: events ignored, each action replaced by its most
+    likely effect. The cheapest plan (ties: shorter, then lexicographic
+    action order), or None when the budget runs out or the goal is
+    unreachable."""
+    var_order = [v.name for v in model.variables]
+
+    def key(base):
+        return tuple(base[v] for v in var_order)
+
+    start = dict(start_base)
+    frontier = [(0, 0, (), key(start), start)]
+    seen = set()
+    expanded = 0
+    while frontier and expanded < budget:
+        cost, length, actions, k, base = heapq.heappop(frontier)
+        if holds(goal, base):
+            return list(actions)
+        if k in seen:
+            continue
+        seen.add(k)
+        expanded += 1
+        for action in model.actions:
+            succ = determinized_successor(action, base)
+            if succ is None:
+                continue
+            sk = key(succ)
+            if sk in seen:
+                continue
+            heapq.heappush(frontier, (cost + action.cost, length + 1,
+                                      actions + (action.name,), sk, succ))
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -339,6 +339,24 @@ def test_simulate_malformed_policy_exits_1(tmp_path):
                              "'fly'\n")
 
 
+def test_simulate_policy_without_reflex_exits_1_before_compiling(
+        tmp_path, monkeypatch):
+    compiles = []
+    monkeypatch.setattr("obd.cli.compile_model",
+                        lambda *args: compiles.append(args))
+    out = tmp_path / "metrics.csv"
+    result = invoke("simulate", TOY, "--controller", "replan,random",
+                    "--policy", str(tmp_path / "missing.policy"),
+                    "--out", str(out))
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # no Python traceback
+    assert result.stderr == \
+        "--policy: error: only the reflex controller reads a policy\n"
+    assert result.stdout == ""  # no CSV
+    assert not out.exists()
+    assert compiles == []
+
+
 def test_simulate_unknown_controller_exits_1():
     result = invoke("simulate", TOY, "--controller", "oracle")
     assert result.exit_code == 1

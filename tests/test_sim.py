@@ -1,6 +1,8 @@
 """Simulator, planner, controllers, metrics."""
 
+import functools
 import gc
+import json
 import math
 import random
 import sys
@@ -13,7 +15,7 @@ import pytest
 import oracles
 from obd import sim
 from obd.compiler import compile_model, dump_mdp, load_mdp
-from obd.dsl import Atom, parse_domain
+from obd.dsl import Atom, Or, parse_domain
 from obd.sim import (
     Metrics,
     RandomController,
@@ -27,7 +29,9 @@ from obd.sim import (
 )
 from obd.solver import value_iteration
 
-sys.path.insert(0, str(Path(__file__).parent.parent / "bench"))
+ROOT = Path(__file__).parent.parent
+MODELS = ROOT / "models"
+sys.path.insert(0, str(ROOT / "bench"))
 
 from models import restaurant_text  # noqa: E402
 
@@ -176,8 +180,8 @@ def test_step_tables_are_freed_with_their_model(toy_text):
 
 
 def test_runs_leave_the_table_dicts_unchanged(restaurant_mdp):
-    """The replanning controller plans from the tables' base dicts; no
-    run may write into them."""
+    """The replanning controller reads its goals' truth from the tables'
+    base and status dicts; no run may write into them."""
     strategy = value_iteration(restaurant_mdp)
     for controller in (ReflexController(restaurant_mdp, strategy),
                        ReplanningController(restaurant_mdp),
@@ -209,46 +213,127 @@ PLAN_MODEL = parse_domain("""
     Action teleport if pos=home effects <pos=lab prob 0.1> <door prob 0.9> cost 9
     Init { pos=home, !door }
 """)
+PLAN_MDP = compile_model(PLAN_MODEL)
+
+
+def _base_index(mdp, base: dict) -> int:
+    space = mdp.space
+    state = space.state(0)
+    state.update(base)
+    return space.index_of(state) // space.n_statuses
 
 
 def test_plan_finds_cheapest_sequence():
-    start = {"pos": "home", "door": "ff"}
+    start = _base_index(PLAN_MDP, {"pos": "home", "door": "ff"})
     goal = Atom("pos", "lab")
-    assert plan(PLAN_MODEL, start, goal) == \
+    assert plan(PLAN_MDP, start, goal) == \
         ["walk_hall", "open_door", "enter_lab"]
 
 
 def test_plan_uses_most_likely_effect():
     # teleport's most likely effect sets door, not pos, so it cannot be a
     # one-step plan to the lab
-    start = {"pos": "home", "door": "ff"}
-    result = plan(PLAN_MODEL, start, Atom("pos", "lab"))
+    start = _base_index(PLAN_MDP, {"pos": "home", "door": "ff"})
+    result = plan(PLAN_MDP, start, Atom("pos", "lab"))
     assert "teleport" not in result
 
 
 def test_plan_goal_already_met_is_empty():
-    start = {"pos": "lab", "door": "tt"}
-    assert plan(PLAN_MODEL, start, Atom("pos", "lab")) == []
+    start = _base_index(PLAN_MDP, {"pos": "lab", "door": "tt"})
+    assert plan(PLAN_MDP, start, Atom("pos", "lab")) == []
 
 
 def test_plan_unreachable_returns_none():
-    start = {"pos": "lab", "door": "tt"}
-    assert plan(PLAN_MODEL, start, Atom("pos", "home")) is None
+    start = _base_index(PLAN_MDP, {"pos": "lab", "door": "tt"})
+    assert plan(PLAN_MDP, start, Atom("pos", "home")) is None
 
 
 def test_plan_budget_exhaustion_returns_none():
-    start = {"pos": "home", "door": "ff"}
-    assert plan(PLAN_MODEL, start, Atom("pos", "lab"), budget=1) is None
+    start = _base_index(PLAN_MDP, {"pos": "home", "door": "ff"})
+    assert plan(PLAN_MDP, start, Atom("pos", "lab"), budget=1) is None
 
 
 def test_plan_tie_breaks_lexicographically():
-    model = parse_domain("""
+    mdp = compile_model(parse_domain("""
         Variable x
         Action alpha if !x effects <x>
         Action beta if !x effects <x>
         Init { !x }
-    """)
-    assert plan(model, {"x": "ff"}, Atom("x", "tt")) == ["alpha"]
+    """))
+    start = _base_index(mdp, {"x": "ff"})
+    assert plan(mdp, start, Atom("x", "tt")) == ["alpha"]
+
+
+def test_plan_takes_the_first_declared_of_equally_likely_effects():
+    mdp = compile_model(parse_domain("""
+        Variable x
+        Variable y
+        Action go if !x & !y effects <x prob 0.5> <y prob 0.5>
+        Init { !x, !y }
+    """))
+    start = _base_index(mdp, {"x": "ff", "y": "ff"})
+    assert plan(mdp, start, Atom("x", "tt")) == ["go"]
+    assert plan(mdp, start, Atom("y", "tt")) is None
+
+
+@pytest.mark.parametrize("start", [-1, 6])
+def test_plan_rejects_a_start_outside_the_bases(start):
+    with pytest.raises(SimulationError):
+        plan(PLAN_MDP, start, Atom("pos", "lab"))
+
+
+# the fixed models on every base, the two 2-table restaurants on a seeded
+# sample of 200 bases, and 30 random models
+PLAN_CASES = [
+    pytest.param(PLAN_MODEL, None, id="plan"),
+    pytest.param(parse_domain((MODELS / "toy.obd").read_text()), None,
+                 id="toy"),
+    pytest.param(parse_domain((MODELS / "restaurant.obd").read_text()), None,
+                 id="restaurant"),
+    pytest.param(parse_domain(restaurant_text(2, 0)), 200, id="r2"),
+    pytest.param(parse_domain(restaurant_text(2, 0, within=3)), 200,
+                 id="d2"),
+] + [pytest.param(oracles.random_model(random.Random(seed)), None,
+                  id=f"random{seed}") for seed in range(30)]
+
+
+@pytest.mark.parametrize("model,sample", PLAN_CASES)
+def test_plan_matches_the_dict_keyed_oracle(model, sample):
+    """Every action's determinized successor in the step tables is the
+    dict-keyed reference's, and the search over base indices returns the
+    reference planner's plan, from every start (or a sample), for each
+    achieve requirement's goal, their disjunction and every atom (one
+    random atom on a sample), at budgets 1, 5 and 10,000."""
+    mdp = compile_model(model)
+    space = mdp.space
+    determinized = sim._tables(mdp).determinized
+    rng = random.Random(0)
+    goals = [req.required for req in model.requirements
+             if req.kind.is_achieve]
+    if len(goals) > 1:
+        goals.append(functools.reduce(Or, goals))
+    atoms = [Atom(var.name, value)
+             for var in model.variables for value in var.domain]
+    n_bases = space.size // space.n_statuses
+    if sample is None:
+        starts = range(n_bases)
+        goals += atoms
+    else:
+        starts = sorted(rng.sample(range(n_bases), sample))
+        goals.append(rng.choice(atoms))
+    names = space.names[:space.n_base]
+    for b in starts:
+        state = space.state(b * space.n_statuses)
+        base = {name: state[name] for name in names}
+        for name, action in zip(mdp.action_names, mdp.actions):
+            succ = oracles.determinized_successor(action, base)
+            assert determinized[name][1][b] == (
+                None if succ is None else _base_index(mdp, succ)), (b, name)
+        for goal in goals:
+            for budget in (1, 5, 10_000):
+                assert plan(mdp, b, goal, budget) == \
+                    oracles.oracle_plan(model, base, goal, budget), \
+                    (b, goal, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +434,22 @@ def test_replanning_counts_an_unreachable_goal_as_a_plan_failure():
 
 # ---------------------------------------------------------------------------
 # Runs and metrics
+
+
+@pytest.mark.parametrize("controller", ["reflex", "replan", "random"])
+def test_runs_score_the_stored_goal_counts(restaurant_mdp, controller):
+    """The goal counts bench/expected.json stores for the simulation
+    workload, for run seeds 0-3: a change of any controller's trajectory
+    fails here, not only in a benchmark run."""
+    stored = json.loads((ROOT / "bench" / "expected.json").read_text())[
+        "satisfactions"]["simulate-restaurant"]
+    strategy = value_iteration(restaurant_mdp)
+    make = {"reflex": lambda: ReflexController(restaurant_mdp, strategy),
+            "replan": lambda: ReplanningController(restaurant_mdp),
+            "random": lambda: RandomController(restaurant_mdp)}[controller]
+    counts = [run(restaurant_mdp, make(), stored["ticks"],
+                  seed).total_satisfactions for seed in range(4)]
+    assert counts == stored[controller][:4]
 
 
 def test_run_zero_ticks(toy_mdp):
