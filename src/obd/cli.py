@@ -201,7 +201,8 @@ def cmd_solve(input_path, method, epsilon, gamma, max_states, out_path,
 @click.option("--policy", "policy_path", default=None,
               help="Reuse a saved obdpolicy/1 strategy for the reflex "
                    "controller instead of solving in-process.")
-@click.option("--planner-budget", default=10_000, show_default=True)
+@click.option("--planner-budget", default=simulation.PLANNER_BUDGET,
+              show_default=True)
 @click.option("--out", "out_path", default=None,
               help="Write the metrics CSV here ('-' = stdout).")
 def cmd_simulate(input_path, controllers, ticks, seeds, gamma, epsilon,

@@ -594,7 +594,9 @@ class _Products(Mapping):
         return len(self._names)
 
 
-@dataclass(eq=False)  # compared by identity: the simulator keys tables by it
+# Compared by identity: the fields hold numpy arrays, which have no
+# single truth value for == to return.
+@dataclass(eq=False)
 class MdpModel:
     space: StateSpace
     action_names: tuple  # noop first, then declaration order
@@ -611,6 +613,7 @@ class MdpModel:
     model: Optional[DomainModel] = None
     automata: tuple = ()
     warnings: tuple = ()  # of dsl.Diagnostic
+    step_tables: object = None  # the simulator's memo tables, on first use
 
     @property
     def n_states(self) -> int:

@@ -7,20 +7,20 @@ order, at most once. This mirrors the compiler's matrix product exactly,
 so empirical step frequencies converge to the implicit transition rows.
 
 Every outcome of a tick is a function of the state, the action and the
-draws, so `step` looks it up in three tables kept per model (memo
-functions, Michie 1968): per action or event and base state, the matched
-branch's occurrence probability and its effects' cumulative thresholds and
-successor bases; per action or event step, the status tuple after it; and
-per (state before, state after), the requirement rewards and the names of
-the requirements satisfied. The simulator's own branch matcher and
-`reqauto`'s status updates and reward fill each entry the first time a
-tick reads it; the compiled matrices are never read, so criterion 6
-still compares two transcriptions of the tick. A fourth table holds,
-per action and base, the successor base of the matched branch's most
-likely effect: the replanning controller searches base indices through
-it, and reads its goals' truth from the decoded base and status dicts
-the fills keep, read-only. The tables live as long as their model and
-grow with the states and transitions the runs on it visit.
+draws, so `step` looks it up in tables kept on the model (memo functions,
+Michie 1968): per action, its cost and, per base state, the matched
+branch's effects as cumulative thresholds and successor bases, and the
+successor of its most likely effect, which the replanning controller
+searches; per event and base state, the matched branch's occurrence
+probability and effects; per action or event step, the status tuple
+after it; and per (state before, state after), the requirement rewards
+and the names of the requirements satisfied. The simulator's own branch
+matcher and `reqauto`'s status updates and reward fill each entry the
+first time it is read; the compiled matrices are never read, so
+criterion 6 still compares two transcriptions of the tick. The planner
+reads its goals' truth from the decoded base and status dicts the fills
+keep, read-only. The tables are freed with their model and grow with
+the states and transitions the runs on it visit.
 
 Randomness comes from numpy's default generator (PCG64), seeded per run,
 so traces replay across platforms.
@@ -29,17 +29,17 @@ so traces replay across platforms.
 from __future__ import annotations
 
 import csv
+import functools
 import heapq
 import io
 import statistics
 import time
-import weakref
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from obd.dsl import ActionDesc, Formula, ObdError, Or, eval_formula
+from obd.dsl import Formula, ObdError, Or, eval_formula
 from obd.compiler import MdpModel, NOOP
 from obd.reqauto import reward as requirement_reward, update_action, update_event
 from obd.solver import Strategy
@@ -75,8 +75,11 @@ class _Memo(dict):
 
 class _Tables(NamedTuple):
     n_statuses: int  # S, in state index = base index * S + sigma
-    # action name -> (cost, base index -> None when no branch matches,
-    # else the effects as ((cumulative probability, successor base), ...))
+    # action name -> (cost, outcomes, successors); per base index, each
+    # is None when no branch matches, else the outcomes are the effects
+    # as ((cumulative probability, successor base), ...) and the
+    # successor is the base after the most likely effect (ties: first
+    # declared), or None when there is none or the base is unchanged
     actions: dict
     # per event, declaration order: base index -> None, or
     # (occurrence probability, effects as above)
@@ -86,22 +89,6 @@ class _Tables(NamedTuple):
     rewards: _Memo  # (index before, index after) -> (reward, satisfied)
     bases: _Memo  # base index -> {variable: value}; read-only
     statuses: _Memo  # sigma -> {requirement: status}; read-only
-    # action name -> (cost, base index -> the successor base of the
-    # matched branch's most likely effect (ties: first declared), or None
-    # when no branch matches, it has no effects or the base is unchanged)
-    determinized: dict
-
-
-# Keyed by the model, so the tables are freed with it; they hold no
-# reference back to it.
-_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _matched_branch(branches, base: dict):
-    for br in branches:
-        if eval_formula(br.precondition, base):
-            return br
-    return None
 
 
 def _new_tables(mdp: MdpModel) -> _Tables:
@@ -124,6 +111,22 @@ def _new_tables(mdp: MdpModel) -> _Tables:
     bases = _Memo(base)
     status_dicts = _Memo(statuses)
 
+    def matched(branches, entry) -> _Memo:
+        """base index -> entry(branch, b) for the first branch whose
+        precondition holds at the base, else None."""
+        def fill(b: int):
+            base = bases[b]
+            for branch in branches:
+                if eval_formula(branch.precondition, base):
+                    return entry(branch, b)
+            return None
+        return _Memo(fill)
+
+    def successor(b: int, eff) -> int:
+        state = space.state(b * n_statuses)
+        state.update(eff.assignments)
+        return space.index_of(state) // n_statuses
+
     def effects(branch, b: int) -> tuple:
         """Each effect's cumulative probability, summed in declaration
         order as floats, and the base it leads to; a draw below no
@@ -132,34 +135,17 @@ def _new_tables(mdp: MdpModel) -> _Tables:
         acc = 0.0
         for eff in branch.effects:
             acc += float(eff.probability)
-            state = space.state(b * n_statuses)
-            state.update(eff.assignments)
-            out.append((acc, space.index_of(state) // n_statuses))
+            out.append((acc, successor(b, eff)))
         return tuple(out)
 
-    def action_outcomes(action: ActionDesc) -> _Memo:
-        def fill(b: int):
-            branch = _matched_branch(action.branches, bases[b])
-            return None if branch is None else effects(branch, b)
-        return _Memo(fill)
+    def most_likely(branch, b: int):
+        if not branch.effects:
+            return None
+        succ = successor(b, max(branch.effects, key=lambda e: e.probability))
+        return None if succ == b else succ
 
-    def most_likely(action: ActionDesc, outcomes: _Memo) -> _Memo:
-        def fill(b: int):
-            branch = _matched_branch(action.branches, bases[b])
-            if branch is None or not branch.effects:
-                return None
-            probabilities = [eff.probability for eff in branch.effects]
-            succ = outcomes[b][probabilities.index(max(probabilities))][1]
-            return None if succ == b else succ
-        return _Memo(fill)
-
-    def event_outcomes(event) -> _Memo:
-        def fill(b: int):
-            branch = _matched_branch(event.branches, bases[b])
-            if branch is None:
-                return None
-            return float(branch.occurrence_probability), effects(branch, b)
-        return _Memo(fill)
+    def occurrence(branch, b: int) -> tuple:
+        return float(branch.occurrence_probability), effects(branch, b)
 
     def after_step(update) -> _Memo:
         def fill(key: int) -> int:
@@ -183,23 +169,21 @@ def _new_tables(mdp: MdpModel) -> _Tables:
             total += r
         return total, tuple(satisfied)
 
-    actions = {name: (action.cost, action_outcomes(action))
-               for name, action in zip(mdp.action_names, mdp.actions)}
     return _Tables(
-        n_statuses, actions,
-        tuple(event_outcomes(event) for event in mdp.model.events),
+        n_statuses,
+        {name: (action.cost, matched(action.branches, effects),
+                matched(action.branches, most_likely))
+         for name, action in zip(mdp.action_names, mdp.actions)},
+        tuple(matched(event.branches, occurrence)
+              for event in mdp.model.events),
         after_step(update_action), after_step(update_event), _Memo(reward),
-        bases, status_dicts,
-        {name: (action.cost, most_likely(action, actions[name][1]))
-         for name, action in zip(mdp.action_names, mdp.actions)})
+        bases, status_dicts)
 
 
 def _tables(mdp: MdpModel) -> _Tables:
-    try:
-        return _TABLES[mdp]
-    except KeyError:
-        tables = _TABLES[mdp] = _new_tables(mdp)
-        return tables
+    if mdp.step_tables is None:
+        mdp.step_tables = _new_tables(mdp)
+    return mdp.step_tables
 
 
 # ---------------------------------------------------------------------------
@@ -216,11 +200,11 @@ def step(mdp: MdpModel, state_index: int, action_name: str, rng):
     whose branch matches one for its occurrence and, when it occurs, one
     for its effect.
     """
-    n_statuses, actions, events, after_action, after_event, rewards, _, _, \
+    n_statuses, actions, events, after_action, after_event, rewards, _, \
         _ = _tables(mdp)
     b, sigma = divmod(state_index, n_statuses)
     try:
-        cost, outcomes = actions[action_name]
+        cost, outcomes, _ = actions[action_name]
     except KeyError:
         raise SimulationError(f"unknown action '{action_name}'") from None
 
@@ -260,16 +244,13 @@ class Controller:
     """Picks an action name for a state; may observe outcomes."""
 
     name = "controller"
+    plan_failures = 0
 
     def choose(self, state_index: int, rng) -> str:
         raise NotImplementedError
 
     def observe(self, prev_index: int, action: str, next_index: int) -> None:
         pass
-
-    @property
-    def plan_failures(self) -> int:
-        return 0
 
 
 class ReflexController(Controller):
@@ -300,8 +281,11 @@ class RandomController(Controller):
 # Forward-search planner on the determinized model
 
 
+PLANNER_BUDGET = 10_000  # nodes a search may expand
+
+
 def plan(mdp: MdpModel, start: int, goal: Formula,
-         budget: int = 10_000) -> Optional[list]:
+         budget: int = PLANNER_BUDGET) -> Optional[list]:
     """Uniform-cost forward search over the determinized base-state graph,
     from base index `start`.
 
@@ -310,7 +294,7 @@ def plan(mdp: MdpModel, start: int, goal: Formula,
     order) or None when the budget runs out or the goal is unreachable.
     """
     tables = _tables(mdp)
-    bases, determinized = tables.bases, tables.determinized.items()
+    bases, records = tables.bases, tables.actions.items()
     frontier = [(0, 0, (), start)]
     seen = set()
     expanded = 0
@@ -322,7 +306,7 @@ def plan(mdp: MdpModel, start: int, goal: Formula,
             continue
         seen.add(b)
         expanded += 1
-        for name, (action_cost, successors) in determinized:
+        for name, (action_cost, _, successors) in records:
             succ = successors[b]
             if succ is None or succ in seen:
                 continue
@@ -338,21 +322,16 @@ class ReplanningController(Controller):
 
     name = "replan"
 
-    def __init__(self, mdp: MdpModel, budget: int = 10_000):
+    def __init__(self, mdp: MdpModel, budget: int = PLANNER_BUDGET):
         self.mdp = mdp
         self.tables = _tables(mdp)  # the base and status dicts, read-only
         self.budget = budget
         self.plan_queue: list = []
         self.predicted: Optional[int] = None  # base index after the action
-        self.failures = 0
         # achieve requirements, each with whether it waits for activation
         self.tracked = [(auto, auto.requirement.kind.is_conditional)
                         for auto in mdp.automata
                         if auto.requirement.kind.is_achieve]
-
-    @property
-    def plan_failures(self) -> int:
-        return self.failures
 
     def _active_goals(self, statuses: dict, base: dict) -> list:
         goals = []
@@ -373,25 +352,23 @@ class ReplanningController(Controller):
             if not goals:
                 self.predicted = None
                 return NOOP
-            goal = goals[0]
-            for g in goals[1:]:
-                goal = Or(goal, g)
-            found = plan(self.mdp, b, goal, self.budget)
+            found = plan(self.mdp, b, functools.reduce(Or, goals),
+                         self.budget)
             if not found:  # unreachable or out of budget (empty = met)
                 if found is None:
-                    self.failures += 1
+                    self.plan_failures += 1
                 self.predicted = None
                 return NOOP
             self.plan_queue = found
         action_name = self.plan_queue.pop(0)
-        succ = self.tables.determinized[action_name][1][b]
+        succ = self.tables.actions[action_name][2][b]
         self.predicted = b if succ is None else succ
         return action_name
 
     def observe(self, prev_index: int, action: str, next_index: int) -> None:
         if self.predicted is not None \
                 and next_index // self.tables.n_statuses != self.predicted:
-            self.failures += 1
+            self.plan_failures += 1
             self.plan_queue = []
             self.predicted = None
 

@@ -29,8 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.sparse import csgraph
 
 from obd.compiler import (
     MdpModel,
@@ -104,6 +102,9 @@ def component_order(p) -> np.ndarray:
     leads back to an earlier component, so p[order][:, order] is block
     upper triangular. SciPy numbers the components as Tarjan's algorithm
     completes them, sinks first."""
+    # imported at first use, as is SuperLU in evaluate: both load
+    # scipy.linalg, which nothing before policy evaluation needs
+    from scipy.sparse import csgraph
     _, labels = csgraph.connected_components(p, directed=True,
                                              connection="strong")
     return np.argsort(-labels, kind="stable")
@@ -165,6 +166,7 @@ class _Bellman:
         order, and no pivot is zero. The order only decides the fill:
         with P_pi block triangular, eliminating one component leaves the
         diagonal blocks of the others unchanged."""
+        import scipy.sparse.linalg as spla
         n = self.n
         rows = policy * n + self.states
         indptr, take = gather_rows(self.matrix.indptr, rows)

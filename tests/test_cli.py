@@ -3,14 +3,17 @@
 import errno
 import json
 import os
+import subprocess
+import sys
 import time
 import warnings
 from pathlib import Path
 
 import pytest
+import scipy.sparse.linalg
 from click.testing import CliRunner
 
-from obd import dsl, solver
+from obd import dsl
 from obd.cli import main
 
 MODELS = Path(__file__).parent.parent / "models"
@@ -278,7 +281,7 @@ def test_solve_substochastic_row_exits_1(tmp_path):
 def _failing_splu(monkeypatch, error):
     def splu(*args, **kwargs):
         raise error
-    monkeypatch.setattr(solver.spla, "splu", splu)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", splu)
 
 
 def test_solve_lu_failure_exits_1(monkeypatch):
@@ -295,6 +298,19 @@ def test_solve_out_of_memory_exits_1(monkeypatch):
     assert diagnostic("solve", TOY, "--method", "policy") == (
         f"{TOY}: error: out of memory; a smaller model or --max-states "
         "may fit")
+
+
+def test_import_leaves_scipy_linear_algebra_unloaded():
+    """SuperLU and the component search load scipy.linalg when policy
+    evaluation first runs, not when the program starts."""
+    src = str(Path(__file__).parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = ("import sys, obd, obd.cli; print(sorted(set(sys.modules) & "
+            "{'scipy.sparse.linalg', 'scipy.linalg'}))")
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n"
 
 
 # ---------------------------------------------------------------------------

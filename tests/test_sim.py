@@ -172,7 +172,7 @@ def test_step_tables_are_freed_with_their_model(toy_text):
     mdp = compile_model(parse_domain(toy_text))
     step(mdp, mdp.initial_index, "a", np.random.default_rng(0))
     model = weakref.ref(mdp)
-    rewards = weakref.ref(sim._TABLES[mdp].rewards)
+    rewards = weakref.ref(mdp.step_tables.rewards)
     del mdp
     gc.collect()
     assert model() is None
@@ -188,7 +188,7 @@ def test_runs_leave_the_table_dicts_unchanged(restaurant_mdp):
                        RandomController(restaurant_mdp)):
         run(restaurant_mdp, controller, ticks=3_000, seed=6)
     space = restaurant_mdp.space
-    tables = sim._TABLES[restaurant_mdp]
+    tables = restaurant_mdp.step_tables
     assert tables.bases and tables.statuses
     for b, base in tables.bases.items():
         state = space.state(b * space.n_statuses)
@@ -306,7 +306,7 @@ def test_plan_matches_the_dict_keyed_oracle(model, sample):
     random atom on a sample), at budgets 1, 5 and 10,000."""
     mdp = compile_model(model)
     space = mdp.space
-    determinized = sim._tables(mdp).determinized
+    actions = sim._tables(mdp).actions
     rng = random.Random(0)
     goals = [req.required for req in model.requirements
              if req.kind.is_achieve]
@@ -327,7 +327,7 @@ def test_plan_matches_the_dict_keyed_oracle(model, sample):
         base = {name: state[name] for name in names}
         for name, action in zip(mdp.action_names, mdp.actions):
             succ = oracles.determinized_successor(action, base)
-            assert determinized[name][1][b] == (
+            assert actions[name][2][b] == (
                 None if succ is None else _base_index(mdp, succ)), (b, name)
         for goal in goals:
             for budget in (1, 5, 10_000):
@@ -450,6 +450,25 @@ def test_runs_score_the_stored_goal_counts(restaurant_mdp, controller):
     counts = [run(restaurant_mdp, make(), stored["ticks"],
                   seed).total_satisfactions for seed in range(4)]
     assert counts == stored[controller][:4]
+
+
+def test_runs_call_step_and_plan_through_the_module(restaurant_mdp,
+                                                     monkeypatch):
+    """bench/tracing.py times `sim.step` and `sim.plan` by swapping
+    wrappers into the module; runs must look both up there, or the
+    traced per-layer metrics read 0."""
+    calls = {"step": 0, "plan": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(sim, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(sim, name, counted)
+    run(restaurant_mdp, RandomController(restaurant_mdp), ticks=300, seed=0)
+    assert calls == {"step": 300, "plan": 0}
+    run(restaurant_mdp, ReplanningController(restaurant_mdp), ticks=300,
+        seed=0)
+    assert calls["step"] == 600
+    assert calls["plan"] >= 1
 
 
 def test_run_zero_ticks(toy_mdp):
