@@ -161,7 +161,9 @@ def cmd_compile(input_path, gamma, max_states, out_path):
     click.echo(f"{mdp.n_states} states, {mdp.n_actions} actions (incl. noop), "
                f"{sizes}, built in {elapsed:.3f} s")
     if out_path is not None:
-        _write(out_path, dump_mdp(mdp))
+        with _reporting(input_path):  # builds the products X_a E and R_a
+            text = dump_mdp(mdp)
+        _write(out_path, text)
 
 
 @main.command("solve")
@@ -304,7 +306,9 @@ def cmd_export_dot(input_path, full, method, epsilon, gamma, max_states,
     """Emit DOT text for the compiled MDP or its optimal strategy."""
     mdp = _model(input_path, gamma, max_states)
     strategy = None if full else _solve(input_path, mdp, method, epsilon)
-    _write(out_path, dot_text(mdp, strategy, full=full))
+    with _reporting(input_path):  # builds the products X_a E and R_a
+        text = dot_text(mdp, strategy, full=full)
+    _write(out_path, text)
 
 
 if __name__ == "__main__":

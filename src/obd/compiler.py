@@ -171,6 +171,15 @@ def enumerate_states(model: DomainModel, automata) -> StateSpace:
 _INT64_BOUND = 2 ** 62
 # Integers below this are exact float64 values.
 _FLOAT_EXACT = 2 ** 53
+# Numerators that SparseMatrix checks against the denominator before it
+# takes the gcd of them all.
+_GCD_PROBE = 16
+# Products taking more than this many terms X(i,k) Y(k,j) are multiplied by
+# SciPy's int64 kernel when they fit it. Against the numpy path it took
+# 1.7-3.6x as long below 4,096 terms (a fixed cost of about 130 us),
+# 0.67-1.5x between 4,096 and 8,192, and 0.43-0.94x above 8,192 (toy and
+# restaurant models, minimum of 5 runs, scipy 1.17, 2-vCPU x86 VM).
+SCIPY_TERMS = 8192
 
 
 def _dtype(bound: int):
@@ -216,8 +225,12 @@ class SparseMatrix:
                  denominator: int = 1):
         numerators = np.asarray(numerators)
         largest = _magnitude(numerators)
-        divisor = int(np.gcd.reduce(numerators))
-        common = math.gcd(denominator, divisor)
+        # a few numerators usually prove lowest terms already; the full
+        # gcd is taken only when they share a factor with the denominator
+        common = math.gcd(denominator, *numerators[:_GCD_PROBE].tolist())
+        if common > 1:
+            divisor = int(np.gcd.reduce(numerators))
+            common = math.gcd(denominator, divisor)
         if common > 1:
             if divisor:  # else all are 0 and `common` may not fit int64
                 numerators = numerators // common
@@ -309,10 +322,33 @@ class SparseMatrix:
 
     def matmul(self, other: "SparseMatrix") -> "SparseMatrix":
         """Exact product: every entry (i, k) of self meets row k of other.
-        Each term is bounded by the product of the two largest numerators,
-        which picks its dtype; from_entries bounds the sums of terms."""
+
+        A product of more than SCIPY_TERMS terms runs through SciPy's int64
+        `csr @ csr` (Gustavson's row-by-row product) when it cannot
+        overflow and loses no entry there: every numerator of both factors
+        is positive, since SciPy drops entries that sum to 0, and
+        self.largest * other.largest * (longest row of self), which bounds
+        every sum of terms, is below 2**62, since SciPy does not check
+        overflow. Every other product expands its terms with numpy: each
+        is bounded by the product of the two largest numerators, which
+        picks its dtype, and from_entries bounds their sums, keeping those
+        that are 0."""
         starts = other.indptr[self.indices]
         counts = other.indptr[self.indices + 1] - starts
+        denominator = self.denominator * other.denominator
+        if counts.sum() > SCIPY_TERMS and self.largest * other.largest \
+                * int(np.diff(self.indptr).max()) < _INT64_BOUND \
+                and self.numerators.min() > 0 and other.numerators.min() > 0:
+            shape = (self.size, self.size)
+            product = sp.csr_matrix(
+                (self.numerators, self.indices, self.indptr), shape=shape) \
+                @ sp.csr_matrix(
+                    (other.numerators, other.indices, other.indptr),
+                    shape=shape)
+            product.sort_indices()
+            return SparseMatrix(self.size, product.indptr.astype(np.int64),
+                                product.indices.astype(np.int64),
+                                product.data, denominator)
         skip = np.repeat(starts - (np.cumsum(counts) - counts), counts)
         positions = skip + np.arange(len(skip))
         dtype = _dtype(self.largest * other.largest)
@@ -321,7 +357,7 @@ class SparseMatrix:
             other.indices[positions],
             np.repeat(self.numerators.astype(dtype, copy=False), counts)
             * other.numerators.astype(dtype, copy=False)[positions],
-            self.denominator * other.denominator)
+            denominator)
 
     @cached_property
     def csr(self) -> sp.csr_matrix:
@@ -514,9 +550,12 @@ def effective_event_matrix(event: EventDesc, space: StateSpace,
 
 def events_matrix(effective_matrices, size: int) -> SparseMatrix:
     """Left-to-right product of effective event matrices in declaration
-    order; identity when there are no events."""
-    out = SparseMatrix.identity(size)
-    for m in effective_matrices:
+    order, folded from the first (no product with the identity); the
+    identity when there are no events."""
+    if not effective_matrices:
+        return SparseMatrix.identity(size)
+    out = effective_matrices[0]
+    for m in effective_matrices[1:]:
         out = out.matmul(m)
     return out
 

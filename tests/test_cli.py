@@ -13,7 +13,7 @@ import pytest
 import scipy.sparse.linalg
 from click.testing import CliRunner
 
-from obd import dsl
+from obd import compiler, dsl
 from obd.cli import main
 
 MODELS = Path(__file__).parent.parent / "models"
@@ -298,6 +298,33 @@ def test_solve_out_of_memory_exits_1(monkeypatch):
     assert diagnostic("solve", TOY, "--method", "policy") == (
         f"{TOY}: error: out of memory; a smaller model or --max-states "
         "may fit")
+
+
+def _products_out_of_memory(monkeypatch):
+    def implicit_action_matrix(*args):
+        raise MemoryError
+    monkeypatch.setattr(compiler, "implicit_action_matrix",
+                        implicit_action_matrix)
+
+
+def test_compile_out_of_memory_while_writing_exits_1(monkeypatch, tmp_path):
+    """Writing obdmdp/1 builds the products X_a E: running out of memory
+    there is reported like any other error, and nothing is written."""
+    _products_out_of_memory(monkeypatch)
+    out = tmp_path / "toy.mdp"
+    assert diagnostic("compile", TOY, "--out", str(out)) == (
+        f"{TOY}: error: out of memory; a smaller model or --max-states "
+        "may fit")
+    assert not out.exists()
+
+
+def test_export_dot_full_out_of_memory_exits_1(monkeypatch, tmp_path):
+    _products_out_of_memory(monkeypatch)
+    out = tmp_path / "toy.dot"
+    assert diagnostic("export-dot", TOY, "--full", "--out", str(out)) == (
+        f"{TOY}: error: out of memory; a smaller model or --max-states "
+        "may fit")
+    assert not out.exists()
 
 
 def test_import_leaves_scipy_linear_algebra_unloaded():

@@ -335,6 +335,141 @@ def test_fold_crosses_the_int64_bound_and_matches_the_oracle():
     _check_against_oracle(model, mdp)
 
 
+def test_gcd_probe_sees_a_factor_a_later_numerator_lacks():
+    """The first 16 numerators share the factor 2 with the denominator and
+    the 17th does not: nothing divides them all, so they stay as given."""
+    numerators = [2 * k for k in range(1, 17)] + [5, 7]
+    m = _diagonal(numerators, 10)
+    assert m.denominator == 10 and m.numerators.tolist() == numerators
+    assert m.numerators.dtype == np.int64
+    assert all(m.get(i, i) == Fraction(n, 10)
+               for i, n in enumerate(numerators))
+
+
+def test_gcd_probe_past_sixteen_stored_zeros():
+    """The first 16 numerators are stored zeros, so the factor 3 that all
+    numerators share with the denominator shows only past them; it is
+    still divided out."""
+    numerators = [0] * 16 + [3, 6, 12]
+    m = _diagonal(numerators, 9)
+    assert m.denominator == 3
+    assert m.numerators.tolist() == [0] * 16 + [1, 2, 4]
+    assert all(m.get(i, i) == Fraction(n, 9)
+               for i, n in enumerate(numerators))
+
+
+def _diagonal(numerators, denominator):
+    n = len(numerators)
+    return SparseMatrix(n, np.arange(n + 1), np.arange(n),
+                        np.array(numerators, dtype=np.int64), denominator)
+
+
+# ---------------------------------------------------------------------------
+# SciPy's int64 kernel against the numpy product
+
+
+def _spy_from_entries(monkeypatch) -> list:
+    """One item per SparseMatrix.from_entries call from now on: the numpy
+    product calls it once, SciPy's kernel never."""
+    calls = []
+    original = SparseMatrix.from_entries
+    monkeypatch.setattr(SparseMatrix, "from_entries", staticmethod(
+        lambda *args: calls.append(args[0]) or original(*args)))
+    return calls
+
+
+def _kernel_products(model, monkeypatch, terms):
+    """Fields and their dtypes for the event fold and every X_a E,
+    with compiler.SCIPY_TERMS set to `terms`; the number of products
+    multiplied, those of the fold included; and how many of them the numpy
+    path made."""
+    mdp = compile_model(model)
+    effective = _effective(model)
+    monkeypatch.setattr(compiler, "SCIPY_TERMS", terms)
+    calls = _spy_from_entries(monkeypatch)
+    events = events_matrix(effective, mdp.n_states)
+    products = [events] + [implicit_action_matrix(mdp.explicit[name], events)
+                           for name in mdp.action_names]
+    monkeypatch.undo()
+    multiplied = max(len(effective) - 1, 0) + mdp.n_actions
+    return ([_fields(m) + (m.indptr.dtype, m.indices.dtype,
+                           m.numerators.dtype) for m in products],
+            multiplied, len(calls))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_scipy_and_numpy_products_agree_on_restaurants(monkeypatch, seed):
+    """Every product of the 2-table deadline models, each forced through
+    one kernel and then the other: the same fields and dtype."""
+    model = parse_domain(restaurant_text(2, seed, within=3))
+    scipy_products, multiplied, numpy_made = _kernel_products(
+        model, monkeypatch, -1)
+    numpy_products, _, made = _kernel_products(model, monkeypatch, 10 ** 9)
+    assert numpy_made == 0 and made == multiplied
+    assert scipy_products == numpy_products
+
+
+def test_scipy_and_numpy_products_agree_on_random_models(monkeypatch):
+    """30 random models, every product forced through each kernel."""
+    through_scipy = 0
+    for seed in range(30):
+        model = oracles.random_model(random.Random(seed))
+        scipy_products, multiplied, numpy_made = _kernel_products(
+            model, monkeypatch, -1)
+        numpy_products, _, _ = _kernel_products(model, monkeypatch, 10 ** 9)
+        assert scipy_products == numpy_products, seed
+        through_scipy += multiplied - numpy_made
+    assert through_scipy > 0
+
+
+def _terms(a, b) -> int:
+    return int(np.diff(b.indptr)[a.indices].sum())
+
+
+def test_product_above_the_threshold_keeps_a_stored_zero(monkeypatch):
+    """Row 0 of the left factor holds one stored zero, the other rows are
+    dense: SciPy would drop the zero entries of row 0 of the product, so
+    the numpy path makes it, and they stay."""
+    n = 100
+    left = SparseMatrix(
+        n, np.concatenate([[0], 1 + np.arange(n) * n]),
+        np.concatenate([[0], np.tile(np.arange(n), n - 1)]),
+        np.arange(n * (n - 1) + 1), 7)
+    right = SparseMatrix.from_entries(  # row k: columns k and k + 1 mod n
+        n, np.repeat(np.arange(n), 2),
+        np.column_stack([np.arange(n), (np.arange(n) + 1) % n]).ravel(),
+        np.ones(2 * n, dtype=np.int64), 3)
+    assert _terms(left, right) > compiler.SCIPY_TERMS
+    calls = _spy_from_entries(monkeypatch)
+    product = left.matmul(right)
+    assert len(calls) == 1
+    assert product.row(0) == {0: 0, 1: 0}
+    assert _fields(product) == _python_product(left, right)
+
+
+@pytest.mark.parametrize("p, dtype, kernel", [(2 ** 27 - 1, np.int64, "scipy"),
+                                              (2 ** 27, object, "numpy"),
+                                              (2 ** 28, object, "numpy")])
+def test_scipy_product_at_the_int64_bound(monkeypatch, p, dtype, kernel):
+    """Every row of the left factor holds p in all 128 columns and every
+    row of the right factor holds q = 2**28 in column 0: each entry of
+    column 0 of the product is 128 * p * q, the bound itself, just below
+    2**62, at it, and at 2**63, where SciPy's int64 sums would
+    overflow."""
+    n, q = 128, 2 ** 28
+    left = SparseMatrix(n, np.arange(n + 1) * n, np.tile(np.arange(n), n),
+                        np.full(n * n, p, dtype=np.int64), 5)
+    right = SparseMatrix(n, np.arange(n + 1), np.zeros(n, dtype=np.int64),
+                         np.full(n, q, dtype=np.int64), 11)
+    assert _terms(left, right) > compiler.SCIPY_TERMS
+    assert left.largest * right.largest * n == n * p * q
+    calls = _spy_from_entries(monkeypatch)
+    product = left.matmul(right)
+    assert len(calls) == (kernel == "numpy")
+    assert product.numerators.dtype == dtype
+    assert _fields(product) == _python_product(left, right)
+
+
 def test_single_steps_with_denominators_past_int64():
     """An action whose effect probabilities have denominators near 2**32
     (their lcm passes 2**63) and an event whose occurrence and effect
