@@ -264,20 +264,18 @@ class SparseMatrix:
 
     @classmethod
     def from_floats(cls, size: int, rows, cols, values) -> "SparseMatrix":
-        """Matrix holding the exact binary value of each float, at distinct
-        positions. Its `csr` holds the floats themselves, the float of
-        each exact value."""
-        ratios = [v.as_integer_ratio() for v in values]
-        denominator = max((d for _, d in ratios), default=1)  # powers of 2
-        numerators = np.array([n * (denominator // d) for n, d in ratios],
-                              dtype=object)
-        rows = np.array(rows, dtype=np.int64)
-        cols = np.array(cols, dtype=np.int64)
-        matrix = cls.from_entries(size, rows, cols, numerators, denominator)
-        order = np.argsort(rows * size + cols, kind="stable")
-        matrix.csr = sp.csr_matrix(
-            (np.array(values, dtype=np.float64)[order], matrix.indices,
-             matrix.indptr), shape=(size, size))
+        """The exact binary values of the float64 `values`, at distinct
+        positions in row-major order; `csr` holds the floats, -0.0 kept."""
+        # each value is m * 2**(e - 53), m = mantissa * 2**53 an integer
+        mantissas, exponents = np.frexp(values)
+        low = min(0, int(exponents.min(initial=53)) - 53)  # over 2**-low
+        shifts = exponents.astype(np.int64) - 53 - low
+        dtype = _dtype(2 ** (53 + int(shifts.max(initial=0))))
+        indptr = np.zeros(size + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=size), out=indptr[1:])
+        matrix = cls(size, indptr, cols, (mantissas * 2.0 ** 53).astype(
+            np.int64).astype(dtype) << shifts.astype(dtype), 2 ** -low)
+        matrix.csr = sp.csr_matrix((values, cols, indptr), shape=(size, size))
         return matrix
 
     @classmethod
@@ -333,10 +331,10 @@ class SparseMatrix:
         is bounded by the product of the two largest numerators, which
         picks its dtype, and from_entries bounds their sums, keeping those
         that are 0."""
-        starts = other.indptr[self.indices]
-        counts = other.indptr[self.indices + 1] - starts
+        terms = np.bincount(self.indices, minlength=self.size) \
+            @ (other.indptr[1:] - other.indptr[:-1])
         denominator = self.denominator * other.denominator
-        if counts.sum() > SCIPY_TERMS and self.largest * other.largest \
+        if terms > SCIPY_TERMS and self.largest * other.largest \
                 * int(np.diff(self.indptr).max()) < _INT64_BOUND \
                 and self.numerators.min() > 0 and other.numerators.min() > 0:
             shape = (self.size, self.size)
@@ -349,8 +347,8 @@ class SparseMatrix:
             return SparseMatrix(self.size, product.indptr.astype(np.int64),
                                 product.indices.astype(np.int64),
                                 product.data, denominator)
-        skip = np.repeat(starts - (np.cumsum(counts) - counts), counts)
-        positions = skip + np.arange(len(skip))
+        offsets, positions = gather_rows(other.indptr, self.indices)
+        counts = offsets[1:] - offsets[:-1]
         dtype = _dtype(self.largest * other.largest)
         return SparseMatrix.from_entries(
             self.size, np.repeat(self.entry_rows(), counts),
@@ -829,11 +827,13 @@ def compile_model(model: DomainModel, gamma: Fraction = DEFAULT_GAMMA,
 #   r <row> <col> <reward>
 #   end
 #
-# Large sections are written as whole blocks: each distinct piece of text
-# (a line's tag, a row or column number, the repr of a distinct float) is
-# encoded once into a fixed-width record of a table, every line gathers
-# one record per column into the fields of one record array, and the
-# padding bytes are dropped. Every float is still written as Python's repr.
+# Large sections are written and read as whole blocks. The writer encodes
+# each distinct piece of text (a line's tag, a row or column number, the
+# repr of a float) once into a fixed-width record of a table, gathers one
+# record per column and line into one record array and drops the padding.
+# The reader splits a section into its fields at once, as str.split does,
+# reads each column with Python's own int or float, checks each condition
+# as a mask over whole columns and names the earliest failing line.
 
 _PAD = b"\xff"  # pads table records; UTF-8 never uses this byte
 
@@ -902,6 +902,58 @@ def dump_mdp(mdp: MdpModel) -> str:
     return "".join(parts)
 
 
+def read_columns(lines, width: int) -> tuple:
+    """The fields of `lines`, split by `str.split`, as `width` object columns
+    (short lines padded with "", long ones cut), and each line's count."""
+    counts = np.fromiter(map(len, map(str.split, lines)), np.int64, len(lines))
+    fields = np.array(" ".join(lines).split() + [""], dtype=object)
+    at = (np.cumsum(counts) - counts)[:, None] + np.arange(width)
+    at[np.arange(width) >= counts[:, None]] = -1
+    return fields[at], counts
+
+
+def parse_column(texts, kind) -> tuple:
+    """Each text as Python's own `kind` (int or float) reads it, ints at
+    most 2**62 in absolute value, and the mask of those rejected (read 0)."""
+    dtype = np.int64 if kind is int else np.float64
+    failed = np.zeros(len(texts), dtype=bool)
+    try:
+        return np.fromiter(map(kind, texts), dtype, len(texts)), failed
+    except (ValueError, OverflowError):  # then one text at a time
+        values = np.zeros(len(texts), dtype)
+    bound = _INT64_BOUND if kind is int else math.inf
+    for k, text in enumerate(texts):
+        try:
+            values[k] = min(max(kind(text), -bound), bound)
+        except ValueError:
+            failed[k] = True
+    return values, failed
+
+
+def repeats(keys: np.ndarray) -> np.ndarray:
+    """Per entry, whether an earlier entry has the same key."""
+    order, out = np.argsort(keys, kind="stable"), np.zeros(len(keys), bool)
+    out[order[1:]] = keys[order[1:]] == keys[order[:-1]]
+    return out
+
+
+def check_lines(error, first_line: int, checks, **columns) -> None:
+    """Raise `error` naming the earliest line, from `first_line` on, that a
+    check (mask, message) flags; the message formats the line's `columns`."""
+    firsts = [np.argmax(m) if np.any(m) else math.inf for m, _ in checks]
+    if (k := min(firsts)) < math.inf:  # then the first check failing there
+        raise error(f"line {first_line + k}: " + checks[firsts.index(k)][1]
+                    .format(**{name: col[k] for name, col in columns.items()}))
+
+
+def _integer_checks(texts, name: str, low: int, high=math.inf) -> tuple:
+    """`texts` as ints, and the checks that each (`name`) is in [low, high)."""
+    values, failed = parse_column(texts, int)
+    return values, [(failed, f"not an integer: {{{name}!r}}"),
+                    (values < low, f"{{{name}}} is below {low}"),
+                    (values >= high, f"{{{name}}} is not below {high}")]
+
+
 def load_mdp(text: str, limit: int = DEFAULT_STATE_LIMIT) -> MdpModel:
     """Parse an obdmdp/1 document back into a solvable model.
 
@@ -914,139 +966,98 @@ def load_mdp(text: str, limit: int = DEFAULT_STATE_LIMIT) -> MdpModel:
     lines = text.splitlines()
     if not lines or lines[0] != FORMAT_MDP:
         raise CompileError(f"not an {FORMAT_MDP} document")
-    pos = 1  # index of the next line; line numbers are 1-based
-
-    def error(message: str):
-        return CompileError(f"line {pos}: {message}")
-
-    def fields(tag: str) -> list:
-        nonlocal pos
-        if pos >= len(lines):
-            pos += 1
-            raise error(f"expected '{tag}' line, got end of input")
-        parts = lines[pos].split()
-        pos += 1
-        if not parts or parts[0] != tag:
-            raise error(f"expected '{tag}' line, got: {lines[pos - 1]!r}")
-        return parts[1:]
-
-    def single(tag: str) -> str:
-        parts = fields(tag)
-        if len(parts) != 1:
-            raise error(f"'{tag}' takes one value")
-        return parts[0]
-
-    def integer(text: str, low: Optional[int] = None,
-                high: Optional[int] = None) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise error(f"not an integer: {text!r}") from None
-        if low is not None and value < low:
-            raise error(f"{value} is below {low}")
-        if high is not None and value >= high:
-            raise error(f"{value} is not below {high}")
-        return value
-
-    field = single("gamma")
-    try:
-        # the float first: it checks the range without building the exact
-        # value of an exponent such as 1e999999999
-        approx = float(field)
-        gamma = Fraction(field) if 0 < approx < 1 else None
-    except ValueError:
-        raise error("discount factor is not a number") from None
-    if gamma is None:
-        raise error(f"discount factor {approx} outside (0,1)")
-    n_states = integer(single("states"), 1)
-    _check_size(n_states, limit)
-    n_actions = integer(single("actions"), 1)
-    initial = integer(single("initial"), 0, n_states)
-
-    first_state = pos
-    raw_states = []
-    for index in range(n_states):
-        parts = fields("state")
-        if not parts or integer(parts[0], 0) != index:
-            raise error(f"expected state {index}")
-        atoms = [p.partition("=") for p in parts[1:]]
-        if any(not sep for _, sep, _ in atoms):
-            raise error("state atoms must read var=value")
-        raw_states.append([(a, c) for a, _, c in atoms])
-        if [a for a, _ in raw_states[-1]] != [a for a, _ in raw_states[0]]:
-            raise error("state variables differ from those of state 0")
-    names = tuple(a for a, _ in raw_states[0])
-    values: dict = {name: [] for name in names}
-    for state in raw_states:
-        for name, value in state:
-            if value not in values[name]:
-                values[name].append(value)
-    space = StateSpace(names, tuple(tuple(values[n]) for n in names),
-                       len(names))
-    # every assignment once, in index order, as dump_mdp writes them; one
-    # line further when the space has an assignment more than listed
-    for number, want in enumerate(itertools.islice(
-            state_lines(space), n_states + 1), first_state + 1):
-        got = lines[number - 1] if number <= len(lines) else ""
-        if got.split() != want.split():
-            pos = number
-            raise error(f"expected '{want}', got: {got!r}")
+    header = []  # the states, actions and initial counts
+    for k, tag in enumerate(("gamma", "states", "actions", "initial"), 2):
+        parts = lines[k - 1].split() if k <= len(lines) else None
+        if parts is None or parts[:1] != [tag] or len(parts) != 2:
+            got = "end of input" if parts is None else repr(lines[k - 1])
+            raise CompileError(f"line {k}: expected '{tag} <value>', got: "
+                               f"{got}")
+        if tag == "gamma":
+            (approx,), failed = parse_column(parts[1:], float)
+            check_lines(CompileError, 2, [
+                (failed, "discount factor is not a number"),
+                ([not 0 < approx < 1], f"discount factor {approx} outside "
+                                       "(0,1)")])
+            gamma = Fraction(parts[1])  # in range: no exponent 1e999999999
+            continue
+        check_lines(CompileError, k, _integer_checks(
+            parts[1:], "value", *(0, header[0]) if header[1:] else (1,))[1],
+            value=parts[1:])
+        header.append(int(parts[1]))
+        _check_size(header[0], limit)
+    n_states, n_actions, initial = header
+    # each assignment once, in index order, and no more (as dump_mdp writes)
+    if len(lines) < 5 + n_states:
+        raise CompileError(f"line {len(lines) + 1}: expected 'state' line, "
+                           "got end of input")
+    got = (lines[5:6 + n_states] + [""])[:n_states + 1]
+    fields = read_columns(got, max(1, len(got[0].split())))[0]
+    check_lines(CompileError, 6, [(fields[:-1, 0] != "state", "expected "
+                                   "'state' line, got: {line!r}")], line=got)
+    atoms = np.array(list(map(str.partition, fields[:-1, 2:].ravel(),
+                              itertools.repeat("="))), dtype=object)
+    atoms = atoms.reshape(n_states, -1, 3)  # var, "=", value
+    names = tuple(atoms[0, :, 0].tolist())
+    space = StateSpace(names, tuple(tuple(dict.fromkeys(atoms[:, [
+        j for j, other in enumerate(names) if other == name], 2].ravel()
+        .tolist())) for name in names), len(names))  # a name has one domain
+    expected = list(itertools.islice(state_lines(space), n_states + 1))
+    check_lines(CompileError, 6, [(np.fromiter(map(
+        list.__ne__, map(str.split, got), map(str.split, expected)), bool),
+        "expected '{want}', got: {line!r}")], want=expected, line=got)
     if space.size < n_states:
-        pos = first_state + space.size + 1
-        raise error(f"state {space.size} repeats an earlier assignment")
-
-    actions = []
-    triples: dict = {}  # (action, tag) -> {(row, col): value}
-    while True:
-        if pos >= len(lines):
-            pos += 1
-            raise error("missing 'end' line")
-        parts = lines[pos].split()
-        pos += 1
-        if parts == ["end"]:
-            break
-        tag = parts[0] if parts else ""
-        if tag == "action":
-            if len(parts) != 3:
-                raise error("'action' takes a name and a cost")
-            if any(a.name == parts[1] for a in actions):
-                raise error(f"action '{parts[1]}' appears twice")
-            actions.append(ActionDesc(parts[1], branches=(),
-                                      cost=integer(parts[2])))
-            for t in ("t", "r"):
-                triples[parts[1], t] = {}
-        elif tag in ("t", "r"):
-            if not actions:
-                raise error(f"'{tag}' line before any 'action' line")
-            if len(parts) != 4:
-                raise error(f"'{tag}' takes a row, a column and a value")
-            at = (integer(parts[1], 0, n_states),
-                  integer(parts[2], 0, n_states))
-            try:
-                value = float(parts[3])
-            except ValueError:
-                value = math.nan
-            if not math.isfinite(value):
-                raise error(f"not a finite number: {parts[3]!r}")
-            if tag == "t" and value < 0:
-                raise error(f"negative probability: {parts[3]!r}")
-            entries = triples[actions[-1].name, tag]
-            if at in entries:
-                raise error(f"second '{tag}' entry for {at[0]} {at[1]}")
-            entries[at] = value
-        else:
-            raise error(f"unexpected line: {lines[pos - 1]!r}")
-    if len(actions) != n_actions:
-        raise error(f"expected {n_actions} actions, found {len(actions)}")
-
-    def matrix(entries: dict) -> SparseMatrix:
-        return SparseMatrix.from_floats(
-            n_states, [i for i, _ in entries], [j for _, j in entries],
-            list(entries.values()))
-
-    names = tuple(a.name for a in actions)
-    return MdpModel(space=space, action_names=names, actions=tuple(actions),
-                    events=None, explicit=None, reward_factors=None,
-                    transitions={a: matrix(triples[a, "t"]) for a in names},
-                    rewards={a: matrix(triples[a, "r"]) for a in names},
-                    gamma=gamma, initial_index=initial)
+        raise CompileError(f"line {6 + space.size}: state {space.size} "
+                           "repeats an earlier assignment")
+    # up to the first `end` line, each action's `t` and `r` lines after it
+    start = 6 + n_states  # the number of the first line after the states
+    fields, counts = read_columns(lines[start - 1:], 4)
+    ends = np.flatnonzero((fields[:, 0] == "end") & (counts == 1))
+    stop = int(ends[0]) if ends.size else len(fields)
+    fields, counts, tags = fields[:stop], counts[:stop], fields[:stop, 0]
+    is_action, is_t, is_r = tags == "action", tags == "t", tags == "r"
+    is_triple, named = is_t | is_r, np.flatnonzero(is_action)
+    action_of = np.cumsum(is_action) - 1  # -1 before the first
+    triples = np.where(is_triple[:, None], fields[:, 1:], "0")
+    rows, row_checks = _integer_checks(triples[:, 0], "row", 0, n_states)
+    cols, col_checks = _integer_checks(triples[:, 1], "col", 0, n_states)
+    values, failed = parse_column(triples[:, 2], float)
+    # sorted by action, tag and position, the other lines (negative) first
+    group = 2 * action_of + is_r
+    key = np.where(is_triple, (group.astype(_dtype(
+        2 * (len(named) + 1) * n_states ** 2)) * n_states + rows) * n_states
+        + cols, -1 - np.arange(stop))
+    bad = np.zeros((2, stop), dtype=bool)  # action lines: form, name
+    bad[:, named] = (counts[named] != 3) | parse_column(
+        fields[named, 2], int)[1], repeats(fields[named, 1])
+    check_lines(CompileError, start, [
+        (~(is_action | is_triple), "unexpected line: {line!r}"),
+        (bad[0], "'action' takes a name and an integer cost"),
+        (bad[1], "action '{row}' appears twice"),
+        (is_triple & (action_of < 0), "'{tag}' line before any 'action' line"),
+        (is_triple & (counts != 4),
+         "'{tag}' takes a row, a column and a value"),
+        *row_checks, *col_checks,
+        (failed | ~np.isfinite(values), "not a finite number: {value!r}"),
+        (is_t & (values < 0), "negative probability: {value!r}"),
+        (repeats(key), "second '{tag}' entry for {row} {col}")],
+        line=lines[start - 1:], **dict(zip(("tag", "row", "col", "value"),
+                                           fields.T)))
+    if not ends.size:
+        raise CompileError(f"line {len(lines) + 1}: missing 'end' line")
+    if len(named) != n_actions:
+        raise CompileError(f"line {start + stop}: expected {n_actions} "
+                           f"actions, found {len(named)}")
+    names = tuple(fields[named, 1].tolist())
+    order = np.argsort(key, kind="stable")[stop - is_triple.sum():]
+    matrices = [SparseMatrix.from_floats(n_states, rows[at], cols[at],
+                                         values[at])
+                for at in np.split(order, np.searchsorted(
+                    group[order], np.arange(1, 2 * len(names))))]
+    return MdpModel(space=space, action_names=names, actions=tuple(
+        ActionDesc(name, branches=(), cost=int(cost))
+        for name, cost in fields[named, 1:3].tolist()),
+        events=None, explicit=None, reward_factors=None,
+        transitions=dict(zip(names, matrices[0::2])),
+        rewards=dict(zip(names, matrices[1::2])),
+        gamma=gamma, initial_index=initial)

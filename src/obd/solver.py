@@ -24,7 +24,6 @@ its value function and solver metadata.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,9 +31,13 @@ import scipy.sparse as sp
 
 from obd.compiler import (
     MdpModel,
+    check_lines,
     float_column,
     gather_rows,
     join_columns,
+    parse_column,
+    read_columns,
+    repeats,
     text_table,
 )
 from obd.dsl import ObdError
@@ -302,49 +305,34 @@ def dump_policy(strategy: Strategy, mdp: MdpModel) -> str:
 
 
 def load_policy(text: str, mdp: MdpModel) -> Strategy:
-    """Parse an obdpolicy/1 document for `mdp`: one `<state> <action>
-    <value>` line per state. Malformed documents raise SolverError naming
-    the line."""
+    """Parse an obdpolicy/1 document for `mdp` by columns, as load_mdp does;
+    a malformed document raises SolverError naming the line."""
     lines = text.splitlines()
     if not lines or lines[0] != FORMAT_POLICY:
         raise SolverError(f"not an {FORMAT_POLICY} document")
     n = mdp.n_states
-    actions = np.full(n, -1, dtype=np.int64)
-    values = np.zeros(n)
-    number = 1  # line number, 1-based
-
-    def error(message: str):
-        return SolverError(f"line {number}: {message}")
-
-    for number, line in enumerate(lines[1:], start=2):
-        parts = line.split()
-        if len(parts) != 3:
-            raise error(f"expected '<state> <action> <value>', got: {line!r}")
-        index, name, value = parts
-        try:
-            state = int(index)
-        except ValueError:
-            raise error(f"not a state index: {index!r}") from None
-        if not 0 <= state < n:
-            raise error(f"state {state} outside 0..{n - 1}")
-        if actions[state] >= 0:
-            raise error(f"second line for state {state}")
-        if name not in mdp.action_names:
-            raise error(f"unknown action '{name}'")
-        try:
-            values[state] = float(value)
-        except ValueError:
-            values[state] = math.nan
-        if not math.isfinite(values[state]):
-            raise error(f"not a finite number: {value!r}")
-        actions[state] = mdp.action_names.index(name)
-    missing = np.flatnonzero(actions < 0)
+    fields, counts = read_columns(lines[1:], 3)
+    states, failed = parse_column(fields[:, 0], int)
+    index = {name: a for a, name in enumerate(mdp.action_names)}
+    actions = np.array([index.get(a, -1) for a in fields[:, 1]], np.int64)
+    values, bad = parse_column(fields[:, 2], float)
+    check_lines(SolverError, 2, [
+        (counts != 3, "expected '<state> <action> <value>', got: {line!r}"),
+        (failed, "not a state index: {state!r}"),
+        ((states < 0) | (states >= n), f"state {{state}} outside 0..{n - 1}"),
+        (repeats(states), "second line for state {state}"),
+        (actions < 0, "unknown action '{action}'"),
+        (bad | ~np.isfinite(values), "not a finite number: {value!r}")],
+        line=lines[1:], **dict(zip(("state", "action", "value"), fields.T)))
+    strategy = Strategy(actions=np.full(n, -1), values=np.zeros(n),
+                        iterations=0, residual=0.0, method="loaded")
+    strategy.actions[states], strategy.values[states] = actions, values
+    missing = np.flatnonzero(strategy.actions < 0)
     if missing.size:
-        number = len(lines) + 1
-        raise error(f"end of input with {missing.size} of {n} states "
-                    f"missing, the first being state {missing[0]}")
-    return Strategy(actions=actions, values=values, iterations=0,
-                    residual=0.0, method="loaded")
+        raise SolverError(f"line {len(lines) + 1}: end of input with "
+                          f"{missing.size} of {n} states missing, the first "
+                          f"being state {missing[0]}")
+    return strategy
 
 
 def policy_to_json(strategy: Strategy, mdp: MdpModel) -> str:

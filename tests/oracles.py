@@ -8,18 +8,28 @@ action-then-events, one sampled tick computed straight through, the
 per-state occurrence probabilities of an event, the pairs of effective
 event matrices whose exact products differ, a dict-keyed forward-search
 planner on the determinized model, exhaustive policy enumeration for tiny
-MDPs, and a random model generator.
+MDPs, a random model generator, and readers of obdmdp/1 and obdpolicy/1
+that take one line at a time.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 
+from obd.compiler import (
+    DEFAULT_STATE_LIMIT,
+    FORMAT_MDP,
+    CompileError,
+    StateLimitError,
+    StateSpace,
+    state_lines,
+)
 from obd.dsl import (
     ActionBranch,
     ActionDesc,
@@ -36,6 +46,7 @@ from obd.dsl import (
     Requirement,
     VariableDecl,
 )
+from obd.solver import FORMAT_POLICY, SolverError
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +445,188 @@ def noncommuting_pairs(effective) -> list:
     return [(i, j) for i, j in itertools.combinations(range(len(effective)), 2)
             if effective[i].matmul(effective[j])
             != effective[j].matmul(effective[i])]
+
+
+# ---------------------------------------------------------------------------
+# obdmdp/1 and obdpolicy/1 read one line at a time
+
+
+def oracle_load_mdp(text: str, limit: int = DEFAULT_STATE_LIMIT) -> dict:
+    """`compiler.load_mdp` read line by line, with the same diagnostics.
+
+    Returns a plain dict: `gamma` (a Fraction), `states`, `initial`,
+    `space`, `actions` ((name, cost) pairs) and, per action name,
+    `transitions` and `rewards`, each a dict (row, col) -> the float read,
+    whose exact value is Fraction(float)."""
+    lines = text.splitlines()
+    if not lines or lines[0] != FORMAT_MDP:
+        raise CompileError(f"not an {FORMAT_MDP} document")
+    pos = 1  # index of the next line; line numbers are 1-based
+
+    def error(message: str):
+        return CompileError(f"line {pos}: {message}")
+
+    def fields(tag: str) -> list:
+        nonlocal pos
+        if pos >= len(lines):
+            pos += 1
+            raise error(f"expected '{tag}' line, got end of input")
+        parts = lines[pos].split()
+        pos += 1
+        if not parts or parts[0] != tag:
+            raise error(f"expected '{tag}' line, got: {lines[pos - 1]!r}")
+        return parts[1:]
+
+    def single(tag: str) -> str:
+        parts = fields(tag)
+        if len(parts) != 1:
+            raise error(f"'{tag}' takes one value")
+        return parts[0]
+
+    def integer(text: str, low=None, high=None) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise error(f"not an integer: {text!r}") from None
+        if low is not None and value < low:
+            raise error(f"{value} is below {low}")
+        if high is not None and value >= high:
+            raise error(f"{value} is not below {high}")
+        return value
+
+    field = single("gamma")
+    try:
+        approx = float(field)
+        gamma = Fraction(field) if 0 < approx < 1 else None
+    except ValueError:
+        raise error("discount factor is not a number") from None
+    if gamma is None:
+        raise error(f"discount factor {approx} outside (0,1)")
+    n_states = integer(single("states"), 1)
+    if n_states > limit:
+        raise StateLimitError(f"state space has {n_states} states, "
+                              f"exceeding the limit of {limit}")
+    n_actions = integer(single("actions"), 1)
+    initial = integer(single("initial"), 0, n_states)
+
+    first_state = pos
+    raw_states = []
+    for index in range(n_states):
+        parts = fields("state")
+        if not parts or integer(parts[0], 0) != index:
+            raise error(f"expected state {index}")
+        atoms = [p.partition("=") for p in parts[1:]]
+        if any(not sep for _, sep, _ in atoms):
+            raise error("state atoms must read var=value")
+        raw_states.append([(a, c) for a, _, c in atoms])
+        if [a for a, _ in raw_states[-1]] != [a for a, _ in raw_states[0]]:
+            raise error("state variables differ from those of state 0")
+    names = tuple(a for a, _ in raw_states[0])
+    values: dict = {name: [] for name in names}
+    for state in raw_states:
+        for name, value in state:
+            if value not in values[name]:
+                values[name].append(value)
+    space = StateSpace(names, tuple(tuple(values[n]) for n in names),
+                       len(names))
+    for number, want in enumerate(itertools.islice(
+            state_lines(space), n_states + 1), first_state + 1):
+        got = lines[number - 1] if number <= len(lines) else ""
+        if got.split() != want.split():
+            pos = number
+            raise error(f"expected '{want}', got: {got!r}")
+    if space.size < n_states:
+        pos = first_state + space.size + 1
+        raise error(f"state {space.size} repeats an earlier assignment")
+
+    actions = []
+    triples: dict = {}  # (action, tag) -> {(row, col): value}
+    while True:
+        if pos >= len(lines):
+            pos += 1
+            raise error("missing 'end' line")
+        parts = lines[pos].split()
+        pos += 1
+        if parts == ["end"]:
+            break
+        tag = parts[0] if parts else ""
+        if tag == "action":
+            if len(parts) != 3:
+                raise error("'action' takes a name and a cost")
+            if any(name == parts[1] for name, _ in actions):
+                raise error(f"action '{parts[1]}' appears twice")
+            actions.append((parts[1], integer(parts[2])))
+            for t in ("t", "r"):
+                triples[parts[1], t] = {}
+        elif tag in ("t", "r"):
+            if not actions:
+                raise error(f"'{tag}' line before any 'action' line")
+            if len(parts) != 4:
+                raise error(f"'{tag}' takes a row, a column and a value")
+            at = (integer(parts[1], 0, n_states),
+                  integer(parts[2], 0, n_states))
+            try:
+                value = float(parts[3])
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise error(f"not a finite number: {parts[3]!r}")
+            if tag == "t" and value < 0:
+                raise error(f"negative probability: {parts[3]!r}")
+            entries = triples[actions[-1][0], tag]
+            if at in entries:
+                raise error(f"second '{tag}' entry for {at[0]} {at[1]}")
+            entries[at] = value
+        else:
+            raise error(f"unexpected line: {lines[pos - 1]!r}")
+    if len(actions) != n_actions:
+        raise error(f"expected {n_actions} actions, found {len(actions)}")
+    return {"gamma": gamma, "states": n_states, "initial": initial,
+            "space": space, "actions": tuple(actions),
+            "transitions": {a: triples[a, "t"] for a, _ in actions},
+            "rewards": {a: triples[a, "r"] for a, _ in actions}}
+
+
+def oracle_load_policy(text: str, action_names, n_states: int) -> dict:
+    """`solver.load_policy` read line by line, with the same diagnostics:
+    state -> (action index, the float read)."""
+    lines = text.splitlines()
+    if not lines or lines[0] != FORMAT_POLICY:
+        raise SolverError(f"not an {FORMAT_POLICY} document")
+    out: dict = {}
+    number = 1  # line number, 1-based
+
+    def error(message: str):
+        return SolverError(f"line {number}: {message}")
+
+    for number, line in enumerate(lines[1:], start=2):
+        parts = line.split()
+        if len(parts) != 3:
+            raise error(f"expected '<state> <action> <value>', got: {line!r}")
+        index, name, value = parts
+        try:
+            state = int(index)
+        except ValueError:
+            raise error(f"not a state index: {index!r}") from None
+        if not 0 <= state < n_states:
+            raise error(f"state {state} outside 0..{n_states - 1}")
+        if state in out:
+            raise error(f"second line for state {state}")
+        if name not in action_names:
+            raise error(f"unknown action '{name}'")
+        try:
+            number_read = float(value)
+        except ValueError:
+            number_read = math.nan
+        if not math.isfinite(number_read):
+            raise error(f"not a finite number: {value!r}")
+        out[state] = (action_names.index(name), number_read)
+    missing = [s for s in range(n_states) if s not in out]
+    if missing:
+        number = len(lines) + 1
+        raise error(f"end of input with {len(missing)} of {n_states} states "
+                    f"missing, the first being state {missing[0]}")
+    return out
 
 
 # ---------------------------------------------------------------------------

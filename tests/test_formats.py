@@ -4,7 +4,8 @@
 per-entry formatters below are the plain reading of both formats, and the
 writers must match them byte for byte. The fuzz tests feed mutated model,
 obdmdp/1 and obdpolicy/1 texts to the readers, which may reject them only
-with an ObdError.
+with an ObdError, and compare the column readers of both formats with the
+line-at-a-time readers of tests/oracles.py.
 """
 
 import hashlib
@@ -23,6 +24,7 @@ from obd.cli import dot_text
 from obd.compiler import (
     FORMAT_MDP,
     CompileError,
+    StateLimitError,
     compile_model,
     dump_mdp,
     load_mdp,
@@ -400,3 +402,162 @@ def test_fuzz_load_policy_raises_only_obd_errors(toy_mdp, toy_texts, data):
         load_policy(text, toy_mdp)
     except ObdError:
         pass
+
+
+# ---------------------------------------------------------------------------
+# The column readers against the line readers of tests/oracles.py
+
+
+def _read_both(read, oracle):
+    """Both readers' results; or None after checking that both raise an
+    ObdError, each naming a line unless both reject the first line as not
+    the format or the state count as over the limit."""
+    try:
+        want = oracle()
+    except ObdError as err:
+        with pytest.raises(type(err)) as got:
+            read()
+        if str(err).startswith("not an ") or isinstance(err, StateLimitError):
+            assert str(got.value) == str(err)
+        else:
+            assert re.match(r"line \d+: ", str(err))
+            assert re.match(r"line \d+: ", str(got.value))
+        return None
+    return read(), want
+
+
+def _bits(values) -> list:
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+def _assert_same_mdp(mdp, want):
+    assert mdp.gamma == want["gamma"]
+    assert (mdp.n_states, mdp.initial_index, mdp.space) == \
+        (want["states"], want["initial"], want["space"])
+    assert [(a.name, a.cost) for a in mdp.actions] == list(want["actions"])
+    for name in mdp.action_names:
+        for m, entries in ((mdp.transitions[name], want["transitions"][name]),
+                           (mdp.rewards[name], want["rewards"][name])):
+            at = sorted(entries)
+            assert list(zip(m.entry_rows().tolist(), m.indices.tolist())) \
+                == at
+            assert [Fraction(n, m.denominator)
+                    for n in m.numerators.tolist()] == \
+                [Fraction(entries[p]) for p in at]
+            assert _bits(m.csr.data) == _bits([entries[p] for p in at])
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzz_load_mdp_matches_the_line_reader(toy_texts, data):
+    text = data.draw(mutated(toy_texts[0]))
+    both = _read_both(lambda: load_mdp(text),
+                      lambda: oracles.oracle_load_mdp(text))
+    if both:
+        _assert_same_mdp(*both)
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzz_load_policy_matches_the_line_reader(toy_mdp, toy_texts, data):
+    text = data.draw(mutated(toy_texts[1]))
+    both = _read_both(lambda: load_policy(text, toy_mdp),
+                      lambda: oracles.oracle_load_policy(
+                          text, toy_mdp.action_names, toy_mdp.n_states))
+    if both:
+        strategy, want = both
+        assert strategy.actions.tolist() == [want[s][0] for s in range(8)]
+        assert _bits(strategy.values) == _bits([want[s][1] for s in range(8)])
+
+
+def test_line_readers_agree_on_the_texts_written(models):
+    for name, mdp in models.items():
+        text = dump_mdp(mdp)
+        _assert_same_mdp(load_mdp(text), oracles.oracle_load_mdp(text))
+
+
+# Floats whose repr has an exponent, a sign of zero or a subnormal value,
+# in matrices of one denominator (integer rewards) and of very different
+# ones; written in the order dump_mdp writes them.
+FLOATS_MDP = """obdmdp/1
+gamma 0.95
+states 4
+actions 2
+initial 0
+state 0 x=a
+state 1 x=b
+state 2 x=c
+state 3 x=d
+action noop 0
+t 0 0 0.0
+t 0 1 5e-324
+t 1 2 1e-05
+t 2 3 1e+17
+t 3 3 1.0
+r 0 0 -0.0
+r 0 1 0.0
+r 1 0 5e-324
+r 1 2 -1e-05
+r 2 3 1e+17
+r 3 0 -2.5
+action go 7
+t 0 0 0.25
+r 0 0 3.0
+r 1 1 -100.0
+r 2 2 0.0
+r 3 3 -0.0
+end
+"""
+FLOATS_POLICY = """obdpolicy/1
+0 noop 0.0
+1 go -0.0
+2 noop 5e-324
+3 go 1e+17
+"""
+
+
+def test_loaded_floats_keep_their_exact_values_and_texts():
+    mdp = load_mdp(FLOATS_MDP)
+    assert dump_mdp(mdp) == FLOATS_MDP
+    for line in FLOATS_MDP.splitlines():
+        tag, *rest = line.split()
+        if tag == "action":
+            action = rest[0]
+        elif tag in ("t", "r"):
+            m = (mdp.transitions if tag == "t" else mdp.rewards)[action]
+            i, j, value = int(rest[0]), int(rest[1]), float(rest[2])
+            assert m.get(i, j) == Fraction(value)
+            k = m.indptr[i] + m.indices[m.indptr[i]:m.indptr[i + 1]] \
+                .tolist().index(j)
+            assert _bits([m.csr.data[k]]) == _bits([value])
+    assert mdp.rewards["go"].denominator == 1
+    assert mdp.rewards["go"].numerators.dtype == np.int64
+    strategy = load_policy(FLOATS_POLICY, mdp)
+    assert dump_policy(strategy, mdp) == FLOATS_POLICY
+    assert _bits(strategy.values) == _bits([0.0, -0.0, 5e-324, 1e+17])
+
+
+@pytest.mark.parametrize("space", [
+    "\t", "  ", " \t  ", "\xa0", "\x1f", "\u3000",
+], ids=["tab", "spaces", "mixed", "no-break", "unit-separator",
+        "ideographic"])
+def test_readers_split_fields_on_any_whitespace(space):
+    """Fields may be separated, led and trailed by any run of whitespace
+    that does not break the line, as str.split allows; the first line must
+    still read the format."""
+    def spaced(text):
+        first, *rest = text.splitlines()
+        return "\n".join([first] + [space + line.replace(" ", space) + space
+                                    for line in rest]) + "\n"
+
+    mdp = load_mdp(spaced(FLOATS_MDP))
+    assert dump_mdp(mdp) == FLOATS_MDP
+    assert dump_policy(load_policy(spaced(FLOATS_POLICY), mdp), mdp) == \
+        FLOATS_POLICY
+
+
+@pytest.mark.parametrize("workload, key", BENCH_MODELS,
+                         ids=[f"{w}-{k}" for w, k in BENCH_MODELS])
+def test_bench_models_read_back_byte_identical(workload, key):
+    text = dump_mdp(compile_model(parse_domain(BENCH_MODELS[workload, key])))
+    assert dump_mdp(load_mdp(text)) == text
