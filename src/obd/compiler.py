@@ -330,11 +330,15 @@ class SparseMatrix:
         overflow. Every other product expands its terms with numpy: each
         is bounded by the product of the two largest numerators, which
         picks its dtype, and from_entries bounds their sums, keeping those
-        that are 0."""
-        terms = np.bincount(self.indices, minlength=self.size) \
-            @ (other.indptr[1:] - other.indptr[:-1])
+        that are 0. Terms are counted only when size * min(nnz of either),
+        which bounds them, exceeds SCIPY_TERMS: every entry of one factor
+        meets at most `size` entries of the other."""
         denominator = self.denominator * other.denominator
-        if terms > SCIPY_TERMS and self.largest * other.largest \
+        if self.size * min(len(self.indices), len(other.indices)) \
+                > SCIPY_TERMS \
+                and np.bincount(self.indices, minlength=self.size) \
+                @ (other.indptr[1:] - other.indptr[:-1]) > SCIPY_TERMS \
+                and self.largest * other.largest \
                 * int(np.diff(self.indptr).max()) < _INT64_BOUND \
                 and self.numerators.min() > 0 and other.numerators.min() > 0:
             shape = (self.size, self.size)

@@ -22,8 +22,12 @@ reads its goals' truth from the decoded base and status dicts the fills
 keep, read-only. The tables are freed with their model and grow with
 the states and transitions the runs on it visit.
 
-Randomness comes from numpy's default generator (PCG64), seeded per run,
-so traces replay across platforms.
+Randomness comes from numpy's default bit generator (PCG64, O'Neill
+2014), seeded per run, so traces replay across platforms. A run reads its
+draws through `Draws`, which takes the generator's raw 64-bit output in
+blocks and returns exactly what `Generator.random()` and
+`Generator.integers(n)` would, one scalar call at a time, for a fraction
+of their call cost. `step` and the controllers accept either.
 """
 
 from __future__ import annotations
@@ -184,6 +188,76 @@ def _tables(mdp: MdpModel) -> _Tables:
     if mdp.step_tables is None:
         mdp.step_tables = _new_tables(mdp)
     return mdp.step_tables
+
+
+# ---------------------------------------------------------------------------
+# Draws
+
+
+BLOCK = 4096  # raw 64-bit words read from the bit generator at a time
+_LOW = 0xFFFFFFFF
+
+
+class Draws:
+    """The draws of `np.random.default_rng(seed)`'s `random()` and
+    `integers(n)`, bit for bit, read from blocks of its raw PCG64 words.
+
+    `random()` turns each word into (word >> 11) * 2**-53. `integers(n)`
+    is Lemire's multiply-shift rejection on 32-bit draws (Lemire 2019),
+    as numpy takes it for 1 <= n <= 2**32: a 32-bit draw takes the low
+    half of a fresh word and keeps the high half for the next 32-bit
+    draw, which 64-bit draws neither use nor clear (PCG64's
+    `has_uint32`); n = 1 draws nothing.
+    """
+
+    __slots__ = ("_bits", "_words", "_doubles", "_next", "_kept")
+
+    def __init__(self, seed: int):
+        self._bits = np.random.default_rng(seed).bit_generator
+        self._kept = None  # the high half kept for the next 32-bit draw
+        self._refill()
+
+    def _refill(self) -> None:
+        words = self._bits.random_raw(BLOCK)
+        self._words = words.tolist()
+        self._doubles = ((words >> 11) * 2.0 ** -53).tolist()
+        self._next = 0
+
+    def random(self) -> float:
+        i = self._next
+        if i == BLOCK:
+            self._refill()
+            i = 0
+        self._next = i + 1
+        return self._doubles[i]
+
+    def _uint32(self) -> int:
+        kept = self._kept
+        if kept is not None:
+            self._kept = None
+            return kept
+        i = self._next
+        if i == BLOCK:
+            self._refill()
+            i = 0
+        self._next = i + 1
+        word = self._words[i]
+        self._kept = word >> 32
+        return word & _LOW
+
+    def integers(self, n: int) -> int:
+        """Uniform on 0..n-1, for 1 <= n <= 2**32; numpy draws 64 bits
+        above that, which this does not reproduce."""
+        if not 1 <= n <= 1 << 32:
+            raise ValueError(f"integers: n = {n} outside 1..2**32")
+        if n == 1:
+            return 0
+        m = self._uint32() * n
+        if m & _LOW < n:  # n bounds the rejection threshold
+            threshold = (1 << 32) % n
+            while m & _LOW < threshold:
+                m = self._uint32() * n
+        return m >> 32
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +486,7 @@ def run(mdp: MdpModel, controller: Controller, ticks: int,
         seed: int) -> Metrics:
     """Simulate `ticks` steps from the initial state; reproducible for a
     fixed (model, controller, ticks, seed)."""
-    rng = np.random.default_rng(seed)
+    rng = Draws(seed)
     metrics = Metrics(seed=seed, controller=controller.name, ticks=ticks)
     state = mdp.initial_index
     for _ in range(ticks):

@@ -4,7 +4,8 @@ Everything here is written from the normative tables and execution rules
 directly, on purpose duplicating none of the production code paths: a
 literal case-table transcription of the requirement status updates and
 rewards, a brute-force interleaving enumerator for one tick of
-action-then-events, one sampled tick computed straight through, the
+action-then-events, one sampled tick computed straight through, a run
+of such ticks drawing one scalar at a time from numpy's generator, the
 per-state occurrence probabilities of an event, the pairs of effective
 event matrices whose exact products differ, a dict-keyed forward-search
 planner on the determinized model, exhaustive policy enumeration for tiny
@@ -381,6 +382,25 @@ def oracle_step(mdp, state_index: int, action_name: str, rng):
     next_index = space.index_of(after)
     return (next_index, pair_rewards(model, space, action, state_index,
                                      next_index), satisfied)
+
+
+def oracle_run(mdp, controller, ticks: int, seed: int) -> tuple:
+    """(total reward, satisfaction counts, plan failures) of `ticks` ticks
+    of `controller` from the initial state, every tick by `oracle_step`,
+    every draw one scalar call of `np.random.default_rng(seed)`."""
+    rng = np.random.default_rng(seed)
+    total = 0.0
+    counts = {}
+    state = mdp.initial_index
+    for _ in range(ticks):
+        action = controller.choose(state, rng)
+        next_state, earned, satisfied = oracle_step(mdp, state, action, rng)
+        controller.observe(state, action, next_state)
+        total += earned
+        for name in satisfied:
+            counts[name] = counts.get(name, 0) + 1
+        state = next_state
+    return total, counts, controller.plan_failures
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from obd import sim
 from obd.compiler import compile_model, dump_mdp, load_mdp
 from obd.dsl import Atom, Or, parse_domain
 from obd.sim import (
+    BLOCK,
+    Draws,
     Metrics,
     RandomController,
     ReflexController,
@@ -430,6 +433,128 @@ def test_replanning_counts_an_unreachable_goal_as_a_plan_failure():
         ReqID g achieve x reward 1
         Init { !x, !y }
     """) == ("noop", 1)
+
+
+# ---------------------------------------------------------------------------
+# Block draws against numpy's scalar draws
+
+
+# 1 draws nothing, 2**32 returns a 32-bit draw as it is, 2**31 + 11
+# rejects almost half of its 32-bit draws
+DRAW_BOUNDS = [1, 2, 3, 7, 8, 10, 13, 1000, 2 ** 31 + 11, 2 ** 32]
+
+
+def _same_draws(draws, generator, calls) -> None:
+    """Each call, None for random() or n for integers(n), returns the same
+    number from both; then so does one more random()."""
+    for k, n in enumerate(calls):
+        if n is None:
+            assert draws.random() == generator.random(), k
+        else:
+            assert draws.integers(n) == generator.integers(n), (k, n)
+    assert draws.random() == generator.random()
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1),
+       skip=st.sampled_from([0, 1, BLOCK - 30, BLOCK - 1, 2 * BLOCK - 10]),
+       calls=st.lists(st.none() | st.sampled_from(DRAW_BOUNDS), max_size=80))
+def test_draws_equal_numpys_scalar_draws(seed, skip, calls):
+    """`skip` random() calls first put most interleavings across the end
+    of a block."""
+    _same_draws(Draws(seed), np.random.default_rng(seed),
+                [None] * skip + calls)
+
+
+def test_a_kept_half_word_survives_a_refill():
+    """integers(2**32) splits the block's last word, random() refills, and
+    the next integers(2**32) is the old block's kept high half."""
+    words = np.random.default_rng(5).bit_generator.random_raw(BLOCK + 1)
+    draws = Draws(5)
+    for _ in range(BLOCK - 1):
+        draws.random()
+    assert draws.integers(2 ** 32) == int(words[BLOCK - 1]) & 0xFFFFFFFF
+    assert draws.random() == (int(words[BLOCK]) >> 11) * 2.0 ** -53
+    assert draws.integers(2 ** 32) == int(words[BLOCK - 1]) >> 32
+    for n in (7, 2 ** 31 + 11):
+        _same_draws(Draws(5), np.random.default_rng(5),
+                    [None] * (BLOCK - 1) + [n, None, n, n, None])
+
+
+@pytest.mark.parametrize("n", [0, -1, 2 ** 32 + 1, 2 ** 40])
+def test_draws_reject_bounds_outside_32_bits(n):
+    with pytest.raises(ValueError):
+        Draws(0).integers(n)
+
+
+def _recorded(controller) -> list:
+    """The (state, action, next state) of every tick `controller` observes,
+    in order."""
+    trajectory = []
+    observe = controller.observe
+
+    def recording(prev_index, action, next_index):
+        trajectory.append((prev_index, action, next_index))
+        observe(prev_index, action, next_index)
+    controller.observe = recording
+    return trajectory
+
+
+def _same_runs(mdp, ticks: int, seeds, monkeypatch) -> list:
+    """`run` against `oracles.oracle_run` for every controller and seed:
+    the same trajectory, total reward, satisfaction counts and plan
+    failures. Returns the number of blocks each run read."""
+    strategy = value_iteration(mdp)
+    makers = (lambda: ReflexController(mdp, strategy),
+              lambda: ReplanningController(mdp),
+              lambda: RandomController(mdp))
+    blocks = 0
+    per_run = []
+
+    class Counted(Draws):
+        def _refill(self):
+            nonlocal blocks
+            blocks += 1
+            super()._refill()
+
+    monkeypatch.setattr(sim, "Draws", Counted)
+    for make in makers:
+        for seed in seeds:
+            got, want = make(), make()
+            got_ticks, want_ticks = _recorded(got), _recorded(want)
+            read = blocks
+            m = run(mdp, got, ticks, seed)
+            per_run.append(blocks - read)
+            assert (m.total_reward, m.satisfaction_counts, m.plan_failures) \
+                == oracles.oracle_run(mdp, want, ticks, seed), (got.name,
+                                                                seed)
+            assert got_ticks == want_ticks, (got.name, seed)
+    return per_run
+
+
+@pytest.mark.parametrize("model, ticks", [("restaurant.obd", 80),
+                                          ("restaurant.obd", 4_000),
+                                          ("2 tables", 40), ("2 tables", 900)])
+def test_runs_draw_what_the_scalar_draw_loop_draws(restaurant_mdp, model,
+                                                   ticks, monkeypatch):
+    """restaurant.obd and the 2-table model, with tick counts whose draws
+    stay within one block or pass its end in every run."""
+    mdp = restaurant_mdp if model == "restaurant.obd" \
+        else compile_model(parse_domain(restaurant_text(2, 0)))
+    blocks = _same_runs(mdp, ticks, range(3), monkeypatch)
+    assert set(blocks) == {1} if ticks < 100 else min(blocks) >= 2
+
+
+def test_runs_draw_what_the_scalar_draw_loop_draws_on_random_models(
+        monkeypatch):
+    """Blocks of 3 words, so that a run passes a block end every few draws
+    and keeps half words across them."""
+    monkeypatch.setattr(sim, "BLOCK", 3)
+    blocks = []
+    for k in range(12):
+        mdp = compile_model(oracles.random_model(random.Random(9000 + k)))
+        blocks += _same_runs(mdp, 150, (k, k + 100), monkeypatch)
+    assert sum(b > 1 for b in blocks) > len(blocks) // 2
 
 
 # ---------------------------------------------------------------------------
