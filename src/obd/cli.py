@@ -122,11 +122,19 @@ def _exact(ctx, param, value: float | None):
     return Fraction(str(value))
 
 
+def _positive_limit(ctx, param, value: int) -> int:
+    """A state limit below 1 would turn away every model."""
+    if value < 1:
+        _fail("--max-states: error: must be >= 1")
+    return value
+
+
 gamma_option = click.option(
     "--gamma", type=float, default=None, show_default="0.95", callback=_exact,
     help="Discount factor in (0,1); an obdmdp/1 file stores its own.")
 max_states_option = click.option(
     "--max-states", default=DEFAULT_STATE_LIMIT, show_default=True,
+    callback=_positive_limit,
     help="Abort when the state space exceeds this size.")
 epsilon_option = click.option("--epsilon", default=DEFAULT_EPSILON,
                               show_default=True)

@@ -51,6 +51,7 @@ from obd.dsl import (
     ObdError,
     Or,
     format_formula,
+    probability_errors,
 )
 from obd.reqauto import (
     REWARD_PARTS,
@@ -756,10 +757,18 @@ def compile_model(model: DomainModel, gamma: Fraction = DEFAULT_GAMMA,
     built when first read."""
     if not (0 < gamma < 1):  # before Fraction(), which rejects nan and inf
         raise CompileError(f"discount factor {gamma} outside (0,1)")
+    if not (0 < float(gamma) < 1):  # as the solver and obdmdp/1 read it
+        raise CompileError(f"discount factor {gamma} is {float(gamma)!r} "
+                           "as a float64, outside (0,1)")
     gamma = Fraction(gamma)
     for a in model.actions:
         if a.name == NOOP:
             raise CompileError(f"'{NOOP}' is a reserved action name")
+    for item in model.actions + model.events:
+        errors = probability_errors(item)
+        if errors:
+            label = "action" if isinstance(item, ActionDesc) else "event"
+            raise CompileError(f"{label} '{item.name}': {errors[0]}")
     for r in model.requirements:  # the counts the automata count down from
         for label, needed, value in (
                 ("deadline", r.kind.has_deadline, r.deadline),

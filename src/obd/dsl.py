@@ -197,11 +197,15 @@ class ReqKind(str, Enum):
 
     @property
     def is_conditional(self) -> bool:
-        return self not in (ReqKind.UA, ReqKind.UM)
+        return not self.value.startswith("U")
 
     @property
     def has_deadline(self) -> bool:
         return "D" in self.value
+
+    @property
+    def is_flexible(self) -> bool:
+        return "DF" in self.value
 
     @property
     def has_duration(self) -> bool:
@@ -310,6 +314,12 @@ def _tokenize(text: str) -> list:
 # ---------------------------------------------------------------------------
 # Parser (recursive descent)
 
+# How deeply a condition may nest. The parser and every function that walks
+# a formula recurse once per level (the parser up to four frames per pair
+# of parentheses), so this keeps any accepted condition well inside
+# Python's default recursion limit of 1000 frames.
+MAX_CONDITION_DEPTH = 100
+
 
 class _Parser:
     def __init__(self, text: str):
@@ -390,36 +400,56 @@ class _Parser:
     # -- conditions
 
     def parse_condition(self) -> Formula:
-        return self._parse_or()
+        """A condition at most MAX_CONDITION_DEPTH levels deep, where each
+        operator and each pair of parentheses is one level above what it
+        holds; a deeper one is reported at its first token."""
+        self.condition_start = self.peek()
+        return self._parse_or(0)[0]
 
-    def _parse_or(self) -> Formula:
-        left = self._parse_and()
+    # Each rule takes the levels above it and returns its formula and the
+    # levels within it, checked before any rule recurses one level deeper.
+
+    def _within_depth(self, outer: int, height: int) -> int:
+        if outer + height > MAX_CONDITION_DEPTH:
+            self.error(f"condition nested more than {MAX_CONDITION_DEPTH} "
+                       "levels deep", self.condition_start)
+        return height
+
+    def _parse_or(self, outer: int) -> tuple:
+        left, height = self._parse_and(outer)
         while self.accept("||"):
-            left = Or(left, self._parse_and())
-        return left
+            right, right_height = self._parse_and(outer)
+            left, height = Or(left, right), self._within_depth(
+                outer, max(height, right_height) + 1)
+        return left, height
 
-    def _parse_and(self) -> Formula:
-        left = self._parse_unary()
+    def _parse_and(self, outer: int) -> tuple:
+        left, height = self._parse_unary(outer)
         while self.accept("&"):
-            left = And(left, self._parse_unary())
-        return left
+            right, right_height = self._parse_unary(outer)
+            left, height = And(left, right), self._within_depth(
+                outer, max(height, right_height) + 1)
+        return left, height
 
-    def _parse_unary(self) -> Formula:
+    def _parse_unary(self, outer: int) -> tuple:
         if self.accept("!"):
-            return Not(self._parse_unary())
-        return self._parse_primary()
+            self._within_depth(outer, 1)
+            operand, height = self._parse_unary(outer + 1)
+            return Not(operand), height + 1
+        return self._parse_primary(outer)
 
-    def _parse_primary(self) -> Formula:
+    def _parse_primary(self, outer: int) -> tuple:
         if self.accept("("):
-            inner = self.parse_condition()
+            self._within_depth(outer, 1)
+            inner, height = self._parse_or(outer + 1)
             self.expect(")")
-            return inner
+            return inner, height + 1
         if self.accept("true"):
-            return TRUE
+            return TRUE, 0
         if self.accept("false"):
-            return FALSE
+            return FALSE, 0
         var, value = self.parse_assignment()  # _parse_unary read any '!'
-        return Atom(var.text, value)
+        return Atom(var.text, value), 0
 
     # -- effects
 
@@ -743,7 +773,7 @@ def format_model(model: DomainModel) -> str:
         if r.duration is not None:
             parts.append(f"for {r.duration}")
         if r.deadline is not None:
-            parts.append("after" if "E" in r.kind.value else "within")
+            parts.append("within" if r.kind.is_flexible else "after")
             parts.append(str(r.deadline))
         if r.activation is not None:
             parts.append(f"if {format_formula(r.activation)}")
@@ -760,6 +790,23 @@ def format_model(model: DomainModel) -> str:
 
 # ---------------------------------------------------------------------------
 # Static diagnostics
+
+
+def probability_errors(item) -> list:
+    """What the parser rejects in an action's or event's probabilities,
+    for a model built in code: an occurrence or effect probability outside
+    (0,1], a branch's effect probabilities summing above 1."""
+    errors = []
+    for br in item.branches:
+        named = [("effect", eff.probability) for eff in br.effects]
+        if isinstance(br, EventBranch):
+            named.insert(0, ("occurrence", br.occurrence_probability))
+        errors += [f"{what} probability {p} outside (0,1]"
+                   for what, p in named if not 0 < p <= 1]
+        total = sum(eff.probability for eff in br.effects)
+        if total > 1:
+            errors.append(f"effect probabilities sum to {total} > 1")
+    return errors
 
 
 def validate(model: DomainModel) -> list:
@@ -813,17 +860,11 @@ def validate(model: DomainModel) -> list:
                 report("warning", f"{owner}: overlapping preconditions "
                        f"({format_formula(br.precondition)} repeated)", item)
             seen_pres.append(br.precondition)
-            total = Fraction(0)
             for eff in br.effects:
-                if eff.probability <= 0:
-                    report("error", f"{owner}: zero-probability effect", item)
-                total += eff.probability
                 for var, value in eff.assignments:
                     assigned.setdefault(var, set()).add(value)
-            if total > 1:
-                report("error",
-                       f"{owner}: effect probabilities sum to {total} > 1",
-                       item)
+        for message in probability_errors(item):
+            report("error", f"{owner}: {message}", item)
 
     # Domain values nothing can ever assign are likely spelling mistakes.
     for variable in model.variables:

@@ -12,7 +12,15 @@ Status labels: `-` (stateless), `I` (inactive), `R` (in force), `A`
 (activated, duration kinds), `A(k)` (k ticks to the deadline), `R(k)`
 (k duration ticks left).
 
-Tie rule: cancellation is checked before satisfaction in every row.
+The update reads each kind's behaviour from the letters that spell it
+(`ReqKind`'s properties), never from a list of kinds: U is stateless; C
+stays in R until cancelled or, for A (achieve), satisfied; D counts a
+deadline down, ending at its first satisfied tick when F (flexible) and
+achieve, and entering the duration at any satisfied tick when F or only
+at the last when E (exact); P counts a duration down, and RP ends it at
+the first tick the goal fails. Tie rule: the activation decides from I;
+from every other status cancellation is checked once, before
+satisfaction.
 """
 
 from __future__ import annotations
@@ -46,22 +54,21 @@ class RequirementAutomaton:
 
 
 def build_automaton(req: Requirement) -> RequirementAutomaton:
-    """Status domain per requirement kind.
+    """Status domain per requirement kind, read from its letters.
 
-    UA/UM are stateless (single label). CA/CM get {I, R}. Deadline kinds get
-    a countdown A(D)..A(1); duration kinds get A plus R(P)..R(1); combined
-    kinds chain the deadline countdown into the duration countdown.
+    U kinds are stateless (single label). The others start in I, then
+    count down a deadline A(D)..A(1) (D), wait in A for the duration to
+    start (P without D) or stay in force in R (neither); P appends the
+    duration countdown R(P)..R(1).
     """
     kind = req.kind
-    if kind in (ReqKind.UA, ReqKind.UM):
+    if not kind.is_conditional:
         return RequirementAutomaton(req, ("-",), "-")
-    if kind in (ReqKind.CA, ReqKind.CM):
-        return RequirementAutomaton(req, ("I", "R"), "I")
     statuses = ["I"]
     if kind.has_deadline:
         statuses += [f"A({k})" for k in range(req.deadline, 0, -1)]
-    elif kind.has_duration:
-        statuses.append("A")
+    else:
+        statuses.append("A" if kind.has_duration else "R")
     if kind.has_duration:
         statuses += [f"R({k})" for k in range(req.duration, 0, -1)]
     return RequirementAutomaton(req, tuple(statuses), "I")
@@ -70,19 +77,10 @@ def build_automaton(req: Requirement) -> RequirementAutomaton:
 def status_count(req: Requirement) -> int:
     """How many statuses `build_automaton(req)` lists, without listing
     them."""
-    if req.kind in (ReqKind.UA, ReqKind.UM):
+    if not req.kind.is_conditional:
         return 1
-    if req.kind in (ReqKind.CA, ReqKind.CM):
-        return 2
     return (1 + (req.deadline if req.kind.has_deadline else 1)
             + (req.duration if req.kind.has_duration else 0))
-
-
-def _counter(status: str) -> Optional[tuple]:
-    if status.endswith(")") and "(" in status:
-        head, _, num = status[:-1].partition("(")
-        return head, int(num)
-    return None
 
 
 def _sat(f: Optional[Formula], base: Mapping[str, str]) -> bool:
@@ -96,67 +94,35 @@ def _update(auto: RequirementAutomaton, status: str, new_base: Mapping[str, str]
     if status not in auto.statuses:
         raise UnknownStatusError(
             f"requirement '{req.name}': unknown status '{status}'")
-    if kind in (ReqKind.UA, ReqKind.UM):
+    if not kind.is_conditional:
         return "-"
-
-    s = _sat(req.required, new_base)
-    a = _sat(req.activation, new_base)
-    z = _sat(req.cancellation, new_base)
-
-    if kind is ReqKind.CA:
-        if status == "I":
-            return "R" if a else "I"
-        return "I" if (z or s) else "R"
-    if kind is ReqKind.CM:
-        if status == "I":
-            return "R" if a else "I"
-        return "I" if z else "R"
-
     if status == "I":
-        if not a:
+        if not _sat(req.activation, new_base):
             return "I"
         if kind.has_deadline:
             return f"A({req.deadline})"
-        return "A"
-
-    if status == "A":  # duration kinds without deadline
-        if z:
-            return "I"
-        if s:
+        return "A" if kind.has_duration else "R"
+    if _sat(req.cancellation, new_base):
+        return "I"
+    s = _sat(req.required, new_base)
+    if status == "R":  # C: in force until an achieve goal holds
+        return "I" if s and kind.is_achieve else "R"
+    if status == "A":  # P without D: waiting for the duration to start
+        return f"R({req.duration})" if s else "A"
+    k = int(status[2:-1])
+    if status[0] == "A":  # D: the deadline countdown
+        # F: the goal may hold at any tick of the window, E: at the last
+        if s and (kind.is_flexible or k == 1) and kind.has_duration:
             return f"R({req.duration})"
-        return "A"
-
-    head, k = _counter(status)
-    if head == "A":
-        if z:
+        if s and kind.is_flexible and kind.is_achieve:
             return "I"
-        flexible_exit = kind in (ReqKind.DFA,)
-        duration_entry_any = kind in (ReqKind.PDFM, ReqKind.RPDFM)
-        duration_entry_last = kind in (ReqKind.PDEM, ReqKind.RPDEM)
-        if flexible_exit and s:
-            return "I"
-        if duration_entry_any and s:
-            return f"R({req.duration})"
         if not time_step:
-            if duration_entry_last and k == 1 and s:
-                return f"R({req.duration})"
             return status
-        if k == 1:
-            if duration_entry_last and s:
-                return f"R({req.duration})"
-            return "I"
-        return f"A({k - 1})"
-
-    # head == "R": duration countdown
-    if z:
+        return "I" if k == 1 else f"A({k - 1})"
+    # R(k), P: the duration countdown; RP ends at the first violation
+    if k == 1 or (kind.is_strict and not s):
         return "I"
-    if kind.is_strict and not s:
-        return "I"
-    if k == 1:
-        return "I"
-    if not time_step:
-        return status
-    return f"R({k - 1})"
+    return f"R({k - 1})" if time_step else status
 
 
 def update_action(auto: RequirementAutomaton, status: str,
@@ -213,7 +179,7 @@ def reward(auto: RequirementAutomaton, before: Mapping[str, str],
     requirement's status atom.
     """
     req = auto.requirement
-    if req.kind in (ReqKind.UA, ReqKind.UM):
+    if not req.kind.is_conditional:
         st_before = st_after = "-"
     else:
         name = req.name

@@ -216,6 +216,8 @@ def value_iteration(mdp: MdpModel,
     epsilon*(1-gamma)/(2*gamma); the result is within epsilon of optimal."""
     if not epsilon > 0:  # nan too, which would stop before the first sweep
         raise SolverError("epsilon must be positive")
+    if epsilon == np.inf:  # the first sweep's residual would pass
+        raise SolverError("epsilon must be finite")
     bellman = _Bellman(mdp)
     threshold = epsilon * (1.0 - bellman.gamma) / (2.0 * bellman.gamma)
     values = np.zeros(mdp.n_states)

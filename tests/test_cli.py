@@ -16,6 +16,8 @@ from click.testing import CliRunner
 from obd import compiler, dsl
 from obd.cli import main
 
+import test_dsl
+
 MODELS = Path(__file__).parent.parent / "models"
 TOY = str(MODELS / "toy.obd")
 
@@ -450,6 +452,49 @@ def test_non_finite_gamma_exits_1(command, gamma, shown):
 def test_bad_epsilon_exits_1(command, epsilon):
     head = diagnostic(command[0], TOY, *command[1:], "--epsilon", epsilon)
     assert head == f"{TOY}: error: epsilon must be positive"
+
+
+@pytest.mark.parametrize("command", COMMANDS[1:], ids=lambda c: c[0])
+def test_infinite_epsilon_exits_1(command):
+    head = diagnostic(command[0], TOY, *command[1:], "--epsilon", "inf")
+    assert head == f"{TOY}: error: epsilon must be finite"
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+@pytest.mark.parametrize("limit", ["-1", "0"])
+def test_state_limit_below_1_exits_1(command, limit):
+    head = diagnostic(command[0], TOY, *command[1:], "--max-states", limit)
+    assert head == "--max-states: error: must be >= 1"
+
+
+@pytest.mark.parametrize("shape", test_dsl.DEPTH_SHAPES)
+def test_condition_depth_bound(tmp_path, shape):
+    """Conditions at the depth bound in every clause go through every
+    command, all three controllers and the overlap diagnostic that
+    formats them; one level deeper is a diagnostic at the first token."""
+    def write(levels, second_branch=""):
+        cond = test_dsl.deep_condition(shape, levels)
+        path = tmp_path / f"{shape}-{levels}.obd"
+        path.write_text(
+            f"Variable y\nAction a if {cond} effects <!x>{second_branch}\n"
+            f"Event e if {cond} occur prob 1/2 effects <!y>\n"
+            f"ReqID g achieve {cond} within 2 if {cond} unless !y reward 1\n"
+            f"ReqID h achieve {cond} reward 1\nInit {{ x, y }}\n")
+        return str(path)
+
+    at_bound = write(dsl.MAX_CONDITION_DEPTH)
+    for command in COMMANDS:
+        assert invoke(command[0], at_bound, *command[1:]).exit_code == 0
+    assert invoke("simulate", at_bound, "--controller", "reflex,replan,random",
+                  "--ticks", "20").exit_code == 0
+    overlap = write(dsl.MAX_CONDITION_DEPTH, " if x effects <y>")
+    result = invoke("compile", overlap)
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert "overlap in state" in result.stderr.splitlines()[-1]
+    past = write(dsl.MAX_CONDITION_DEPTH + 1)
+    assert diagnostic("compile", past) == (
+        f"{past}:2:13: error: condition nested more than "
+        f"{dsl.MAX_CONDITION_DEPTH} levels deep")
 
 
 @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])

@@ -29,7 +29,15 @@ from obd.compiler import (
     implicit_action_matrix,
     load_mdp,
 )
-from obd.dsl import Atom, EventDesc, ReqKind, Requirement, parse_domain
+from obd.dsl import (
+    Atom,
+    Effect,
+    EventDesc,
+    ReqKind,
+    Requirement,
+    parse_domain,
+    validate,
+)
 from obd.reqauto import build_automaton, update_action, update_event
 
 import oracles
@@ -590,6 +598,58 @@ def test_gamma_range_enforced(toy_model):
         compile_model(toy_model, gamma=Fraction(1))
     with pytest.raises(CompileError):
         compile_model(toy_model, gamma=Fraction(0))
+
+
+@pytest.mark.parametrize("gamma, shown", [
+    (Fraction("0.99999999999999999"), "1.0"), (Fraction("1e-400"), "0.0")])
+def test_gamma_checked_as_the_solvers_float64(toy_model, gamma, shown):
+    """VI's stopping threshold divides by float(gamma) and is 0 at 1.0."""
+    with pytest.raises(CompileError) as err:
+        compile_model(toy_model, gamma)
+    assert str(err.value) == (f"discount factor {gamma} is {shown} as a "
+                              "float64, outside (0,1)")
+
+
+PROBABILITIES = parse_domain("""
+    Variable x
+    Action a if x effects <!x prob 1/2>
+    Event e if !x occur prob 1/2 effects <x>
+    Init { x }
+""")
+
+
+def _occurrence(p):
+    event = PROBABILITIES.events[0]
+    return replace(PROBABILITIES, events=(replace(event, branches=(replace(
+        event.branches[0], occurrence_probability=Fraction(p)),)),))
+
+
+def _effects(*ps):
+    action = PROBABILITIES.actions[0]
+    return replace(PROBABILITIES, actions=(replace(action, branches=(replace(
+        action.branches[0], effects=tuple(
+            Effect((("x", "ff"),), Fraction(p)) for p in ps)),)),))
+
+
+@pytest.mark.parametrize("model, message", [
+    (_occurrence(-1), "event 'e': occurrence probability -1 outside (0,1]"),
+    (_occurrence(0), "event 'e': occurrence probability 0 outside (0,1]"),
+    (_occurrence("3/2"), "event 'e': occurrence probability 3/2 outside "
+                         "(0,1]"),
+    (_effects(2, -1), "action 'a': effect probability 2 outside (0,1]"),
+    (_effects(0), "action 'a': effect probability 0 outside (0,1]"),
+    (_effects("3/5", "3/5"), "action 'a': effect probabilities sum to 6/5 > "
+                             "1"),
+], ids=["occur-1", "occur0", "occur3/2", "effects2,-1", "effect0",
+        "sum6/5"])
+def test_probabilities_of_models_built_in_code(model, message):
+    """The parser rejects each of these; a model built in code can hold
+    them, and a row such as {2, -1} still sums to 1."""
+    assert message in [d.message for d in validate(model)
+                       if d.severity == "error"]
+    with pytest.raises(CompileError) as err:
+        compile_model(model)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("kind, deadline, duration, message", [

@@ -13,6 +13,7 @@ from obd.dsl import (
     Atom,
     BoolLit,
     Effect,
+    MAX_CONDITION_DEPTH,
     Not,
     Or,
     ParseError,
@@ -433,3 +434,51 @@ def test_validate_reports_errors_of_models_built_in_code(edit, message):
     assert "error" not in _severities(BASE)
     errors = [d.message for d in validate(edit(BASE)) if d.severity == "error"]
     assert errors == [message]
+
+
+# ---------------------------------------------------------------------------
+# Condition depth
+
+
+def deep_condition(shape: str, levels: int) -> str:
+    """A condition over x nested `levels` levels deep in one of four
+    shapes."""
+    return {"not": "!" * levels + "x",
+            "parentheses": "(" * levels + "x" + ")" * levels,
+            "and": " & ".join(["x"] * (levels + 1)),
+            "or": " || ".join(["x"] * (levels + 1))}[shape]
+
+
+DEPTH_SHAPES = ("not", "parentheses", "and", "or")
+
+
+@pytest.mark.parametrize("shape", DEPTH_SHAPES)
+def test_condition_depth_is_bounded(shape):
+    def model_text(levels):
+        return (f"Variable x\nAction a if {deep_condition(shape, levels)} "
+                "effects <!x>\nInit { x }\n")
+
+    model = parse_domain(model_text(MAX_CONDITION_DEPTH))
+    condition = model.actions[0].branches[0].precondition
+    assert eval_formula(condition, {"x": "tt"}) \
+        == (shape != "not" or MAX_CONDITION_DEPTH % 2 == 0)
+    assert parse_domain(format_model(model)) == model
+    # one level past the bound and far past it: a diagnostic at the
+    # condition's first token, not a RecursionError
+    for levels in (MAX_CONDITION_DEPTH + 1, 5000):
+        with pytest.raises(ParseError) as err:
+            parse_domain(model_text(levels))
+        assert (err.value.message, err.value.line, err.value.col) == (
+            f"condition nested more than {MAX_CONDITION_DEPTH} levels deep",
+            2, 13)
+
+
+def test_condition_depth_counts_every_level():
+    # two levels per `!(`, one per `&` over the deeper operand
+    half = MAX_CONDITION_DEPTH // 2
+    assert parse_domain("Variable x\nReqID r maintain x if x unless "
+                        + "!(" * half + "x" + ")" * half + "\nInit { x }\n")
+    with pytest.raises(ParseError) as err:
+        parse_domain("Variable x\nReqID r maintain x if x unless "
+                     + "!(" * half + "x & x" + ")" * half + "\nInit { x }\n")
+    assert (err.value.line, err.value.col) == (2, 32)

@@ -109,6 +109,12 @@ def test_agreement_restaurant(restaurant_mdp):
     _assert_agreement(restaurant_mdp)
 
 
+def test_infinite_epsilon_rejected(toy_mdp):
+    """An infinite threshold would stop VI after its first sweep."""
+    with pytest.raises(SolverError, match="^epsilon must be finite$"):
+        value_iteration(toy_mdp, float("inf"))
+
+
 @pytest.mark.parametrize("seed", range(15))
 def test_agreement_random_models(seed):
     model = oracles.random_model(random.Random(2000 + seed))
