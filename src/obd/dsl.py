@@ -99,6 +99,24 @@ def _walk(f: Formula):
         yield from _walk(f.right)
 
 
+def formula_depth(f: Formula) -> int:
+    """Operator levels above the deepest atom or literal, which is 0.
+    Measured level by level over distinct subformulas, so a deep formula
+    takes no recursion and one that shares subformulas no blow-up."""
+    level, depth = [f], 0
+    while True:
+        below = {}
+        for g in level:
+            if isinstance(g, Not):
+                below[id(g.operand)] = g.operand
+            elif isinstance(g, (And, Or)):
+                below[id(g.left)] = g.left
+                below[id(g.right)] = g.right
+        if not below:
+            return depth
+        level, depth = below.values(), depth + 1
+
+
 def format_formula(f: Formula) -> str:
     """Render a formula; inverse of the condition grammar up to parentheses."""
 
@@ -823,8 +841,21 @@ def validate(model: DomainModel) -> list:
     def report(severity: str, message: str, at) -> None:
         diags.append(Diagnostic(severity, message, at.line, at.col))
 
+    def within_depth(owner: str, what: str, f: Formula, at) -> bool:
+        """The parser's depth bound, for a model built in code; a
+        deeper formula would end compilation in a RecursionError."""
+        if formula_depth(f) <= MAX_CONDITION_DEPTH:
+            return True
+        report("error", f"{owner}: {what} nested more than "
+               f"{MAX_CONDITION_DEPTH} levels deep", at)
+        return False
+
     for r in model.requirements:
         kind = r.kind
+        for what, f in (("formula", r.required), ("activation", r.activation),
+                        ("cancellation", r.cancellation)):
+            if f is not None:
+                within_depth(f"requirement '{r.name}'", what, f, r)
         if not kind.is_conditional:
             if r.activation is not None:
                 report("error",
@@ -856,10 +887,13 @@ def validate(model: DomainModel) -> list:
         owner = f"{label} '{item.name}'"
         seen_pres = []
         for br in item.branches:
-            if br.precondition in seen_pres:
-                report("warning", f"{owner}: overlapping preconditions "
-                       f"({format_formula(br.precondition)} repeated)", item)
-            seen_pres.append(br.precondition)
+            # one past the bound is not compared: == would recurse as deep
+            if within_depth(owner, "precondition", br.precondition, item):
+                if br.precondition in seen_pres:
+                    report("warning", f"{owner}: overlapping preconditions "
+                           f"({format_formula(br.precondition)} repeated)",
+                           item)
+                seen_pres.append(br.precondition)
             for eff in br.effects:
                 for var, value in eff.assignments:
                     assigned.setdefault(var, set()).add(value)

@@ -13,14 +13,18 @@ branch's effects as cumulative thresholds and successor bases, and the
 successor of its most likely effect, which the replanning controller
 searches; per event and base state, the matched branch's occurrence
 probability and effects; per action or event step, the status tuple
-after it; and per (state before, state after), the requirement rewards
-and the names of the requirements satisfied. The simulator's own branch
-matcher and `reqauto`'s status updates and reward fill each entry the
-first time it is read; the compiled matrices are never read, so
-criterion 6 still compares two transcriptions of the tick. The planner
-reads its goals' truth from the decoded base and status dicts the fills
-keep, read-only. The tables are freed with their model and grow with
-the states and transitions the runs on it visit.
+after it; per (state before, state after), the requirement rewards and
+the names of the requirements satisfied; and per state, the goal the
+replanning controller plans toward there: the disjunction of the achieve
+requirements active in it, joined in pairs level by level (depth
+ceil(log2 n) above the deepest goal) once per distinct set of active
+goals. The simulator's own branch matcher and `reqauto`'s status
+updates and reward fill each entry the first time it is read; the
+compiled matrices are never read, so criterion 6 still compares two
+transcriptions of the tick. The goal fill and the planner read the
+decoded base and status dicts the fills keep, read-only. The tables are
+freed with their model and grow with the states and transitions the
+runs on it visit.
 
 Randomness comes from numpy's default bit generator (PCG64, O'Neill
 2014), seeded per run, so traces replay across platforms. A run reads its
@@ -33,7 +37,6 @@ of their call cost. `step` and the controllers accept either.
 from __future__ import annotations
 
 import csv
-import functools
 import heapq
 import io
 import statistics
@@ -93,6 +96,9 @@ class _Tables(NamedTuple):
     rewards: _Memo  # (index before, index after) -> (reward, satisfied)
     bases: _Memo  # base index -> {variable: value}; read-only
     statuses: _Memo  # sigma -> {requirement: status}; read-only
+    # state index -> None when no achieve requirement is active, else the
+    # disjunction of the active ones; one formula per distinct goal set
+    goals: _Memo
 
 
 def _new_tables(mdp: MdpModel) -> _Tables:
@@ -173,6 +179,33 @@ def _new_tables(mdp: MdpModel) -> _Tables:
             total += r
         return total, tuple(satisfied)
 
+    # achieve requirements: an unconditional one is active while its
+    # formula is false at the base, a conditional one while its status
+    # is not "I" (inactive)
+    achieve = [(auto.name, auto.requirement.required,
+                auto.requirement.kind.is_conditional)
+               for auto in automata if auto.requirement.kind.is_achieve]
+
+    def disjunction(active: tuple) -> Formula:
+        """The goals `active` indexes, in declaration order, joined by
+        Or in pairs level by level, so that evaluation stays shallow."""
+        level = [achieve[k][1] for k in active]
+        while len(level) > 1:
+            level = [Or(*level[i:i + 2]) if i + 1 < len(level) else level[i]
+                     for i in range(0, len(level), 2)]
+        return level[0]
+
+    disjunctions = _Memo(disjunction)
+
+    def goal(i: int) -> Optional[Formula]:
+        b, sigma = divmod(i, n_statuses)
+        base, statuses = bases[b], status_dicts[sigma]
+        active = tuple(k for k, (name, required, conditional)
+                       in enumerate(achieve)
+                       if (statuses[name] != "I" if conditional
+                           else not eval_formula(required, base)))
+        return disjunctions[active] if active else None
+
     return _Tables(
         n_statuses,
         {name: (action.cost, matched(action.branches, effects),
@@ -181,7 +214,7 @@ def _new_tables(mdp: MdpModel) -> _Tables:
         tuple(matched(event.branches, occurrence)
               for event in mdp.model.events),
         after_step(update_action), after_step(update_event), _Memo(reward),
-        bases, status_dicts)
+        bases, status_dicts, _Memo(goal))
 
 
 def _tables(mdp: MdpModel) -> _Tables:
@@ -275,7 +308,7 @@ def step(mdp: MdpModel, state_index: int, action_name: str, rng):
     for its effect.
     """
     n_statuses, actions, events, after_action, after_event, rewards, _, \
-        _ = _tables(mdp)
+        _, _ = _tables(mdp)
     b, sigma = divmod(state_index, n_statuses)
     try:
         cost, outcomes, _ = actions[action_name]
@@ -398,36 +431,19 @@ class ReplanningController(Controller):
 
     def __init__(self, mdp: MdpModel, budget: int = PLANNER_BUDGET):
         self.mdp = mdp
-        self.tables = _tables(mdp)  # the base and status dicts, read-only
+        self.tables = _tables(mdp)  # goals and successors, read-only
         self.budget = budget
         self.plan_queue: list = []
         self.predicted: Optional[int] = None  # base index after the action
-        # achieve requirements, each with whether it waits for activation
-        self.tracked = [(auto, auto.requirement.kind.is_conditional)
-                        for auto in mdp.automata
-                        if auto.requirement.kind.is_achieve]
-
-    def _active_goals(self, statuses: dict, base: dict) -> list:
-        goals = []
-        for auto, conditional in self.tracked:
-            req = auto.requirement
-            if not conditional:
-                if not eval_formula(req.required, base):
-                    goals.append(req.required)
-            elif statuses[auto.name] != "I":
-                goals.append(req.required)
-        return goals
 
     def choose(self, state_index: int, rng) -> str:
-        b, sigma = divmod(state_index, self.tables.n_statuses)
+        b = state_index // self.tables.n_statuses
         if not self.plan_queue:
-            goals = self._active_goals(self.tables.statuses[sigma],
-                                       self.tables.bases[b])
-            if not goals:
+            goal = self.tables.goals[state_index]
+            if goal is None:
                 self.predicted = None
                 return NOOP
-            found = plan(self.mdp, b, functools.reduce(Or, goals),
-                         self.budget)
+            found = plan(self.mdp, b, goal, self.budget)
             if not found:  # unreachable or out of budget (empty = met)
                 if found is None:
                     self.plan_failures += 1

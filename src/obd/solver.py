@@ -220,6 +220,10 @@ def value_iteration(mdp: MdpModel,
         raise SolverError("epsilon must be finite")
     bellman = _Bellman(mdp)
     threshold = epsilon * (1.0 - bellman.gamma) / (2.0 * bellman.gamma)
+    if threshold == 0.0:  # no residual is below 0, so no sweep would stop
+        raise SolverError(f"epsilon {epsilon!r} is too small: the stopping "
+                          "threshold epsilon*(1-gamma)/(2*gamma) underflows "
+                          "to 0")
     values = np.zeros(mdp.n_states)
     iterations = 0
     residual = np.inf

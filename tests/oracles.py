@@ -8,9 +8,10 @@ action-then-events, one sampled tick computed straight through, a run
 of such ticks drawing one scalar at a time from numpy's generator, the
 per-state occurrence probabilities of an event, the pairs of effective
 event matrices whose exact products differ, a dict-keyed forward-search
-planner on the determinized model, exhaustive policy enumeration for tiny
-MDPs, a random model generator, and readers of obdmdp/1 and obdpolicy/1
-that take one line at a time.
+planner on the determinized model and a replanning controller around
+it, exhaustive policy enumeration for tiny MDPs, a random model
+generator, and readers of obdmdp/1 and obdpolicy/1 that take one line
+at a time.
 """
 
 from __future__ import annotations
@@ -452,6 +453,62 @@ def oracle_plan(model: DomainModel, start_base: dict, goal,
             heapq.heappush(frontier, (cost + action.cost, length + 1,
                                       actions + (action.name,), sk, succ))
     return None
+
+
+class OracleReplanningController:
+    """The monitor/plan/execute baseline worked straight through on dicts:
+    every tick with an empty plan decodes the state, collects the active
+    achieve requirements (an unconditional one while its formula is
+    false, a conditional one while its status is not "I"), joins them
+    left to right with Or and searches with `oracle_plan`."""
+
+    name = "replan"
+
+    def __init__(self, mdp, budget: int = 10_000):
+        self.mdp = mdp
+        self.budget = budget
+        self.plan_failures = 0
+        self.plan_queue = []
+        self.predicted = None  # the base dict expected after the action
+
+    def _base(self, state: dict) -> dict:
+        return {v.name: state[v.name] for v in self.mdp.model.variables}
+
+    def choose(self, state_index: int, rng) -> str:
+        model = self.mdp.model
+        state = self.mdp.space.state(state_index)
+        base = self._base(state)
+        if not self.plan_queue:
+            goals = [req.required for req in model.requirements
+                     if req.kind.value.endswith("A")
+                     and (not holds(req.required, base)
+                          if req.activation is None
+                          else state[req.name] != "I")]
+            if not goals:
+                self.predicted = None
+                return "noop"
+            goal = goals[0]
+            for g in goals[1:]:
+                goal = Or(goal, g)
+            found = oracle_plan(model, base, goal, self.budget)
+            if not found:  # unreachable or out of budget (empty = met)
+                if found is None:
+                    self.plan_failures += 1
+                self.predicted = None
+                return "noop"
+            self.plan_queue = found
+        name = self.plan_queue.pop(0)
+        action = self.mdp.actions[self.mdp.action_names.index(name)]
+        succ = determinized_successor(action, base)
+        self.predicted = base if succ is None else succ
+        return name
+
+    def observe(self, prev_index: int, action: str, next_index: int) -> None:
+        if self.predicted is not None and self._base(
+                self.mdp.space.state(next_index)) != self.predicted:
+            self.plan_failures += 1
+            self.plan_queue = []
+            self.predicted = None
 
 
 # ---------------------------------------------------------------------------

@@ -460,6 +460,21 @@ def test_infinite_epsilon_exits_1(command):
     assert head == f"{TOY}: error: epsilon must be finite"
 
 
+@pytest.mark.parametrize("command", COMMANDS[1:], ids=lambda c: c[0])
+def test_underflowing_epsilon_exits_1(command):
+    """VI's stopping threshold is 0.0 for this epsilon; without the
+    check value iteration never ends."""
+    head = diagnostic(command[0], TOY, *command[1:], "--epsilon", "5e-324")
+    assert head == (f"{TOY}: error: epsilon 5e-324 is too small: the "
+                    "stopping threshold epsilon*(1-gamma)/(2*gamma) "
+                    "underflows to 0")
+
+
+def test_tiny_epsilon_still_solves():
+    result = invoke("solve", TOY, "--epsilon", "1e-300")
+    assert result.exit_code == 0, result.stderr
+
+
 @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
 @pytest.mark.parametrize("limit", ["-1", "0"])
 def test_state_limit_below_1_exits_1(command, limit):

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from obd.compiler import compile_model
 from obd.dsl import (
     And,
     Atom,
@@ -20,6 +21,7 @@ from obd.dsl import (
     ReqKind,
     _tokenize,
     eval_formula,
+    formula_depth,
     format_model,
     parse_domain,
     validate,
@@ -471,6 +473,60 @@ def test_condition_depth_is_bounded(shape):
         assert (err.value.message, err.value.line, err.value.col) == (
             f"condition nested more than {MAX_CONDITION_DEPTH} levels deep",
             2, 13)
+
+
+def _nots(levels: int):
+    f = Atom("x", "tt")
+    for _ in range(levels):
+        f = Not(f)
+    return f
+
+
+def test_formula_depth_takes_no_recursion_and_no_blow_up():
+    assert formula_depth(Atom("x", "tt")) == formula_depth(BoolLit(True)) == 0
+    assert formula_depth(And(_nots(3), Or(_nots(1), _nots(5)))) == 7
+    assert formula_depth(_nots(4_000)) == 4_000
+    shared = Atom("x", "tt")  # 2**300 paths through 301 distinct nodes
+    for _ in range(300):
+        shared = And(shared, shared)
+    assert formula_depth(shared) == 300
+
+
+def _with_precondition(f):
+    return lambda m: replace(m, actions=(replace(m.actions[0], branches=(
+        replace(m.actions[0].branches[0], precondition=f),)),))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_with_precondition, "action 'a': precondition"),
+    (lambda f: _edit_requirement(required=f), "requirement 'r': formula"),
+    (lambda f: _edit_requirement(activation=f), "requirement 'r': activation"),
+    (lambda f: _edit_requirement(cancellation=f),
+     "requirement 'r': cancellation"),
+], ids=["precondition", "formula", "activation", "cancellation"])
+def test_validate_bounds_the_depth_of_models_built_in_code(edit, message):
+    """The parser's bound, held by validate for a model built in code:
+    4,000 nested Nots are one error, where compiling them ends in a
+    RecursionError; the bound itself passes and compiles."""
+    errors = [d.message for d in validate(edit(_nots(4_000))(BASE))
+              if d.severity == "error"]
+    assert errors == [f"{message} nested more than {MAX_CONDITION_DEPTH} "
+                      "levels deep"]
+    at_bound = edit(_nots(MAX_CONDITION_DEPTH))(BASE)
+    assert "error" not in _severities(at_bound)
+    compile_model(at_bound)
+
+
+def test_validate_compares_no_precondition_past_the_bound():
+    """Two equal preconditions past the bound: == would recurse through
+    both, so they are reported as too deep, not as overlapping."""
+    branch = replace(BASE.actions[0].branches[0], precondition=_nots(4_000))
+    model = replace(BASE, actions=(replace(BASE.actions[0],
+                                           branches=(branch, branch)),))
+    assert [(d.severity, d.message) for d in validate(model)
+            if d.severity != "info"] == \
+        [("error", f"action 'a': precondition nested more than "
+          f"{MAX_CONDITION_DEPTH} levels deep")] * 2
 
 
 def test_condition_depth_counts_every_level():

@@ -11,12 +11,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import oracles
 from obd import sim
 from obd.compiler import compile_model, dump_mdp, load_mdp
-from obd.dsl import Atom, Or, parse_domain
+from obd.cli import main
+from obd.dsl import Atom, Or, formula_depth, parse_domain
 from obd.sim import (
     BLOCK,
     Draws,
@@ -162,45 +164,93 @@ def test_step_matches_oracle_on_random_models():
         _compare_ticks([mdp], 500, seed=seed)
 
 
+def _compare_replans(mdps, ticks: int, seed: int = 0):
+    """`ReplanningController` and `oracles.OracleReplanningController` on
+    each model, the models taking turns a tick each: the same action on
+    every tick and the same plan failures after it."""
+    controllers = [(ReplanningController(mdp),
+                    oracles.OracleReplanningController(mdp)) for mdp in mdps]
+    rngs = [Draws(seed) for _ in mdps]
+    states = [mdp.initial_index for mdp in mdps]
+    for tick in range(ticks):
+        for k, mdp in enumerate(mdps):
+            got, want = controllers[k]
+            action = got.choose(states[k], rngs[k])
+            assert action == want.choose(states[k], None), (k, tick)
+            next_index = step(mdp, states[k], action, rngs[k])[0]
+            for controller in (got, want):
+                controller.observe(states[k], action, next_index)
+            assert got.plan_failures == want.plan_failures, (k, tick)
+            states[k] = next_index
+
+
 def test_step_tables_never_mix_models():
     """Two models with the same states, actions and events but other
-    probabilities, ticked in turns with the same draws."""
-    mdps = [compile_model(parse_domain(restaurant_text(2, seed)))
-            for seed in (0, 1)]
-    assert mdps[0].space == mdps[1].space
-    _compare_ticks(mdps, 2_000, seed=4)
+    probabilities, and a third with other goals, ticked in turns with the
+    same draws."""
+    texts = [restaurant_text(2, 0), restaurant_text(2, 1),
+             restaurant_text(2, 0).replace("achieve table1=received",
+                                           "achieve looked1")]
+    mdps = [compile_model(parse_domain(text)) for text in texts]
+    assert mdps[0].space == mdps[1].space == mdps[2].space
+    _compare_ticks(mdps[:2], 2_000, seed=4)
+    _compare_replans(mdps, 2_000, seed=4)
 
 
 def test_step_tables_are_freed_with_their_model(toy_text):
     mdp = compile_model(parse_domain(toy_text))
     step(mdp, mdp.initial_index, "a", np.random.default_rng(0))
+    ReplanningController(mdp).choose(mdp.initial_index, None)
     model = weakref.ref(mdp)
     rewards = weakref.ref(mdp.step_tables.rewards)
+    goals = weakref.ref(mdp.step_tables.goals)
+    assert len(goals()) == 1
     del mdp
     gc.collect()
     assert model() is None
     assert rewards() is None
+    assert goals() is None
 
 
 def test_runs_leave_the_table_dicts_unchanged(restaurant_mdp):
-    """The replanning controller reads its goals' truth from the tables'
-    base and status dicts; no run may write into them."""
-    strategy = value_iteration(restaurant_mdp)
-    for controller in (ReflexController(restaurant_mdp, strategy),
-                       ReplanningController(restaurant_mdp),
-                       RandomController(restaurant_mdp)):
-        run(restaurant_mdp, controller, ticks=3_000, seed=6)
-    space = restaurant_mdp.space
-    tables = restaurant_mdp.step_tables
-    assert tables.bases and tables.statuses
-    for b, base in tables.bases.items():
-        state = space.state(b * space.n_statuses)
-        assert base == {name: state[name]
-                        for name in space.names[:space.n_base]}
-    for sigma, statuses in tables.statuses.items():
-        state = space.state(sigma)
-        assert statuses == {name: state[name]
-                            for name in space.names[space.n_base:]}
+    """The goal fill and the planner read the tables' base and status
+    dicts; no run may write into them. Each goal entry is None exactly
+    when no achieve requirement is active, else true at the same bases
+    as the active ones' disjunction and no deeper than a balanced one;
+    on restaurant.obd and the 2-table deadline model."""
+    for mdp in (restaurant_mdp, compile_model(parse_domain(
+            restaurant_text(2, 0, within=3)))):
+        strategy = value_iteration(mdp)
+        for controller in (ReflexController(mdp, strategy),
+                           ReplanningController(mdp), RandomController(mdp)):
+            run(mdp, controller, ticks=3_000, seed=6)
+        space = mdp.space
+        tables = mdp.step_tables
+        assert tables.bases and tables.statuses
+        for b, base in tables.bases.items():
+            state = space.state(b * space.n_statuses)
+            assert base == {name: state[name]
+                            for name in space.names[:space.n_base]}
+        for sigma, statuses in tables.statuses.items():
+            state = space.state(sigma)
+            assert statuses == {name: state[name]
+                                for name in space.names[space.n_base:]}
+        assert len(tables.goals) > 1
+        bases = list(tables.bases.values())
+        for index, goal in tables.goals.items():
+            state = space.state(index)
+            active = [req.required for req in mdp.model.requirements
+                      if req.kind.is_achieve
+                      and (not oracles.holds(req.required, state)
+                           if req.activation is None
+                           else state[req.name] != "I")]
+            assert (goal is None) == (not active), index
+            if active:
+                assert formula_depth(goal) <= math.ceil(math.log2(
+                    len(active))) + max(map(formula_depth, active))
+                for base in bases:
+                    assert oracles.holds(goal, base) == \
+                        any(oracles.holds(g, base) for g in active), index
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +483,69 @@ def test_replanning_counts_an_unreachable_goal_as_a_plan_failure():
         ReqID g achieve x reward 1
         Init { !x, !y }
     """) == ("noop", 1)
+
+
+def _restaurant(tables: int, within=None):
+    return restaurant_text(tables, 0, within=within) if tables > 1 \
+        else (MODELS / "restaurant.obd").read_text()
+
+
+def _same_replans(mdp, ticks: int, seeds) -> None:
+    """The goal table against `oracles.OracleReplanningController`, which
+    decodes, collects and searches on dicts every tick: the same action on
+    every tick, and the same total reward, satisfaction counts and plan
+    failures."""
+    for seed in seeds:
+        got = ReplanningController(mdp)
+        want = oracles.OracleReplanningController(mdp)
+        got_ticks, want_ticks = _recorded(got), _recorded(want)
+        m = run(mdp, got, ticks, seed)
+        assert (m.total_reward, m.satisfaction_counts, m.plan_failures) == \
+            oracles.oracle_run(mdp, want, ticks, seed), seed
+        assert got_ticks == want_ticks, seed
+
+
+@pytest.mark.parametrize("text, ticks, seeds", [
+    pytest.param((MODELS / "toy.obd").read_text(), 2_000, range(3), id="toy"),
+    pytest.param((MODELS / "restaurant.obd").read_text(), 10_000, range(2),
+                 id="restaurant"),
+    pytest.param(restaurant_text(2, 0), 2_000, range(2), id="r2"),
+    pytest.param(restaurant_text(2, 0, within=3), 2_000, range(2), id="d2"),
+])
+def test_replanning_matches_the_straight_line_controller(text, ticks, seeds):
+    _same_replans(compile_model(parse_domain(text)), ticks, seeds)
+
+
+def test_replanning_matches_the_straight_line_controller_on_random_models():
+    """The first 30 random models with an achieve requirement."""
+    models = (oracles.random_model(random.Random(7000 + k))
+              for k in range(1_000))
+    models = [m for m in models if m.requirements[0].kind.is_achieve][:30]
+    assert len(models) == 30
+    for k, model in enumerate(models):
+        _same_replans(compile_model(model), 300, (k,))
+
+
+def test_replanning_toward_a_thousand_goals(tmp_path):
+    """1,000 unconditional goals joined left to right nested the goal
+    1,000 levels deep, and the planner's evaluation ended in a
+    RecursionError; joined in pairs they are 10 levels above !x."""
+    text = ("Variable x\nAction clear if x effects <!x>\n"
+            + "".join(f"ReqID g{i} achieve !x reward 1\n"
+                      for i in range(1_000))
+            + "Init { x }\n")
+    path = tmp_path / "goals.obd"
+    path.write_text(text)
+    result = CliRunner().invoke(main, ["simulate", str(path), "--controller",
+                                       "replan", "--ticks", "50"])
+    assert result.exit_code == 0, result.output
+    lines = result.stdout.splitlines()
+    assert lines[0].startswith("seed,controller,ticks,")
+    assert lines[1].startswith("0,replan,50,")
+    mdp = compile_model(parse_domain(text))
+    controller = ReplanningController(mdp)
+    assert controller.choose(mdp.initial_index, None) == "clear"
+    assert formula_depth(mdp.step_tables.goals[mdp.initial_index]) <= 11
 
 
 # ---------------------------------------------------------------------------

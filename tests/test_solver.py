@@ -115,6 +115,18 @@ def test_infinite_epsilon_rejected(toy_mdp):
         value_iteration(toy_mdp, float("inf"))
 
 
+def test_epsilon_whose_threshold_underflows_is_rejected(toy_mdp):
+    """epsilon*(1-gamma)/(2*gamma) is 0.0 for the smallest subnormal
+    epsilon: no residual is below it, so VI would never stop. 1e-300
+    leaves a threshold above 0 and still solves."""
+    with pytest.raises(SolverError, match="^epsilon 5e-324 is too small: "
+                       r"the stopping threshold .* underflows to 0$"):
+        value_iteration(toy_mdp, 5e-324)
+    tight = value_iteration(toy_mdp, 1e-300)
+    assert tight.residual < 1e-300
+    assert list(tight.actions) == list(value_iteration(toy_mdp).actions)
+
+
 @pytest.mark.parametrize("seed", range(15))
 def test_agreement_random_models(seed):
     model = oracles.random_model(random.Random(2000 + seed))
