@@ -45,13 +45,13 @@ from obd.dsl import (
     BoolLit,
     Diagnostic,
     DomainModel,
-    EvaluationError,
     EventDesc,
+    NOOP,
     Not,
     ObdError,
     Or,
     format_formula,
-    probability_errors,
+    validate,
 )
 from obd.reqauto import (
     REWARD_PARTS,
@@ -61,7 +61,6 @@ from obd.reqauto import (
     update_event,
 )
 
-NOOP = "noop"
 DEFAULT_GAMMA = Fraction(19, 20)
 DEFAULT_STATE_LIMIT = 2_000_000
 FORMAT_MDP = "obdmdp/1"
@@ -395,13 +394,8 @@ def _mask(f, space: StateSpace) -> np.ndarray:
     if f is None:
         return np.zeros(n, dtype=bool)
     if isinstance(f, Atom):
-        if f.var not in space.names[:space.n_base]:
-            raise EvaluationError(f"variable '{f.var}' not assigned")
         pos = space.names.index(f.var)
-        domain = space.domains[pos]
-        if f.value not in domain:
-            return np.zeros(n, dtype=bool)
-        return space.base_digits[:, pos] == domain.index(f.value)
+        return space.base_digits[:, pos] == space.domains[pos].index(f.value)
     if isinstance(f, BoolLit):
         return np.full(n, f.value, dtype=bool)
     if isinstance(f, Not):
@@ -440,12 +434,7 @@ def _targets(space: StateSpace, bases: np.ndarray, assignments) -> np.ndarray:
     radices = [len(d) for d in space.domains[:space.n_base]]
     out = bases
     for var, value in assignments:
-        if var not in space.names[:space.n_base]:
-            raise CompileError(f"effect assigns unknown variable '{var}'")
         pos = space.names.index(var)
-        if value not in space.domains[pos]:
-            raise CompileError(f"effect assigns '{value}' outside the "
-                               f"domain of '{var}'")
         offset = space.domains[pos].index(value) \
             - space.base_digits[out, pos]
         out = out + offset * math.prod(radices[pos + 1:])
@@ -754,29 +743,18 @@ def compile_model(model: DomainModel, gamma: Fraction = DEFAULT_GAMMA,
     """Assemble the full MDP: state space, discount factor, the event
     product, the explicit matrix of each action (noop included) and the
     reward factors; the implicit-event transition and reward matrices are
-    built when first read."""
+    built when first read. A discount factor outside (0,1), also as a
+    float64, and the first error `dsl.validate` finds in the model raise
+    CompileError; more than `limit` states raise StateLimitError."""
     if not (0 < gamma < 1):  # before Fraction(), which rejects nan and inf
         raise CompileError(f"discount factor {gamma} outside (0,1)")
     if not (0 < float(gamma) < 1):  # as the solver and obdmdp/1 read it
         raise CompileError(f"discount factor {gamma} is {float(gamma)!r} "
                            "as a float64, outside (0,1)")
     gamma = Fraction(gamma)
-    for a in model.actions:
-        if a.name == NOOP:
-            raise CompileError(f"'{NOOP}' is a reserved action name")
-    for item in model.actions + model.events:
-        errors = probability_errors(item)
-        if errors:
-            label = "action" if isinstance(item, ActionDesc) else "event"
-            raise CompileError(f"{label} '{item.name}': {errors[0]}")
-    for r in model.requirements:  # the counts the automata count down from
-        for label, needed, value in (
-                ("deadline", r.kind.has_deadline, r.deadline),
-                ("duration", r.kind.has_duration, r.duration)):
-            if needed and (value is None or value < 1):
-                raise CompileError(f"requirement '{r.name}': kind "
-                                   f"{r.kind.value} needs a positive {label}, "
-                                   f"not {value}")
+    errors = [d.message for d in validate(model) if d.severity == "error"]
+    if errors:
+        raise CompileError(errors[0])
     # counted before any automaton lists the statuses of a huge deadline
     size = math.prod(len(v.domain) for v in model.variables) \
         * math.prod(status_count(r) for r in model.requirements)

@@ -271,9 +271,10 @@ class Diagnostic:
     col: Optional[int] = None
 
     def render(self, filename: str = "<input>") -> str:
-        line = self.line if self.line is not None else 0
-        col = self.col if self.col is not None else 0
-        return f"{filename}:{line}:{col}: {self.severity}: {self.message}"
+        """`file:line:col: severity: message`, 0:0 where it has no
+        position."""
+        return (f"{filename}:{self.line or 0}:{self.col or 0}: "
+                f"{self.severity}: {self.message}")
 
 
 # ---------------------------------------------------------------------------
@@ -730,23 +731,16 @@ def parse_domain(text: str) -> DomainModel:
 
 
 def _format_prob(p: Fraction) -> str:
+    """The finite decimal of `p` if it has one, else `num/den`."""
     num, den = p.numerator, p.denominator
-    d = den
-    twos = fives = 0
-    while d % 2 == 0:
-        d //= 2
-        twos += 1
-    while d % 5 == 0:
-        d //= 5
-        fives += 1
-    if d == 1:  # finite decimal expansion
-        shift = max(twos, fives)
-        scaled = num * 10 ** shift // den
-        text = str(scaled).rjust(shift + 1, "0")
-        if shift == 0:
-            return text
-        return f"{text[:-shift] or '0'}.{text[-shift:]}"
-    return f"{num}/{den}"
+    # a den of 2**a 5**b divides 10**max(a, b), and max(a, b) <= log2(den)
+    # is below its bit length; no power of 10 is a multiple of another den
+    shift = next((k for k in range(den.bit_length()) if 10 ** k % den == 0),
+                 None)
+    if shift is None:
+        return f"{num}/{den}"
+    text = str(num * 10 ** shift // den).rjust(shift + 1, "0")
+    return f"{text[:-shift]}.{text[-shift:]}" if shift else text
 
 
 def _format_effect(eff: Effect) -> str:
@@ -810,62 +804,70 @@ def format_model(model: DomainModel) -> str:
 # Static diagnostics
 
 
-def probability_errors(item) -> list:
-    """What the parser rejects in an action's or event's probabilities,
-    for a model built in code: an occurrence or effect probability outside
-    (0,1], a branch's effect probabilities summing above 1."""
-    errors = []
-    for br in item.branches:
-        named = [("effect", eff.probability) for eff in br.effects]
-        if isinstance(br, EventBranch):
-            named.insert(0, ("occurrence", br.occurrence_probability))
-        errors += [f"{what} probability {p} outside (0,1]"
-                   for what, p in named if not 0 < p <= 1]
-        total = sum(eff.probability for eff in br.effects)
-        if total > 1:
-            errors.append(f"effect probabilities sum to {total} > 1")
-    return errors
+NOOP = "noop"  # the action the compiler adds to every model
 
 
 def validate(model: DomainModel) -> list:
-    """Static checks on a parsed (or programmatically built) model.
+    """Static checks on a parsed (or programmatically built) model; the
+    first error is what `compiler.compile_model` raises.
 
     Returns diagnostics as data; nothing is raised. Each one carries the
     source position of the declaration it names (none for a model built
-    in code). Precondition disjointness is only approximated here by
-    syntactic equality; exact per-state enforcement happens during
-    compilation.
+    in code, nor for an Init). Precondition disjointness is only
+    approximated here by syntactic equality; exact per-state enforcement
+    happens during compilation.
     """
     diags = []
 
-    def report(severity: str, message: str, at) -> None:
-        diags.append(Diagnostic(severity, message, at.line, at.col))
+    def report(severity: str, message: str, at=None) -> None:
+        line, col = (at.line, at.col) if at else (None, None)
+        diags.append(Diagnostic(severity, message, line, col))
 
-    def within_depth(owner: str, what: str, f: Formula, at) -> bool:
-        """The parser's depth bound, for a model built in code; a
-        deeper formula would end compilation in a RecursionError."""
-        if formula_depth(f) <= MAX_CONDITION_DEPTH:
-            return True
-        report("error", f"{owner}: {what} nested more than "
-               f"{MAX_CONDITION_DEPTH} levels deep", at)
-        return False
+    seen = set()  # (label, name) of each declaration so far
+    for label, items in (("variable", model.variables),
+                         ("action", model.actions), ("event", model.events),
+                         ("requirement", model.requirements)):
+        for item in items:
+            if (label, item.name) in seen:
+                report("error", f"duplicate {label} '{item.name}'", item)
+            elif label == "requirement" and ("variable", item.name) in seen:
+                report("error", f"'{item.name}' names both a variable and "
+                       "a requirement", item)
+            elif label == "action" and item.name == NOOP:
+                report("error", f"'{NOOP}' is a reserved action name", item)
+            seen.add((label, item.name))
+    domains = {v.name: v.domain for v in model.variables}
+
+    def check_value(owner: str, var: str, value: str, at) -> None:
+        if var not in domains:
+            report("error", f"{owner}: unknown variable '{var}'", at)
+        elif value not in domains[var]:
+            report("error", f"{owner}: unknown value '{value}' for variable "
+                   f"'{var}'", at)
+
+    def checked(owner: str, what: str, f: Formula, at) -> bool:
+        """Whether `f` is within the parser's depth bound, past which any
+        walk, compiling included, could exhaust the recursion limit; its
+        atoms are checked only then."""
+        if formula_depth(f) > MAX_CONDITION_DEPTH:
+            report("error", f"{owner}: {what} nested more than "
+                   f"{MAX_CONDITION_DEPTH} levels deep", at)
+            return False
+        for var, value in dict.fromkeys((g.var, g.value) for g in _walk(f)
+                                        if isinstance(g, Atom)):
+            check_value(owner, var, value, at)
+        return True
 
     for r in model.requirements:
         kind = r.kind
         for what, f in (("formula", r.required), ("activation", r.activation),
                         ("cancellation", r.cancellation)):
             if f is not None:
-                within_depth(f"requirement '{r.name}'", what, f, r)
-        if not kind.is_conditional:
-            if r.activation is not None:
-                report("error",
-                       f"requirement '{r.name}': activation clause forbidden "
-                       f"for unconditional kind {kind.value}", r)
-            if r.cancellation is not None:
-                report("error",
-                       f"requirement '{r.name}': cancellation clause "
-                       f"forbidden for unconditional kind {kind.value}", r)
-        elif r.activation is None:
+                checked(f"requirement '{r.name}'", what, f, r)
+                if what != "formula" and not kind.is_conditional:
+                    report("error", f"requirement '{r.name}': {what} clause "
+                           f"forbidden for unconditional kind {kind.value}", r)
+        if kind.is_conditional and r.activation is None:
             report("error", f"requirement '{r.name}': kind {kind.value} "
                    "needs an activation clause", r)
         for label, needed, value in (
@@ -881,24 +883,43 @@ def validate(model: DomainModel) -> list:
         if r.reward < 0:
             report("error", f"requirement '{r.name}': negative reward", r)
 
-    assigned = {var: {value} for var, value in model.initial_state}
+    assigned = {}  # variable -> the values Init and the effects give it
+    for var, value in model.initial_state:
+        if var in assigned:
+            report("error", f"variable '{var}' assigned twice in Init")
+        check_value("Init", var, value, None)
+        assigned[var] = {value}
+    missing = [v.name for v in model.variables if v.name not in assigned]
+    if missing:
+        report("error", f"Init does not assign: {', '.join(missing)}")
+
     for item in model.actions + model.events:
         label = "action" if isinstance(item, ActionDesc) else "event"
         owner = f"{label} '{item.name}'"
         seen_pres = []
         for br in item.branches:
             # one past the bound is not compared: == would recurse as deep
-            if within_depth(owner, "precondition", br.precondition, item):
+            if checked(owner, "precondition", br.precondition, item):
                 if br.precondition in seen_pres:
                     report("warning", f"{owner}: overlapping preconditions "
                            f"({format_formula(br.precondition)} repeated)",
                            item)
                 seen_pres.append(br.precondition)
+            named = [("effect", eff.probability) for eff in br.effects]
+            if isinstance(br, EventBranch):
+                named.insert(0, ("occurrence", br.occurrence_probability))
+            for what, p in named:
+                if not 0 < p <= 1:
+                    report("error", f"{owner}: {what} probability {p} "
+                           "outside (0,1]", item)
+            total = sum(eff.probability for eff in br.effects)
+            if total > 1:
+                report("error", f"{owner}: effect probabilities sum to "
+                       f"{total} > 1", item)
             for eff in br.effects:
                 for var, value in eff.assignments:
+                    check_value(owner, var, value, item)
                     assigned.setdefault(var, set()).add(value)
-        for message in probability_errors(item):
-            report("error", f"{owner}: {message}", item)
 
     # Domain values nothing can ever assign are likely spelling mistakes.
     for variable in model.variables:

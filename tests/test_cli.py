@@ -112,6 +112,13 @@ def test_compile_effect_assigning_requirement_exits_1(tmp_path):
     assert "requirement 'm'" in head
 
 
+def test_compile_reserved_noop_exits_1(tmp_path):
+    head = _compile_diagnostic(
+        tmp_path, "Variable x\nAction noop if x effects <!x>\nInit { x }\n")
+    assert head == f"{tmp_path / 'bad.obd'}:2:8: error: " \
+        "'noop' is a reserved action name"
+
+
 def test_compile_non_decimal_digit_exits_1(tmp_path):
     head = _compile_diagnostic(
         tmp_path, "Variable x\nAction a if x effects <!x> cost ²\nInit { x }\n")

@@ -589,8 +589,12 @@ def test_reserved_noop_name_rejected():
         Action noop if x effects <!x>
         Init { x }
     """)
-    with pytest.raises(CompileError):
+    message = "'noop' is a reserved action name"
+    assert [(d.severity, d.message, d.line, d.col)
+            for d in validate(model)] == [("error", message, 3, 16)]
+    with pytest.raises(CompileError) as err:
         compile_model(model)
+    assert str(err.value) == message
 
 
 def test_gamma_range_enforced(toy_model):
@@ -653,9 +657,9 @@ def test_probabilities_of_models_built_in_code(model, message):
 
 
 @pytest.mark.parametrize("kind, deadline, duration, message", [
-    (ReqKind.DFA, 0, None, "kind DFA needs a positive deadline, not 0"),
-    (ReqKind.DFA, None, None, "kind DFA needs a positive deadline, not None"),
-    (ReqKind.PM, None, 0, "kind PM needs a positive duration, not 0"),
+    (ReqKind.DFA, 0, None, "deadline must be positive, not 0"),
+    (ReqKind.DFA, None, None, "deadline missing for kind DFA"),
+    (ReqKind.PM, None, 0, "duration must be positive, not 0"),
 ])
 def test_requirement_counts_checked(kind, deadline, duration, message):
     """Models built in code can hold counts the parser never gives."""

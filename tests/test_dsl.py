@@ -8,12 +8,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from obd.compiler import compile_model
+from obd.compiler import CompileError, compile_model
 from obd.dsl import (
     And,
     Atom,
     BoolLit,
     Effect,
+    EventBranch,
+    EventDesc,
     MAX_CONDITION_DEPTH,
     Not,
     Or,
@@ -111,10 +113,17 @@ def test_rational_probability_literal():
     model = parse_domain("""
         Variable x
         Action a if !x effects <x prob 4/5>
+        Action b if false effects <x prob 1/3>
         Init { !x }
     """)
-    assert model.actions[0].branches[0].effects[0].probability == \
-        Fraction(4, 5)
+    assert [a.branches[0].effects[0].probability for a in model.actions] \
+        == [Fraction(4, 5), Fraction(1, 3)]
+    assert model.actions[1].branches[0].precondition == BoolLit(False)
+    # a finite decimal is written as one, any other fraction as p/q
+    text = format_model(model)
+    assert "<x=tt prob 0.8>" in text and "if false effects <x=tt prob 1/3>" \
+        in text
+    assert parse_domain(text) == model
 
 
 def test_implicit_boolean_declaration():
@@ -404,11 +413,32 @@ def _edit_requirement(**changes):
         replace(m.requirements[0], **changes),))
 
 
+def _effects(*effects):
+    return lambda m: replace(m, actions=(replace(m.actions[0], branches=(
+        replace(m.actions[0].branches[0], effects=effects),)),))
+
+
 def _two_effects(m):
-    action = m.actions[0]
     effect = Effect((("x", "ff"),), Fraction(3, 5))
-    return replace(m, actions=(replace(action, branches=(replace(
-        action.branches[0], effects=(effect, effect)),)),))
+    return _effects(effect, effect)(m)
+
+
+def _with_precondition(f):
+    return lambda m: replace(m, actions=(replace(m.actions[0], branches=(
+        replace(m.actions[0].branches[0], precondition=f),)),))
+
+
+def _twice(field):
+    """The model with each declaration of `field` repeated."""
+    return lambda m: replace(m, **{field: getattr(m, field) * 2})
+
+
+def _init(*items):
+    return lambda m: replace(m, initial_state=items)
+
+
+EVENT = EventDesc("e", (EventBranch(Atom("x", "ff"), Fraction(1, 2), (
+    Effect((("x", "tt"),)),)),))
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -431,11 +461,34 @@ def _two_effects(m):
      "requirement 'r': duration must be positive, not 0"),
     (_edit_requirement(reward=-1), "requirement 'r': negative reward"),
     (_two_effects, "action 'a': effect probabilities sum to 6/5 > 1"),
+    # what the parser rejects while it reads names and values
+    (_twice("variables"), "duplicate variable 'x'"),
+    (_twice("actions"), "duplicate action 'a'"),
+    (lambda m: _twice("events")(replace(m, events=(EVENT,))),
+     "duplicate event 'e'"),
+    (_twice("requirements"), "duplicate requirement 'r'"),
+    (_edit_requirement(name="x"),
+     "'x' names both a variable and a requirement"),
+    (_init(), "Init does not assign: x"),
+    (_init(("x", "tt"), ("x", "ff")), "variable 'x' assigned twice in Init"),
+    (_init(("x", "tt"), ("y", "tt")), "Init: unknown variable 'y'"),
+    (_init(("x", "maybe"),), "Init: unknown value 'maybe' for variable 'x'"),
+    (_with_precondition(Atom("y", "tt")), "action 'a': unknown variable 'y'"),
+    (_edit_requirement(required=Or(Atom("x", "tt"), Atom("x", "maybe"))),
+     "requirement 'r': unknown value 'maybe' for variable 'x'"),
+    (_effects(Effect((("z", "tt"),))), "action 'a': unknown variable 'z'"),
+    (_effects(Effect((("x", "maybe"),))),
+     "action 'a': unknown value 'maybe' for variable 'x'"),
 ])
 def test_validate_reports_errors_of_models_built_in_code(edit, message):
+    """Each error alone, from validate and as compile_model's error."""
     assert "error" not in _severities(BASE)
-    errors = [d.message for d in validate(edit(BASE)) if d.severity == "error"]
+    broken = edit(BASE)
+    errors = [d.message for d in validate(broken) if d.severity == "error"]
     assert errors == [message]
+    with pytest.raises(CompileError) as err:
+        compile_model(broken)
+    assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -492,11 +545,6 @@ def test_formula_depth_takes_no_recursion_and_no_blow_up():
     assert formula_depth(shared) == 300
 
 
-def _with_precondition(f):
-    return lambda m: replace(m, actions=(replace(m.actions[0], branches=(
-        replace(m.actions[0].branches[0], precondition=f),)),))
-
-
 @pytest.mark.parametrize("edit, message", [
     (_with_precondition, "action 'a': precondition"),
     (lambda f: _edit_requirement(required=f), "requirement 'r': formula"),
@@ -506,12 +554,15 @@ def _with_precondition(f):
 ], ids=["precondition", "formula", "activation", "cancellation"])
 def test_validate_bounds_the_depth_of_models_built_in_code(edit, message):
     """The parser's bound, held by validate for a model built in code:
-    4,000 nested Nots are one error, where compiling them ends in a
-    RecursionError; the bound itself passes and compiles."""
-    errors = [d.message for d in validate(edit(_nots(4_000))(BASE))
-              if d.severity == "error"]
+    4,000 nested Nots are one error, which compile_model raises before it
+    would recurse through them; the bound itself passes and compiles."""
+    deep = edit(_nots(4_000))(BASE)
+    errors = [d.message for d in validate(deep) if d.severity == "error"]
     assert errors == [f"{message} nested more than {MAX_CONDITION_DEPTH} "
                       "levels deep"]
+    with pytest.raises(CompileError) as err:
+        compile_model(deep)
+    assert str(err.value) == errors[0]
     at_bound = edit(_nots(MAX_CONDITION_DEPTH))(BASE)
     assert "error" not in _severities(at_bound)
     compile_model(at_bound)

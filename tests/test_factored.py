@@ -83,6 +83,8 @@ def test_products_are_built_when_first_read(toy_model, monkeypatch):
 
     monkeypatch.setattr(compiler, "implicit_action_matrix", counting)
     mdp = compile_model(toy_model)
+    assert len(mdp.transitions) == len(mdp.rewards) == 3
+    assert list(mdp.transitions) == list(mdp.rewards) == ["noop", "a", "b"]
     assert built == []
     first = mdp.transitions["a"]
     assert len(built) == 1

@@ -10,9 +10,10 @@ import random
 
 import pytest
 
-from obd.dsl import Atom, Not, ReqKind, Requirement
+from obd.dsl import Atom, EvaluationError, Not, ReqKind, Requirement
 from obd.reqauto import (
     REWARD_PARTS,
+    UnknownStatusError,
     build_automaton,
     reward,
     status_count,
@@ -119,6 +120,9 @@ def test_update_closed_over_status_domain(kind):
         for base in BASES:
             assert update_action(auto, status, base) in auto.statuses
             assert update_event(auto, status, base) in auto.statuses
+    for update in (update_action, update_event):
+        with pytest.raises(UnknownStatusError):
+            update(auto, "R(0)", BASES[0])
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +223,9 @@ def test_reward_matches_oracle(kind):
         after["m"] = rng.choice(auto.statuses)
         assert reward(auto, before, after) == \
             oracles.oracle_reward(req, before, after), (kind, before, after)
+    if kind.is_conditional:  # only these read a status atom
+        with pytest.raises(EvaluationError):
+            reward(auto, BASES[0], {**BASES[0], "m": "I"})
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=[k.value for k in KINDS])
