@@ -51,6 +51,7 @@ from obd.dsl import (
     ObdError,
     Or,
     format_formula,
+    subformulas,
     validate,
 )
 from obd.reqauto import (
@@ -389,22 +390,28 @@ class SparseMatrix:
 
 def _mask(f, space: StateSpace) -> np.ndarray:
     """Truth of formula `f` in every base state; an absent formula is
-    false."""
+    false. Each distinct subformula is evaluated once, without
+    recursion."""
     n = len(space.base_digits)
     if f is None:
         return np.zeros(n, dtype=bool)
-    if isinstance(f, Atom):
-        pos = space.names.index(f.var)
-        return space.base_digits[:, pos] == space.domains[pos].index(f.value)
-    if isinstance(f, BoolLit):
-        return np.full(n, f.value, dtype=bool)
-    if isinstance(f, Not):
-        return ~_mask(f.operand, space)
-    if isinstance(f, And):
-        return _mask(f.left, space) & _mask(f.right, space)
-    if isinstance(f, Or):
-        return _mask(f.left, space) | _mask(f.right, space)
-    raise TypeError(f"not a formula node: {f!r}")
+    masks = {}
+    for g in subformulas(f):
+        if isinstance(g, Atom):
+            pos = space.names.index(g.var)
+            mask = space.base_digits[:, pos] == space.domains[pos].index(g.value)
+        elif isinstance(g, BoolLit):
+            mask = np.full(n, g.value, dtype=bool)
+        elif isinstance(g, Not):
+            mask = ~masks[id(g.operand)]
+        elif isinstance(g, And):
+            mask = masks[id(g.left)] & masks[id(g.right)]
+        elif isinstance(g, Or):
+            mask = masks[id(g.left)] | masks[id(g.right)]
+        else:
+            raise TypeError(f"not a formula node: {g!r}")
+        masks[id(g)] = mask
+    return masks[id(f)]
 
 
 def _matched_branches(branches, owner: str, space: StateSpace) -> np.ndarray:

@@ -5,6 +5,11 @@ actions, exogenous events, rewarded requirements and an initial state.
 Variables that are referenced but never declared are implicitly boolean
 with domain (tt, ff). Probabilities are kept as exact rationals so that
 row-stochasticity checks downstream do not drift.
+
+Reading and checking are split: `parse_domain` reads the grammar and
+raises ParseError only where the text spells no model; `validate` holds
+the one list of checks of what a model means, for a parsed model and one
+built in code alike.
 """
 
 from __future__ import annotations
@@ -90,13 +95,25 @@ def eval_formula(f: Formula, atoms: Mapping[str, str]) -> bool:
     raise TypeError(f"not a formula node: {f!r}")
 
 
-def _walk(f: Formula):
-    yield f
-    if isinstance(f, Not):
-        yield from _walk(f.operand)
-    elif isinstance(f, (And, Or)):
-        yield from _walk(f.left)
-        yield from _walk(f.right)
+def subformulas(f: Formula) -> list:
+    """Each distinct subformula of `f` (by identity) once, after the ones
+    it holds, and its atoms from left to right. Walked with a stack, so a
+    deep formula takes no recursion and one that shares subformulas no
+    blow-up."""
+    order, entered, stack = [], set(), [f]
+    while stack:
+        g = stack.pop()
+        if g is None:  # the operands of the node below are in `order`
+            order.append(stack.pop())
+        elif id(g) not in entered:
+            entered.add(id(g))
+            if isinstance(g, Not):
+                stack += (g, None, g.operand)
+            elif isinstance(g, (And, Or)):
+                stack += (g, None, g.right, g.left)
+            else:
+                order.append(g)
+    return order
 
 
 def formula_depth(f: Formula) -> int:
@@ -250,11 +267,19 @@ class Requirement:
 
 @dataclass(frozen=True)
 class DomainModel:
+    """A domain description as written; `validate` says whether it means
+    a model. `initial_state` is the Init items ((var, value), ...) in
+    variable order, those naming no variable last: each variable once,
+    in declaration order, for a valid model. `line`/`col` are the Init
+    keyword's position."""
+
     variables: tuple  # of VariableDecl, declared then implicit booleans
     actions: tuple  # of ActionDesc
     events: tuple  # of EventDesc
     requirements: tuple  # of Requirement
-    initial_state: tuple  # ((var, value), ...) covering every variable
+    initial_state: tuple
+    line: Optional[int] = field(default=None, compare=False)
+    col: Optional[int] = field(default=None, compare=False)
 
     def variable(self, name: str) -> VariableDecl:
         for v in self.variables:
@@ -333,10 +358,10 @@ def _tokenize(text: str) -> list:
 # ---------------------------------------------------------------------------
 # Parser (recursive descent)
 
-# How deeply a condition may nest. The parser and every function that walks
-# a formula recurse once per level (the parser up to four frames per pair
-# of parentheses), so this keeps any accepted condition well inside
-# Python's default recursion limit of 1000 frames.
+# How deeply a condition may nest. The parser, eval_formula, format_formula
+# and == recurse once per level (the parser up to four frames per pair of
+# parentheses), so this keeps any accepted condition well inside Python's
+# default recursion limit of 1000 frames.
 MAX_CONDITION_DEPTH = 100
 
 
@@ -404,8 +429,6 @@ class _Parser:
             if int(den.text) == 0:
                 self.error("zero denominator", den)
             value = value / int(den.text)
-        if not (0 < value <= 1):
-            self.error(f"probability {tok.text} outside (0,1]", tok)
         return value
 
     def parse_assignment(self) -> tuple:
@@ -485,22 +508,14 @@ class _Parser:
         self.expect(">")
         if not assignments:
             self.error("empty effect group", open_tok)
-        seen = set()
-        for var, _ in assignments:
-            if var in seen:
-                self.error(f"variable '{var}' assigned twice in one effect", open_tok)
-            seen.add(var)
         return Effect(tuple(assignments), prob)
 
-    def parse_effect_groups(self, where: Token) -> tuple:
+    def parse_effect_groups(self) -> tuple:
         effects = []
         while self.at("<"):
             effects.append(self.parse_effect_group())
         if not effects:
             self.error("expected at least one '<...>' effect group")
-        total = sum(e.probability for e in effects)
-        if total > 1:
-            self.error(f"effect probabilities sum to {total} > 1", where)
         return tuple(effects)
 
     # -- declarations
@@ -515,8 +530,6 @@ class _Parser:
             while self.accept(","):
                 values.append(self.expect_id().text)
             self.expect("}")
-            if len(set(values)) != len(values):
-                self.error(f"duplicate value in domain of '{name.text}'", name)
             domain = tuple(values)
         return VariableDecl(name.text, domain, name.line, name.col)
 
@@ -524,11 +537,10 @@ class _Parser:
         self.expect("Action")
         name = self.expect_id()
         branches = []
-        while kw := self.accept("if"):
+        while self.accept("if"):
             pre = self.parse_condition()
             self.expect("effects")
-            effects = self.parse_effect_groups(kw)
-            branches.append(ActionBranch(pre, effects))
+            branches.append(ActionBranch(pre, self.parse_effect_groups()))
         if not branches:
             self.error(f"action '{name.text}' has no 'if ... effects' branch", name)
         cost = self.expect_nat() if self.accept("cost") else 0
@@ -539,15 +551,14 @@ class _Parser:
         self.expect("Event")
         name = self.expect_id()
         branches = []
-        while kw := self.accept("if"):
+        while self.accept("if"):
             pre = self.parse_condition()
             occur = Fraction(1)
             if self.accept("occur"):
                 self.expect("prob")
                 occur = self.expect_prob()
             self.expect("effects")
-            effects = self.parse_effect_groups(kw)
-            branches.append(EventBranch(pre, occur, effects))
+            branches.append(EventBranch(pre, occur, self.parse_effect_groups()))
         if not branches:
             self.error(f"event '{name.text}' has no 'if ... effects' branch", name)
         return EventDesc(name.text, tuple(branches), name.line, name.col)
@@ -563,13 +574,9 @@ class _Parser:
         deadline = None
         if self.accept("for"):
             duration = self.expect_nat()
-            if duration < 1:
-                self.error("duration must be positive", name)
         exact = self.accept("after")
         if exact or self.accept("within"):
             deadline = self.expect_nat()
-            if deadline < 1:
-                self.error("deadline must be positive", name)
         activation = None
         cancellation = None
         if self.accept("if"):
@@ -600,14 +607,14 @@ class _Parser:
         return ReqKind(letters + ("A" if achieve else "M"))
 
     def parse_init(self) -> list:
+        """The Init items as (variable token, value), in source order."""
         self.expect("Init")
         self.expect("{")
         items = []
         while not self.at("}"):
             if items:
                 self.expect(",")
-            var, value = self.parse_assignment()
-            items.append((var.text, value, var))
+            items.append(self.parse_assignment())
         self.expect("}")
         return items
 
@@ -618,110 +625,79 @@ class _Parser:
         actions = []
         events = []
         requirements = []
-        init_items = None
         init_tok = None
         while self.peek().kind != "EOF":
-            tok = self.peek()
             if self.at("Variable"):
-                variables.append((self.parse_variable(), tok))
+                variables.append(self.parse_variable())
             elif self.at("Action"):
-                actions.append((self.parse_action(), tok))
+                actions.append(self.parse_action())
             elif self.at("Event"):
-                events.append((self.parse_event(), tok))
+                events.append(self.parse_event())
             elif self.at("ReqID"):
-                requirements.append((self.parse_requirement(), tok))
+                requirements.append(self.parse_requirement())
             elif self.at("Init"):
-                if init_items is not None:
-                    self.error("duplicate Init block", tok)
-                init_tok = tok
+                if init_tok is not None:
+                    self.error("duplicate Init block")
+                init_tok = self.peek()
                 init_items = self.parse_init()
             else:
                 self.error("expected Variable, Action, Event, ReqID or Init")
-        if init_items is None:
+        if init_tok is None:
             self.error("missing 'Init { ... }' block", self.peek())
-        return self._assemble(variables, actions, events, requirements,
-                              init_items, init_tok)
+        return _assemble(variables, actions, events, requirements,
+                         init_items, init_tok)
 
-    def _assemble(self, variables, actions, events, requirements,
-                  init_items, init_tok) -> DomainModel:
-        for items, label in ((variables, "variable"), (actions, "action"),
-                             (events, "event"), (requirements, "requirement")):
-            seen = {}
-            for obj, tok in items:
-                if obj.name in seen:
-                    self.error(f"duplicate {label} '{obj.name}'", tok)
-                seen[obj.name] = obj
 
-        domains = {v.name: v.domain for v, _ in variables}
-        req_names = {r.name for r, _ in requirements}
-        for v, tok in variables:
-            if v.name in req_names:
-                self.error(f"'{v.name}' names both a variable and a requirement", tok)
+def _assemble(variables, actions, events, requirements, init_items,
+              init_tok) -> DomainModel:
+    """The model with its implicit booleans; raises nothing, as `validate`
+    checks what the model means.
 
-        # Undeclared variables referenced anywhere become implicit booleans,
-        # in order of first reference (by name within one formula), placed
-        # where the first declaration (or Init item) referencing them is.
-        implicit = {}
+    A name that a formula, an effect or Init uses, and that no variable or
+    requirement declares, becomes a boolean variable, in order of first
+    reference (by name within one formula), placed where the first
+    declaration (or Init item) referencing it is. Init is put in variable
+    order, so a valid model lists each variable once, in that order."""
+    declared = {v.name for v in variables} | {r.name for r in requirements}
+    implicit = {}
 
-        def check(var: str, value: str, tok: Token, as_requirement: str):
-            if var in req_names:
-                self.error(as_requirement.format(var), tok)
-            if value not in domains.get(var, BOOL_DOMAIN):
-                self.error(f"unknown value '{value}' for variable '{var}'", tok)
-
-        def note(var: str, at):
-            if var not in domains:
+    def note(names, at):
+        for var in names:
+            if var not in declared:
                 implicit.setdefault(var, at)
 
-        def formula(f: Optional[Formula], tok: Token, owner):
-            if f is None:
-                return
-            atoms = [g for g in _walk(f) if isinstance(g, Atom)]
-            for g in atoms:
-                check(g.var, g.value, tok, "condition references requirement "
-                      "'{}' (only state variables are allowed)")
-            for var in sorted({g.var for g in atoms}):
-                note(var, owner)
+    def atom_names(f: Optional[Formula]) -> list:
+        return [] if f is None else sorted(
+            {g.var for g in subformulas(f) if isinstance(g, Atom)})
 
-        for owner, tok in actions + events:
-            for br in owner.branches:
-                formula(br.precondition, tok, owner)
-                for eff in br.effects:
-                    for var, value in eff.assignments:
-                        check(var, value, tok, "effect assigns requirement "
-                              "'{}' (only state variables can be assigned)")
-                        note(var, owner)
-        for r, tok in requirements:
-            for f in (r.required, r.activation, r.cancellation):
-                formula(f, tok, r)
+    for owner in actions + events:
+        for br in owner.branches:
+            note(atom_names(br.precondition), owner)
+            for eff in br.effects:
+                note((var for var, _ in eff.assignments), owner)
+    for r in requirements:
+        for f in (r.required, r.activation, r.cancellation):
+            note(atom_names(f), r)
+    for var, _ in init_items:
+        note([var.text], var)
 
-        assignment = {}
-        for var, value, tok in init_items:
-            if var in assignment:
-                self.error(f"variable '{var}' assigned twice in Init", tok)
-            check(var, value, tok, "Init assigns requirement '{}' "
-                  "(only state variables are assigned)")
-            note(var, tok)
-            assignment[var] = value
-        all_vars = [v for v, _ in variables] + [
-            VariableDecl(n, line=at.line, col=at.col)
-            for n, at in implicit.items()]
-        missing = [v.name for v in all_vars if v.name not in assignment]
-        if missing:
-            self.error(f"Init does not assign: {', '.join(missing)}", init_tok)
-
-        initial = tuple((v.name, assignment[v.name]) for v in all_vars)
-        return DomainModel(tuple(all_vars), tuple(a for a, _ in actions),
-                           tuple(e for e, _ in events),
-                           tuple(r for r, _ in requirements), initial)
+    all_vars = variables + [VariableDecl(n, line=at.line, col=at.col)
+                            for n, at in implicit.items()]
+    order = {v.name: k for k, v in enumerate(all_vars)}
+    initial = sorted(((var.text, value) for var, value in init_items),
+                     key=lambda item: order.get(item[0], len(order)))
+    return DomainModel(tuple(all_vars), tuple(actions), tuple(events),
+                       tuple(requirements), tuple(initial), init_tok.line,
+                       init_tok.col)
 
 
 def parse_domain(text: str) -> DomainModel:
     """Parse a complete .obd domain description.
 
     Applies all defaults (implicit boolean variables, cost 0, occurrence
-    probability 1, reward 0). Raises ParseError with line/column on
-    malformed input.
+    probability 1, reward 0). Raises ParseError with line/column only on
+    text the grammar does not accept; what the model means (names,
+    values, probabilities, deadlines, Init) is `validate`'s to check.
     """
     return _Parser(text).parse_model()
 
@@ -808,12 +784,13 @@ NOOP = "noop"  # the action the compiler adds to every model
 
 
 def validate(model: DomainModel) -> list:
-    """Static checks on a parsed (or programmatically built) model; the
-    first error is what `compiler.compile_model` raises.
+    """Every check of what a model means, for a parsed model and one built
+    in code alike; the first error is what `compiler.compile_model`
+    raises.
 
     Returns diagnostics as data; nothing is raised. Each one carries the
-    source position of the declaration it names (none for a model built
-    in code, nor for an Init). Precondition disjointness is only
+    source position of the declaration it names, or of the Init keyword
+    (none for a model built in code). Precondition disjointness is only
     approximated here by syntactic equality; exact per-state enforcement
     happens during compilation.
     """
@@ -835,25 +812,33 @@ def validate(model: DomainModel) -> list:
                        "a requirement", item)
             elif label == "action" and item.name == NOOP:
                 report("error", f"'{NOOP}' is a reserved action name", item)
+            if label == "variable" and len(set(item.domain)) < len(item.domain):
+                report("error", f"duplicate value in domain of '{item.name}'",
+                       item)
             seen.add((label, item.name))
     domains = {v.name: v.domain for v in model.variables}
 
     def check_value(owner: str, var: str, value: str, at) -> None:
-        if var not in domains:
+        if var in domains:
+            if value not in domains[var]:
+                report("error", f"{owner}: unknown value '{value}' for "
+                       f"variable '{var}'", at)
+        elif ("requirement", var) in seen:
+            report("error", f"{owner}: requirement '{var}' used as a state "
+                   "variable", at)
+        else:
             report("error", f"{owner}: unknown variable '{var}'", at)
-        elif value not in domains[var]:
-            report("error", f"{owner}: unknown value '{value}' for variable "
-                   f"'{var}'", at)
 
     def checked(owner: str, what: str, f: Formula, at) -> bool:
-        """Whether `f` is within the parser's depth bound, past which any
-        walk, compiling included, could exhaust the recursion limit; its
-        atoms are checked only then."""
+        """Whether `f` is within the parser's depth bound, past which
+        eval_formula, format_formula and == could exhaust the recursion
+        limit; its atoms are checked only then."""
         if formula_depth(f) > MAX_CONDITION_DEPTH:
             report("error", f"{owner}: {what} nested more than "
                    f"{MAX_CONDITION_DEPTH} levels deep", at)
             return False
-        for var, value in dict.fromkeys((g.var, g.value) for g in _walk(f)
+        for var, value in dict.fromkeys((g.var, g.value)
+                                        for g in subformulas(f)
                                         if isinstance(g, Atom)):
             check_value(owner, var, value, at)
         return True
@@ -886,12 +871,12 @@ def validate(model: DomainModel) -> list:
     assigned = {}  # variable -> the values Init and the effects give it
     for var, value in model.initial_state:
         if var in assigned:
-            report("error", f"variable '{var}' assigned twice in Init")
-        check_value("Init", var, value, None)
+            report("error", f"variable '{var}' assigned twice in Init", model)
+        check_value("Init", var, value, model)
         assigned[var] = {value}
     missing = [v.name for v in model.variables if v.name not in assigned]
     if missing:
-        report("error", f"Init does not assign: {', '.join(missing)}")
+        report("error", f"Init does not assign: {', '.join(missing)}", model)
 
     for item in model.actions + model.events:
         label = "action" if isinstance(item, ActionDesc) else "event"
@@ -917,7 +902,12 @@ def validate(model: DomainModel) -> list:
                 report("error", f"{owner}: effect probabilities sum to "
                        f"{total} > 1", item)
             for eff in br.effects:
+                in_effect = set()
                 for var, value in eff.assignments:
+                    if var in in_effect:
+                        report("error", f"{owner}: variable '{var}' assigned "
+                               "twice in one effect", item)
+                    in_effect.add(var)
                     check_value(owner, var, value, item)
                     assigned.setdefault(var, set()).add(value)
 

@@ -87,6 +87,17 @@ def test_compile_parse_error_exits_1(tmp_path):
     assert rest.startswith("error")
 
 
+# a duplicated action, an unknown value in a condition and an Init that
+# misses a variable: three errors of the model, each at its position
+SEMANTIC_ERRORS = """Variable x
+Variable y
+Action a if x effects <!x>
+Action a if !x effects <x>
+Action b if x=maybe effects <!x>
+Init { x }
+"""
+
+
 def _compile_diagnostic(tmp_path, text: str) -> str:
     """Compile `text` expecting a one-line diagnostic, not a traceback;
     returns it."""
@@ -99,8 +110,8 @@ def test_compile_init_assigning_requirement_exits_1(tmp_path):
     head = _compile_diagnostic(
         tmp_path,
         "Variable x\nReqID m maintain x reward 1\nInit { x, m }\n")
-    assert head.startswith(f"{tmp_path / 'bad.obd'}:3:11: error:")
-    assert "requirement 'm'" in head
+    assert head == f"{tmp_path / 'bad.obd'}:3:1: error: " \
+        "Init: requirement 'm' used as a state variable"
 
 
 def test_compile_effect_assigning_requirement_exits_1(tmp_path):
@@ -108,8 +119,8 @@ def test_compile_effect_assigning_requirement_exits_1(tmp_path):
         tmp_path,
         "Variable x\nAction a if x effects <m>\n"
         "ReqID m maintain x reward 1\nInit { x }\n")
-    assert head.startswith(f"{tmp_path / 'bad.obd'}:2:1: error:")
-    assert "requirement 'm'" in head
+    assert head == f"{tmp_path / 'bad.obd'}:2:8: error: " \
+        "action 'a': requirement 'm' used as a state variable"
 
 
 def test_compile_reserved_noop_exits_1(tmp_path):
@@ -117,6 +128,19 @@ def test_compile_reserved_noop_exits_1(tmp_path):
         tmp_path, "Variable x\nAction noop if x effects <!x>\nInit { x }\n")
     assert head == f"{tmp_path / 'bad.obd'}:2:8: error: " \
         "'noop' is a reserved action name"
+
+
+def test_compile_prints_every_error_of_a_model(tmp_path):
+    bad = tmp_path / "bad.obd"
+    bad.write_text(SEMANTIC_ERRORS)
+    result = invoke("compile", str(bad))
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # no Python traceback
+    assert result.stderr.splitlines() == [
+        f"{bad}:4:8: error: duplicate action 'a'",
+        f"{bad}:6:1: error: Init does not assign: y",
+        f"{bad}:5:8: error: action 'b': unknown value 'maybe' for variable "
+        "'x'"]
 
 
 def test_compile_non_decimal_digit_exits_1(tmp_path):

@@ -647,8 +647,9 @@ def _effects(*ps):
 ], ids=["occur-1", "occur0", "occur3/2", "effects2,-1", "effect0",
         "sum6/5"])
 def test_probabilities_of_models_built_in_code(model, message):
-    """The parser rejects each of these; a model built in code can hold
-    them, and a row such as {2, -1} still sums to 1."""
+    """Each of these is a validation error, and so compile_model's, also
+    in a model built in code, where a row such as {2, -1} still sums
+    to 1."""
     assert message in [d.message for d in validate(model)
                        if d.severity == "error"]
     with pytest.raises(CompileError) as err:
@@ -662,7 +663,8 @@ def test_probabilities_of_models_built_in_code(model, message):
     (ReqKind.PM, None, 0, "duration must be positive, not 0"),
 ])
 def test_requirement_counts_checked(kind, deadline, duration, message):
-    """Models built in code can hold counts the parser never gives."""
+    """Counts validate rejects, and so compile_model, also in a model
+    built in code."""
     model = parse_domain("""
         Variable x
         ReqID r achieve x within 2 if !x reward 1

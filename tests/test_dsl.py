@@ -1,6 +1,7 @@
 """Parser, formatter, evaluation and validation tests."""
 
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -21,6 +22,7 @@ from obd.dsl import (
     Or,
     ParseError,
     ReqKind,
+    VariableDecl,
     _tokenize,
     eval_formula,
     formula_depth,
@@ -190,7 +192,19 @@ def test_every_kind_reads_from_its_clauses(kind):
 
 
 # ---------------------------------------------------------------------------
-# Parse errors carry positions
+# Parse errors and validation errors carry positions
+
+
+def _first_error(text: str) -> tuple:
+    """Where the first error `obd compile` reports for `text` comes from
+    ("parse" or "validate"), with its message, line and column: the parser
+    reads only the grammar, validate checks what the parsed model means."""
+    try:
+        model = parse_domain(text)
+    except ParseError as err:
+        return "parse", err.message, err.line, err.col
+    first = next(d for d in validate(model) if d.severity == "error")
+    return "validate", first.message, first.line, first.col
 
 
 @pytest.mark.parametrize("text, line", [
@@ -201,16 +215,37 @@ def test_every_kind_reads_from_its_clauses(kind):
     ("Variable x\nInit { }", 2),
 ])
 def test_parse_errors_positioned(text, line):
-    with pytest.raises(ParseError) as err:
-        parse_domain(text)
-    assert err.value.line == line
-    assert err.value.col >= 1
+    source, _, got_line, col = _first_error(text)
+    # a probability outside (0,1] and an Init that misses a variable are
+    # errors of the model, not of its grammar
+    assert source == ("validate" if "prob 1.5" in text or "{ }" in text
+                      else "parse")
+    assert got_line == line
+    assert col >= 1
 
 
 X = "Variable x\n"
 
+# What the model means, checked by validate on the parsed text
+MODEL_ERRORS = [
+    (X + "Action a if x effects <!x x>\nInit { x }",
+     "action 'a': variable 'x' assigned twice in one effect", 2, 8),
+    (X + "Event e if x effects <!x prob 0.6> <x prob 0.5>\nInit { x }",
+     "event 'e': effect probabilities sum to 11/10 > 1", 2, 7),
+    ("Variable m domain {a, b, a}\nInit { m=a }",
+     "duplicate value in domain of 'm'", 1, 10),
+    (X + "ReqID r maintain x for 0 if x\nInit { x }",
+     "requirement 'r': duration must be positive, not 0", 2, 7),
+    (X + "ReqID r achieve x within 0 if !x\nInit { x }",
+     "requirement 'r': deadline must be positive, not 0", 2, 7),
+    (X + "ReqID x maintain true reward 1\nInit { x }",
+     "'x' names both a variable and a requirement", 2, 7),
+    # an Init error is placed at the Init keyword
+    (X + "Init { x, !x }", "variable 'x' assigned twice in Init", 2, 1),
+]
 
-@pytest.mark.parametrize("text, message, line, col", [
+
+@pytest.mark.parametrize("text, message, line, col", MODEL_ERRORS + [
     (X + "Action a if x | x effects <!x>\nInit { x }",
      "single '|' (use '||')", 2, 15),
     (X + "Action a if x effects <!x prob y>\nInit { x }",
@@ -221,16 +256,6 @@ X = "Variable x\n"
      "zero denominator", 2, 34),
     (X + "Action a if x effects <prob 0.5>\nInit { x }",
      "empty effect group", 2, 23),
-    (X + "Action a if x effects <!x x>\nInit { x }",
-     "variable 'x' assigned twice in one effect", 2, 23),
-    (X + "Event e if x effects <!x prob 0.6> <x prob 0.5>\nInit { x }",
-     "effect probabilities sum to 11/10 > 1", 2, 9),
-    ("Variable m domain {a, b, a}\nInit { m=a }",
-     "duplicate value in domain of 'm'", 1, 10),
-    (X + "ReqID r maintain x for 0 if x\nInit { x }",
-     "duration must be positive", 2, 7),
-    (X + "ReqID r achieve x within 0 if !x\nInit { x }",
-     "deadline must be positive", 2, 7),
     (X + "ReqID r achieve x within 2\nInit { x }",
      "deadline/duration requirements need an 'if' clause", 2, 7),
     (X + "ReqID r maintain x if x reward_once 1\nInit { x }",
@@ -242,15 +267,11 @@ X = "Variable x\n"
     (X + "ReqID r achieve x for 2 if !x reward_once 1\nInit { x }",
      "'for' duration is only for maintain requirements", 2, 7),
     (X + "Init { x }\nInit { x }", "duplicate Init block", 3, 1),
-    (X + "ReqID x maintain true reward 1\nInit { x }",
-     "'x' names both a variable and a requirement", 1, 1),
-    (X + "Init { x, !x }", "variable 'x' assigned twice in Init", 2, 12),
 ])
 def test_parse_error_messages(text, message, line, col):
-    with pytest.raises(ParseError) as err:
-        parse_domain(text)
-    assert (err.value.message, err.value.line, err.value.col) == \
-        (message, line, col)
+    source = "validate" if (text, message, line, col) in MODEL_ERRORS \
+        else "parse"
+    assert _first_error(text) == (source, message, line, col)
 
 
 @pytest.mark.parametrize("cost, error", [
@@ -280,8 +301,8 @@ def test_line_endings_give_the_same_token_positions(ending):
     text = ((Path(__file__).parent.parent / "models" / "restaurant.obd")
             .read_text().replace("\n", " # note\n\n", 3))
     assert _tokenize(text.replace("\n", ending)) == _tokenize(text)
-    with pytest.raises(ParseError, match="^2:1: duplicate variable 'x'"):
-        parse_domain(f"Variable x{ending}Variable x{ending}Init {{ x }}")
+    assert _first_error(f"Variable x{ending}Variable x{ending}Init {{ x }}") \
+        == ("validate", "duplicate variable 'x'", 2, 10)
 
 
 def test_missing_init_rejected():
@@ -290,25 +311,40 @@ def test_missing_init_rejected():
 
 
 def test_incomplete_init_rejected():
-    with pytest.raises(ParseError):
-        parse_domain("Variable x\nVariable y\nInit { x }\n")
+    assert _first_error("Variable x\nVariable y\nInit { x }\n") == \
+        ("validate", "Init does not assign: y", 3, 1)
 
 
 def test_duplicate_names_rejected():
-    with pytest.raises(ParseError):
-        parse_domain("Variable x\nVariable x\nInit { x }\n")
-    with pytest.raises(ParseError):
-        parse_domain("Variable x\n"
-                     "Action a if x effects <!x>\n"
-                     "Action a if !x effects <x>\n"
-                     "Init { x }\n")
+    assert _first_error("Variable x\nVariable x\nInit { x }\n") == \
+        ("validate", "duplicate variable 'x'", 2, 10)
+    assert _first_error("Variable x\n"
+                        "Action a if x effects <!x>\n"
+                        "Action a if !x effects <x>\n"
+                        "Init { x }\n") == \
+        ("validate", "duplicate action 'a'", 3, 8)
 
 
 def test_unknown_domain_value_rejected():
-    with pytest.raises(ParseError):
-        parse_domain("Variable m domain {a,b}\n"
-                     "Action go if m=c effects <m=a>\n"
-                     "Init { m=a }\n")
+    assert _first_error("Variable m domain {a,b}\n"
+                        "Action go if m=c effects <m=a>\n"
+                        "Init { m=a }\n") == \
+        ("validate", "action 'go': unknown value 'c' for variable 'm'", 2, 8)
+
+
+def test_validate_reports_every_error_of_a_parsed_model():
+    """Each requirement named as a variable is an error, not an implicit
+    boolean, and the errors of one text are all reported."""
+    model = parse_domain("Variable x\n"
+                         "Action a if x & !m effects <m>\n"
+                         "ReqID m maintain x reward 1\n"
+                         "Init { x, m }\n")
+    assert [v.name for v in model.variables] == ["x"]
+    assert [(d.message, d.line, d.col) for d in validate(model)
+            if d.severity == "error"] == [
+        ("Init: requirement 'm' used as a state variable", 4, 1),
+        ("action 'a': requirement 'm' used as a state variable", 2, 8),
+        ("action 'a': requirement 'm' used as a state variable", 2, 8)]
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +374,7 @@ def test_validate_reports_overlapping_preconditions():
 
 
 def test_validate_reports_zero_probability_effect():
-    # the parser rejects `prob 0`, so only programmatically built models
-    # can carry one; validate must still flag it
+    # a model built in code can carry `prob 0` too; validate must flag it
     model = parse_domain("""
         Variable x
         Action a if x effects <!x>
@@ -437,6 +472,13 @@ def _init(*items):
     return lambda m: replace(m, initial_state=items)
 
 
+def _with_m(*domain):
+    """The model with a variable m of this domain, m=a in Init."""
+    return lambda m: replace(
+        m, variables=m.variables + (VariableDecl("m", domain),),
+        initial_state=m.initial_state + (("m", "a"),))
+
+
 EVENT = EventDesc("e", (EventBranch(Atom("x", "ff"), Fraction(1, 2), (
     Effect((("x", "tt"),)),)),))
 
@@ -461,7 +503,7 @@ EVENT = EventDesc("e", (EventBranch(Atom("x", "ff"), Fraction(1, 2), (
      "requirement 'r': duration must be positive, not 0"),
     (_edit_requirement(reward=-1), "requirement 'r': negative reward"),
     (_two_effects, "action 'a': effect probabilities sum to 6/5 > 1"),
-    # what the parser rejects while it reads names and values
+    # names and values
     (_twice("variables"), "duplicate variable 'x'"),
     (_twice("actions"), "duplicate action 'a'"),
     (lambda m: _twice("events")(replace(m, events=(EVENT,))),
@@ -479,6 +521,14 @@ EVENT = EventDesc("e", (EventBranch(Atom("x", "ff"), Fraction(1, 2), (
     (_effects(Effect((("z", "tt"),))), "action 'a': unknown variable 'z'"),
     (_effects(Effect((("x", "maybe"),))),
      "action 'a': unknown value 'maybe' for variable 'x'"),
+    (_with_precondition(Atom("r", "tt")),
+     "action 'a': requirement 'r' used as a state variable"),
+    # compiled as 3 states of a 2-value variable before validate checked it
+    (_with_m("a", "b", "a"), "duplicate value in domain of 'm'"),
+    # compiled as if only m=a were assigned before validate checked it
+    (lambda m: _effects(Effect((("m", "b"), ("m", "a"))))(
+        _with_m("a", "b")(m)),
+     "action 'a': variable 'm' assigned twice in one effect"),
 ])
 def test_validate_reports_errors_of_models_built_in_code(edit, message):
     """Each error alone, from validate and as compile_model's error."""
@@ -566,6 +616,19 @@ def test_validate_bounds_the_depth_of_models_built_in_code(edit, message):
     at_bound = edit(_nots(MAX_CONDITION_DEPTH))(BASE)
     assert "error" not in _severities(at_bound)
     compile_model(at_bound)
+
+
+def test_shared_subformulas_are_walked_once():
+    """A precondition with 2**40 paths through 42 distinct nodes:
+    validate and compile_model each visit a node once."""
+    shared = Atom("x", "tt")
+    for _ in range(40):
+        shared = And(shared, shared)
+    model = _with_precondition(And(Atom("x", "tt"), shared))(BASE)
+    for check in (validate, compile_model):
+        started = time.perf_counter()
+        check(model)
+        assert time.perf_counter() - started < 1, check.__name__
 
 
 def test_validate_compares_no_precondition_past_the_bound():

@@ -309,19 +309,24 @@ WORD = re.compile(r"[^\W\d]\w*")
 
 @st.composite
 def mutated(draw, text: str) -> str:
-    """`text` after a few edits: a span deleted or duplicated, a token
-    inserted, or a name replaced by another name of the text (such as a
-    variable by a requirement). Inserted tokens are those of any format or
-    words of the text."""
+    """`text` after a few edits: a span deleted or duplicated, a line
+    repeated, a token inserted, or a name replaced by another name of the
+    text (such as a variable by a requirement). Inserted tokens are those
+    of any format or words of the text."""
     tokens = st.sampled_from(TOKENS) | st.sampled_from(text.split())
     for _ in range(draw(st.integers(1, 3))):
-        kind = draw(st.sampled_from(("delete", "duplicate", "insert",
+        kind = draw(st.sampled_from(("delete", "duplicate", "line", "insert",
                                      "rename", "rename")))
         names = [w for w in WORD.finditer(text) if w.group() not in KEYWORDS]
         if kind == "rename" and names:
             i, j = draw(st.sampled_from(names)).span()
             other = draw(st.sampled_from(sorted({w.group() for w in names})))
             text = text[:i] + other + text[j:]
+            continue
+        if kind == "line":  # such as a declaration written twice
+            lines = text.splitlines(keepends=True) or [""]
+            k = draw(st.integers(0, len(lines) - 1))
+            text = "".join(lines[:k + 1] + lines[k:])
             continue
         i = draw(st.integers(0, len(text)))
         j = draw(st.integers(i, min(len(text), i + 40)))
@@ -337,15 +342,35 @@ def mutated(draw, text: str) -> str:
 FUZZ = settings(max_examples=150, deadline=None)
 
 
+def check_model_text(text: str) -> None:
+    """Parse, validate and compile `text`, which may fail only with an
+    ObdError: compile_model raises validate's first error, and a model
+    validate passes compiles, naming each state variable and action once,
+    or raises an ObdError of its own. So a check missing from validate
+    shows as another exception or as a name compiled twice."""
+    try:
+        model = parse_domain(text)
+    except ObdError:
+        return
+    errors = [d.message for d in validate(model) if d.severity == "error"]
+    if errors:
+        with pytest.raises(CompileError) as err:
+            compile_model(model, limit=10_000)
+        assert str(err.value) == errors[0]
+        return
+    try:
+        mdp = compile_model(model, limit=10_000)
+    except ObdError:
+        return
+    for names in (mdp.space.names, mdp.action_names):
+        assert len(set(names)) == len(names), names
+
+
 @pytest.mark.parametrize("name", ["toy", "restaurant", "requirement"])
 @FUZZ
 @given(data=st.data())
 def test_fuzz_parse_domain_raises_only_obd_errors(name, data):
-    text = data.draw(mutated(TEXT_MODELS[name]))
-    try:
-        validate(parse_domain(text))
-    except ObdError:
-        pass
+    check_model_text(data.draw(mutated(TEXT_MODELS[name])))
 
 
 # a number follows each of these; NUMBERS has those models/*.obd lack
@@ -363,7 +388,7 @@ NUMBERS = """
 @pytest.mark.parametrize("char", ["²", "½", "٣", "Ⅻ"])
 def test_digit_like_characters_at_number_positions(char):
     """Each character replaces, and goes before, every number of the
-    texts; the parser and validator raise only ObdError."""
+    texts; the parser, validator and compiler raise only ObdError."""
     texts = [p.read_text() for p in sorted((ROOT / "models").glob("*.obd"))]
     found = [(text, m) for text in texts + [NUMBERS]
              for m in NUMBER_POSITION.finditer(text)]
@@ -373,10 +398,7 @@ def test_digit_like_characters_at_number_positions(char):
         i, j = m.span(2)
         for edited in (text[:i] + char + text[j:],
                        text[:i] + char + text[i:]):
-            try:
-                validate(parse_domain(edited))
-            except ObdError:
-                pass
+            check_model_text(edited)
 
 
 @pytest.fixture(scope="module")
