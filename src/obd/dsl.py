@@ -788,11 +788,12 @@ def validate(model: DomainModel) -> list:
     in code alike; the first error is what `compiler.compile_model`
     raises.
 
-    Returns diagnostics as data; nothing is raised. Each one carries the
-    source position of the declaration it names, or of the Init keyword
-    (none for a model built in code). Precondition disjointness is only
-    approximated here by syntactic equality; exact per-state enforcement
-    happens during compilation.
+    Returns diagnostics as data, in source order (stably sorted by line
+    and column); nothing is raised. Each one carries the source position
+    of the declaration it names, or of the Init keyword (none for a model
+    built in code, whose diagnostics keep the order of the checks).
+    Precondition disjointness is only approximated here by syntactic
+    equality; exact per-state enforcement happens during compilation.
     """
     diags = []
 
@@ -917,4 +918,4 @@ def validate(model: DomainModel) -> list:
             if value not in assigned.get(variable.name, set()):
                 report("info", f"value '{value}' of variable "
                        f"'{variable.name}' is never assigned", variable)
-    return diags
+    return sorted(diags, key=lambda d: (d.line or 0, d.col or 0))

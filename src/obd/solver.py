@@ -11,6 +11,19 @@ the products P_a, and so does a compiled model small enough that building
 them exactly costs less than the second product per sweep saves; there a
 backup is q = r + gamma * P v, as the model read back computes it.
 
+The operator keeps only the stacked rows that noop does not dominate. A
+row a*n + s (a >= 1) is dropped when it equals noop's row s entry for
+entry and its expected reward is no higher: wherever an action cannot
+fire, X_a and P_a repeat noop's row. The two rows then give the same
+float product, rounding is monotone, so fl(x + r_a) <= fl(x + r_noop),
+and a tie in the argmax goes to noop, index 0: the row is never the max
+nor the argmax, and no result changes (an exact, precomputed case of
+action elimination; MacQueen 1967, Puterman 1994 §6.7). A VI sweep reads
+the kept rows only; the full Q grid and policy evaluation read a dropped
+row from noop's. On the benchmark models 72% of the rows of actions other
+than noop are dropped (4,416 of 6,144 at 2 tables, 17,664 of 24,576 with
+serve within 3), 122 of 192 on restaurant.obd.
+
 Policy evaluation multiplies P_pi = X[pi] E out in float (or takes the
 rows of P), orders the states by the strongly connected components of
 P_pi, sources first, so that I - gamma*P_pi is block upper triangular
@@ -113,12 +126,37 @@ def component_order(p) -> np.ndarray:
     return np.argsort(-labels, kind="stable")
 
 
+def _undominated(matrix, expected: np.ndarray, n: int) -> np.ndarray:
+    """The stacked rows a*n + s that the Bellman max must read, ascending:
+    every noop row (a = 0), and every other row unless it equals noop's
+    row s entry for entry (the same columns and float64 values) and
+    expected[a*n + s] <= expected[s]. Such a row's product with any
+    vector is noop's, so its Q-value is never above noop's, and a tie
+    goes to noop, the lowest index."""
+    indptr = matrix.indptr
+    lengths = np.diff(indptr)
+    alike = n + np.flatnonzero((lengths[n:].reshape(-1, n) == lengths[:n])
+                               & (expected[n:].reshape(-1, n) <= expected[:n]))
+    _, take = gather_rows(indptr, alike)
+    row = np.repeat(alike, lengths[alike])  # of each entry taken
+    noop_take = take - indptr[row] + indptr[row % n]
+    differ = (matrix.indices[take] != matrix.indices[noop_take]) \
+        | (matrix.data[take] != matrix.data[noop_take])
+    keep = np.ones(matrix.shape[0], dtype=bool)
+    keep[alike] = False
+    keep[row[differ]] = True
+    return np.flatnonzero(keep)
+
+
 class _Bellman:
-    """The Bellman operator of a model: every action's rows stacked in one
-    CSR `matrix` (row a*n + s), either the explicit rows X_a, then applied
-    after the event product `events` E, or the transition rows P_a
-    themselves (`events` is None); their expected one-step rewards; and a
-    defensive row-stochasticity re-check."""
+    """The Bellman operator of a model. Every action's rows are stacked
+    (row a*n + s), either the explicit rows X_a, then applied after the
+    event product `events` E, or the transition rows P_a themselves
+    (`events` is None), with their expected one-step rewards `expected`
+    and a defensive row-stochasticity re-check. Only the rows that noop
+    does not dominate (_undominated) are kept, in one CSR `matrix`: the
+    noop block first, then the others in stacked order. `expand` maps
+    every stacked row to its row of `matrix`, a dropped row to noop's."""
 
     def __init__(self, mdp: MdpModel):
         n = mdp.n_states
@@ -142,22 +180,45 @@ class _Bellman:
             raise SolverError(
                 f"action '{mdp.action_names[action]}': transition row "
                 f"{state} sums to {sums[bad[0]]}")
+        kept = _undominated(matrix, expected, n)
+        indptr, take = gather_rows(matrix.indptr, kept)
         self.n = n
         self.gamma = float(mdp.gamma)
-        self.matrix = matrix
+        self.matrix = sp.csr_matrix(
+            (matrix.data[take], matrix.indices[take], indptr),
+            shape=(kept.size, matrix.shape[1]))
         self.events = events
         self.expected = expected
-        self.q = np.empty_like(expected)
+        self.expand = np.tile(np.arange(n), mdp.n_actions)
+        self.expand[kept] = np.arange(kept.size)
+        self.kept_expected = expected[kept]
+        self.kept_states = kept[n:] % n
         self.states = np.arange(n)
 
-    def q_values(self, values: np.ndarray) -> np.ndarray:
-        """Q-values, shape (n_actions, n_states), in a buffer that the
-        next call overwrites."""
+    def _kept_q(self, values: np.ndarray) -> np.ndarray:
+        """gamma times each kept row's product with the values."""
         if self.events is not None:
             values = self.events @ values
-        np.multiply(self.matrix @ values, self.gamma, out=self.q)
-        self.q += self.expected
-        return self.q.reshape(-1, self.n)
+        q = self.matrix @ values
+        q *= self.gamma
+        return q
+
+    def best(self, values: np.ndarray) -> np.ndarray:
+        """The largest Q-value of every state, from the kept rows: noop's
+        block, raised where a kept row of another action is higher."""
+        q = self._kept_q(values)
+        q += self.kept_expected
+        best = q[:self.n]
+        np.maximum.at(best, self.kept_states, q[self.n:])
+        return best
+
+    def q_values(self, values: np.ndarray) -> np.ndarray:
+        """Q-values of every action, shape (n_actions, n_states): a dropped
+        row takes its product from noop's row, its expected reward from
+        its own."""
+        q = self._kept_q(values)[self.expand]
+        q += self.expected
+        return q.reshape(-1, self.n)
 
     def evaluate(self, policy: np.ndarray) -> np.ndarray:
         """Solve (I - gamma*P_pi) V = r_pi, P_pi = X[pi] E, by one LU
@@ -172,7 +233,7 @@ class _Bellman:
         import scipy.sparse.linalg as spla
         n = self.n
         rows = policy * n + self.states
-        indptr, take = gather_rows(self.matrix.indptr, rows)
+        indptr, take = gather_rows(self.matrix.indptr, self.expand[rows])
         p = sp.csr_matrix((self.matrix.data[take], self.matrix.indices[take],
                            indptr), shape=(n, self.matrix.shape[1]))
         if self.events is not None:
@@ -228,7 +289,7 @@ def value_iteration(mdp: MdpModel,
     iterations = 0
     residual = np.inf
     while residual >= threshold:
-        new_values = bellman.q_values(values).max(axis=0)
+        new_values = bellman.best(values)
         # array methods: np.max and np.abs would add a few us per sweep
         residual = float(abs(new_values - values).max())
         values = new_values

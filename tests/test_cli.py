@@ -138,9 +138,9 @@ def test_compile_prints_every_error_of_a_model(tmp_path):
     assert isinstance(result.exception, SystemExit)  # no Python traceback
     assert result.stderr.splitlines() == [
         f"{bad}:4:8: error: duplicate action 'a'",
-        f"{bad}:6:1: error: Init does not assign: y",
         f"{bad}:5:8: error: action 'b': unknown value 'maybe' for variable "
-        "'x'"]
+        "'x'",
+        f"{bad}:6:1: error: Init does not assign: y"]
 
 
 def test_compile_non_decimal_digit_exits_1(tmp_path):

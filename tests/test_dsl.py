@@ -334,7 +334,8 @@ def test_unknown_domain_value_rejected():
 
 def test_validate_reports_every_error_of_a_parsed_model():
     """Each requirement named as a variable is an error, not an implicit
-    boolean, and the errors of one text are all reported."""
+    boolean, and the errors of one text are all reported, in source
+    order."""
     model = parse_domain("Variable x\n"
                          "Action a if x & !m effects <m>\n"
                          "ReqID m maintain x reward 1\n"
@@ -342,9 +343,13 @@ def test_validate_reports_every_error_of_a_parsed_model():
     assert [v.name for v in model.variables] == ["x"]
     assert [(d.message, d.line, d.col) for d in validate(model)
             if d.severity == "error"] == [
-        ("Init: requirement 'm' used as a state variable", 4, 1),
         ("action 'a': requirement 'm' used as a state variable", 2, 8),
-        ("action 'a': requirement 'm' used as a state variable", 2, 8)]
+        ("action 'a': requirement 'm' used as a state variable", 2, 8),
+        ("Init: requirement 'm' used as a state variable", 4, 1)]
+    # in source order: compile_model names the error that comes first
+    with pytest.raises(CompileError, match="^action 'a': requirement 'm' "
+                       "used as a state variable$"):
+        compile_model(model)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Value iteration, policy iteration, policy serialization."""
 
+import dataclasses
 import json
 import random
 import re
@@ -15,7 +16,15 @@ from scipy.sparse import csgraph
 
 from obd import solver
 from obd.compiler import compile_model, dump_mdp, load_mdp
-from obd.dsl import parse_domain
+from obd.dsl import (
+    ActionBranch,
+    ActionDesc,
+    And,
+    Atom,
+    Effect,
+    Not,
+    parse_domain,
+)
 from obd.solver import (
     SolverError,
     component_order,
@@ -233,6 +242,15 @@ def _evaluation_models(toy_mdp, restaurant_mdp, two_tables):
         yield f"random {2000 + seed}", compile_model(model)
 
 
+def _dropped_policy(mdp):
+    """In every state, the lowest action whose row the solver drops as
+    dominated by noop's row, else noop."""
+    n = mdp.n_states
+    expand = solver._Bellman(mdp).expand.reshape(-1, n)
+    dropped = expand[1:] == np.arange(n)  # read from noop's row
+    return np.where(dropped.any(axis=0), 1 + np.argmax(dropped, axis=0), 0)
+
+
 @pytest.mark.parametrize("factored", [True, False],
                          ids=["factors", "products"])
 def test_evaluation_matches_reference_solve(toy_mdp, restaurant_mdp,
@@ -242,12 +260,180 @@ def test_evaluation_matches_reference_solve(toy_mdp, restaurant_mdp,
     monkeypatch.setattr(solver, "PRODUCT_TERMS", -1 if factored else 10 ** 9)
     rng = np.random.default_rng(7)
     for name, mdp in _evaluation_models(toy_mdp, restaurant_mdp, two_tables):
-        for _ in range(5):
-            policy = rng.integers(0, mdp.n_actions, mdp.n_states)
+        policies = [rng.integers(0, mdp.n_actions, mdp.n_states)
+                    for _ in range(5)]
+        for policy in policies + [_dropped_policy(mdp)]:
             reference = _reference_values(mdp, policy)
             values = evaluate_policy(mdp, policy)
             tol = 1e-12 * max(1.0, np.abs(reference).max())
             assert np.abs(values - reference).max() <= tol, name
+
+
+# ---------------------------------------------------------------------------
+# Dropping the rows noop dominates changes no result
+
+
+class _FullGrid:
+    """The Bellman operator over every stacked row a*n + s, none dropped,
+    its Q-values taken as one product of the full stack: the reference
+    that every solve must reproduce bit for bit. Policy evaluation is
+    the solver's own, reading each row from this full stack."""
+
+    evaluate = solver._Bellman.evaluate
+
+    def __init__(self, mdp):
+        if solver._factored(mdp):
+            self.events = mdp.events.csr
+            self.matrix = sp.vstack([mdp.explicit[a].csr
+                                     for a in mdp.action_names], format="csr")
+            self.expected = solver._expected_rewards(mdp, self.matrix,
+                                                     self.events)
+        else:
+            self.events = None
+            self.matrix = sp.vstack([mdp.transition_csr(a)
+                                     for a in mdp.action_names], format="csr")
+            rewards = sp.vstack([mdp.reward_csr(a)
+                                 for a in mdp.action_names], format="csr")
+            self.expected = np.asarray(
+                self.matrix.multiply(rewards).sum(axis=1)).ravel()
+        self.n = mdp.n_states
+        self.gamma = float(mdp.gamma)
+        self.states = np.arange(self.n)
+        self.expand = np.arange(self.matrix.shape[0])
+
+    def q_values(self, values):
+        if self.events is not None:
+            values = self.events @ values
+        q = self.gamma * (self.matrix @ values) + self.expected
+        return q.reshape(-1, self.n)
+
+
+def _full_grid_vi(mdp, epsilon=solver.DEFAULT_EPSILON):
+    grid = _FullGrid(mdp)
+    threshold = epsilon * (1.0 - grid.gamma) / (2.0 * grid.gamma)
+    values = np.zeros(mdp.n_states)
+    iterations, residual = 0, np.inf
+    while residual >= threshold:
+        new_values = grid.q_values(values).max(axis=0)
+        residual = float(abs(new_values - values).max())
+        values = new_values
+        iterations += 1
+    return (np.argmax(grid.q_values(values), axis=0), values, iterations,
+            residual)
+
+
+def _full_grid_pi(mdp):
+    grid = _FullGrid(mdp)
+    policy = np.zeros(mdp.n_states, dtype=np.int64)
+    for _ in range(50):
+        values = grid.evaluate(policy)
+        q = grid.q_values(values)
+        tie = solver.TIE_RELATIVE_TOL * max(1.0, float(abs(q).max()))
+        tied = q >= q.max(axis=0) - tie
+        improved = np.where(tied[policy, grid.states], policy,
+                            np.argmax(tied, axis=0))
+        if np.array_equal(improved, policy):
+            return policy, values
+        policy = improved
+    raise AssertionError("reference policy iteration did not stop")
+
+
+def _assert_as_full_grid(mdp):
+    vi = value_iteration(mdp)
+    actions, values, iterations, residual = _full_grid_vi(mdp)
+    assert np.array_equal(vi.actions, actions)
+    assert vi.values.tobytes() == values.tobytes()
+    assert (vi.iterations, vi.residual) == (iterations, residual)
+    pi = policy_iteration(mdp)
+    actions, values = _full_grid_pi(mdp)
+    assert np.array_equal(pi.actions, actions)
+    assert pi.values.tobytes() == values.tobytes()
+    return vi
+
+
+@pytest.fixture(scope="module")
+def deadline_tables():
+    """4,096 states: serve<i> within 3 on the two tables."""
+    return compile_model(parse_domain(restaurant_text(2, 0, within=3)))
+
+
+@pytest.mark.parametrize("factored", [True, False],
+                         ids=["factors", "products"])
+def test_solves_match_the_full_grid(toy_mdp, restaurant_mdp, two_tables,
+                                    deadline_tables, monkeypatch, factored):
+    # sweep the factors always, or the exact products always
+    monkeypatch.setattr(solver, "PRODUCT_TERMS", -1 if factored else 10 ** 9)
+    for name, mdp in [*_evaluation_models(toy_mdp, restaurant_mdp,
+                                          two_tables),
+                      ("2 tables within 3", deadline_tables)]:
+        bellman = solver._Bellman(mdp)
+        assert (bellman.events is not None) == factored
+        if mdp.n_states >= 1024:  # most rows are dropped there
+            assert bellman.matrix.shape[0] < mdp.n_actions * mdp.n_states / 2
+        _assert_as_full_grid(mdp)
+
+
+def _with_action(text, name, cost):
+    """The model of `text` with one more action `name` that never fires,
+    built in code so that its cost may be negative."""
+    model = parse_domain(text)
+    never = ActionDesc(name, (ActionBranch(
+        And(Atom("x", "tt"), Not(Atom("x", "tt"))),
+        (Effect((("x", "ff"),), Fraction(1)),)),), cost)
+    return compile_model(dataclasses.replace(
+        model, actions=model.actions + (never,)))
+
+
+_ONE_SWITCH = """
+    Variable x
+    Action on if !x effects <x prob 1/2> cost 2
+    Event off if x occur prob 1/3 effects <!x>
+    ReqID g maintain x reward 1
+    Init { !x }
+"""
+
+
+def _kept_rows(mdp, action):
+    """The states whose row of `action` the solver keeps."""
+    n = mdp.n_states
+    a = mdp.action_names.index(action)
+    return np.flatnonzero(solver._Bellman(mdp).expand[a * n:(a + 1) * n] >= n)
+
+
+@pytest.mark.parametrize("factored", [True, False],
+                         ids=["factors", "products"])
+def test_an_action_equal_to_noop_that_pays_is_kept(monkeypatch, factored):
+    monkeypatch.setattr(solver, "PRODUCT_TERMS", -1 if factored else 10 ** 9)
+    mdp = _with_action(_ONE_SWITCH, "bonus", -1)
+    assert list(_kept_rows(mdp, "bonus")) == list(range(mdp.n_states))
+    vi = _assert_as_full_grid(mdp)
+    assert mdp.action_names.index("bonus") in vi.actions
+
+
+@pytest.mark.parametrize("factored", [True, False],
+                         ids=["factors", "products"])
+def test_a_free_action_equal_to_noop_is_dropped(monkeypatch, factored):
+    monkeypatch.setattr(solver, "PRODUCT_TERMS", -1 if factored else 10 ** 9)
+    mdp = _with_action(_ONE_SWITCH, "idle", 0)
+    assert _kept_rows(mdp, "idle").size == 0
+    vi = _assert_as_full_grid(mdp)
+    # noop, index 0, wins the tie wherever idle is as good
+    assert "idle" not in {mdp.action_names[a] for a in vi.actions}
+    assert "noop" in {mdp.action_names[a] for a in vi.actions}
+
+
+def test_a_loaded_row_equal_to_noop_that_pays_more_is_kept():
+    """In obdmdp/1 the rewards of an action are its own: a P row equal to
+    noop's with an R row that pays more keeps the row."""
+    mdp = _with_action(_ONE_SWITCH, "idle", 0)
+    text = dump_mdp(mdp)
+    idle = text.index("action idle 0\n")
+    head, tail = text[:idle], text[idle:]
+    assert "r 1 1 0.0\n" in tail  # x off: noop and idle pay 0
+    loaded = load_mdp(head + tail.replace("r 1 1 0.0\n", "r 1 1 0.5\n"))
+    assert list(_kept_rows(loaded, "idle")) == [1]
+    vi = _assert_as_full_grid(loaded)
+    assert loaded.action_names[vi.actions[1]] in ("idle", "on")
 
 
 @pytest.mark.parametrize("which", ["noop", "value-iteration"])
