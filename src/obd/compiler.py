@@ -291,16 +291,6 @@ class SparseMatrix:
     def nnz(self) -> int:
         return len(self.indices)
 
-    def unit_rows(self) -> np.ndarray:
-        """Per row, whether it is the unit row: one entry, 1 on the
-        diagonal."""
-        single = np.flatnonzero(np.diff(self.indptr) == 1)
-        at = self.indptr[single]
-        out = np.zeros(self.size, dtype=bool)
-        out[single] = (self.indices[at] == single) \
-            & (self.numerators[at] == self.denominator)
-        return out
-
     def row(self, i: int) -> dict:
         """Column -> exact Fraction for the stored entries of row i."""
         lo, hi = self.indptr[i], self.indptr[i + 1]
@@ -652,6 +642,7 @@ class MdpModel:
     automata: tuple = ()
     warnings: tuple = ()  # of dsl.Diagnostic
     step_tables: object = None  # the simulator's memo tables, on first use
+    bellman: object = None  # the solver's Bellman operator, on first use
 
     @property
     def n_states(self) -> int:
@@ -679,70 +670,43 @@ _FINGERPRINT_SEED = 1977
 def _check_commutation(events, effective) -> list:
     """Event folding uses declaration order; warn, at the later event of
     the pair, for every pair of events whose effective matrices do not
-    commute, by Freivalds' fingerprint: no product is multiplied out.
+    commute, by Freivalds' fingerprint (Freivalds 1977; Schwartz 1980).
 
-    With D_e = numerators(Phat_e) - d_e I over the denominator d_e of
-    Phat_e, Phat_i Phat_j - Phat_j Phat_i = (D_i D_j - D_j D_i) / (d_i d_j),
-    since I commutes with everything, so integers decide. Pair (i, j) warns
-    iff D_i (D_j R) != D_j (D_i R), compared exactly, for the fixed random
-    n x V matrix R with entries in [0, 2**B) (V = _FINGERPRINT_VECTORS,
-    B = _FINGERPRINT_BITS). A flagged pair certainly does not commute; one
-    that does not commute is missed with probability at most
-    2**-(B*V) = 2**-60 (Freivalds 1977; Schwartz 1980). D_e is zero on the
-    unit rows of Phat_e, so only its other rows are kept, and those of
-    every D_e are stacked into one matrix: it multiplies R once, then the
-    products D_j R, laid side by side, once per column of R. Every row of
-    D_e sums to at most 2 d_e in absolute value, so every |D_i D_j R| is
-    at most 4 d_i d_j 2**B; that bound picks int64 or Python ints."""
-    k = len(effective)
-    if k < 2:
+    With N_e the numerators of Phat_e over its denominator d_e,
+    Phat_i Phat_j - Phat_j Phat_i = (N_i N_j - N_j N_i) / (d_i d_j). Pair
+    (i, j) warns iff N_i (N_j R) != N_j (N_i R), compared exactly, for the
+    fixed random n x V matrix R (V = _FINGERPRINT_VECTORS, entries below
+    2**B, B = _FINGERPRINT_BITS): a flagged pair does not commute, and one
+    that does not is missed with probability at most 2**-(B*V) = 2**-60.
+    Every N_e is non-negative with rows summing to at most 2 d_e, so every
+    value is below 4 d_i d_j 2**B; that bound picks int64 or Python ints."""
+    if len(effective) < 2:
         return []
-    kept = np.flatnonzero(~np.concatenate([m.unit_rows() for m in effective]))
     n = effective[0].size
-    owner, rows = np.divmod(kept, n)  # stacked row -> event, state
     dtype = _dtype(4 * max(m.denominator for m in effective) ** 2
                    * 2 ** _FINGERPRINT_BITS)
-    # the stack: each kept row's entries, then -d_e on its diagonal, taken
-    # from after the entries of every Phat_e
-    offsets = np.cumsum([0] + [m.nnz() for m in effective])
-    indptr, take = gather_rows(np.concatenate(
-        [o + m.indptr[:-1] for o, m in zip(offsets, effective)]
-        + [offsets[-1:]]), kept, extra=1)
-    take[indptr[1:] - 1] = offsets[-1] + np.arange(kept.size)
-    indices = np.concatenate([m.indices for m in effective] + [rows])[take]
-    diagonal = np.array([-m.denominator for m in effective], dtype=dtype)
-    data = np.concatenate([m.numerators.astype(dtype, copy=False)
-                           for m in effective] + [diagonal[owner]])[take]
-    if dtype is object:  # SciPy has no Python-int matrices
-        def times(dense):  # every stacked row holds at least its diagonal
-            return np.add.reduceat(data[:, None] * dense[indices],
-                                   indptr[:-1], axis=0)
-    else:
-        times = sp.csr_matrix((data, indices, indptr),
-                              shape=(kept.size, n)).__matmul__
+
+    def times(m):  # dense -> N_m @ dense
+        if dtype is object:  # SciPy has no Python-int matrices
+            def product(dense):
+                out = np.zeros(dense.shape, dtype=object)
+                np.add.at(out, m.entry_rows(),
+                          m.numerators[:, None] * dense[m.indices])
+                return out
+            return product
+        return sp.csr_matrix((m.numerators, m.indices, m.indptr),
+                             shape=(n, n)).__matmul__
+
+    products = [times(m) for m in effective]
     vectors = np.random.default_rng(_FINGERPRINT_SEED).integers(
-        2 ** _FINGERPRINT_BITS, size=(n, _FINGERPRINT_VECTORS))
-    first = times(vectors.astype(dtype))  # stacked row s: (D_e R)[state]
-    # entry (s, j) of the second product is (D_owner D_j R)[state], and its
-    # partner (D_j D_owner R)[state], or one of k zeros past the end where
-    # that row of D_j is zero
-    at = np.full((n, k), kept.size)
-    at[rows, owner] = np.arange(kept.size)
-    partner = (at[rows] * k + owner[:, None]).ravel()
-    differ = np.zeros(partner.size, dtype=bool)
-    for column in first.T:
-        right = np.zeros((n, k), dtype=dtype)  # column j: D_j R
-        right[rows, owner] = column
-        second = np.concatenate([times(right).ravel(), np.zeros(k, dtype)])
-        differ |= second[:-k] != second[partner]
-    flagged = np.zeros((k, k), dtype=bool)
-    s, j = np.divmod(np.flatnonzero(differ), k)
-    flagged[owner[s], j] = True
+        2 ** _FINGERPRINT_BITS, size=(n, _FINGERPRINT_VECTORS)).astype(dtype)
+    once = [p(vectors) for p in products]  # N_e R
     return [Diagnostic("warning", f"events '{events[i].name}' and "
                        f"'{events[j].name}' do not commute; using "
                        "declaration order", events[j].line, events[j].col)
-            for i, j in itertools.combinations(range(k), 2)
-            if flagged[i, j] or flagged[j, i]]
+            for i, j in itertools.combinations(range(len(effective)), 2)
+            if not np.array_equal(products[i](once[j]),
+                                  products[j](once[i]))]
 
 
 def compile_model(model: DomainModel, gamma: Fraction = DEFAULT_GAMMA,

@@ -2,7 +2,7 @@
 
 Value iteration runs Bellman backups to a max-norm stopping rule; policy
 iteration alternates exact evaluation with greedy improvement. Every entry
-point reads one Bellman operator built once per solve. For a compiled
+point reads one Bellman operator built once per model. For a compiled
 model it reads the factors, never the multiplied-out transition matrices:
 the event product E and every action's explicit rows X_a stacked in one
 matrix X (row a*n + s). A backup is then q = r + gamma * X (E v), two
@@ -263,10 +263,16 @@ class _Bellman:
         return values
 
 
+def _bellman(mdp: MdpModel) -> _Bellman:
+    if mdp.bellman is None:
+        mdp.bellman = _Bellman(mdp)
+    return mdp.bellman
+
+
 def greedy_policy(mdp: MdpModel, values: np.ndarray) -> Strategy:
     """One-step lookahead argmax; ties go to the lowest action index
     (noop is index 0)."""
-    q = _Bellman(mdp).q_values(values)
+    q = _bellman(mdp).q_values(values)
     return Strategy(actions=np.argmax(q, axis=0), values=q.max(axis=0),
                     iterations=0, residual=0.0, method="greedy")
 
@@ -279,7 +285,7 @@ def value_iteration(mdp: MdpModel,
         raise SolverError("epsilon must be positive")
     if epsilon == np.inf:  # the first sweep's residual would pass
         raise SolverError("epsilon must be finite")
-    bellman = _Bellman(mdp)
+    bellman = _bellman(mdp)
     threshold = epsilon * (1.0 - bellman.gamma) / (2.0 * bellman.gamma)
     if threshold == 0.0:  # no residual is below 0, so no sweep would stop
         raise SolverError(f"epsilon {epsilon!r} is too small: the stopping "
@@ -313,7 +319,7 @@ def evaluate_policy(mdp: MdpModel, policy: np.ndarray) -> np.ndarray:
     if bad.size:
         raise SolverError(f"policy: action {policy[bad[0]]} of state "
                           f"{bad[0]} outside 0..{mdp.n_actions - 1}")
-    return _Bellman(mdp).evaluate(policy.astype(np.int64))
+    return _bellman(mdp).evaluate(policy.astype(np.int64))
 
 
 def policy_iteration(mdp: MdpModel) -> Strategy:
@@ -323,7 +329,7 @@ def policy_iteration(mdp: MdpModel) -> Strategy:
     back, so the iteration ends; a decrease beyond float slack or a
     repeated policy means evaluation is wrong, and raises SolverError
     instead of looping."""
-    bellman = _Bellman(mdp)
+    bellman = _bellman(mdp)
     states = np.arange(mdp.n_states)
     policy = np.zeros(mdp.n_states, dtype=np.int64)
     seen = {policy.tobytes()}

@@ -8,6 +8,7 @@ branch and every occur/skip split of every event explicitly.
 import math
 import random
 import sys
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -843,8 +844,9 @@ def test_commutation_check_sees_one_numerator_unit(monkeypatch):
     """Phat_a = I + D_a / d and Phat_b = I + D_b / d with D_a = E_01 + M T
     and D_b = E_11 + M T, T = E_01 - E_11: D_a D_b - D_b D_a = E_01, so the
     products differ in one entry by one unit of their denominator d**2.
-    With d just below 2**20 the check stays int64, its values reaching
-    M**2 2**20, about 2**59."""
+    With d just below 2**20 the check stays int64: every row of the
+    numerators d I + D_a and d I + D_b sums to at most d + M + 1, so the
+    values of N_a N_b R stay below (d + M + 1)**2 2**20, about 2**61.5."""
     d, big = 2 ** 20 - 3, 700_001
     shared = np.zeros((3, 3), dtype=np.int64)
     shared[0, 1], shared[1, 1] = big, -big  # M T
@@ -895,6 +897,25 @@ def test_commutation_check_past_int64_matches_the_oracle(monkeypatch):
     assert dtypes == [object]
     assert [(w.message, w.line, w.col) for w in warnings] == \
         _oracle_warnings(model, effective)
+
+
+def test_commutation_check_holds_a_few_products_per_event():
+    """The check keeps N_e R for every event and one pair's two products,
+    each states x _FINGERPRINT_VECTORS int64 values: at 3 tables (12
+    events, 20,480 states) its tracemalloc peak stays below twice what
+    the N_e R take."""
+    model = parse_domain(restaurant_text(3, 0))
+    effective = _effective(model)
+    bound = 2 * len(effective) * effective[0].size \
+        * compiler._FINGERPRINT_VECTORS * 8
+    tracemalloc.start()
+    try:
+        warnings = compiler._check_commutation(model.events, effective)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(warnings) == 33
+    assert peak < bound
 
 
 def test_zero_reward_requirement_does_not_change_dynamics():

@@ -233,10 +233,13 @@ def _reference_values(mdp, policy):
     return spla.spsolve(system.tocsc(), r)
 
 
-def _evaluation_models(toy_mdp, restaurant_mdp, two_tables):
-    yield "toy", toy_mdp
-    yield "restaurant", restaurant_mdp
-    yield "2 tables", two_tables
+def _evaluation_models(toy_model, restaurant_model):
+    """Compiled afresh: a model keeps the Bellman operator its first solve
+    builds, so a shared one would answer with the path PRODUCT_TERMS chose
+    in whichever test solved it first."""
+    yield "toy", compile_model(toy_model)
+    yield "restaurant", compile_model(restaurant_model)
+    yield "2 tables", compile_model(parse_domain(restaurant_text(2, 0)))
     for seed in range(15):  # the models of test_agreement_random_models
         model = oracles.random_model(random.Random(2000 + seed))
         yield f"random {2000 + seed}", compile_model(model)
@@ -253,13 +256,12 @@ def _dropped_policy(mdp):
 
 @pytest.mark.parametrize("factored", [True, False],
                          ids=["factors", "products"])
-def test_evaluation_matches_reference_solve(toy_mdp, restaurant_mdp,
-                                            two_tables, monkeypatch,
-                                            factored):
+def test_evaluation_matches_reference_solve(toy_model, restaurant_model,
+                                            monkeypatch, factored):
     # evaluate through the factors always, or the exact products always
     monkeypatch.setattr(solver, "PRODUCT_TERMS", -1 if factored else 10 ** 9)
     rng = np.random.default_rng(7)
-    for name, mdp in _evaluation_models(toy_mdp, restaurant_mdp, two_tables):
+    for name, mdp in _evaluation_models(toy_model, restaurant_model):
         policies = [rng.integers(0, mdp.n_actions, mdp.n_states)
                     for _ in range(5)]
         for policy in policies + [_dropped_policy(mdp)]:
@@ -351,21 +353,15 @@ def _assert_as_full_grid(mdp):
     return vi
 
 
-@pytest.fixture(scope="module")
-def deadline_tables():
-    """4,096 states: serve<i> within 3 on the two tables."""
-    return compile_model(parse_domain(restaurant_text(2, 0, within=3)))
-
-
 @pytest.mark.parametrize("factored", [True, False],
                          ids=["factors", "products"])
-def test_solves_match_the_full_grid(toy_mdp, restaurant_mdp, two_tables,
-                                    deadline_tables, monkeypatch, factored):
+def test_solves_match_the_full_grid(toy_model, restaurant_model,
+                                    monkeypatch, factored):
     # sweep the factors always, or the exact products always
     monkeypatch.setattr(solver, "PRODUCT_TERMS", -1 if factored else 10 ** 9)
-    for name, mdp in [*_evaluation_models(toy_mdp, restaurant_mdp,
-                                          two_tables),
-                      ("2 tables within 3", deadline_tables)]:
+    deadline = compile_model(parse_domain(restaurant_text(2, 0, within=3)))
+    for name, mdp in [*_evaluation_models(toy_model, restaurant_model),
+                      ("2 tables within 3", deadline)]:
         bellman = solver._Bellman(mdp)
         assert (bellman.events is not None) == factored
         if mdp.n_states >= 1024:  # most rows are dropped there
@@ -602,6 +598,29 @@ def test_every_entry_point_checks_row_sums(toy_mdp, solve):
     with pytest.raises(SolverError, match=re.escape(
             "action 'noop': transition row 6 sums to 0.5")):
         solve(broken)
+
+
+def test_a_model_failing_the_row_sums_fails_every_call(toy_mdp):
+    broken = load_mdp(dump_mdp(toy_mdp).replace("t 6 7 0.8\n", "t 6 7 0.3\n"))
+    for solve in (value_iteration, policy_iteration):
+        with pytest.raises(SolverError, match="transition row 6 sums to 0.5"):
+            solve(broken)
+
+
+def test_one_operator_serves_every_solve(toy_model, monkeypatch):
+    """Every entry point reads the operator the first one built: the
+    expected rewards of the factors are computed once per model."""
+    monkeypatch.setattr(solver, "PRODUCT_TERMS", -1)  # sweep the factors
+    calls = []
+    expected = solver._expected_rewards
+    monkeypatch.setattr(solver, "_expected_rewards",
+                        lambda *args: calls.append(args) or expected(*args))
+    mdp = compile_model(toy_model)
+    strategy = value_iteration(mdp)
+    policy_iteration(mdp)
+    greedy_policy(mdp, strategy.values)
+    evaluate_policy(mdp, strategy.actions)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
