@@ -4,12 +4,15 @@ Value iteration runs Bellman backups to a max-norm stopping rule; policy
 iteration alternates exact evaluation with greedy improvement. Every entry
 point reads one Bellman operator built once per model. For a compiled
 model it reads the factors, never the multiplied-out transition matrices:
-the event product E and every action's explicit rows X_a stacked in one
-matrix X (row a*n + s). A backup is then q = r + gamma * X (E v), two
-sparse products of the factors' size. A model read from obdmdp/1 has only
-the products P_a, and so does a compiled model small enough that building
-them exactly costs less than the second product per sweep saves; there a
-backup is q = r + gamma * P v, as the model read back computes it.
+the event product E and every action's explicit rows X_a, row s of X_a
+being the stacked row a*n + s. A backup is then q = r + gamma * X (E v),
+two sparse products of the factors' size. A model read from obdmdp/1 has
+only the products P_a, and so does a compiled model small enough that
+building them exactly costs less than the second product per sweep
+saves; there a backup is q = r + gamma * P v, as the model read back
+computes it. The operator is built one action block (X_a or P_a) at a
+time and gathers only the rows it keeps: no stack of every action's rows
+is ever formed.
 
 The operator keeps only the stacked rows that noop does not dominate. A
 row a*n + s (a >= 1) is dropped when it equals noop's row s entry for
@@ -18,11 +21,19 @@ fire, X_a and P_a repeat noop's row. The two rows then give the same
 float product, rounding is monotone, so fl(x + r_a) <= fl(x + r_noop),
 and a tie in the argmax goes to noop, index 0: the row is never the max
 nor the argmax, and no result changes (an exact, precomputed case of
-action elimination; MacQueen 1967, Puterman 1994 §6.7). A VI sweep reads
-the kept rows only; the full Q grid and policy evaluation read a dropped
-row from noop's. On the benchmark models 72% of the rows of actions other
-than noop are dropped (4,416 of 6,144 at 2 tables, 17,664 of 24,576 with
-serve within 3), 122 of 192 on restaurant.obd.
+action elimination; MacQueen 1967, Puterman 1994 §6.7). On the benchmark
+models 72% of the rows of actions other than noop are dropped (4,416 of
+6,144 at 2 tables, 17,664 of 24,576 with serve within 3), 122 of 192 on
+restaurant.obd.
+
+The kept rows lie in layers of n rows. A kept row's layer is its rank
+among its own state's kept rows, noop's row being layer 0, and every
+slot of the depth + 1 layers that no kept row claims repeats noop's row.
+A VI sweep takes the max over the layers, which is the max over the kept
+rows bit for bit: a repeat has noop's Q-value to the bit, and max never
+rounds. The layers are 3 deep at 2 tables, where 320 (1,280 with serve
+within 3) of the 3n slots repeat noop's row. The full Q grid and policy
+evaluation read a dropped row from noop's slot.
 
 Policy evaluation multiplies P_pi = X[pi] E out in float (or takes the
 rows of P), orders the states by the strongly connected components of
@@ -85,20 +96,10 @@ class Strategy:
     iterations: int
     residual: float
     method: str
-
-
-def _expected_rewards(mdp: MdpModel, explicit, events) -> np.ndarray:
-    """Expected one-step reward of every stacked row a*n + s from the
-    factors: -c_a + sum_k r_k g_k(s) (X_a E h_k)(s)."""
-    out = -np.repeat([float(a.cost) for a in mdp.actions], mdp.n_states)
-    if mdp.reward_factors:
-        after = np.column_stack([f.after for f in mdp.reward_factors])
-        before = np.column_stack([float(f.reward) * f.before
-                                  for f in mdp.reward_factors])
-        reached = explicit @ (events @ after.astype(np.float64))
-        out += np.einsum("ik,ik->i", reached,
-                         np.tile(before, (mdp.n_actions, 1)))
-    return out
+    # how the solve converged, one entry per iteration; empty for greedy
+    # and loaded strategies
+    residuals: tuple = ()  # VI: the max-norm residual of each sweep
+    changes: tuple = ()  # PI: how many actions each improvement changed
 
 
 def _factored(mdp: MdpModel) -> bool:
@@ -126,77 +127,158 @@ def component_order(p) -> np.ndarray:
     return np.argsort(-labels, kind="stable")
 
 
-def _undominated(matrix, expected: np.ndarray, n: int) -> np.ndarray:
-    """The stacked rows a*n + s that the Bellman max must read, ascending:
-    every noop row (a = 0), and every other row unless it equals noop's
-    row s entry for entry (the same columns and float64 values) and
-    expected[a*n + s] <= expected[s]. Such a row's product with any
-    vector is noop's, so its Q-value is never above noop's, and a tie
-    goes to noop, the lowest index."""
-    indptr = matrix.indptr
-    lengths = np.diff(indptr)
-    alike = n + np.flatnonzero((lengths[n:].reshape(-1, n) == lengths[:n])
-                               & (expected[n:].reshape(-1, n) <= expected[:n]))
-    _, take = gather_rows(indptr, alike)
+def _row_sums(indptr: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """The sum of every row of a CSR matrix as SciPy's sum(axis=1) takes
+    it: one np.add.reduceat over the stored entries of the non-empty
+    rows."""
+    out = np.zeros(indptr.size - 1)
+    rows = (indptr[1:] != indptr[:-1]).nonzero()[0]
+    out[rows] = np.add.reduceat(data, indptr[rows])
+    return out
+
+
+def _expected_products(p, r) -> np.ndarray:
+    """The row sums of P_a * R_a (SparseMatrix), rounded as SciPy's
+    p.csr.multiply(r.csr).sum(axis=1) rounds them: over the non-zero
+    products only, in column order. Where R_a has the pattern of P_a, as
+    compile_model builds it, on the same index arrays, the products are
+    taken entry by entry, without SciPy's merge of two patterns."""
+    if not all(x is y or np.array_equal(x, y) for x, y in
+               ((p.indptr, r.indptr), (p.indices, r.indices))):
+        m = p.csr.multiply(r.csr)
+        return _row_sums(m.indptr, m.data)
+    products = p.csr.data * r.csr.data
+    nonzero = products != 0
+    before = np.zeros(products.size + 1, dtype=np.int64)  # non-zero ones
+    np.cumsum(nonzero, out=before[1:])
+    return _row_sums(before[p.indptr], products[nonzero])
+
+
+def _action_blocks(mdp: MdpModel, events):
+    """Every action's block of the operator in action order, each with
+    its expected one-step rewards: X_a, applied after the event product
+    `events` E, with -c_a + sum_k r_k g_k(s) (X_a E h_k)(s), or P_a itself
+    (`events` is None) with the row sums of P_a * R_a. Raises SolverError
+    at the first row whose transition probabilities do not sum to 1."""
+    n = mdp.n_states
+    if events is not None:
+        reach = events @ np.ones(n)
+        factors = mdp.reward_factors
+        if factors:
+            after = events @ np.column_stack(
+                [f.after for f in factors]).astype(np.float64)
+            before = np.column_stack([float(f.reward) * f.before
+                                      for f in factors])
+    for action, name in zip(mdp.actions, mdp.action_names):
+        if events is not None:
+            block = mdp.explicit[name].csr
+            sums = block @ reach
+            expected = np.full(n, -float(action.cost))
+            if factors:
+                expected += np.einsum("ik,ik->i", block @ after, before)
+        else:
+            block = mdp.transition_csr(name)
+            sums = _row_sums(block.indptr, block.data)
+            expected = _expected_products(mdp.transitions[name],
+                                          mdp.rewards[name])
+        bad = (np.abs(sums - 1.0) > ROW_SUM_TOL).nonzero()[0]
+        if bad.size:
+            raise SolverError(f"action '{name}': transition row {bad[0]} "
+                              f"sums to {sums[bad[0]]}")
+        yield block, expected
+
+
+def _undominated(block, lengths: np.ndarray, expected: np.ndarray,
+                 noop, noop_lengths: np.ndarray,
+                 noop_expected: np.ndarray) -> np.ndarray:
+    """The states, ascending, whose row of an action's block (`lengths`
+    entries each) the Bellman max must read: every state unless the row
+    equals noop's row entry for entry (the same columns and float64
+    values) and its expected reward is no higher than noop's. Such a
+    row's product with any vector is noop's, so its Q-value is never
+    above noop's, and a tie goes to noop, the lowest index."""
+    alike = ((lengths == noop_lengths)
+             & (expected <= noop_expected)).nonzero()[0]
+    _, take = gather_rows(block.indptr, alike)
     row = np.repeat(alike, lengths[alike])  # of each entry taken
-    noop_take = take - indptr[row] + indptr[row % n]
-    differ = (matrix.indices[take] != matrix.indices[noop_take]) \
-        | (matrix.data[take] != matrix.data[noop_take])
-    keep = np.ones(matrix.shape[0], dtype=bool)
+    noop_take = take + (noop.indptr - block.indptr)[row]
+    differ = (block.indices[take] != noop.indices[noop_take]) \
+        | (block.data[take] != noop.data[noop_take])
+    keep = np.ones(lengths.size, dtype=bool)
     keep[alike] = False
     keep[row[differ]] = True
-    return np.flatnonzero(keep)
+    return keep.nonzero()[0]
 
 
 class _Bellman:
-    """The Bellman operator of a model. Every action's rows are stacked
-    (row a*n + s), either the explicit rows X_a, then applied after the
-    event product `events` E, or the transition rows P_a themselves
-    (`events` is None), with their expected one-step rewards `expected`
-    and a defensive row-stochasticity re-check. Only the rows that noop
-    does not dominate (_undominated) are kept, in one CSR `matrix`: the
-    noop block first, then the others in stacked order. `expand` maps
-    every stacked row to its row of `matrix`, a dropped row to noop's."""
+    """The Bellman operator of a model, built one action block at a time
+    (_action_blocks): the explicit rows X_a, then applied after the event
+    product `events` E, or the transition rows P_a themselves (`events`
+    is None). `expected` holds the expected one-step reward of every
+    stacked row a*n + s.
+
+    Only the rows that noop does not dominate (_undominated) are kept,
+    each in a slot of `matrix`, which holds `depth` + 1 layers of n rows:
+    slot l*n + s holds state s's row of its l-th kept action, noop's row
+    being layer 0, and every slot that no kept row claims repeats noop's
+    row. `slot_expected` holds each slot's expected reward, noop's for a
+    repeat. `expand` maps every stacked row to its slot, a dropped row to
+    noop's."""
 
     def __init__(self, mdp: MdpModel):
         n = mdp.n_states
-        if _factored(mdp):
-            events = mdp.events.csr
-            matrix = sp.vstack([mdp.explicit[a].csr
-                                for a in mdp.action_names], format="csr")
-            expected = _expected_rewards(mdp, matrix, events)
-            sums = matrix @ (events @ np.ones(n))
-        else:
-            events = None
-            matrix = sp.vstack([mdp.transition_csr(a)
-                                for a in mdp.action_names], format="csr")
-            rewards = sp.vstack([mdp.reward_csr(a) for a in mdp.action_names],
-                                format="csr")
-            expected = np.asarray(matrix.multiply(rewards).sum(axis=1)).ravel()
-            sums = np.asarray(matrix.sum(axis=1)).ravel()
-        bad = np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)
-        if bad.size:
-            action, state = divmod(int(bad[0]), n)
-            raise SolverError(
-                f"action '{mdp.action_names[action]}': transition row "
-                f"{state} sums to {sums[bad[0]]}")
-        kept = _undominated(matrix, expected, n)
-        indptr, take = gather_rows(matrix.indptr, kept)
         self.n = n
         self.gamma = float(mdp.gamma)
-        self.matrix = sp.csr_matrix(
-            (matrix.data[take], matrix.indices[take], indptr),
-            shape=(kept.size, matrix.shape[1]))
-        self.events = events
-        self.expected = expected
-        self.expand = np.tile(np.arange(n), mdp.n_actions)
-        self.expand[kept] = np.arange(kept.size)
-        self.kept_expected = expected[kept]
-        self.kept_states = kept[n:] % n
         self.states = np.arange(n)
+        self.events = mdp.events.csr if _factored(mdp) else None
+        self.expected = np.empty(mdp.n_actions * n)
+        self.expand = np.empty(mdp.n_actions * n, dtype=np.int64)
+        layer = np.zeros(n, dtype=np.int64)  # kept rows so far, per state
+        claims = []  # (block, rows, their slots, lengths, expected rewards)
+        for a, (block, expected) in enumerate(_action_blocks(mdp,
+                                                             self.events)):
+            lengths = block.indptr[1:] - block.indptr[:-1]
+            self.expected[a * n:(a + 1) * n] = expected
+            self.expand[a * n:(a + 1) * n] = self.states
+            if a == 0:
+                noop, noop_lengths, noop_expected = block, lengths, expected
+                continue
+            kept = _undominated(block, lengths, expected,
+                                noop, noop_lengths, noop_expected)
+            layer[kept] += 1
+            slots = layer[kept] * n + kept
+            self.expand[a * n + kept] = slots
+            claims.append((block, kept, slots, lengths[kept], expected[kept]))
+        self.depth = int(layer.max(initial=0))
+        # slot l*n + s (l >= 1) is unclaimed where s keeps fewer than l rows
+        level, rows = (np.arange(1, self.depth + 1)[:, None] > layer).nonzero()
+        claims.append((noop, rows, (level + 1) * n + rows, noop_lengths[rows],
+                       noop_expected[rows]))
+        size = (self.depth + 1) * n
+        lengths = np.empty(size, dtype=np.int64)
+        lengths[:n] = noop_lengths
+        self.slot_expected = np.empty(size)
+        self.slot_expected[:n] = noop_expected
+        for _, _, slots, row_lengths, expected in claims:
+            lengths[slots] = row_lengths
+            self.slot_expected[slots] = expected
+        indptr = np.zeros(size + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        data = np.empty(indptr[-1])
+        indices = np.empty(indptr[-1], dtype=noop.indices.dtype)
+        first = noop.indptr[-1]  # layer 0 is noop's block itself
+        data[:first], indices[:first] = noop.data[:first], noop.indices[:first]
+        for block, rows, slots, row_lengths, _ in claims:
+            _, source = gather_rows(block.indptr, rows)
+            target = source + np.repeat(indptr[slots] - block.indptr[rows],
+                                        row_lengths)
+            data[target] = block.data[source]
+            indices[target] = block.indices[source]
+        self.matrix = sp.csr_matrix((data, indices, indptr),
+                                    shape=(size, noop.shape[1]))
 
-    def _kept_q(self, values: np.ndarray) -> np.ndarray:
-        """gamma times each kept row's product with the values."""
+    def _slot_q(self, values: np.ndarray) -> np.ndarray:
+        """gamma times each slot's product with the values."""
         if self.events is not None:
             values = self.events @ values
         q = self.matrix @ values
@@ -204,19 +286,19 @@ class _Bellman:
         return q
 
     def best(self, values: np.ndarray) -> np.ndarray:
-        """The largest Q-value of every state, from the kept rows: noop's
-        block, raised where a kept row of another action is higher."""
-        q = self._kept_q(values)
-        q += self.kept_expected
-        best = q[:self.n]
-        np.maximum.at(best, self.kept_states, q[self.n:])
-        return best
+        """The largest Q-value of every state: the max over the layers. A
+        repeat of noop's row has noop's Q-value to the bit, and max never
+        rounds, so the repeats change no result."""
+        q = self._slot_q(values)
+        q += self.slot_expected
+        # down axis 0; q.max(axis=0) would add a Python call per sweep
+        return np.maximum.reduce(q.reshape(-1, self.n))
 
     def q_values(self, values: np.ndarray) -> np.ndarray:
         """Q-values of every action, shape (n_actions, n_states): a dropped
         row takes its product from noop's row, its expected reward from
         its own."""
-        q = self._kept_q(values)[self.expand]
+        q = self._slot_q(values)[self.expand]
         q += self.expected
         return q.reshape(-1, self.n)
 
@@ -292,17 +374,21 @@ def value_iteration(mdp: MdpModel,
                           "threshold epsilon*(1-gamma)/(2*gamma) underflows "
                           "to 0")
     values = np.zeros(mdp.n_states)
-    iterations = 0
+    change = np.empty(mdp.n_states)  # each sweep's, in one buffer
+    residuals = []
     residual = np.inf
     while residual >= threshold:
         new_values = bellman.best(values)
-        # array methods: np.max and np.abs would add a few us per sweep
-        residual = float(abs(new_values - values).max())
+        # positional out and the array method: out= and np.max would add
+        # call overhead to a small model's sweep of a few us
+        np.subtract(new_values, values, change)
+        residual = float(np.absolute(change, change).max())
+        residuals.append(residual)
         values = new_values
-        iterations += 1
     return Strategy(actions=np.argmax(bellman.q_values(values), axis=0),
-                    values=values, iterations=iterations, residual=residual,
-                    method="value-iteration")
+                    values=values, iterations=len(residuals),
+                    residual=residual, method="value-iteration",
+                    residuals=tuple(residuals))
 
 
 def evaluate_policy(mdp: MdpModel, policy: np.ndarray) -> np.ndarray:
@@ -334,10 +420,10 @@ def policy_iteration(mdp: MdpModel) -> Strategy:
     policy = np.zeros(mdp.n_states, dtype=np.int64)
     seen = {policy.tobytes()}
     previous = None
-    iterations = 0
+    changes = []
     while True:
         values = bellman.evaluate(policy)
-        iterations += 1
+        iterations = len(changes) + 1
         scale = max(1.0, float(abs(values).max()))
         if previous is not None and \
                 (values - previous).min() < -DECREASE_RELATIVE_TOL * scale:
@@ -351,10 +437,12 @@ def policy_iteration(mdp: MdpModel) -> Strategy:
         tied = q >= q.max(axis=0) - tie
         improved = np.where(tied[policy, states], policy,
                             np.argmax(tied, axis=0))
-        if np.array_equal(improved, policy):
+        changes.append(int(np.count_nonzero(improved != policy)))
+        if not changes[-1]:
             return Strategy(actions=policy, values=values,
                             iterations=iterations, residual=0.0,
-                            method="policy-iteration")
+                            method="policy-iteration",
+                            changes=tuple(changes))
         if improved.tobytes() in seen:
             raise SolverError(f"policy iteration: iteration {iterations} "
                               "returned to an earlier policy; evaluation "

@@ -278,8 +278,9 @@ def test_evaluation_matches_reference_solve(toy_model, restaurant_model,
 class _FullGrid:
     """The Bellman operator over every stacked row a*n + s, none dropped,
     its Q-values taken as one product of the full stack: the reference
-    that every solve must reproduce bit for bit. Policy evaluation is
-    the solver's own, reading each row from this full stack."""
+    that every solve must reproduce bit for bit. Its expected rewards are
+    its own, taken over the full stack too. Policy evaluation is the
+    solver's own, reading each row from this full stack."""
 
     evaluate = solver._Bellman.evaluate
 
@@ -288,8 +289,18 @@ class _FullGrid:
             self.events = mdp.events.csr
             self.matrix = sp.vstack([mdp.explicit[a].csr
                                      for a in mdp.action_names], format="csr")
-            self.expected = solver._expected_rewards(mdp, self.matrix,
-                                                     self.events)
+            # -c_a + sum_k r_k g_k(s) (X_a E h_k)(s), every row at once
+            self.expected = -np.repeat([float(a.cost) for a in mdp.actions],
+                                       mdp.n_states)
+            if mdp.reward_factors:
+                after = np.column_stack([f.after
+                                         for f in mdp.reward_factors])
+                before = np.column_stack([float(f.reward) * f.before
+                                          for f in mdp.reward_factors])
+                reached = self.matrix @ (self.events
+                                         @ after.astype(np.float64))
+                self.expected += np.einsum(
+                    "ik,ik->i", reached, np.tile(before, (mdp.n_actions, 1)))
         else:
             self.events = None
             self.matrix = sp.vstack([mdp.transition_csr(a)
@@ -314,19 +325,18 @@ def _full_grid_vi(mdp, epsilon=solver.DEFAULT_EPSILON):
     grid = _FullGrid(mdp)
     threshold = epsilon * (1.0 - grid.gamma) / (2.0 * grid.gamma)
     values = np.zeros(mdp.n_states)
-    iterations, residual = 0, np.inf
-    while residual >= threshold:
+    residuals = [np.inf]
+    while residuals[-1] >= threshold:
         new_values = grid.q_values(values).max(axis=0)
-        residual = float(abs(new_values - values).max())
+        residuals.append(float(abs(new_values - values).max()))
         values = new_values
-        iterations += 1
-    return (np.argmax(grid.q_values(values), axis=0), values, iterations,
-            residual)
+    return np.argmax(grid.q_values(values), axis=0), values, residuals[1:]
 
 
 def _full_grid_pi(mdp):
     grid = _FullGrid(mdp)
     policy = np.zeros(mdp.n_states, dtype=np.int64)
+    changes = []
     for _ in range(50):
         values = grid.evaluate(policy)
         q = grid.q_values(values)
@@ -334,22 +344,25 @@ def _full_grid_pi(mdp):
         tied = q >= q.max(axis=0) - tie
         improved = np.where(tied[policy, grid.states], policy,
                             np.argmax(tied, axis=0))
+        changes.append(int((improved != policy).sum()))
         if np.array_equal(improved, policy):
-            return policy, values
+            return policy, values, changes
         policy = improved
     raise AssertionError("reference policy iteration did not stop")
 
 
 def _assert_as_full_grid(mdp):
     vi = value_iteration(mdp)
-    actions, values, iterations, residual = _full_grid_vi(mdp)
+    actions, values, residuals = _full_grid_vi(mdp)
     assert np.array_equal(vi.actions, actions)
     assert vi.values.tobytes() == values.tobytes()
-    assert (vi.iterations, vi.residual) == (iterations, residual)
+    assert vi.residuals == tuple(residuals)
+    assert (vi.iterations, vi.residual) == (len(residuals), residuals[-1])
     pi = policy_iteration(mdp)
-    actions, values = _full_grid_pi(mdp)
+    actions, values, changes = _full_grid_pi(mdp)
     assert np.array_equal(pi.actions, actions)
     assert pi.values.tobytes() == values.tobytes()
+    assert pi.changes == tuple(changes)
     return vi
 
 
@@ -369,15 +382,57 @@ def test_solves_match_the_full_grid(toy_model, restaurant_model,
         _assert_as_full_grid(mdp)
 
 
-def _with_action(text, name, cost):
-    """The model of `text` with one more action `name` that never fires,
-    built in code so that its cost may be negative."""
+def _rows(matrix, rows):
+    """The CSR arrays of rows `rows` of `matrix`, in that order."""
+    taken = matrix[rows]
+    return taken.indptr.tolist(), taken.indices.tolist(), taken.data.tobytes()
+
+
+@pytest.mark.parametrize("factored", [True, False],
+                         ids=["factors", "products"])
+def test_every_stacked_row_reads_its_slot(toy_model, restaurant_model,
+                                          monkeypatch, factored):
+    """Each kept row sits in the layer of its rank among its state's kept
+    rows, noop's being layer 0, and holds that row's entries; a dropped
+    row reads noop's slot, and every slot that no row claims repeats
+    noop's row with noop's expected reward."""
+    monkeypatch.setattr(solver, "PRODUCT_TERMS", -1 if factored else 10 ** 9)
+    for name, mdp in _evaluation_models(toy_model, restaurant_model):
+        bellman, grid = solver._Bellman(mdp), _FullGrid(mdp)
+        n, stacked = mdp.n_states, np.arange(mdp.n_actions * mdp.n_states)
+        assert bellman.expected.tobytes() == grid.expected.tobytes(), name
+        kept = (bellman.expand >= n).reshape(-1, n)
+        kept[0] = True  # noop's own rows, layer 0
+        layers = np.cumsum(kept, axis=0) - 1
+        assert np.array_equal(
+            bellman.expand, np.where(kept, layers * n + np.arange(n),
+                                     np.arange(n)).ravel()), name
+        assert bellman.depth == layers[-1].max()
+        assert bellman.matrix.shape[0] == (bellman.depth + 1) * n
+        assert _rows(bellman.matrix, bellman.expand) == _rows(
+            grid.matrix, np.where(kept.ravel(), stacked, stacked % n)), name
+        claiming = np.flatnonzero(kept)  # the stacked rows with a slot
+        unclaimed = np.setdiff1d(np.arange(bellman.matrix.shape[0]),
+                                 bellman.expand)
+        assert unclaimed.size == bellman.matrix.shape[0] - claiming.size
+        assert _rows(bellman.matrix, unclaimed) == _rows(grid.matrix,
+                                                         unclaimed % n), name
+        assert bellman.slot_expected[bellman.expand[claiming]].tobytes() \
+            == grid.expected[claiming].tobytes()
+        assert bellman.slot_expected[unclaimed].tobytes() == \
+            grid.expected[unclaimed % n].tobytes()
+
+
+def _with_actions(text, **costs):
+    """The model of `text` with one more action per name in `costs` that
+    never fires, built in code so that its cost may be negative."""
     model = parse_domain(text)
-    never = ActionDesc(name, (ActionBranch(
+    never = tuple(ActionDesc(name, (ActionBranch(
         And(Atom("x", "tt"), Not(Atom("x", "tt"))),
         (Effect((("x", "ff"),), Fraction(1)),)),), cost)
+        for name, cost in costs.items())
     return compile_model(dataclasses.replace(
-        model, actions=model.actions + (never,)))
+        model, actions=model.actions + never))
 
 
 _ONE_SWITCH = """
@@ -400,7 +455,7 @@ def _kept_rows(mdp, action):
                          ids=["factors", "products"])
 def test_an_action_equal_to_noop_that_pays_is_kept(monkeypatch, factored):
     monkeypatch.setattr(solver, "PRODUCT_TERMS", -1 if factored else 10 ** 9)
-    mdp = _with_action(_ONE_SWITCH, "bonus", -1)
+    mdp = _with_actions(_ONE_SWITCH, bonus=-1)
     assert list(_kept_rows(mdp, "bonus")) == list(range(mdp.n_states))
     vi = _assert_as_full_grid(mdp)
     assert mdp.action_names.index("bonus") in vi.actions
@@ -410,7 +465,7 @@ def test_an_action_equal_to_noop_that_pays_is_kept(monkeypatch, factored):
                          ids=["factors", "products"])
 def test_a_free_action_equal_to_noop_is_dropped(monkeypatch, factored):
     monkeypatch.setattr(solver, "PRODUCT_TERMS", -1 if factored else 10 ** 9)
-    mdp = _with_action(_ONE_SWITCH, "idle", 0)
+    mdp = _with_actions(_ONE_SWITCH, idle=0)
     assert _kept_rows(mdp, "idle").size == 0
     vi = _assert_as_full_grid(mdp)
     # noop, index 0, wins the tie wherever idle is as good
@@ -418,10 +473,43 @@ def test_a_free_action_equal_to_noop_is_dropped(monkeypatch, factored):
     assert "noop" in {mdp.action_names[a] for a in vi.actions}
 
 
+@pytest.mark.parametrize("factored", [True, False],
+                         ids=["factors", "products"])
+def test_a_model_with_every_other_row_dropped_has_one_layer(monkeypatch,
+                                                            factored):
+    """Two free actions that never fire: every row but noop's is dropped,
+    so the sweep reads noop's layer alone."""
+    monkeypatch.setattr(solver, "PRODUCT_TERMS", -1 if factored else 10 ** 9)
+    mdp = _with_actions(_ONE_SWITCH.replace(
+        "Action on if !x effects <x prob 1/2> cost 2", ""), idle=0, wait=0)
+    assert mdp.action_names == ("noop", "idle", "wait")
+    bellman = solver._Bellman(mdp)
+    assert bellman.depth == 0
+    assert bellman.matrix.shape[0] == mdp.n_states
+    vi = _assert_as_full_grid(mdp)
+    assert not vi.actions.any()  # noop everywhere
+
+
+@pytest.mark.parametrize("factored", [True, False],
+                         ids=["factors", "products"])
+def test_a_state_keeping_every_row_fills_every_layer(monkeypatch, factored):
+    """bonus never fires but pays, so every state keeps its row; where x
+    is off, `on` is kept too: that state keeps the row of every action."""
+    monkeypatch.setattr(solver, "PRODUCT_TERMS", -1 if factored else 10 ** 9)
+    mdp = _with_actions(_ONE_SWITCH, bonus=-1)
+    bellman = solver._Bellman(mdp)
+    assert bellman.depth == mdp.n_actions - 1 == 2
+    assert bellman.matrix.shape[0] == mdp.n_actions * mdp.n_states
+    off = mdp.space.index_of({"x": "ff", "g": "-"})
+    assert bellman.expand.reshape(-1, mdp.n_states)[:, off].tolist() == \
+        [off + layer * mdp.n_states for layer in range(3)]
+    _assert_as_full_grid(mdp)
+
+
 def test_a_loaded_row_equal_to_noop_that_pays_more_is_kept():
     """In obdmdp/1 the rewards of an action are its own: a P row equal to
     noop's with an R row that pays more keeps the row."""
-    mdp = _with_action(_ONE_SWITCH, "idle", 0)
+    mdp = _with_actions(_ONE_SWITCH, idle=0)
     text = dump_mdp(mdp)
     idle = text.index("action idle 0\n")
     head, tail = text[:idle], text[idle:]
@@ -430,6 +518,42 @@ def test_a_loaded_row_equal_to_noop_that_pays_more_is_kept():
     assert list(_kept_rows(loaded, "idle")) == [1]
     vi = _assert_as_full_grid(loaded)
     assert loaded.action_names[vi.actions[1]] in ("idle", "on")
+
+
+def test_a_loaded_model_without_its_zero_rewards_matches_the_full_grid(
+        toy_mdp):
+    """obdmdp/1 may leave out the `r` lines of zero rewards. R_a then has
+    fewer entries than P_a, and the expected rewards are taken over the
+    two patterns as SciPy's multiply takes them."""
+    text = "".join(line for line in dump_mdp(toy_mdp).splitlines(True)
+                   if not (line.startswith("r ") and line.endswith(" 0.0\n")))
+    loaded = load_mdp(text)
+    assert loaded.rewards["noop"].nnz() < loaded.transitions["noop"].nnz()
+    _assert_as_full_grid(loaded)
+
+
+def test_expected_rewards_skip_zero_products_as_scipy_does():
+    """SciPy's multiply drops the zero products before sum(axis=1) adds a
+    row pairwise, so where a row has more than eight of them the zeros
+    change the rounding. Here they do: the reward row of state 0 below
+    sums to another float with its zeros kept."""
+    rewards = [0.0, 44900.0, 0.0, 79900.0, 0.0799, 0.0, 6000.0, 32.0, 14.6,
+               0.0, 52.0, 50.7, 29.1, 50.6, 96.7, 0.0236]
+    products = 0.0625 * np.array(rewards)
+    assert products.sum() != products[products != 0].sum()
+    lines = ["obdmdp/1", "gamma 0.9", "states 16", "actions 1", "initial 0"]
+    lines += [f"state {s} " + " ".join(
+        f"{v}={'ff' if s >> (3 - k) & 1 else 'tt'}"
+        for k, v in enumerate("abcd")) for s in range(16)]
+    lines.append("action noop 0")
+    lines += [f"t 0 {j} 0.0625" for j in range(16)]
+    lines += [f"t {s} {s} 1.0" for s in range(1, 16)]
+    lines += [f"r 0 {j} {r!r}" for j, r in enumerate(rewards)]
+    lines += [f"r {s} {s} 0.0" for s in range(1, 16)]
+    loaded = load_mdp("\n".join(lines + ["end"]) + "\n")
+    assert solver._Bellman(loaded).expected.tobytes() == \
+        _FullGrid(loaded).expected.tobytes()
+    _assert_as_full_grid(loaded)
 
 
 @pytest.mark.parametrize("which", ["noop", "value-iteration"])
@@ -498,6 +622,29 @@ def test_value_iteration_residual_threshold(toy_mdp):
     gamma = float(toy_mdp.gamma)
     assert strategy.residual < eps * (1 - gamma) / (2 * gamma)
     assert strategy.iterations > 1
+
+
+@pytest.mark.parametrize("model", ["toy", "restaurant", "2 tables"])
+def test_solvers_record_how_they_converged(model, toy_mdp, restaurant_mdp,
+                                           two_tables):
+    """VI keeps the residual of every sweep, the last being the one it
+    stopped on, each above the stopping threshold but that last; PI keeps
+    how many actions each improvement changed, 0 at the last."""
+    mdp = {"toy": toy_mdp, "restaurant": restaurant_mdp,
+           "2 tables": two_tables}[model]
+    vi = value_iteration(mdp)
+    assert len(vi.residuals) == vi.iterations > 1
+    assert vi.residuals[-1] == vi.residual
+    gamma = float(mdp.gamma)
+    threshold = solver.DEFAULT_EPSILON * (1 - gamma) / (2 * gamma)
+    assert min(vi.residuals[:-1]) >= threshold > vi.residual
+    pi = policy_iteration(mdp)
+    assert len(pi.changes) == pi.iterations
+    assert pi.changes[-1] == 0 and min(pi.changes[:-1], default=1) > 0
+    assert all(isinstance(k, int) for k in pi.changes)
+    for other in (greedy_policy(mdp, vi.values),
+                  load_policy(dump_policy(pi, mdp), mdp)):
+        assert other.residuals == other.changes == ()
 
 
 def test_reward_scaling_preserves_argmax(toy_model):
@@ -608,13 +755,17 @@ def test_a_model_failing_the_row_sums_fails_every_call(toy_mdp):
 
 
 def test_one_operator_serves_every_solve(toy_model, monkeypatch):
-    """Every entry point reads the operator the first one built: the
-    expected rewards of the factors are computed once per model."""
+    """Every entry point reads the operator the first one built: it is
+    constructed once per model."""
     monkeypatch.setattr(solver, "PRODUCT_TERMS", -1)  # sweep the factors
     calls = []
-    expected = solver._expected_rewards
-    monkeypatch.setattr(solver, "_expected_rewards",
-                        lambda *args: calls.append(args) or expected(*args))
+
+    class Counted(solver._Bellman):
+        def __init__(self, mdp):
+            calls.append(mdp)
+            super().__init__(mdp)
+
+    monkeypatch.setattr(solver, "_Bellman", Counted)
     mdp = compile_model(toy_model)
     strategy = value_iteration(mdp)
     policy_iteration(mdp)
