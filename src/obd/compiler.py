@@ -56,15 +56,17 @@ from obd.dsl import (
 )
 from obd.reqauto import (
     REWARD_PARTS,
+    advance,
     build_automaton,
     status_count,
-    update_action,
-    update_event,
 )
 
 DEFAULT_GAMMA = Fraction(19, 20)
 DEFAULT_STATE_LIMIT = 2_000_000
 FORMAT_MDP = "obdmdp/1"
+# How far from 1 a transition row read from obdmdp/1 may sum: the floats
+# written for a compiled row round its exact probabilities.
+ROW_SUM_TOL = 1e-9
 
 
 class CompileError(ObdError):
@@ -441,30 +443,30 @@ def _targets(space: StateSpace, bases: np.ndarray, assignments) -> np.ndarray:
 def _truth_codes(auto, space: StateSpace):
     """Per base state, the index of its truth combination of the
     requirement's required, activation and cancellation formulas among the
-    distinct combinations; the first base state showing each; and each
-    combination, those truths as the bits 4, 2 and 1."""
+    distinct combinations; and each combination, those truths as the bits
+    4, 2 and 1, as reqauto.advance reads them."""
     req = auto.requirement
     bits = (4 * _mask(req.required, space) + 2 * _mask(req.activation, space)
             + _mask(req.cancellation, space))
-    combos, first, codes = np.unique(bits, return_index=True,
-                                     return_inverse=True)
-    return codes, first, combos
+    combos, codes = np.unique(bits, return_inverse=True)
+    return codes, combos
 
 
 def _next_statuses(space: StateSpace, automata, truths,
-                   advance) -> np.ndarray:
-    """Status tuple after one step of `advance`, for every successor base
-    state (rows) and status tuple before the step (columns). `advance` is
-    called once per requirement, status and distinct truth combination
-    (`truths`, one per requirement)."""
+                   time_step: bool) -> np.ndarray:
+    """Status tuple after one step, an action's when `time_step` and an
+    event's otherwise, for every successor base state (rows) and status
+    tuple before the step (columns). `reqauto.advance` is called once per
+    requirement, status and distinct truth combination (`truths`, one per
+    requirement)."""
     out = np.zeros((len(space.base_digits), space.n_statuses), dtype=np.int64)
     stride = space.n_statuses
-    for k, (auto, (codes, first, _)) in enumerate(zip(automata, truths)):
+    for k, (auto, (codes, combos)) in enumerate(zip(automata, truths)):
         stride //= len(auto.statuses)
-        table = np.array([[auto.statuses.index(advance(auto, status, base))
+        table = np.array([[auto.statuses.index(advance(auto, status, bits,
+                                                       time_step))
                            for status in auto.statuses]
-                          for base in (space.state(b * space.n_statuses)
-                                       for b in first.tolist())])
+                          for bits in combos.tolist()])
         out += table[codes][:, space.status_digits[:, k]] * stride
     return out
 
@@ -571,7 +573,7 @@ def _reward_factor(auto, k: int, space: StateSpace, truths) -> RewardFactor:
     `_truth_codes`) and looked up for every state."""
     req = auto.requirement
     paid_before, paid_after = REWARD_PARTS[req.kind]
-    codes, _, bits = truths
+    codes, bits = truths
     combos = [(bool(c & 4), bool(c & 1)) for c in bits.tolist()]
     g = np.array([[paid_before(st, s) for s, _ in combos]
                   for st in auto.statuses], dtype=bool)
@@ -735,7 +737,7 @@ def compile_model(model: DomainModel, gamma: Fraction = DEFAULT_GAMMA,
     space = enumerate_states(model, automata)
 
     truths = [_truth_codes(auto, space) for auto in automata]
-    after_event = _next_statuses(space, automata, truths, update_event)
+    after_event = _next_statuses(space, automata, truths, time_step=False)
     effective = [effective_event_matrix(ev, space, after_event)
                  for ev in model.events]
     warnings = _check_commutation(model.events, effective)
@@ -744,7 +746,7 @@ def compile_model(model: DomainModel, gamma: Fraction = DEFAULT_GAMMA,
     noop = ActionDesc(NOOP, branches=(), cost=0)
     all_actions = (noop,) + tuple(model.actions)
     names = tuple(a.name for a in all_actions)
-    after_action = _next_statuses(space, automata, truths, update_action)
+    after_action = _next_statuses(space, automata, truths, time_step=True)
     explicit = {a.name: explicit_action_matrix(a, space, after_action)
                 for a in all_actions}
     factors = tuple(_reward_factor(auto, k, space, t)
@@ -1012,10 +1014,24 @@ def load_mdp(text: str, limit: int = DEFAULT_STATE_LIMIT) -> MdpModel:
                            f"actions, found {len(named)}")
     names = tuple(fields[named, 1].tolist())
     order = np.argsort(key, kind="stable")[stop - is_triple.sum():]
+    entries = np.split(order, np.searchsorted(group[order],
+                                              np.arange(1, 2 * len(names))))
+    # every transition row sums to 1, added in column order; a row that
+    # does not is named at its first `t` line, or at its action's line
+    sums = np.array([np.bincount(rows[at], values[at], n_states)
+                     for at in entries[0::2]])
+    bad = (np.abs(sums - 1.0) > ROW_SUM_TOL).nonzero()
+    if bad[0].size:
+        line = np.full(sums.shape, stop)  # each row's first `t` line
+        np.minimum.at(line, (action_of[is_t], rows[is_t]),
+                      np.flatnonzero(is_t))
+        line = np.where(line < stop, line, named[:, None])[bad]
+        k = np.argmin(line)
+        raise CompileError(f"line {start + line[k]}: action "
+                           f"'{names[bad[0][k]]}': transition row "
+                           f"{bad[1][k]} sums to {sums[bad][k]}")
     matrices = [SparseMatrix.from_floats(n_states, rows[at], cols[at],
-                                         values[at])
-                for at in np.split(order, np.searchsorted(
-                    group[order], np.arange(1, 2 * len(names))))]
+                                         values[at]) for at in entries]
     return MdpModel(space=space, action_names=names, actions=tuple(
         ActionDesc(name, branches=(), cost=int(cost))
         for name, cost in fields[named, 1:3].tolist()),

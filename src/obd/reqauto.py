@@ -4,9 +4,12 @@ Every requirement gets a small state machine over status labels. Two update
 functions advance a status against a freshly computed base state: the action
 variant decrements deadline/duration counters (actions advance time), the
 event variant leaves counters alone except that an exhausted duration still
-expires. A transition-reward function pays the requirement's reward on
-compliant consecutive state pairs: where a condition on the state before
-and one on the state after both hold.
+expires. Both read the base state only through the truth of the
+requirement's three formulas there, and `advance` takes those truths as
+bits: the compiler computes them from its masks and evaluates no formula
+on a state. A transition-reward function pays the requirement's reward
+on compliant consecutive state pairs: where a condition on the state
+before and one on the state after both hold.
 
 Status labels: `-` (stateless), `I` (inactive), `R` (in force), `A`
 (activated, duration kinds), `A(k)` (k ticks to the deadline), `R(k)`
@@ -87,8 +90,19 @@ def _sat(f: Optional[Formula], base: Mapping[str, str]) -> bool:
     return f is not None and eval_formula(f, base)
 
 
-def _update(auto: RequirementAutomaton, status: str, new_base: Mapping[str, str],
+def _truth_bits(req: Requirement, base: Mapping[str, str]) -> int:
+    """The truth of the requirement's required, activation and
+    cancellation formulas in `base`, as the bits 4, 2 and 1."""
+    return (4 * _sat(req.required, base) + 2 * _sat(req.activation, base)
+            + _sat(req.cancellation, base))
+
+
+def advance(auto: RequirementAutomaton, status: str, truths: int,
             time_step: bool) -> str:
+    """The status after a step into a state where the requirement's
+    formulas hold as `truths` says, the bits 4, 2 and 1 standing for its
+    required, activation and cancellation formulas: an action step when
+    `time_step`, which decrements counters, else an event occurrence."""
     req = auto.requirement
     kind = req.kind
     if status not in auto.statuses:
@@ -97,14 +111,14 @@ def _update(auto: RequirementAutomaton, status: str, new_base: Mapping[str, str]
     if not kind.is_conditional:
         return "-"
     if status == "I":
-        if not _sat(req.activation, new_base):
+        if not truths & 2:  # activation
             return "I"
         if kind.has_deadline:
             return f"A({req.deadline})"
         return "A" if kind.has_duration else "R"
-    if _sat(req.cancellation, new_base):
+    if truths & 1:  # cancellation
         return "I"
-    s = _sat(req.required, new_base)
+    s = bool(truths & 4)  # required
     if status == "R":  # C: in force until an achieve goal holds
         return "I" if s and kind.is_achieve else "R"
     if status == "A":  # P without D: waiting for the duration to start
@@ -128,7 +142,8 @@ def _update(auto: RequirementAutomaton, status: str, new_base: Mapping[str, str]
 def update_action(auto: RequirementAutomaton, status: str,
                   new_base: Mapping[str, str]) -> str:
     """Advance a status after an action step (counters decrement)."""
-    return _update(auto, status, new_base, time_step=True)
+    return advance(auto, status, _truth_bits(auto.requirement, new_base),
+                   time_step=True)
 
 
 def update_event(auto: RequirementAutomaton, status: str,
@@ -139,7 +154,8 @@ def update_event(auto: RequirementAutomaton, status: str,
     removed: events happen concurrently with actions and do not consume
     time. An exhausted duration counter R(1) still expires to I.
     """
-    return _update(auto, status, new_base, time_step=False)
+    return advance(auto, status, _truth_bits(auto.requirement, new_base),
+                   time_step=False)
 
 
 # Every kind's reward condition, in two parts: the before-part reads the

@@ -26,14 +26,17 @@ models 72% of the rows of actions other than noop are dropped (4,416 of
 6,144 at 2 tables, 17,664 of 24,576 with serve within 3), 122 of 192 on
 restaurant.obd.
 
-The kept rows lie in layers of n rows. A kept row's layer is its rank
-among its own state's kept rows, noop's row being layer 0, and every
-slot of the depth + 1 layers that no kept row claims repeats noop's row.
-A VI sweep takes the max over the layers, which is the max over the kept
-rows bit for bit: a repeat has noop's Q-value to the bit, and max never
-rounds. The layers are 3 deep at 2 tables, where 320 (1,280 with serve
-within 3) of the 3n slots repeat noop's row. The full Q grid and policy
-evaluation read a dropped row from noop's slot.
+The kept rows lie in depth + 1 layers of n rows, and one table, source,
+names each slot's action: slot l*n + s holds state s's l-th kept action,
+and noop (0) is layer 0 and every slot no kept row claims. A VI sweep
+takes the max over the layers, the max over the kept rows bit for bit (a
+repeat of noop's row has noop's Q-value to the bit; max never rounds).
+VI's final actions and greedy_policy read source at each state's first
+layer holding its max: kept actions rise layer by layer, so that is the
+full argmax, ties to the lowest index. Policy iteration, whose tie slack
+scales with the largest |Q| of every row, forms the full Q grid, reading
+a dropped row from noop's slot. The layers are 3 deep at 2 tables, where
+320 (1,280 with serve within 3) of the 3n slots repeat noop's row.
 
 Policy evaluation multiplies P_pi = X[pi] E out in float (or takes the
 rows of P), orders the states by the strongly connected components of
@@ -68,7 +71,6 @@ from obd.dsl import ObdError
 
 FORMAT_POLICY = "obdpolicy/1"
 DEFAULT_EPSILON = 1e-6
-ROW_SUM_TOL = 1e-9
 # Models whose products X_a E take at most this many terms X(i,k) E(k,j)
 # are swept through their exact products. Value iteration that builds them
 # first was at most as slow as sweeping the factors up to 3,278 terms,
@@ -158,11 +160,9 @@ def _action_blocks(mdp: MdpModel, events):
     """Every action's block of the operator in action order, each with
     its expected one-step rewards: X_a, applied after the event product
     `events` E, with -c_a + sum_k r_k g_k(s) (X_a E h_k)(s), or P_a itself
-    (`events` is None) with the row sums of P_a * R_a. Raises SolverError
-    at the first row whose transition probabilities do not sum to 1."""
+    (`events` is None) with the row sums of P_a * R_a."""
     n = mdp.n_states
     if events is not None:
-        reach = events @ np.ones(n)
         factors = mdp.reward_factors
         if factors:
             after = events @ np.column_stack(
@@ -172,31 +172,25 @@ def _action_blocks(mdp: MdpModel, events):
     for action, name in zip(mdp.actions, mdp.action_names):
         if events is not None:
             block = mdp.explicit[name].csr
-            sums = block @ reach
             expected = np.full(n, -float(action.cost))
             if factors:
                 expected += np.einsum("ik,ik->i", block @ after, before)
         else:
             block = mdp.transition_csr(name)
-            sums = _row_sums(block.indptr, block.data)
             expected = _expected_products(mdp.transitions[name],
                                           mdp.rewards[name])
-        bad = (np.abs(sums - 1.0) > ROW_SUM_TOL).nonzero()[0]
-        if bad.size:
-            raise SolverError(f"action '{name}': transition row {bad[0]} "
-                              f"sums to {sums[bad[0]]}")
         yield block, expected
 
 
-def _undominated(block, lengths: np.ndarray, expected: np.ndarray,
-                 noop, noop_lengths: np.ndarray,
+def _undominated(block, expected: np.ndarray, noop,
                  noop_expected: np.ndarray) -> np.ndarray:
-    """The states, ascending, whose row of an action's block (`lengths`
-    entries each) the Bellman max must read: every state unless the row
-    equals noop's row entry for entry (the same columns and float64
-    values) and its expected reward is no higher than noop's. Such a
-    row's product with any vector is noop's, so its Q-value is never
-    above noop's, and a tie goes to noop, the lowest index."""
+    """The states, ascending, whose row of an action's block the Bellman
+    max must read: every state unless the row equals noop's row entry for
+    entry (the same columns and float64 values) and its expected reward
+    is no higher than noop's. Such a row's product with any vector is
+    noop's, so its Q-value is never above noop's, and a tie goes to noop,
+    the lowest index."""
+    lengths, noop_lengths = np.diff(block.indptr), np.diff(noop.indptr)
     alike = ((lengths == noop_lengths)
              & (expected <= noop_expected)).nonzero()[0]
     _, take = gather_rows(block.indptr, alike)
@@ -218,11 +212,11 @@ class _Bellman:
     stacked row a*n + s.
 
     Only the rows that noop does not dominate (_undominated) are kept,
-    each in a slot of `matrix`, which holds `depth` + 1 layers of n rows:
-    slot l*n + s holds state s's row of its l-th kept action, noop's row
-    being layer 0, and every slot that no kept row claims repeats noop's
-    row. `slot_expected` holds each slot's expected reward, noop's for a
-    repeat. `expand` maps every stacked row to its slot, a dropped row to
+    each in a slot of `matrix`, which holds `depth` + 1 layers of n rows.
+    `source[l, s]` is the action whose row slot l*n + s holds: state s's
+    l-th kept action, noop (0) being layer 0 and every slot that no kept
+    row claims. `slot_expected` holds each slot's expected reward.
+    `expand` maps every stacked row to its slot, a dropped row to
     noop's."""
 
     def __init__(self, mdp: MdpModel):
@@ -232,50 +226,42 @@ class _Bellman:
         self.states = np.arange(n)
         self.events = mdp.events.csr if _factored(mdp) else None
         self.expected = np.empty(mdp.n_actions * n)
-        self.expand = np.empty(mdp.n_actions * n, dtype=np.int64)
+        self.expand = np.tile(self.states, mdp.n_actions)
+        self.source = np.zeros((mdp.n_actions, n), dtype=np.int64)
         layer = np.zeros(n, dtype=np.int64)  # kept rows so far, per state
-        claims = []  # (block, rows, their slots, lengths, expected rewards)
+        blocks = []
         for a, (block, expected) in enumerate(_action_blocks(mdp,
                                                              self.events)):
-            lengths = block.indptr[1:] - block.indptr[:-1]
             self.expected[a * n:(a + 1) * n] = expected
-            self.expand[a * n:(a + 1) * n] = self.states
-            if a == 0:
-                noop, noop_lengths, noop_expected = block, lengths, expected
-                continue
-            kept = _undominated(block, lengths, expected,
-                                noop, noop_lengths, noop_expected)
-            layer[kept] += 1
-            slots = layer[kept] * n + kept
-            self.expand[a * n + kept] = slots
-            claims.append((block, kept, slots, lengths[kept], expected[kept]))
+            if a:
+                kept = _undominated(block, expected, blocks[0],
+                                    self.expected[:n])
+                layer[kept] += 1
+                self.source[layer[kept], kept] = a
+                self.expand[a * n + kept] = layer[kept] * n + kept
+            blocks.append(block)
         self.depth = int(layer.max(initial=0))
-        # slot l*n + s (l >= 1) is unclaimed where s keeps fewer than l rows
-        level, rows = (np.arange(1, self.depth + 1)[:, None] > layer).nonzero()
-        claims.append((noop, rows, (level + 1) * n + rows, noop_lengths[rows],
-                       noop_expected[rows]))
-        size = (self.depth + 1) * n
-        lengths = np.empty(size, dtype=np.int64)
-        lengths[:n] = noop_lengths
-        self.slot_expected = np.empty(size)
-        self.slot_expected[:n] = noop_expected
-        for _, _, slots, row_lengths, expected in claims:
-            lengths[slots] = row_lengths
-            self.slot_expected[slots] = expected
-        indptr = np.zeros(size + 1, dtype=np.int64)
+        # the layers in use; the copy frees the rows no state reached
+        self.source = self.source[:self.depth + 1].copy()
+        self.slot_expected = self.expected[self.source * n
+                                           + self.states].ravel()
+        held = [np.flatnonzero(self.source == a) for a in range(len(blocks))]
+        lengths = np.empty(self.source.size, dtype=np.int64)
+        for block, slots in zip(blocks, held):
+            lengths[slots] = np.diff(block.indptr)[slots % n]
+        indptr = np.zeros(lengths.size + 1, dtype=np.int64)
         np.cumsum(lengths, out=indptr[1:])
         data = np.empty(indptr[-1])
-        indices = np.empty(indptr[-1], dtype=noop.indices.dtype)
-        first = noop.indptr[-1]  # layer 0 is noop's block itself
-        data[:first], indices[:first] = noop.data[:first], noop.indices[:first]
-        for block, rows, slots, row_lengths, _ in claims:
-            _, source = gather_rows(block.indptr, rows)
-            target = source + np.repeat(indptr[slots] - block.indptr[rows],
-                                        row_lengths)
-            data[target] = block.data[source]
-            indices[target] = block.indices[source]
+        indices = np.empty(indptr[-1], dtype=blocks[0].indices.dtype)
+        for block, slots in zip(blocks, held):
+            rows = slots % n
+            _, take = gather_rows(block.indptr, rows)
+            target = take + np.repeat(indptr[slots] - block.indptr[rows],
+                                      lengths[slots])
+            data[target] = block.data[take]
+            indices[target] = block.indices[take]
         self.matrix = sp.csr_matrix((data, indices, indptr),
-                                    shape=(size, noop.shape[1]))
+                                    shape=(lengths.size, blocks[0].shape[1]))
 
     def _slot_q(self, values: np.ndarray) -> np.ndarray:
         """gamma times each slot's product with the values."""
@@ -285,14 +271,12 @@ class _Bellman:
         q *= self.gamma
         return q
 
-    def best(self, values: np.ndarray) -> np.ndarray:
-        """The largest Q-value of every state: the max over the layers. A
-        repeat of noop's row has noop's Q-value to the bit, and max never
-        rounds, so the repeats change no result."""
+    def layers(self, values: np.ndarray) -> np.ndarray:
+        """The Q-value of every slot, as depth + 1 layers of n states: a
+        state's max over them is its max over every action."""
         q = self._slot_q(values)
         q += self.slot_expected
-        # down axis 0; q.max(axis=0) would add a Python call per sweep
-        return np.maximum.reduce(q.reshape(-1, self.n))
+        return q.reshape(-1, self.n)
 
     def q_values(self, values: np.ndarray) -> np.ndarray:
         """Q-values of every action, shape (n_actions, n_states): a dropped
@@ -306,12 +290,13 @@ class _Bellman:
         """Solve (I - gamma*P_pi) V = r_pi, P_pi = X[pi] E, by one LU
         factorization in component order (component_order) without
         pivoting. The matrix is strictly diagonally dominant by rows:
-        every row of P_pi is non-negative (load_mdp rejects a negative
-        probability) and sums to 1 (checked at construction), and
-        gamma < 1. So are its Schur complements, whatever the symmetric
-        order, and no pivot is zero. The order only decides the fill:
-        with P_pi block triangular, eliminating one component leaves the
-        diagonal blocks of the others unchanged."""
+        every row of P_pi is non-negative and sums to 1 (load_mdp rejects
+        a negative probability and a row sum more than ROW_SUM_TOL from
+        1; a compiled row sums to 1 by construction), and gamma < 1. So
+        are its Schur complements, whatever the symmetric order, and no
+        pivot is zero. The order only decides the fill: with P_pi block
+        triangular, eliminating one component leaves the diagonal blocks
+        of the others unchanged."""
         import scipy.sparse.linalg as spla
         n = self.n
         rows = policy * n + self.states
@@ -352,11 +337,14 @@ def _bellman(mdp: MdpModel) -> _Bellman:
 
 
 def greedy_policy(mdp: MdpModel, values: np.ndarray) -> Strategy:
-    """One-step lookahead argmax; ties go to the lowest action index
-    (noop is index 0)."""
-    q = _bellman(mdp).q_values(values)
-    return Strategy(actions=np.argmax(q, axis=0), values=q.max(axis=0),
-                    iterations=0, residual=0.0, method="greedy")
+    """One-step lookahead argmax, taken over the layers (_Bellman); ties
+    go to the lowest action index (noop is index 0)."""
+    bellman = _bellman(mdp)
+    q = bellman.layers(values)
+    first = np.argmax(q, axis=0)
+    return Strategy(actions=bellman.source[first, bellman.states],
+                    values=q[first, bellman.states], iterations=0,
+                    residual=0.0, method="greedy")
 
 
 def value_iteration(mdp: MdpModel,
@@ -378,14 +366,15 @@ def value_iteration(mdp: MdpModel,
     residuals = []
     residual = np.inf
     while residual >= threshold:
-        new_values = bellman.best(values)
+        # down axis 0; q.max(axis=0) would add a Python call per sweep
+        new_values = np.maximum.reduce(bellman.layers(values))
         # positional out and the array method: out= and np.max would add
         # call overhead to a small model's sweep of a few us
         np.subtract(new_values, values, change)
         residual = float(np.absolute(change, change).max())
         residuals.append(residual)
         values = new_values
-    return Strategy(actions=np.argmax(bellman.q_values(values), axis=0),
+    return Strategy(actions=greedy_policy(mdp, values).actions,
                     values=values, iterations=len(residuals),
                     residual=residual, method="value-iteration",
                     residuals=tuple(residuals))

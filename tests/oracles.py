@@ -27,6 +27,7 @@ import numpy as np
 from obd.compiler import (
     DEFAULT_STATE_LIMIT,
     FORMAT_MDP,
+    ROW_SUM_TOL,
     CompileError,
     StateLimitError,
     StateSpace,
@@ -618,6 +619,8 @@ def oracle_load_mdp(text: str, limit: int = DEFAULT_STATE_LIMIT) -> dict:
 
     actions = []
     triples: dict = {}  # (action, tag) -> {(row, col): value}
+    action_line: dict = {}  # action -> the number of its line
+    first_t: dict = {}  # (action, row) -> the number of its first `t` line
     while True:
         if pos >= len(lines):
             pos += 1
@@ -633,6 +636,7 @@ def oracle_load_mdp(text: str, limit: int = DEFAULT_STATE_LIMIT) -> dict:
             if any(name == parts[1] for name, _ in actions):
                 raise error(f"action '{parts[1]}' appears twice")
             actions.append((parts[1], integer(parts[2])))
+            action_line[parts[1]] = pos
             for t in ("t", "r"):
                 triples[parts[1], t] = {}
         elif tag in ("t", "r"):
@@ -654,10 +658,24 @@ def oracle_load_mdp(text: str, limit: int = DEFAULT_STATE_LIMIT) -> dict:
             if at in entries:
                 raise error(f"second '{tag}' entry for {at[0]} {at[1]}")
             entries[at] = value
+            if tag == "t":
+                first_t.setdefault((actions[-1][0], at[0]), pos)
         else:
             raise error(f"unexpected line: {lines[pos - 1]!r}")
     if len(actions) != n_actions:
         raise error(f"expected {n_actions} actions, found {len(actions)}")
+    bad = []  # (line, action, row, sum) of every row not summing to 1
+    for name, _ in actions:
+        totals = [0.0] * n_states
+        for (row, _), value in sorted(triples[name, "t"].items()):
+            totals[row] += value
+        bad += [(first_t.get((name, row), action_line[name]), name, row,
+                 total)
+                for row, total in enumerate(totals)
+                if abs(total - 1.0) > ROW_SUM_TOL]
+    if bad:
+        pos, name, row, total = min(bad)
+        raise error(f"action '{name}': transition row {row} sums to {total}")
     return {"gamma": gamma, "states": n_states, "initial": initial,
             "space": space, "actions": tuple(actions),
             "transitions": {a: triples[a, "t"] for a, _ in actions},

@@ -295,8 +295,9 @@ def test_gamma_defaults_to_the_obd_default_or_the_files_own(tmp_path,
 
 
 def test_solve_substochastic_row_exits_1(tmp_path):
-    """The stacked operator's row check names the action and the state row,
-    not the row's index in the stacked matrix."""
+    """load_mdp checks every row where it reads it: every command that
+    reads the file names the action, the state row and the row's first
+    `t` line."""
     mdp = tmp_path / "toy.mdp"
     assert invoke("compile", TOY, "--out", str(mdp)).exit_code == 0
     text = mdp.read_text()
@@ -304,11 +305,15 @@ def test_solve_substochastic_row_exits_1(tmp_path):
     assert "t 6 7 0.8\n" in tail
     mdp.write_text(head + "action b 5\n"
                    + tail.replace("t 6 7 0.8\n", "t 6 7 0.3\n", 1))
-    for method in ("value", "policy"):
-        result = invoke("solve", str(mdp), "--method", method)
+    line = mdp.read_text().splitlines().index("t 6 2 0.16",
+                                              head.count("\n") + 1) + 1
+    for command in (("compile",), ("export-dot", "--full"),
+                    ("solve", "--method", "value"),
+                    ("solve", "--method", "policy")):
+        result = invoke(command[0], str(mdp), *command[1:])
         assert result.exit_code == 1
-        assert result.output == (f"{mdp}: error: action 'b': transition row "
-                                 "6 sums to 0.5\n")
+        assert result.output == (f"{mdp}: error: line {line}: action 'b': "
+                                 "transition row 6 sums to 0.5\n")
 
 
 def _failing_splu(monkeypatch, error):

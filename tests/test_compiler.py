@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from obd import compiler
+from obd import compiler, dsl, reqauto
 from obd.compiler import (
     CompileError,
     SparseMatrix,
@@ -31,6 +31,7 @@ from obd.compiler import (
     load_mdp,
 )
 from obd.dsl import (
+    And,
     Atom,
     Effect,
     EventDesc,
@@ -39,7 +40,7 @@ from obd.dsl import (
     parse_domain,
     validate,
 )
-from obd.reqauto import build_automaton, update_action, update_event
+from obd.reqauto import advance, build_automaton
 
 import oracles
 
@@ -54,11 +55,13 @@ def _space_and_automata(model):
     return enumerate_states(model, automata), automata
 
 
-def _after(model, advance):
-    """The space and its status table after a step of `advance`."""
+def _after(model, time_step: bool):
+    """The space and its status table after an action step (`time_step`)
+    or an event."""
     space, automata = _space_and_automata(model)
     truths = [compiler._truth_codes(auto, space) for auto in automata]
-    return space, compiler._next_statuses(space, automata, truths, advance)
+    return space, compiler._next_statuses(space, automata, truths,
+                                          time_step)
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +129,7 @@ def test_effective_event_formula(toy_model):
     """P-hat_e = diag(O_e) Pr_e + diag(1 - O_e), entry by entry, where Pr_e
     is the event step whose every branch always fires."""
     for model in (toy_model, parse_domain(RESIDUAL_EVENT)):
-        space, after = _after(model, update_event)
+        space, after = _after(model, time_step=False)
         for event in model.events:
             always = replace(event, branches=tuple(
                 replace(br, occurrence_probability=Fraction(1))
@@ -148,14 +151,14 @@ def test_events_matrix_empty_is_identity():
 
 
 def test_events_matrix_single_is_itself(toy_model):
-    space, after = _after(toy_model, update_event)
+    space, after = _after(toy_model, time_step=False)
     effective = effective_event_matrix(toy_model.events[0], space, after)
     assert events_matrix([effective], space.size) == effective
 
 
 def test_implicit_is_explicit_times_events(toy_model):
-    space, after_event = _after(toy_model, update_event)
-    _, after_action = _after(toy_model, update_action)
+    space, after_event = _after(toy_model, time_step=False)
+    _, after_action = _after(toy_model, time_step=True)
     ev = events_matrix([effective_event_matrix(
         toy_model.events[0], space, after_event)], space.size)
     for action in toy_model.actions:
@@ -333,7 +336,7 @@ def test_fold_crosses_the_int64_bound_and_matches_the_oracle():
                      f"effects <!x{k} prob {q - 1}/{q}>")
     init = ", ".join(f"x{k}" for k in range(len(primes)))
     model = parse_domain("\n".join(lines) + f"\nInit {{ {init} }}\n")
-    space, after = _after(model, update_event)
+    space, after = _after(model, time_step=False)
     product, dtypes = SparseMatrix.identity(space.size), []
     for event in model.events:
         product = product.matmul(effective_event_matrix(event, space, after))
@@ -705,17 +708,40 @@ def test_each_update_is_called_once_per_key(monkeypatch, restaurant_text):
     (restaurant.obd builds five action and four event matrices)."""
     for text in (restaurant_text, RESIDUAL_EVENT):
         calls = {"action": 0, "event": 0}
-        for kind, update in (("action", update_action),
-                             ("event", update_event)):
-            def counting(*args, kind=kind, update=update):
-                calls[kind] += 1
-                return update(*args)
-            monkeypatch.setattr(compiler, f"update_{kind}", counting)
+
+        def counting(auto, status, truths, time_step):
+            calls["action" if time_step else "event"] += 1
+            return advance(auto, status, truths, time_step)
+        monkeypatch.setattr(compiler, "advance", counting)
         mdp = compile_model(parse_domain(text))
         keys = sum(len(auto.statuses)
                    * len(compiler._truth_codes(auto, mdp.space)[1])
                    for auto in mdp.automata)
         assert calls == {"action": keys, "event": keys}
+
+
+def test_compiling_evaluates_no_formula_on_a_state(monkeypatch, toy_model,
+                                                  restaurant_model):
+    """The status tables take each requirement's formulas as the truth
+    bits of their masks, so a formula that shares its subformulas
+    (2**40 paths through 42 nodes) compiles without eval_formula, which
+    would walk every path."""
+    shared = Atom("x", "tt")
+    for _ in range(40):
+        shared = And(shared, shared)
+    base = parse_domain("Variable x\nAction a if x effects <!x>\n"
+                        "ReqID r achieve x within 2 if !x reward 1\n"
+                        "Init { x }\n")
+    deep = replace(base, requirements=(replace(
+        base.requirements[0], required=And(Atom("x", "tt"), shared)),))
+
+    def no_eval(*args):
+        raise AssertionError("compile_model called eval_formula")
+
+    monkeypatch.setattr(reqauto, "eval_formula", no_eval)
+    monkeypatch.setattr(dsl, "eval_formula", no_eval)
+    for model in (toy_model, restaurant_model, deep):
+        compile_model(model)
 
 
 def test_state_count_formula():
@@ -783,7 +809,7 @@ def test_commutation_check_covers_every_pair():
 
 
 def _effective(model):
-    space, after = _after(model, update_event)
+    space, after = _after(model, time_step=False)
     return [effective_event_matrix(ev, space, after) for ev in model.events]
 
 
@@ -1015,6 +1041,32 @@ def test_load_mdp_rejects_triple_before_action(toy_mdp):
     del lines[k]
     assert _load_error(lines) == \
         f"line {k + 1}: 't' line before any 'action' line"
+
+
+def test_load_mdp_rejects_a_row_not_summing_to_one(toy_mdp):
+    """Each transition row is summed where it is read, in column order,
+    and one more than ROW_SUM_TOL away from 1 is named at its first `t`
+    line."""
+    lines = dump_mdp(toy_mdp).splitlines()
+    b = lines.index("action b 5")
+    k = lines.index("t 6 7 0.8", b)
+    first = lines.index("t 6 2 0.16", b)
+    for value, total in (("0.3", 0.5), ("0.800000002", 1.000000002)):
+        lines[k] = f"t 6 7 {value}"
+        assert _load_error(lines) == (f"line {first + 1}: action 'b': "
+                                      f"transition row 6 sums to {total}")
+    lines[k] = "t 6 7 0.8000000009"  # 1 + 9e-10: the floats of a row
+    load_mdp("\n".join(lines) + "\n")
+
+
+def test_load_mdp_names_the_action_line_of_a_row_without_t_lines(toy_mdp):
+    """A row with no `t` line sums to 0; of every such row the first
+    action's is named, at its `action` line."""
+    lines = [line for line in dump_mdp(toy_mdp).splitlines()
+             if not line.startswith("t 6 ")]
+    assert _load_error(lines) == (
+        f"line {lines.index('action noop 0') + 1}: action 'noop': "
+        "transition row 6 sums to 0.0")
 
 
 def test_load_mdp_rejects_negative_probability(toy_mdp):

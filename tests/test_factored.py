@@ -122,7 +122,7 @@ def test_reward_parts_are_read_once_per_key(monkeypatch):
     assert not hasattr(compiler, "requirement_reward")
     mdp = compile_model(model)
     auto = mdp.automata[0]
-    _, _, combos = compiler._truth_codes(auto, mdp.space)
+    _, combos = compiler._truth_codes(auto, mdp.space)
     assert (len(auto.statuses), len(combos)) == (41, 4)
     # at most one call per part, status and truth combination
     assert 0 < calls["before"] <= 41 * 4

@@ -513,8 +513,10 @@ state 3 x=d
 action noop 0
 t 0 0 0.0
 t 0 1 5e-324
+t 0 2 1.0
 t 1 2 1e-05
-t 2 3 1e+17
+t 1 3 0.99999
+t 2 3 1.0
 t 3 3 1.0
 r 0 0 -0.0
 r 0 1 0.0
@@ -524,6 +526,10 @@ r 2 3 1e+17
 r 3 0 -2.5
 action go 7
 t 0 0 0.25
+t 0 3 0.75
+t 1 1 1.0
+t 2 2 1.0
+t 3 3 1.0
 r 0 0 3.0
 r 1 1 -100.0
 r 2 2 0.0

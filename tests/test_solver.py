@@ -15,7 +15,7 @@ import scipy.sparse.linalg as spla
 from scipy.sparse import csgraph
 
 from obd import solver
-from obd.compiler import compile_model, dump_mdp, load_mdp
+from obd.compiler import CompileError, compile_model, dump_mdp, load_mdp
 from obd.dsl import (
     ActionBranch,
     ActionDesc,
@@ -363,6 +363,12 @@ def _assert_as_full_grid(mdp):
     assert np.array_equal(pi.actions, actions)
     assert pi.values.tobytes() == values.tobytes()
     assert pi.changes == tuple(changes)
+    # greedy on values where every action ties, and on both solutions
+    for values in (np.zeros(mdp.n_states), vi.values, pi.values):
+        greedy = greedy_policy(mdp, values)
+        q = _FullGrid(mdp).q_values(values)
+        assert greedy.actions.tobytes() == np.argmax(q, axis=0).tobytes()
+        assert greedy.values.tobytes() == q.max(axis=0).tobytes()
     return vi
 
 
@@ -408,6 +414,11 @@ def test_every_stacked_row_reads_its_slot(toy_model, restaurant_model,
             bellman.expand, np.where(kept, layers * n + np.arange(n),
                                      np.arange(n)).ravel()), name
         assert bellman.depth == layers[-1].max()
+        # the action of each slot: noop (0) where no kept row claims it
+        source = np.zeros((bellman.depth + 1, n), dtype=np.int64)
+        actions, states = kept.nonzero()
+        source[layers[actions, states], states] = actions
+        assert np.array_equal(bellman.source, source), name
         assert bellman.matrix.shape[0] == (bellman.depth + 1) * n
         assert _rows(bellman.matrix, bellman.expand) == _rows(
             grid.matrix, np.where(kept.ravel(), stacked, stacked % n)), name
@@ -504,6 +515,46 @@ def test_a_state_keeping_every_row_fills_every_layer(monkeypatch, factored):
     assert bellman.expand.reshape(-1, mdp.n_states)[:, off].tolist() == \
         [off + layer * mdp.n_states for layer in range(3)]
     _assert_as_full_grid(mdp)
+
+
+def test_value_iteration_and_greedy_read_no_full_grid(two_tables,
+                                                      monkeypatch):
+    """Their argmax is taken over the layers: neither forms the
+    (n_actions x n) grid of Q-values."""
+    def no_grid(*args):
+        raise AssertionError("q_values called")
+
+    monkeypatch.setattr(solver._Bellman, "q_values", no_grid)
+    vi = value_iteration(two_tables)
+    greedy = greedy_policy(two_tables, vi.values)
+    actions, values, _ = _full_grid_vi(two_tables)
+    assert vi.actions.tobytes() == greedy.actions.tobytes() == \
+        actions.tobytes()
+    assert vi.values.tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize("factored", [True, False],
+                         ids=["factors", "products"])
+def test_the_first_of_two_equal_actions_wins_every_tie(monkeypatch,
+                                                       factored):
+    """`a` and `b` fire alike and cost nothing, so their Q-values tie in
+    every state; VI, greedy and PI pick `a`, the lower index, and `b`
+    holds the layer above `a`'s."""
+    monkeypatch.setattr(solver, "PRODUCT_TERMS", -1 if factored else 10 ** 9)
+    switch = "Action a if !x effects <x prob 1/2>"
+    mdp = _tiny(_ONE_SWITCH.replace(
+        "Action on if !x effects <x prob 1/2> cost 2",
+        switch + "\n" + switch.replace("Action a", "Action b")))
+    assert mdp.action_names == ("noop", "a", "b")
+    bellman = solver._Bellman(mdp)
+    assert bellman.depth == 2
+    q = _FullGrid(mdp).q_values(np.ones(mdp.n_states))
+    assert q[1].tobytes() == q[2].tobytes()
+    vi = _assert_as_full_grid(mdp)
+    for strategy in (vi, greedy_policy(mdp, vi.values),
+                     policy_iteration(mdp)):
+        assert 2 not in strategy.actions
+        assert 1 in strategy.actions
 
 
 def test_a_loaded_row_equal_to_noop_that_pays_more_is_kept():
@@ -740,18 +791,17 @@ def test_load_policy_accepts_any_line_order(toy_mdp):
     lambda mdp: evaluate_policy(mdp, np.zeros(mdp.n_states, dtype=np.int64)),
 ], ids=["value", "policy", "greedy", "evaluate"])
 def test_every_entry_point_checks_row_sums(toy_mdp, solve):
-    text = dump_mdp(toy_mdp).replace("t 6 7 0.8\n", "t 6 7 0.3\n")
-    broken = load_mdp(text)
-    with pytest.raises(SolverError, match=re.escape(
-            "action 'noop': transition row 6 sums to 0.5")):
-        solve(broken)
-
-
-def test_a_model_failing_the_row_sums_fails_every_call(toy_mdp):
-    broken = load_mdp(dump_mdp(toy_mdp).replace("t 6 7 0.8\n", "t 6 7 0.3\n"))
-    for solve in (value_iteration, policy_iteration):
-        with pytest.raises(SolverError, match="transition row 6 sums to 0.5"):
-            solve(broken)
+    """The row sums are checked once, where the file is read: a row not
+    summing to 1 stops at load_mdp, at its first `t` line, before any
+    entry point sees the model; the intact file solves."""
+    lines = dump_mdp(toy_mdp).splitlines()
+    noop = lines.index("action noop 0")
+    first = lines.index("t 6 2 0.16", noop) + 1
+    text = "\n".join(lines) + "\n"
+    with pytest.raises(CompileError, match=re.escape(
+            f"line {first}: action 'noop': transition row 6 sums to 0.5")):
+        solve(load_mdp(text.replace("t 6 7 0.8\n", "t 6 7 0.3\n")))
+    solve(load_mdp(text))
 
 
 def test_one_operator_serves_every_solve(toy_model, monkeypatch):
