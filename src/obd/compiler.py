@@ -209,7 +209,9 @@ def gather_rows(indptr: np.ndarray, rows: np.ndarray, extra: int = 0):
     counts = indptr[rows + 1] - starts + extra
     out = np.zeros(rows.size + 1, dtype=indptr.dtype)
     np.cumsum(counts, out=out[1:])
-    return out, np.arange(out[-1]) + np.repeat(starts - out[:-1], counts)
+    take = np.arange(out[-1])
+    take += np.repeat(starts - out[:-1], counts)
+    return out, take
 
 
 class SparseMatrix:

@@ -78,21 +78,40 @@ FALSE = BoolLit(False)
 def eval_formula(f: Formula, atoms: Mapping[str, str]) -> bool:
     """Standard propositional evaluation with atom membership as base case.
 
-    `atoms` maps every variable the formula mentions to its current value.
-    """
-    if isinstance(f, Atom):
+    `atoms` maps every variable the formula reads to its current value:
+    And and Or read their right operand only when the left one does not
+    decide, so a variable under an operand never read need not be
+    assigned. Each distinct operator node (by identity) is evaluated once,
+    so a formula that shares subformulas takes time linear in its
+    distinct nodes, not in its paths."""
+    return _holds(f, atoms, {})
+
+
+def _holds(f: Formula, atoms: Mapping[str, str], known: dict) -> bool:
+    """eval_formula, `known` holding the value of each operator node
+    evaluated so far, by id. Dispatched on the exact node class, which
+    costs less than isinstance: no formula class is subclassed."""
+    kind = type(f)
+    if kind is Atom:
         if f.var not in atoms:
             raise EvaluationError(f"variable '{f.var}' not assigned")
         return atoms[f.var] == f.value
-    if isinstance(f, BoolLit):
+    if kind is BoolLit:
         return f.value
-    if isinstance(f, Not):
-        return not eval_formula(f.operand, atoms)
-    if isinstance(f, And):
-        return eval_formula(f.left, atoms) and eval_formula(f.right, atoms)
-    if isinstance(f, Or):
-        return eval_formula(f.left, atoms) or eval_formula(f.right, atoms)
-    raise TypeError(f"not a formula node: {f!r}")
+    value = known.get(id(f))
+    if value is None:
+        if kind is Or:
+            value = _holds(f.left, atoms, known) \
+                or _holds(f.right, atoms, known)
+        elif kind is And:
+            value = _holds(f.left, atoms, known) \
+                and _holds(f.right, atoms, known)
+        elif kind is Not:
+            value = not _holds(f.operand, atoms, known)
+        else:
+            raise TypeError(f"not a formula node: {f!r}")
+        known[id(f)] = value
+    return value
 
 
 def subformulas(f: Formula) -> list:
@@ -832,8 +851,8 @@ def validate(model: DomainModel) -> list:
 
     def checked(owner: str, what: str, f: Formula, at) -> bool:
         """Whether `f` is within the parser's depth bound, past which
-        eval_formula, format_formula and == could exhaust the recursion
-        limit; its atoms are checked only then."""
+        eval_formula and format_formula could exhaust the recursion limit;
+        its atoms are checked only then."""
         if formula_depth(f) > MAX_CONDITION_DEPTH:
             report("error", f"{owner}: {what} nested more than "
                    f"{MAX_CONDITION_DEPTH} levels deep", at)
@@ -843,6 +862,22 @@ def validate(model: DomainModel) -> list:
                                         if isinstance(g, Atom)):
             check_value(owner, var, value, at)
         return True
+
+    shapes = {}  # one number per formula shape: == formulas share one
+
+    def structure(f: Formula) -> int:
+        """The number of the shape of `f`, equal for formulas that are ==,
+        built over each distinct subformula once: == walks every path."""
+        numbers = {}
+        for g in subformulas(f):
+            if isinstance(g, Not):
+                shape = (Not, numbers[id(g.operand)])
+            elif isinstance(g, (And, Or)):
+                shape = (type(g), numbers[id(g.left)], numbers[id(g.right)])
+            else:
+                shape = g  # an Atom or BoolLit
+            numbers[id(g)] = shapes.setdefault(shape, len(shapes))
+        return numbers[id(f)]
 
     for r in model.requirements:
         kind = r.kind
@@ -882,15 +917,17 @@ def validate(model: DomainModel) -> list:
     for item in model.actions + model.events:
         label = "action" if isinstance(item, ActionDesc) else "event"
         owner = f"{label} '{item.name}'"
-        seen_pres = []
+        seen_pres = set()
         for br in item.branches:
-            # one past the bound is not compared: == would recurse as deep
+            # one past the bound is not compared: format_formula would
+            # recurse as deep
             if checked(owner, "precondition", br.precondition, item):
-                if br.precondition in seen_pres:
+                pre = structure(br.precondition)
+                if pre in seen_pres:
                     report("warning", f"{owner}: overlapping preconditions "
                            f"({format_formula(br.precondition)} repeated)",
                            item)
-                seen_pres.append(br.precondition)
+                seen_pres.add(pre)
             named = [("effect", eff.probability) for eff in br.effects]
             if isinstance(br, EventBranch):
                 named.insert(0, ("occurrence", br.occurrence_probability))

@@ -14,11 +14,13 @@ successor of its most likely effect, which the replanning controller
 searches; per event and base state, the matched branch's occurrence
 probability and effects; per action or event step, the status tuple
 after it; per (state before, state after), the requirement rewards and
-the names of the requirements satisfied; and per state, the goal the
+the names of the requirements satisfied; per state, the goal the
 replanning controller plans toward there: the disjunction of the achieve
 requirements active in it, joined in pairs level by level (depth
 ceil(log2 n) above the deepest goal) once per distinct set of active
-goals. The simulator's own branch matcher and `reqauto`'s status
+goals; and per such goal and base state, whether the goal holds there,
+which the planner tests at every node it pops. The simulator's own
+branch matcher and `reqauto`'s status
 updates and reward fill each entry the first time it is read; the
 compiled matrices are never read, so criterion 6 still compares two
 transcriptions of the tick. The goal fill and the planner read the
@@ -99,6 +101,9 @@ class _Tables(NamedTuple):
     # state index -> None when no achieve requirement is active, else the
     # disjunction of the active ones; one formula per distinct goal set
     goals: _Memo
+    # id of each formula `goals` made -> (base index -> whether it holds
+    # there); `goals` keeps every such formula, so no id is reused
+    reached: dict
 
 
 def _new_tables(mdp: MdpModel) -> _Tables:
@@ -193,8 +198,10 @@ def _new_tables(mdp: MdpModel) -> _Tables:
         while len(level) > 1:
             level = [Or(*level[i:i + 2]) if i + 1 < len(level) else level[i]
                      for i in range(0, len(level), 2)]
+        reached[id(level[0])] = _reached(level[0], bases)
         return level[0]
 
+    reached = {}
     disjunctions = _Memo(disjunction)
 
     def goal(i: int) -> Optional[Formula]:
@@ -214,7 +221,12 @@ def _new_tables(mdp: MdpModel) -> _Tables:
         tuple(matched(event.branches, occurrence)
               for event in mdp.model.events),
         after_step(update_action), after_step(update_event), _Memo(reward),
-        bases, status_dicts, _Memo(goal))
+        bases, status_dicts, _Memo(goal), reached)
+
+
+def _reached(goal: Formula, bases: _Memo) -> _Memo:
+    """base index -> whether `goal` holds at that base."""
+    return _Memo(lambda b: eval_formula(goal, bases[b]))
 
 
 def _tables(mdp: MdpModel) -> _Tables:
@@ -308,7 +320,7 @@ def step(mdp: MdpModel, state_index: int, action_name: str, rng):
     for its effect.
     """
     n_statuses, actions, events, after_action, after_event, rewards, _, \
-        _, _ = _tables(mdp)
+        _, _, _ = _tables(mdp)
     b, sigma = divmod(state_index, n_statuses)
     try:
         cost, outcomes, _ = actions[action_name]
@@ -401,13 +413,16 @@ def plan(mdp: MdpModel, start: int, goal: Formula,
     order) or None when the budget runs out or the goal is unreachable.
     """
     tables = _tables(mdp)
-    bases, records = tables.bases, tables.actions.items()
+    records = tables.actions.items()
+    reached = tables.reached.get(id(goal))
+    if reached is None:  # a goal the tables did not make
+        reached = _reached(goal, tables.bases)
     frontier = [(0, 0, (), start)]
     seen = set()
     expanded = 0
     while frontier and expanded < budget:
         cost, length, actions, b = heapq.heappop(frontier)
-        if eval_formula(goal, bases[b]):
+        if reached[b]:
             return list(actions)
         if b in seen:
             continue

@@ -38,14 +38,25 @@ scales with the largest |Q| of every row, forms the full Q grid, reading
 a dropped row from noop's slot. The layers are 3 deep at 2 tables, where
 320 (1,280 with serve within 3) of the 3n slots repeat noop's row.
 
+Policy iteration starts at the myopic policy, its improvement step
+applied to V = 0 with noop as the incumbent. Any policy may start
+(Puterman 1994 §6.4), and on every benchmark model this one is the
+policy that evaluating and improving all-noop leads to, so starting
+there saves one evaluation.
+
 Policy evaluation multiplies P_pi = X[pi] E out in float (or takes the
 rows of P), orders the states by the strongly connected components of
 P_pi, sources first, so that I - gamma*P_pi is block upper triangular
 (Tarjan 1972; Duff & Reid 1978), and factors it once with SuperLU in that
 order without pivoting. That is safe because the matrix is strictly
-diagonally dominant by rows; the order only keeps the fill small. Both
-solvers return the same Strategy shape: a total state-to-action map with
-its value function and solver metadata.
+diagonally dominant by rows; the order only keeps the fill small. The
+system is gathered in that order, one gather per array, and each array
+of X[pi] and P_pi is freed once the system's copy of it is taken, so
+SuperLU factors with only the system beside it. SuperLU runs with
+one-column panels: the diagonal blocks are small (at most 83 states at
+2 tables), and wider panels only add overhead. Both solvers return the
+same Strategy shape: a total state-to-action map with its value function
+and solver metadata.
 """
 
 from __future__ import annotations
@@ -102,6 +113,9 @@ class Strategy:
     # and loaded strategies
     residuals: tuple = ()  # VI: the max-norm residual of each sweep
     changes: tuple = ()  # PI: how many actions each improvement changed
+    # PI: the strong components of each evaluation's P_pi, as (count,
+    # largest); empty for VI too
+    components: tuple = ()
 
 
 def _factored(mdp: MdpModel) -> bool:
@@ -115,18 +129,19 @@ def _factored(mdp: MdpModel) -> bool:
     return terms > PRODUCT_TERMS
 
 
-def component_order(p) -> np.ndarray:
+def component_order(p) -> tuple:
     """The states of a square sparse matrix grouped by strongly connected
-    component, sources first: each component is contiguous and no entry
-    leads back to an earlier component, so p[order][:, order] is block
-    upper triangular. SciPy numbers the components as Tarjan's algorithm
-    completes them, sinks first."""
+    component, sources first, and the size of every component: each
+    component is contiguous and no entry leads back to an earlier
+    component, so p[order][:, order] is block upper triangular. SciPy
+    numbers the components as Tarjan's algorithm completes them, sinks
+    first."""
     # imported at first use, as is SuperLU in evaluate: both load
     # scipy.linalg, which nothing before policy evaluation needs
     from scipy.sparse import csgraph
     _, labels = csgraph.connected_components(p, directed=True,
                                              connection="strong")
-    return np.argsort(-labels, kind="stable")
+    return np.argsort(-labels, kind="stable"), np.bincount(labels)
 
 
 def _row_sums(indptr: np.ndarray, data: np.ndarray) -> np.ndarray:
@@ -286,10 +301,11 @@ class _Bellman:
         q += self.expected
         return q.reshape(-1, self.n)
 
-    def evaluate(self, policy: np.ndarray) -> np.ndarray:
+    def evaluate(self, policy: np.ndarray) -> tuple:
         """Solve (I - gamma*P_pi) V = r_pi, P_pi = X[pi] E, by one LU
         factorization in component order (component_order) without
-        pivoting. The matrix is strictly diagonally dominant by rows:
+        pivoting; return V and the strong components of P_pi as (count,
+        largest). The matrix is strictly diagonally dominant by rows:
         every row of P_pi is non-negative and sums to 1 (load_mdp rejects
         a negative probability and a row sum more than ROW_SUM_TOL from
         1; a compiled row sums to 1 by construction), and gamma < 1. So
@@ -305,29 +321,37 @@ class _Bellman:
                            indptr), shape=(n, self.matrix.shape[1]))
         if self.events is not None:
             p = p @ self.events
-        order = component_order(p)
-        position = np.empty_like(order)
+        order, sizes = component_order(p)
+        position = np.empty(n, dtype=p.indices.dtype)
         position[order] = self.states
         # row k of A = (I - gamma*P)[order][:, order] is row order[k] of
-        # -gamma*P, then its diagonal 1, taken from after P's entries
+        # -gamma*P, then its diagonal 1 in an extra slot; each of P's
+        # arrays is freed as soon as A's copy of it is taken
         indptr, take = gather_rows(p.indptr, order, extra=1)
-        take[indptr[1:] - 1] = p.indptr[-1] + order
+        diagonal = indptr[1:] - 1
+        take[diagonal] = 0  # any entry: the diagonal is written below
+        data, columns = p.data, p.indices
+        del p
+        data = data[take]
+        data *= -self.gamma
+        data[diagonal] = 1.0
+        columns = columns[take]
+        del take
+        columns = position[columns]
+        columns[diagonal] = self.states
         # A's CSR arrays read as CSC are A transposed, the form SuperLU
         # factored fastest; solve(trans="T") solves with A itself
-        system = sp.csc_matrix(
-            (np.append(-self.gamma * p.data, np.ones(n))[take],
-             position[np.append(p.indices, self.states)[take]], indptr),
-            shape=(n, n))
+        system = sp.csc_matrix((data, columns, indptr), shape=(n, n))
         system.sum_duplicates()  # adds the 1 to -gamma*P(s, s)
         try:
             lu = spla.splu(system, permc_spec="NATURAL",
-                           diag_pivot_thresh=0.0)
+                           diag_pivot_thresh=0.0, panel_size=1)
         except RuntimeError as exc:  # SuperLU's allocation failures
             raise SolverError(f"policy evaluation: sparse LU of {n} states "
                               f"failed: {exc}") from None
         values = np.empty(n)
         values[order] = lu.solve(self.expected[rows[order]], trans="T")
-        return values
+        return values, (sizes.size, int(sizes.max()))
 
 
 def _bellman(mdp: MdpModel) -> _Bellman:
@@ -394,44 +418,52 @@ def evaluate_policy(mdp: MdpModel, policy: np.ndarray) -> np.ndarray:
     if bad.size:
         raise SolverError(f"policy: action {policy[bad[0]]} of state "
                           f"{bad[0]} outside 0..{mdp.n_actions - 1}")
-    return _bellman(mdp).evaluate(policy.astype(np.int64))
+    return _bellman(mdp).evaluate(policy.astype(np.int64))[0]
 
 
 def policy_iteration(mdp: MdpModel) -> Strategy:
-    """Exact evaluation + greedy improvement until the policy is stable.
+    """Exact evaluation + greedy improvement until the policy is stable,
+    starting at the myopic policy: the improvement of all-noop at V = 0.
 
     In exact arithmetic the values never decrease and no policy comes
     back, so the iteration ends; a decrease beyond float slack or a
     repeated policy means evaluation is wrong, and raises SolverError
     instead of looping."""
     bellman = _bellman(mdp)
-    states = np.arange(mdp.n_states)
-    policy = np.zeros(mdp.n_states, dtype=np.int64)
-    seen = {policy.tobytes()}
-    previous = None
-    changes = []
-    while True:
-        values = bellman.evaluate(policy)
-        iterations = len(changes) + 1
-        scale = max(1.0, float(abs(values).max()))
-        if previous is not None and \
-                (values - previous).min() < -DECREASE_RELATIVE_TOL * scale:
-            raise SolverError(f"policy iteration: values decreased at "
-                              f"iteration {iterations}; evaluation is wrong")
+    states = bellman.states
+
+    def improve(policy: np.ndarray, values: np.ndarray) -> np.ndarray:
         q = bellman.q_values(values)
         # actions within float slack of the best are tied: keep the
         # incumbent when it is one of them, so that the iteration cannot
         # cycle between equal-value policies, else take the lowest index
         tie = TIE_RELATIVE_TOL * max(1.0, float(abs(q).max()))
         tied = q >= q.max(axis=0) - tie
-        improved = np.where(tied[policy, states], policy,
-                            np.argmax(tied, axis=0))
+        return np.where(tied[policy, states], policy,
+                        np.argmax(tied, axis=0))
+
+    policy = improve(np.zeros(mdp.n_states, dtype=np.int64),
+                     np.zeros(mdp.n_states))
+    seen = {policy.tobytes()}
+    previous = None
+    changes, components = [], []
+    while True:
+        values, found = bellman.evaluate(policy)
+        components.append(found)
+        iterations = len(changes) + 1
+        scale = max(1.0, float(abs(values).max()))
+        if previous is not None and \
+                (values - previous).min() < -DECREASE_RELATIVE_TOL * scale:
+            raise SolverError(f"policy iteration: values decreased at "
+                              f"iteration {iterations}; evaluation is wrong")
+        improved = improve(policy, values)
         changes.append(int(np.count_nonzero(improved != policy)))
         if not changes[-1]:
             return Strategy(actions=policy, values=values,
                             iterations=iterations, residual=0.0,
                             method="policy-iteration",
-                            changes=tuple(changes))
+                            changes=tuple(changes),
+                            components=tuple(components))
         if improved.tobytes() in seen:
             raise SolverError(f"policy iteration: iteration {iterations} "
                               "returned to an earlier policy; evaluation "

@@ -9,12 +9,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from obd import sim
 from obd.compiler import CompileError, compile_model
 from obd.dsl import (
     And,
     Atom,
     BoolLit,
     Effect,
+    EvaluationError,
     EventBranch,
     EventDesc,
     MAX_CONDITION_DEPTH,
@@ -623,22 +625,72 @@ def test_validate_bounds_the_depth_of_models_built_in_code(edit, message):
     compile_model(at_bound)
 
 
+def _shared(var: str, levels: int = 40):
+    """`var` under `levels` levels of And(s, s): 2**levels paths through
+    levels + 1 distinct nodes."""
+    f = Atom(var, "tt")
+    for _ in range(levels):
+        f = And(f, f)
+    return f
+
+
 def test_shared_subformulas_are_walked_once():
     """A precondition with 2**40 paths through 42 distinct nodes:
     validate and compile_model each visit a node once."""
-    shared = Atom("x", "tt")
-    for _ in range(40):
-        shared = And(shared, shared)
-    model = _with_precondition(And(Atom("x", "tt"), shared))(BASE)
+    model = _with_precondition(And(Atom("x", "tt"), _shared("x")))(BASE)
     for check in (validate, compile_model):
         started = time.perf_counter()
         check(model)
         assert time.perf_counter() - started < 1, check.__name__
 
 
+def test_evaluation_reads_a_shared_node_once_and_in_short_circuit_order():
+    x, shared = Atom("x", "tt"), _shared("z")
+    assert eval_formula(And(x, shared), {"x": "tt", "z": "tt"})
+    assert not eval_formula(Or(Not(x), Not(shared)), {"x": "tt", "z": "tt"})
+    # z unassigned, under an operand that And or Or never reads
+    assert not eval_formula(And(x, shared), {"x": "ff"})
+    assert eval_formula(Or(x, shared), {"x": "tt"})
+    with pytest.raises(EvaluationError, match="variable 'z' not assigned"):
+        eval_formula(And(x, shared), {"x": "tt"})
+
+
+def test_shared_preconditions_validate_and_simulate_in_linear_time():
+    """Action a's branches read And(x, s) and And(x, And(t, !y)), s and t
+    being y under 40 and 39 levels of sharing, built apart: == would walk
+    2**39 paths of each before it told the two apart, and eval_formula
+    every path of s. Requirement r's formula is And(x, s) too, so the
+    planner's goal test reads it. validate compares the preconditions'
+    shapes, and 100 ticks of each controller read each node once per
+    evaluation."""
+    x, y = Atom("x", "tt"), Atom("y", "tt")
+    text = ("Variable x\nVariable y\n"
+            "Action a if x effects <!x>\n"
+            "Action b if !x effects <x !y>\n"
+            "Event e if !y occur prob 1/2 effects <y>\n"
+            "ReqID r achieve x reward 1\n"
+            "Init { x, y }\n")
+    base = parse_domain(text)
+    branch = base.actions[0].branches[0]
+    model = replace(base, actions=(replace(base.actions[0], branches=(
+        replace(branch, precondition=And(x, _shared("y"))),
+        replace(branch, precondition=And(x, And(_shared("y", 39),
+                                                Not(y)))))),
+        base.actions[1]), requirements=(replace(
+            base.requirements[0], required=And(x, _shared("y"))),))
+    started = time.perf_counter()
+    assert "warning" not in _severities(model)
+    mdp = compile_model(model)
+    for controller in (sim.RandomController(mdp),
+                       sim.ReplanningController(mdp)):
+        sim.run(mdp, controller, 100, 0)
+    assert time.perf_counter() - started < 1
+
+
 def test_validate_compares_no_precondition_past_the_bound():
-    """Two equal preconditions past the bound: == would recurse through
-    both, so they are reported as too deep, not as overlapping."""
+    """Two equal preconditions past the bound are reported as too deep,
+    not as overlapping: the warning would format them, recursing as
+    deep."""
     branch = replace(BASE.actions[0].branches[0], precondition=_nots(4_000))
     model = replace(BASE, actions=(replace(BASE.actions[0],
                                            branches=(branch, branch)),))

@@ -216,8 +216,9 @@ def test_runs_leave_the_table_dicts_unchanged(restaurant_mdp):
     """The goal fill and the planner read the tables' base and status
     dicts; no run may write into them. Each goal entry is None exactly
     when no achieve requirement is active, else true at the same bases
-    as the active ones' disjunction and no deeper than a balanced one;
-    on restaurant.obd and the 2-table deadline model."""
+    as the active ones' disjunction and no deeper than a balanced one,
+    and the planner's memo of it holds where the goal holds; on
+    restaurant.obd and the 2-table deadline model."""
     for mdp in (restaurant_mdp, compile_model(parse_domain(
             restaurant_text(2, 0, within=3)))):
         strategy = value_iteration(mdp)
@@ -251,6 +252,10 @@ def test_runs_leave_the_table_dicts_unchanged(restaurant_mdp):
                 for base in bases:
                     assert oracles.holds(goal, base) == \
                         any(oracles.holds(g, base) for g in active), index
+                # the planner's memo of where the goal holds
+                for b, holds in tables.reached[id(goal)].items():
+                    assert holds == oracles.holds(goal, tables.bases[b])
+        assert any(tables.reached.values())
 
 
 # ---------------------------------------------------------------------------
