@@ -398,6 +398,76 @@ def test_solves_match_the_full_grid(toy_model, restaurant_model,
         _assert_as_full_grid(mdp)
 
 
+# ---------------------------------------------------------------------------
+# Every product goes through SciPy's own kernel, as @ does
+
+
+def _operators(toy_model, restaurant_model, factored):
+    """Every model of _evaluation_models, then each read back from
+    obdmdp/1, with the Bellman operator of the path `factored` names (the
+    models read back have only the products)."""
+    models = list(_evaluation_models(toy_model, restaurant_model))
+    for name, mdp in models + [(f"{name} read back", load_mdp(dump_mdp(mdp)))
+                               for name, mdp in models]:
+        bellman = solver._Bellman(mdp)
+        assert (bellman.events is not None) == \
+            (factored and "read back" not in name)
+        yield name, mdp, bellman
+
+
+@pytest.mark.parametrize("factored", [True, False],
+                         ids=["factors", "products"])
+def test_the_product_is_scipys_to_the_bit(toy_model, restaurant_model,
+                                          monkeypatch, factored):
+    """The kernel's product, into buffers that hold nan before the call,
+    is gamma * (matrix @ (events @ v)) bit for bit, for VI's values and
+    for a random v."""
+    monkeypatch.setattr(solver, "PRODUCT_TERMS", -1 if factored else 10 ** 9)
+    rng = np.random.default_rng(11)
+    for name, mdp, bellman in _operators(toy_model, restaurant_model,
+                                         factored):
+        for matrix in (bellman.matrix, bellman.events):
+            if matrix is not None:
+                assert matrix.indptr.dtype == matrix.indices.dtype, name
+        for v in (value_iteration(mdp).values,
+                  rng.uniform(-1e3, 1e3, mdp.n_states)):
+            moved, slots = bellman.buffers()
+            moved.fill(np.nan)
+            slots.fill(np.nan)
+            reached = v if bellman.events is None else bellman.events @ v
+            want = bellman.gamma * (bellman.matrix @ reached)
+            got = bellman._slot_q(v, moved, slots)
+            assert got is slots, name
+            assert got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("factored", [True, False],
+                         ids=["factors", "products"])
+def test_value_iteration_twice_gives_equal_strategies(toy_model,
+                                                      restaurant_model,
+                                                      monkeypatch, factored):
+    """Two value iterations on one model, with a greedy step and policy
+    iteration between them, return equal Strategies field by field, each
+    the full grid's solve, and the second leaves the first unchanged."""
+    monkeypatch.setattr(solver, "PRODUCT_TERMS", -1 if factored else 10 ** 9)
+    for name, mdp, _ in _operators(toy_model, restaurant_model, factored):
+        first = value_iteration(mdp)
+        kept = dataclasses.replace(first, actions=first.actions.copy(),
+                                   values=first.values.copy())
+        greedy_policy(mdp, first.values)
+        policy_iteration(mdp)
+        second = value_iteration(mdp)
+        actions, values, residuals = _full_grid_vi(mdp)
+        for strategy in (first, kept, second):
+            assert strategy.actions.tobytes() == actions.tobytes(), name
+            assert strategy.values.tobytes() == values.tobytes(), name
+            assert strategy.residuals == tuple(residuals), name
+            assert dataclasses.astuple(dataclasses.replace(
+                strategy, actions=None, values=None)) == \
+                dataclasses.astuple(dataclasses.replace(
+                    second, actions=None, values=None)), name
+
+
 def _noop_start_models(toy_model, restaurant_model):
     yield "toy", compile_model(toy_model)
     yield "restaurant", compile_model(restaurant_model)
@@ -726,6 +796,36 @@ def test_evaluate_policy_accepts_any_integer_vector(toy_mdp):
     for same in (policy.tolist(), policy.astype(np.uint8),
                  policy.astype(np.int32)):
         assert np.array_equal(evaluate_policy(toy_mdp, same), values)
+
+
+@pytest.mark.parametrize("values, message", [
+    (np.zeros(3), "values has shape (3,), not (48,)"),
+    (np.zeros((48, 2)), "values has shape (48, 2), not (48,)"),
+    (np.full(48, "0"), "values must hold real numbers, not <U1"),
+    (np.zeros(48, dtype=complex),
+     "values must hold real numbers, not complex128"),
+    (np.zeros(48, dtype=bool), "values must hold real numbers, not bool"),
+    (np.r_[np.zeros(5), np.nan, np.zeros(42)],
+     "values: nan of state 5 is not finite"),
+    (np.r_[np.zeros(47), -np.inf], "values: -inf of state 47 is not finite"),
+], ids=["short", "column", "string", "complex", "bool", "nan", "inf"])
+def test_greedy_policy_rejects_bad_values(restaurant_mdp, values, message):
+    with pytest.raises(SolverError, match=f"^{re.escape(message)}$"):
+        greedy_policy(restaurant_mdp, values)
+
+
+def test_greedy_policy_reads_integer_and_strided_values(restaurant_mdp):
+    """Either gives the result of its float64 copy."""
+    n = restaurant_mdp.n_states
+    optimal = value_iteration(restaurant_mdp).values
+    strided = np.zeros(2 * n)[::2]
+    strided[:] = optimal
+    for values in (np.round(optimal).astype(np.int64), strided,
+                   np.zeros(2 * n)[::2]):
+        want = greedy_policy(restaurant_mdp, values.astype(np.float64))
+        got = greedy_policy(restaurant_mdp, values)
+        assert got.actions.tobytes() == want.actions.tobytes()
+        assert got.values.tobytes() == want.values.tobytes()
 
 
 def test_greedy_policy_reproduces_optimal(toy_mdp):
