@@ -33,10 +33,11 @@ takes the max over the layers, the max over the kept rows bit for bit (a
 repeat of noop's row has noop's Q-value to the bit; max never rounds).
 VI's final actions and greedy_policy read source at each state's first
 layer holding its max: kept actions rise layer by layer, so that is the
-full argmax, ties to the lowest index. Policy iteration, whose tie slack
-scales with the largest |Q| of every row, forms the full Q grid, reading
-a dropped row from noop's slot. The layers are 3 deep at 2 tables, where
-320 (1,280 with serve within 3) of the 3n slots repeat noop's row.
+full argmax, ties to the lowest index. So does PI's improvement, within
+its tie slack (a dropped row ties only where noop does, so no policy PI
+reaches holds one); evaluation reads a dropped action from noop's layer
+0. The layers are 3 deep at 2 tables, where 320 (1,280 with serve
+within 3) of the 3n slots repeat noop's row.
 
 Policy iteration starts at the myopic policy, its improvement step
 applied to V = 0 with noop as the incumbent. Any policy may start
@@ -105,9 +106,10 @@ DEFAULT_EPSILON = 1e-6
 # 4-10% slower at 4,768 and 6,258 terms, and 2.9x slower at 60,648
 # (restaurant models, medians of 21 runs, scipy 1.17, 2-vCPU x86 VM).
 PRODUCT_TERMS = 4096
-# Float slack of policy iteration, relative to the largest |Q| (at least
-# 1): Q-values this close to the best are ties, and values may fall this
-# far below the previous policy's, where exact arithmetic never falls.
+# Float slacks of policy iteration, each relative to at least 1: Q-values
+# within TIE_RELATIVE_TOL * max |best Q| of their state's best Q are ties,
+# and values may fall DECREASE_RELATIVE_TOL * max |V| below the previous
+# policy's, where exact arithmetic never falls.
 TIE_RELATIVE_TOL = 1e-12
 DECREASE_RELATIVE_TOL = 1e-9
 
@@ -252,16 +254,14 @@ class _Bellman:
     """The Bellman operator of a model, built one action block at a time
     (_action_blocks): the explicit rows X_a, then applied after the event
     product `events` E, or the transition rows P_a themselves (`events`
-    is None). `expected` holds the expected one-step reward of every
-    stacked row a*n + s.
+    is None). `expected[a, s]` is the expected one-step reward of action
+    a in state s.
 
     Only the rows that noop does not dominate (_undominated) are kept,
     each in a slot of `matrix`, which holds `depth` + 1 layers of n rows.
     `source[l, s]` is the action whose row slot l*n + s holds: state s's
     l-th kept action, noop (0) being layer 0 and every slot that no kept
-    row claims. `slot_expected` holds each slot's expected reward.
-    `expand` maps every stacked row to its slot, a dropped row to
-    noop's."""
+    row claims. `slot_expected` holds each slot's expected reward."""
 
     def __init__(self, mdp: MdpModel):
         n = mdp.n_states
@@ -269,26 +269,23 @@ class _Bellman:
         self.gamma = float(mdp.gamma)
         self.states = np.arange(n)
         self.events = mdp.events.csr if _factored(mdp) else None
-        self.expected = np.empty(mdp.n_actions * n)
-        self.expand = np.tile(self.states, mdp.n_actions)
+        self.expected = np.empty((mdp.n_actions, n))
         self.source = np.zeros((mdp.n_actions, n), dtype=np.int64)
         layer = np.zeros(n, dtype=np.int64)  # kept rows so far, per state
         blocks = []
         for a, (block, expected) in enumerate(_action_blocks(mdp,
                                                              self.events)):
-            self.expected[a * n:(a + 1) * n] = expected
+            self.expected[a] = expected
             if a:
                 kept = _undominated(block, expected, blocks[0],
-                                    self.expected[:n])
+                                    self.expected[0])
                 layer[kept] += 1
                 self.source[layer[kept], kept] = a
-                self.expand[a * n + kept] = layer[kept] * n + kept
             blocks.append(block)
         self.depth = int(layer.max(initial=0))
         # the layers in use; the copy frees the rows no state reached
         self.source = self.source[:self.depth + 1].copy()
-        self.slot_expected = self.expected[self.source * n
-                                           + self.states].ravel()
+        self.slot_expected = self.expected[self.source, self.states].ravel()
         held = [np.flatnonzero(self.source == a) for a in range(len(blocks))]
         lengths = np.empty(self.source.size, dtype=np.int64)
         for block, slots in zip(blocks, held):
@@ -332,14 +329,6 @@ class _Bellman:
         q += self.slot_expected
         return q.reshape(-1, self.n)
 
-    def q_values(self, values: np.ndarray) -> np.ndarray:
-        """Q-values of every action, shape (n_actions, n_states): a dropped
-        row takes its product from noop's row, its expected reward from
-        its own."""
-        q = self._slot_q(values, *self.buffers())[self.expand]
-        q += self.expected
-        return q.reshape(-1, self.n)
-
     def evaluate(self, policy: np.ndarray) -> tuple:
         """Solve (I - gamma*P_pi) V = r_pi, P_pi = X[pi] E, by one LU
         factorization in component order (component_order) without
@@ -354,8 +343,9 @@ class _Bellman:
         of the others unchanged."""
         import scipy.sparse.linalg as spla
         n = self.n
-        rows = policy * n + self.states
-        indptr, take = gather_rows(self.matrix.indptr, self.expand[rows])
+        # a dropped action (no slot holds it) reads noop's row, layer 0
+        slots = (self.source == policy).argmax(axis=0) * n + self.states
+        indptr, take = gather_rows(self.matrix.indptr, slots)
         p = sp.csr_matrix((self.matrix.data[take], self.matrix.indices[take],
                            indptr), shape=(n, self.matrix.shape[1]))
         if self.events is not None:
@@ -381,15 +371,15 @@ class _Bellman:
         # A's CSR arrays read as CSC are A transposed, the form SuperLU
         # factored fastest; solve(trans="T") solves with A itself
         system = sp.csc_matrix((data, columns, indptr), shape=(n, n))
-        system.sum_duplicates()  # adds the 1 to -gamma*P(s, s)
-        try:
+        try:  # splu's sum_duplicates adds the 1 to -gamma*P(s, s)
             lu = spla.splu(system, permc_spec="NATURAL",
                            diag_pivot_thresh=0.0, panel_size=1)
         except RuntimeError as exc:  # SuperLU's allocation failures
             raise SolverError(f"policy evaluation: sparse LU of {n} states "
                               f"failed: {exc}") from None
         values = np.empty(n)
-        values[order] = lu.solve(self.expected[rows[order]], trans="T")
+        values[order] = lu.solve(self.expected[policy[order], order],
+                                 trans="T")
         return values, (sizes.size, int(sizes.max()))
 
 
@@ -487,17 +477,20 @@ def policy_iteration(mdp: MdpModel) -> Strategy:
     repeated policy means evaluation is wrong, and raises SolverError
     instead of looping."""
     bellman = _bellman(mdp)
-    states = bellman.states
+    states, source = bellman.states, bellman.source
+    buffers = bellman.buffers()
 
     def improve(policy: np.ndarray, values: np.ndarray) -> np.ndarray:
-        q = bellman.q_values(values)
+        q = bellman.layers(values, *buffers)
+        best = q.max(axis=0)
         # actions within float slack of the best are tied: keep the
         # incumbent when it is one of them, so that the iteration cannot
-        # cycle between equal-value policies, else take the lowest index
-        tie = TIE_RELATIVE_TOL * max(1.0, float(abs(q).max()))
-        tied = q >= q.max(axis=0) - tie
-        return np.where(tied[policy, states], policy,
-                        np.argmax(tied, axis=0))
+        # cycle between equal-value policies, else take the first tied
+        # layer's action, the lowest tied index
+        tie = TIE_RELATIVE_TOL * max(1.0, float(abs(best).max()))
+        tied = q >= best - tie
+        return np.where((tied & (source == policy)).any(axis=0), policy,
+                        source[np.argmax(tied, axis=0), states])
 
     policy = improve(np.zeros(mdp.n_states, dtype=np.int64),
                      np.zeros(mdp.n_states))

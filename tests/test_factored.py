@@ -12,7 +12,6 @@ import pytest
 from obd import compiler, reqauto, solver
 from obd.compiler import compile_model, dump_mdp, load_mdp
 from obd.dsl import parse_domain
-from obd.solver import _Bellman
 
 import oracles
 
@@ -57,20 +56,37 @@ def test_factors_give_the_exact_expected_reward(toy_mdp, restaurant_mdp):
                          ids=["factors", "products"])
 def test_q_values_match_the_model_read_back(toy_mdp, restaurant_mdp,
                                             monkeypatch, factored):
+    """The compiled model's best Q-values (greedy_policy) and policy
+    values (evaluate_policy) against the model read back from obdmdp/1:
+    bit for bit where both read the same float products, within 1e-12
+    relative through the factors. The policies are random ones and every
+    action in every state, so they hold each dropped row too."""
     # sweep the factors always, or the exact products always
     monkeypatch.setattr(solver, "PRODUCT_TERMS", -1 if factored else 10 ** 9)
     rng = np.random.default_rng(0)
     for mdp in _models(toy_mdp, restaurant_mdp):
-        bellman = _Bellman(mdp)
-        assert (bellman.events is not None) == factored
+        # built afresh on the path `factored` names, restored after
+        monkeypatch.setattr(mdp, "bellman", None)
+        loaded = load_mdp(dump_mdp(mdp))
         values = rng.normal(scale=100.0, size=mdp.n_states)
-        q = bellman.q_values(values).copy()
-        loaded = _Bellman(load_mdp(dump_mdp(mdp))).q_values(values)
-        if factored:
-            scale = max(1.0, float(np.abs(q).max()))
-            assert np.abs(q - loaded).max() <= 1e-12 * scale
-        else:  # the same float matrices as the model read back
-            assert np.array_equal(q, loaded)
+        policies = [rng.integers(0, mdp.n_actions, mdp.n_states)
+                    for _ in range(3)]
+        policies += [np.full(mdp.n_states, a) for a in range(mdp.n_actions)]
+        greedy = solver.greedy_policy(mdp, values)
+        assert (mdp.bellman.events is not None) == factored
+        greedy_loaded = solver.greedy_policy(loaded, values)
+        got = [greedy.values] + [solver.evaluate_policy(mdp, policy)
+                                 for policy in policies]
+        want = [greedy_loaded.values] + [solver.evaluate_policy(loaded, policy)
+                                         for policy in policies]
+        for x, y in zip(got, want):
+            if factored:
+                scale = max(1.0, float(np.abs(x).max()))
+                assert np.abs(x - y).max() <= 1e-12 * scale
+            else:  # the same float matrices as the model read back
+                assert x.tobytes() == y.tobytes()
+        if not factored:
+            assert greedy.actions.tobytes() == greedy_loaded.actions.tobytes()
 
 
 def test_products_are_built_when_first_read(toy_model, monkeypatch):

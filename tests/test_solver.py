@@ -246,12 +246,19 @@ def _evaluation_models(toy_model, restaurant_model):
         yield f"random {2000 + seed}", compile_model(model)
 
 
+def _kept(mdp, bellman=None):
+    """Whether the solver keeps each action's row of each state, shape
+    (n_actions, n): the actions that `source` names, noop always."""
+    bellman = bellman or solver._Bellman(mdp)
+    kept = np.zeros((mdp.n_actions, mdp.n_states), dtype=bool)
+    kept[bellman.source, bellman.states] = True
+    return kept
+
+
 def _dropped_policy(mdp):
     """In every state, the lowest action whose row the solver drops as
     dominated by noop's row, else noop."""
-    n = mdp.n_states
-    expand = solver._Bellman(mdp).expand.reshape(-1, n)
-    dropped = expand[1:] == np.arange(n)  # read from noop's row
+    dropped = ~_kept(mdp)[1:]
     return np.where(dropped.any(axis=0), 1 + np.argmax(dropped, axis=0), 0)
 
 
@@ -281,7 +288,8 @@ class _FullGrid:
     its Q-values taken as one product of the full stack: the reference
     that every solve must reproduce bit for bit. Its expected rewards are
     its own, taken over the full stack too. Policy evaluation is the
-    solver's own, reading each row from this full stack."""
+    solver's own, reading each row from this full stack: action a's rows
+    are layer a, as `source` names them."""
 
     evaluate = solver._Bellman.evaluate
 
@@ -313,13 +321,15 @@ class _FullGrid:
         self.n = mdp.n_states
         self.gamma = float(mdp.gamma)
         self.states = np.arange(self.n)
-        self.expand = np.arange(self.matrix.shape[0])
+        self.expected = self.expected.reshape(-1, self.n)
+        self.source = np.repeat(np.arange(mdp.n_actions)[:, None], self.n,
+                                axis=1)
 
     def q_values(self, values):
         if self.events is not None:
             values = self.events @ values
-        q = self.gamma * (self.matrix @ values) + self.expected
-        return q.reshape(-1, self.n)
+        return self.gamma * (self.matrix @ values).reshape(-1, self.n) \
+            + self.expected
 
 
 def _full_grid_vi(mdp, epsilon=solver.DEFAULT_EPSILON):
@@ -342,8 +352,9 @@ def _full_grid_pi(mdp, myopic=True):
 
     def improve(policy, values):
         q = grid.q_values(values)
-        tie = solver.TIE_RELATIVE_TOL * max(1.0, float(abs(q).max()))
-        tied = q >= q.max(axis=0) - tie
+        best = q.max(axis=0)
+        tie = solver.TIE_RELATIVE_TOL * max(1.0, float(abs(best).max()))
+        tied = q >= best - tie
         return np.where(tied[policy, grid.states], policy,
                         np.argmax(tied, axis=0))
 
@@ -536,19 +547,16 @@ def test_every_stacked_row_reads_its_slot(toy_model, restaurant_model,
                                           monkeypatch, factored):
     """Each kept row sits in the layer of its rank among its state's kept
     rows, noop's being layer 0, and holds that row's entries; a dropped
-    row reads noop's slot, and every slot that no row claims repeats
-    noop's row with noop's expected reward."""
+    row equals noop's row, with an expected reward no higher, and reads
+    noop's slot; every slot that no row claims repeats noop's row with
+    noop's expected reward."""
     monkeypatch.setattr(solver, "PRODUCT_TERMS", -1 if factored else 10 ** 9)
     for name, mdp in _evaluation_models(toy_model, restaurant_model):
         bellman, grid = solver._Bellman(mdp), _FullGrid(mdp)
         n, stacked = mdp.n_states, np.arange(mdp.n_actions * mdp.n_states)
         assert bellman.expected.tobytes() == grid.expected.tobytes(), name
-        kept = (bellman.expand >= n).reshape(-1, n)
-        kept[0] = True  # noop's own rows, layer 0
+        kept = _kept(mdp, bellman)
         layers = np.cumsum(kept, axis=0) - 1
-        assert np.array_equal(
-            bellman.expand, np.where(kept, layers * n + np.arange(n),
-                                     np.arange(n)).ravel()), name
         assert bellman.depth == layers[-1].max()
         # the action of each slot: noop (0) where no kept row claims it
         source = np.zeros((bellman.depth + 1, n), dtype=np.int64)
@@ -556,18 +564,28 @@ def test_every_stacked_row_reads_its_slot(toy_model, restaurant_model,
         source[layers[actions, states], states] = actions
         assert np.array_equal(bellman.source, source), name
         assert bellman.matrix.shape[0] == (bellman.depth + 1) * n
-        assert _rows(bellman.matrix, bellman.expand) == _rows(
+        # the slot that policy evaluation reads for each action and state
+        slot = np.array([(bellman.source == a).argmax(axis=0) * n
+                         + np.arange(n) for a in range(mdp.n_actions)])
+        assert np.array_equal(slot, np.where(
+            kept, layers * n + np.arange(n), np.arange(n))), name
+        dropped = np.flatnonzero(~kept)
+        assert _rows(grid.matrix, dropped) == _rows(grid.matrix,
+                                                    dropped % n), name
+        assert np.all(grid.expected.ravel()[dropped]
+                      <= grid.expected[0, dropped % n]), name
+        assert _rows(bellman.matrix, slot.ravel()) == _rows(
             grid.matrix, np.where(kept.ravel(), stacked, stacked % n)), name
         claiming = np.flatnonzero(kept)  # the stacked rows with a slot
         unclaimed = np.setdiff1d(np.arange(bellman.matrix.shape[0]),
-                                 bellman.expand)
+                                 slot.ravel())
         assert unclaimed.size == bellman.matrix.shape[0] - claiming.size
         assert _rows(bellman.matrix, unclaimed) == _rows(grid.matrix,
                                                          unclaimed % n), name
-        assert bellman.slot_expected[bellman.expand[claiming]].tobytes() \
-            == grid.expected[claiming].tobytes()
+        assert bellman.slot_expected[slot.ravel()[claiming]].tobytes() \
+            == grid.expected.ravel()[claiming].tobytes()
         assert bellman.slot_expected[unclaimed].tobytes() == \
-            grid.expected[unclaimed % n].tobytes()
+            grid.expected[0, unclaimed % n].tobytes()
 
 
 def _with_actions(text, **costs):
@@ -593,9 +611,7 @@ _ONE_SWITCH = """
 
 def _kept_rows(mdp, action):
     """The states whose row of `action` the solver keeps."""
-    n = mdp.n_states
-    a = mdp.action_names.index(action)
-    return np.flatnonzero(solver._Bellman(mdp).expand[a * n:(a + 1) * n] >= n)
+    return np.flatnonzero(_kept(mdp)[mdp.action_names.index(action)])
 
 
 @pytest.mark.parametrize("factored", [True, False],
@@ -648,25 +664,8 @@ def test_a_state_keeping_every_row_fills_every_layer(monkeypatch, factored):
     assert bellman.depth == mdp.n_actions - 1 == 2
     assert bellman.matrix.shape[0] == mdp.n_actions * mdp.n_states
     off = mdp.space.index_of({"x": "ff", "g": "-"})
-    assert bellman.expand.reshape(-1, mdp.n_states)[:, off].tolist() == \
-        [off + layer * mdp.n_states for layer in range(3)]
+    assert bellman.source[:, off].tolist() == [0, 1, 2]
     _assert_as_full_grid(mdp)
-
-
-def test_value_iteration_and_greedy_read_no_full_grid(two_tables,
-                                                      monkeypatch):
-    """Their argmax is taken over the layers: neither forms the
-    (n_actions x n) grid of Q-values."""
-    def no_grid(*args):
-        raise AssertionError("q_values called")
-
-    monkeypatch.setattr(solver._Bellman, "q_values", no_grid)
-    vi = value_iteration(two_tables)
-    greedy = greedy_policy(two_tables, vi.values)
-    actions, values, _ = _full_grid_vi(two_tables)
-    assert vi.actions.tobytes() == greedy.actions.tobytes() == \
-        actions.tobytes()
-    assert vi.values.tobytes() == values.tobytes()
 
 
 @pytest.mark.parametrize("factored", [True, False],
@@ -691,6 +690,39 @@ def test_the_first_of_two_equal_actions_wins_every_tie(monkeypatch,
                      policy_iteration(mdp)):
         assert 2 not in strategy.actions
         assert 1 in strategy.actions
+
+
+_COSTLY_NEVER = """
+    Variable x
+    Action a if !x effects <x prob 999999/1000000>
+    Action b if !x effects <x>
+    Action pricey if false effects <!x> cost 1000000000
+    Event off if x occur prob 1/2 effects <!x>
+    ReqID g maintain x reward 1
+    Init { !x }
+"""
+
+
+@pytest.mark.parametrize("factored", [True, False],
+                         ids=["factors", "products"])
+def test_an_action_that_never_fires_leaves_the_tie_slack_alone(monkeypatch,
+                                                               factored):
+    """pricey never fires, so its rows are dropped, and its Q-values lie
+    near -1e9. The tie slack scales with the best Q-values, about 5, not
+    with pricey's: `a` falls short of `b` by about 2e-6, far outside it,
+    so policy iteration picks `b` where x is off, as value iteration
+    does. A slack of 1e-12 * 1e9 made `a` tie `b` and win as the lower
+    index."""
+    monkeypatch.setattr(solver, "PRODUCT_TERMS", -1 if factored else 10 ** 9)
+    mdp = _tiny(_COSTLY_NEVER)
+    assert mdp.action_names == ("noop", "a", "b", "pricey")
+    assert _kept_rows(mdp, "pricey").size == 0
+    vi = _assert_as_full_grid(mdp)
+    pi = policy_iteration(mdp)
+    assert pi.actions.tobytes() == vi.actions.tobytes()
+    off = [s for s in range(mdp.n_states)
+           if mdp.space.state(s)["x"] == "ff"]
+    assert [mdp.action_names[a] for a in pi.actions[off]] == ["b"] * len(off)
 
 
 def test_a_loaded_row_equal_to_noop_that_pays_more_is_kept():
