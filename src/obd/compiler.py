@@ -815,13 +815,13 @@ def text_table(texts) -> np.ndarray:
     return table.view(f"V{table.itemsize}")
 
 
-def float_column(values: np.ndarray, template: str) -> tuple:
-    """(table, index) column writing each value as `template.format(v)`,
-    with `{!r}` in the template: one text per distinct float, distinct by
-    bit pattern so that 0.0 and -0.0 keep their own texts."""
+def float_column(values: np.ndarray) -> tuple:
+    """(table, index) column writing each value as its repr and a
+    newline: one text per distinct float, distinct by bit pattern so that
+    0.0 and -0.0 keep their own texts."""
     bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
     distinct, inverse = np.unique(bits, return_inverse=True)
-    return text_table(template.format(v) for v in
+    return text_table(f"{v!r}\n" for v in
                       distinct.view(np.float64).tolist()), inverse
 
 
@@ -863,7 +863,7 @@ def dump_mdp(mdp: MdpModel) -> str:
                                  mdp.rewards[action.name])):
             parts.append(join_columns((tags, tag), (numbers, m.entry_rows()),
                                       (numbers, m.indices),
-                                      float_column(m.csr.data, "{!r}\n")))
+                                      float_column(m.csr.data)))
     parts.append("end\n")
     return "".join(parts)
 

@@ -26,24 +26,25 @@ models 72% of the rows of actions other than noop are dropped (4,416 of
 6,144 at 2 tables, 17,664 of 24,576 with serve within 3), 122 of 192 on
 restaurant.obd.
 
-The kept rows lie in depth + 1 layers of n rows, and one table, source,
-names each slot's action: slot l*n + s holds state s's l-th kept action,
-and noop (0) is layer 0 and every slot no kept row claims. A VI sweep
-takes the max over the layers, the max over the kept rows bit for bit (a
-repeat of noop's row has noop's Q-value to the bit; max never rounds).
-VI's final actions and greedy_policy read source at each state's first
-layer holding its max: kept actions rise layer by layer, so that is the
-full argmax, ties to the lowest index. So does PI's improvement, within
-its tie slack (a dropped row ties only where noop does, so no policy PI
-reaches holds one); evaluation reads a dropped action from noop's layer
-0. The layers are 3 deep at 2 tables, where 320 (1,280 with serve
-within 3) of the 3n slots repeat noop's row.
+The kept rows lie in depth + 1 layers of n rows (3 at 2 tables), and one
+table, source, names each slot's action: slot l*n + s holds state s's
+l-th kept action, and noop (0) is layer 0 and every slot no kept row
+claims (320 of the 3n slots at 2 tables, 1,280 with serve within 3). A
+VI sweep takes the max over the layers, the max over the kept rows bit
+for bit (a repeat of noop's row has noop's Q-value to the bit; max never
+rounds). One improvement step, _Bellman.improve, chooses each state's
+layer. With no incumbent (greedy_policy, VI's final actions) it takes
+the first layer holding the max: kept actions rise layer by layer, so
+that is the full argmax, ties to the lowest index.
 
-Policy iteration starts at the myopic policy, its improvement step
-applied to V = 0 with noop as the incumbent. Any policy may start
-(Puterman 1994 §6.4), and on every benchmark model this one is the
-policy that evaluating and improving all-noop leads to, so starting
-there saves one evaluation.
+Policy iteration holds a layer per state, improved with itself as the
+incumbent, and reads source only for its Strategy. A repeat of noop's
+row ties wherever layer 0 does and lies above it, so no step chooses
+one: each layer PI holds names a distinct action. PI starts at the
+myopic policy, the improvement step applied to V = 0 with noop's layer
+as the incumbent. Any policy may start (Puterman 1994 §6.4), and on
+every benchmark model this one is the policy that evaluating and
+improving all-noop leads to, so starting there saves one evaluation.
 
 Policy evaluation multiplies P_pi = X[pi] E out in float (or takes the
 rows of P), orders the states by the strongly connected components of
@@ -60,7 +61,7 @@ same Strategy shape: a total state-to-action map with its value function
 and solver metadata.
 
 Every product of a vector by the operator's matrices (E v, and the slots'
-rows times that, in VI, greedy_policy and PI's improvement) goes through
+rows times that, in VI's sweeps and the improvement step) goes through
 one routine, _product, which calls SciPy's CSR kernel csr_matvec itself:
 the kernel that csr_matrix @ vector calls, so with the same sums in the
 same order and the same floats. @ first runs Python-level dispatch that
@@ -101,10 +102,10 @@ from obd.dsl import ObdError
 FORMAT_POLICY = "obdpolicy/1"
 DEFAULT_EPSILON = 1e-6
 # Models whose products X_a E take at most this many terms X(i,k) E(k,j)
-# are swept through their exact products. Value iteration that builds them
-# first was at most as slow as sweeping the factors up to 3,278 terms,
-# 4-10% slower at 4,768 and 6,258 terms, and 2.9x slower at 60,648
-# (restaurant models, medians of 21 runs, scipy 1.17, 2-vCPU x86 VM).
+# are swept through the products, which dump_mdp exports anyway. VI alone
+# sweeps the factors faster from 806 terms, but VI plus export was faster
+# on the products up to 15,198 terms, slower at 60,648, and PI faster on
+# them throughout (restaurant models, scipy 1.17, 2-vCPU x86 VM; README).
 PRODUCT_TERMS = 4096
 # Float slacks of policy iteration, each relative to at least 1: Q-values
 # within TIE_RELATIVE_TOL * max |best Q| of their state's best Q are ties,
@@ -190,12 +191,13 @@ def _expected_products(p, r) -> np.ndarray:
     return _row_sums(before[p.indptr], products[nonzero])
 
 
-def _action_blocks(mdp: MdpModel, events):
-    """Every action's block of the operator in action order, each with
-    its expected one-step rewards: X_a, applied after the event product
-    `events` E, with -c_a + sum_k r_k g_k(s) (X_a E h_k)(s), or P_a itself
-    (`events` is None) with the row sums of P_a * R_a."""
-    n = mdp.n_states
+def _action_blocks(mdp: MdpModel, events) -> tuple:
+    """Every action's block of the operator in action order, and the
+    (n_actions, n) table of their expected one-step rewards: X_a, applied
+    after the event product `events` E, with -c_a + sum_k r_k g_k(s)
+    (X_a E h_k)(s), or P_a itself (`events` is None) with the row sums of
+    P_a * R_a."""
+    blocks, expected = [], np.empty((mdp.n_actions, mdp.n_states))
     if events is not None:
         factors = mdp.reward_factors
         if factors:
@@ -203,17 +205,18 @@ def _action_blocks(mdp: MdpModel, events):
                 [f.after for f in factors]).astype(np.float64)
             before = np.column_stack([float(f.reward) * f.before
                                       for f in factors])
-    for action, name in zip(mdp.actions, mdp.action_names):
+    for a, (action, name) in enumerate(zip(mdp.actions, mdp.action_names)):
         if events is not None:
-            block = mdp.explicit[name].csr
-            expected = np.full(n, -float(action.cost))
+            blocks.append(mdp.explicit[name].csr)
+            expected[a] = -float(action.cost)
             if factors:
-                expected += np.einsum("ik,ik->i", block @ after, before)
+                expected[a] += np.einsum("ik,ik->i", blocks[a] @ after,
+                                         before)
         else:
-            block = mdp.transition_csr(name)
-            expected = _expected_products(mdp.transitions[name],
-                                          mdp.rewards[name])
-        yield block, expected
+            blocks.append(mdp.transition_csr(name))
+            expected[a] = _expected_products(mdp.transitions[name],
+                                             mdp.rewards[name])
+    return blocks, expected
 
 
 def _undominated(block, expected: np.ndarray, noop,
@@ -261,7 +264,8 @@ class _Bellman:
     each in a slot of `matrix`, which holds `depth` + 1 layers of n rows.
     `source[l, s]` is the action whose row slot l*n + s holds: state s's
     l-th kept action, noop (0) being layer 0 and every slot that no kept
-    row claims. `slot_expected` holds each slot's expected reward."""
+    row claims. `slot_expected` holds each slot's expected reward. The
+    solvers' only argmax and tie rule is `improve`'s choice of layers."""
 
     def __init__(self, mdp: MdpModel):
         n = mdp.n_states
@@ -269,19 +273,14 @@ class _Bellman:
         self.gamma = float(mdp.gamma)
         self.states = np.arange(n)
         self.events = mdp.events.csr if _factored(mdp) else None
-        self.expected = np.empty((mdp.n_actions, n))
+        blocks, self.expected = _action_blocks(mdp, self.events)
         self.source = np.zeros((mdp.n_actions, n), dtype=np.int64)
         layer = np.zeros(n, dtype=np.int64)  # kept rows so far, per state
-        blocks = []
-        for a, (block, expected) in enumerate(_action_blocks(mdp,
-                                                             self.events)):
-            self.expected[a] = expected
-            if a:
-                kept = _undominated(block, expected, blocks[0],
-                                    self.expected[0])
-                layer[kept] += 1
-                self.source[layer[kept], kept] = a
-            blocks.append(block)
+        for a in range(1, len(blocks)):
+            kept = _undominated(blocks[a], self.expected[a], blocks[0],
+                                self.expected[0])
+            layer[kept] += 1
+            self.source[layer[kept], kept] = a
         self.depth = int(layer.max(initial=0))
         # the layers in use; the copy frees the rows no state reached
         self.source = self.source[:self.depth + 1].copy()
@@ -305,32 +304,44 @@ class _Bellman:
                                     shape=(lengths.size, blocks[0].shape[1]))
 
     def buffers(self) -> tuple:
-        """Fresh buffers for _slot_q: the event product's (n) and the
+        """Fresh buffers for layers: the event product's (n) and the
         slots' ((depth + 1) * n)."""
         return np.empty(self.n), np.empty(self.matrix.shape[0])
 
-    def _slot_q(self, values: np.ndarray, moved: np.ndarray,
-                slots: np.ndarray) -> np.ndarray:
-        """gamma times each slot's product with the values (a contiguous
-        float64 vector), into `slots`; E v goes into `moved` first when
-        the operator has factors."""
+    def layers(self, values: np.ndarray, moved: np.ndarray,
+               slots: np.ndarray) -> np.ndarray:
+        """The Q-value r + gamma * X (E v) of every slot for the values (a
+        contiguous float64 vector), into `slots`, as depth + 1 layers of n
+        states: a state's max over them is its max over every action. E v
+        goes into `moved` first when the operator has factors."""
         if self.events is not None:
             values = _product(self.events, values, moved)
         _product(self.matrix, values, slots)
         slots *= self.gamma
-        return slots
+        slots += self.slot_expected
+        return slots.reshape(-1, self.n)
 
-    def layers(self, values: np.ndarray, moved: np.ndarray,
-               slots: np.ndarray) -> np.ndarray:
-        """The Q-value of every slot, into `slots` (_slot_q), as depth + 1
-        layers of n states: a state's max over them is its max over every
-        action."""
-        q = self._slot_q(values, moved, slots)
-        q += self.slot_expected
-        return q.reshape(-1, self.n)
+    def improve(self, values: np.ndarray, buffers: tuple,
+                incumbent: np.ndarray | None = None) -> tuple:
+        """Each state's chosen layer and its best Q-value, taken into
+        `buffers`: with no incumbent, the first layer holding the max.
+        Given an incumbent layer per state, Q-values within
+        TIE_RELATIVE_TOL * max(1, max |best|) of the best are tied; the
+        incumbent stays where it is tied, so that policy iteration cannot
+        cycle between equal-value policies (Puterman 1994 §6.4), else the
+        first tied layer is chosen."""
+        q = self.layers(values, *buffers)
+        if incumbent is None:
+            layer = np.argmax(q, axis=0)
+            return layer, q[layer, self.states]
+        best = q.max(axis=0)
+        tied = q >= best - TIE_RELATIVE_TOL * max(1.0, abs(best).max())
+        return np.where(tied[incumbent, self.states], incumbent,
+                        np.argmax(tied, axis=0)), best
 
-    def evaluate(self, policy: np.ndarray) -> tuple:
-        """Solve (I - gamma*P_pi) V = r_pi, P_pi = X[pi] E, by one LU
+    def evaluate(self, layer: np.ndarray, rewards: np.ndarray) -> tuple:
+        """Solve (I - gamma*P_pi) V = r_pi, P_pi = X[pi] E, row s of X[pi]
+        being slot layer[s]*n + s, r_pi = `rewards`, by one LU
         factorization in component order (component_order) without
         pivoting; return V and the strong components of P_pi as (count,
         largest). The matrix is strictly diagonally dominant by rows:
@@ -343,9 +354,8 @@ class _Bellman:
         of the others unchanged."""
         import scipy.sparse.linalg as spla
         n = self.n
-        # a dropped action (no slot holds it) reads noop's row, layer 0
-        slots = (self.source == policy).argmax(axis=0) * n + self.states
-        indptr, take = gather_rows(self.matrix.indptr, slots)
+        indptr, take = gather_rows(self.matrix.indptr,
+                                   layer * n + self.states)
         p = sp.csr_matrix((self.matrix.data[take], self.matrix.indices[take],
                            indptr), shape=(n, self.matrix.shape[1]))
         if self.events is not None:
@@ -378,8 +388,7 @@ class _Bellman:
             raise SolverError(f"policy evaluation: sparse LU of {n} states "
                               f"failed: {exc}") from None
         values = np.empty(n)
-        values[order] = lu.solve(self.expected[policy[order], order],
-                                 trans="T")
+        values[order] = lu.solve(rewards[order], trans="T")
         return values, (sizes.size, int(sizes.max()))
 
 
@@ -390,9 +399,9 @@ def _bellman(mdp: MdpModel) -> _Bellman:
 
 
 def greedy_policy(mdp: MdpModel, values: np.ndarray) -> Strategy:
-    """One-step lookahead argmax, taken over the layers (_Bellman); ties
-    go to the lowest action index (noop is index 0). `values` must hold
-    one finite real number per state."""
+    """One-step lookahead argmax (_Bellman.improve with no incumbent);
+    ties go to the lowest action index (noop is index 0). `values` must
+    hold one finite real number per state."""
     values = np.asarray(values)
     if not (np.issubdtype(values.dtype, np.integer)
             or np.issubdtype(values.dtype, np.floating)):  # bool is neither
@@ -408,11 +417,9 @@ def greedy_policy(mdp: MdpModel, values: np.ndarray) -> Strategy:
         raise SolverError(f"values: {values[bad[0]]} of state {bad[0]} "
                           "is not finite")
     bellman = _bellman(mdp)
-    q = bellman.layers(values, *bellman.buffers())
-    first = np.argmax(q, axis=0)
-    return Strategy(actions=bellman.source[first, bellman.states],
-                    values=q[first, bellman.states], iterations=0,
-                    residual=0.0, method="greedy")
+    layer, best = bellman.improve(values, bellman.buffers())
+    return Strategy(actions=bellman.source[layer, bellman.states],
+                    values=best, iterations=0, residual=0.0, method="greedy")
 
 
 def value_iteration(mdp: MdpModel,
@@ -445,7 +452,8 @@ def value_iteration(mdp: MdpModel,
         residual = float(np.absolute(change, change).max())
         residuals.append(residual)
         values, spare = spare, values
-    return Strategy(actions=greedy_policy(mdp, values).actions,
+    layer, _ = bellman.improve(values, (moved, slots))
+    return Strategy(actions=bellman.source[layer, bellman.states],
                     values=values, iterations=len(residuals),
                     residual=residual, method="value-iteration",
                     residuals=tuple(residuals))
@@ -465,7 +473,10 @@ def evaluate_policy(mdp: MdpModel, policy: np.ndarray) -> np.ndarray:
     if bad.size:
         raise SolverError(f"policy: action {policy[bad[0]]} of state "
                           f"{bad[0]} outside 0..{mdp.n_actions - 1}")
-    return _bellman(mdp).evaluate(policy.astype(np.int64))[0]
+    bellman = _bellman(mdp)
+    # a dropped action reads noop's row, layer 0, with its own reward
+    return bellman.evaluate((bellman.source == policy).argmax(axis=0),
+                            bellman.expected[policy, bellman.states])[0]
 
 
 def policy_iteration(mdp: MdpModel) -> Strategy:
@@ -477,28 +488,16 @@ def policy_iteration(mdp: MdpModel) -> Strategy:
     repeated policy means evaluation is wrong, and raises SolverError
     instead of looping."""
     bellman = _bellman(mdp)
-    states, source = bellman.states, bellman.source
     buffers = bellman.buffers()
-
-    def improve(policy: np.ndarray, values: np.ndarray) -> np.ndarray:
-        q = bellman.layers(values, *buffers)
-        best = q.max(axis=0)
-        # actions within float slack of the best are tied: keep the
-        # incumbent when it is one of them, so that the iteration cannot
-        # cycle between equal-value policies, else take the first tied
-        # layer's action, the lowest tied index
-        tie = TIE_RELATIVE_TOL * max(1.0, float(abs(best).max()))
-        tied = q >= best - tie
-        return np.where((tied & (source == policy)).any(axis=0), policy,
-                        source[np.argmax(tied, axis=0), states])
-
-    policy = improve(np.zeros(mdp.n_states, dtype=np.int64),
-                     np.zeros(mdp.n_states))
-    seen = {policy.tobytes()}
+    rewards = bellman.slot_expected.reshape(-1, mdp.n_states)
+    layer, _ = bellman.improve(np.zeros(mdp.n_states), buffers,
+                               incumbent=np.zeros(mdp.n_states, np.int64))
+    seen = {layer.tobytes()}
     previous = None
     changes, components = [], []
     while True:
-        values, found = bellman.evaluate(policy)
+        values, found = bellman.evaluate(layer,
+                                         rewards[layer, bellman.states])
         components.append(found)
         iterations = len(changes) + 1
         scale = max(1.0, float(abs(values).max()))
@@ -506,12 +505,12 @@ def policy_iteration(mdp: MdpModel) -> Strategy:
                 (values - previous).min() < -DECREASE_RELATIVE_TOL * scale:
             raise SolverError(f"policy iteration: values decreased at "
                               f"iteration {iterations}; evaluation is wrong")
-        improved = improve(policy, values)
-        changes.append(int(np.count_nonzero(improved != policy)))
+        improved, _ = bellman.improve(values, buffers, incumbent=layer)
+        changes.append(int(np.count_nonzero(improved != layer)))
         if not changes[-1]:
-            return Strategy(actions=policy, values=values,
-                            iterations=iterations, residual=0.0,
-                            method="policy-iteration",
+            return Strategy(actions=bellman.source[layer, bellman.states],
+                            values=values, iterations=iterations,
+                            residual=0.0, method="policy-iteration",
                             changes=tuple(changes),
                             components=tuple(components))
         if improved.tobytes() in seen:
@@ -519,7 +518,7 @@ def policy_iteration(mdp: MdpModel) -> Strategy:
                               "returned to an earlier policy; evaluation "
                               "is wrong")
         seen.add(improved.tobytes())
-        policy, previous = improved, values
+        layer, previous = improved, values
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +532,7 @@ def dump_policy(strategy: Strategy, mdp: MdpModel) -> str:
     return FORMAT_POLICY + "\n" + join_columns(
         (text_table(f"{s} " for s in range(n)), np.arange(n)),
         (text_table(f"{a} " for a in mdp.action_names), strategy.actions),
-        float_column(strategy.values, "{!r}\n"))
+        float_column(strategy.values))
 
 
 def load_policy(text: str, mdp: MdpModel) -> Strategy:

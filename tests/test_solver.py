@@ -289,7 +289,7 @@ class _FullGrid:
     that every solve must reproduce bit for bit. Its expected rewards are
     its own, taken over the full stack too. Policy evaluation is the
     solver's own, reading each row from this full stack: action a's rows
-    are layer a, as `source` names them."""
+    are layer a."""
 
     evaluate = solver._Bellman.evaluate
 
@@ -322,8 +322,6 @@ class _FullGrid:
         self.gamma = float(mdp.gamma)
         self.states = np.arange(self.n)
         self.expected = self.expected.reshape(-1, self.n)
-        self.source = np.repeat(np.arange(mdp.n_actions)[:, None], self.n,
-                                axis=1)
 
     def q_values(self, values):
         if self.events is not None:
@@ -363,7 +361,7 @@ def _full_grid_pi(mdp, myopic=True):
         policy = improve(policy, np.zeros(mdp.n_states))
     changes = []
     for _ in range(50):
-        values, _ = grid.evaluate(policy)
+        values, _ = grid.evaluate(policy, grid.expected[policy, grid.states])
         improved = improve(policy, values)
         changes.append(int((improved != policy).sum()))
         if np.array_equal(improved, policy):
@@ -430,9 +428,9 @@ def _operators(toy_model, restaurant_model, factored):
                          ids=["factors", "products"])
 def test_the_product_is_scipys_to_the_bit(toy_model, restaurant_model,
                                           monkeypatch, factored):
-    """The kernel's product, into buffers that hold nan before the call,
-    is gamma * (matrix @ (events @ v)) bit for bit, for VI's values and
-    for a random v."""
+    """The layers' Q-values, into buffers that hold nan before the call,
+    are gamma * (matrix @ (events @ v)) + slot_expected bit for bit, for
+    VI's values and for a random v."""
     monkeypatch.setattr(solver, "PRODUCT_TERMS", -1 if factored else 10 ** 9)
     rng = np.random.default_rng(11)
     for name, mdp, bellman in _operators(toy_model, restaurant_model,
@@ -446,9 +444,10 @@ def test_the_product_is_scipys_to_the_bit(toy_model, restaurant_model,
             moved.fill(np.nan)
             slots.fill(np.nan)
             reached = v if bellman.events is None else bellman.events @ v
-            want = bellman.gamma * (bellman.matrix @ reached)
-            got = bellman._slot_q(v, moved, slots)
-            assert got is slots, name
+            want = bellman.gamma * (bellman.matrix @ reached) \
+                + bellman.slot_expected
+            got = bellman.layers(v, moved, slots)
+            assert got.base is slots, name
             assert got.tobytes() == want.tobytes(), name
 
 
@@ -723,6 +722,47 @@ def test_an_action_that_never_fires_leaves_the_tie_slack_alone(monkeypatch,
     off = [s for s in range(mdp.n_states)
            if mdp.space.state(s)["x"] == "ff"]
     assert [mdp.action_names[a] for a in pi.actions[off]] == ["b"] * len(off)
+
+
+_TWINS = """
+    Variable x
+    Action a if !x effects <x>
+    Action b if !x effects <x>
+    Event off if x occur prob 1/2 effects <!x>
+    ReqID g maintain x reward 1
+    Init { !x }
+"""
+
+
+@pytest.mark.parametrize("factored", [True, False],
+                         ids=["factors", "products"])
+def test_improvement_keeps_a_tied_incumbent(monkeypatch, factored):
+    """a and b have equal rows and rewards where x is off, so at the
+    optimal values their Q-values are equal there and above noop's. With
+    b's layer as the incumbent the improvement step keeps b; with no
+    incumbent it takes a, the lower index."""
+    monkeypatch.setattr(solver, "PRODUCT_TERMS", -1 if factored else 10 ** 9)
+    mdp = _tiny(_TWINS)
+    assert mdp.action_names == ("noop", "a", "b")
+    bellman = solver._Bellman(mdp)
+    off = np.array([s for s in range(mdp.n_states)
+                    if mdp.space.state(s)["x"] == "ff"])
+    assert list(_kept_rows(mdp, "a")) == list(_kept_rows(mdp, "b")) \
+        == list(off)
+    # b's layer where b is kept, noop's layer 0 elsewhere
+    incumbent = (bellman.source == 2).argmax(axis=0)
+    assert np.all(incumbent[off] > 0)
+    values = value_iteration(mdp).values
+    q = bellman.layers(values, *bellman.buffers())
+    assert np.all(q[incumbent[off], off] > q[0, off])
+    kept, kept_best = bellman.improve(values, bellman.buffers(),
+                                      incumbent=incumbent)
+    first, best = bellman.improve(values, bellman.buffers())
+    assert np.array_equal(kept, incumbent)
+    assert bellman.source[kept[off], off].tolist() == [2] * off.size
+    assert bellman.source[first[off], off].tolist() == [1] * off.size
+    assert kept_best.tobytes() == best.tobytes()
+    assert greedy_policy(mdp, values).actions[off].tolist() == [1] * off.size
 
 
 def test_a_loaded_row_equal_to_noop_that_pays_more_is_kept():
@@ -1042,10 +1082,10 @@ def _wrong_evaluation(monkeypatch, values_of):
     exact = solver._Bellman.evaluate
     calls = []
 
-    def evaluate(bellman, policy):
-        calls.append(policy.copy())
+    def evaluate(bellman, layer, rewards):
+        calls.append(layer.copy())
         assert len(calls) <= 50, "policy iteration did not stop"
-        values, components = exact(bellman, policy)
+        values, components = exact(bellman, layer, rewards)
         return values_of(len(calls), values), components
 
     monkeypatch.setattr(solver._Bellman, "evaluate", evaluate)
