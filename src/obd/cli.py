@@ -189,8 +189,12 @@ def cmd_solve(input_path, method, epsilon, gamma, max_states, out_path,
     """Compute the optimal strategy of a model (or a compiled .mdp file)."""
     mdp = _model(input_path, gamma, max_states)
     strategy = _solve(input_path, mdp, method, epsilon)
-    click.echo(f"{strategy.method}: {strategy.iterations} iterations, "
-               f"residual {strategy.residual:.3e}")
+    if method == "policy":
+        click.echo(f"{strategy.method}: {strategy.iterations} evaluations "
+                   f"after {len(strategy.residuals)} sweeps")
+    else:
+        click.echo(f"{strategy.method}: {strategy.iterations} iterations, "
+                   f"residual {strategy.residual:.3e}")
     if out_path is not None:
         _write(out_path, dump_policy(strategy, mdp))
     if json_path is not None:

@@ -40,11 +40,15 @@ that is the full argmax, ties to the lowest index.
 Policy iteration holds a layer per state, improved with itself as the
 incumbent, and reads source only for its Strategy. A repeat of noop's
 row ties wherever layer 0 does and lies above it, so no step chooses
-one: each layer PI holds names a distinct action. PI starts at the
-myopic policy, the improvement step applied to V = 0 with noop's layer
-as the incumbent. Any policy may start (Puterman 1994 §6.4), and on
-every benchmark model this one is the policy that evaluating and
-improving all-noop leads to, so starting there saves one evaluation.
+one: each layer PI holds names a distinct action. Any policy may start
+PI (Puterman 1994 §6.4). It starts where a few of value iteration's
+sweeps lead, as modified policy iteration does (Puterman & Shin 1978):
+the improvement step, with noop's layer as the incumbent, applied to the
+values of VI's first PI_START_SWEEPS sweeps from V = 0 (fewer if they
+meet VI's default stopping rule). Both solvers run the one sweep loop,
+_sweeps. On every benchmark model that start is already PI's final
+policy, so PI evaluates once; with no sweeps it is the myopic policy,
+the improvement of V = 0.
 
 Policy evaluation multiplies P_pi = X[pi] E out in float (or takes the
 rows of P), orders the states by the strongly connected components of
@@ -72,7 +76,7 @@ events @ v 8.6 against 6.3 us and matrix @ x 7.7 against 6.1 us (scipy
 contiguous float64 vectors of the matrix's width and height, indptr and
 indices share one dtype (SciPy's constructor unifies them), and the
 output is zeroed first, because the kernel adds to it and checks no
-size. Value iteration allocates the event product's, the slots' and a
+size. The sweep loop allocates the event product's, the slots' and a
 spare values buffer once per call; each sweep takes the max over the
 layers into the spare buffer and swaps it with the values.
 """
@@ -80,6 +84,7 @@ layers into the spare buffer and swaps it with the values.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,6 +118,15 @@ PRODUCT_TERMS = 4096
 # policy's, where exact arithmetic never falls.
 TIE_RELATIVE_TOL = 1e-12
 DECREASE_RELATIVE_TOL = 1e-9
+# Policy iteration starts from the improvement of the values that value
+# iteration's first PI_START_SWEEPS sweeps reach; 0 starts at the myopic
+# policy. On every benchmark model that policy stops changing by sweep 28
+# (restaurant_text(2, s) and within=3 for s = 0-2; sweep 2 on
+# restaurant.obd, 8 at 3 tables) and is PI's final policy, so PI
+# evaluates once instead of 3-5 times. A sweep cost 1/30 of an
+# evaluation on restaurant.obd, 1/51-1/68 at 2 tables and 1/80 at 3
+# (2-vCPU x86 VM).
+PI_START_SWEEPS = 32
 
 
 class SolverError(ObdError):
@@ -129,12 +143,13 @@ class Strategy:
     iterations: int
     residual: float
     method: str
-    # how the solve converged, one entry per iteration; empty for greedy
-    # and loaded strategies
-    residuals: tuple = ()  # VI: the max-norm residual of each sweep
-    changes: tuple = ()  # PI: how many actions each improvement changed
-    # PI: the strong components of each evaluation's P_pi, as (count,
-    # largest); empty for VI too
+    # how the solve converged; empty for greedy and loaded strategies
+    # VI: the max-norm residual of each sweep; PI: of its warm-up sweeps
+    residuals: tuple = ()
+    # PI, one entry per evaluation (empty for VI): how many actions each
+    # improvement changed, and the strong components of each P_pi as
+    # (count, largest)
+    changes: tuple = ()
     components: tuple = ()
 
 
@@ -422,15 +437,11 @@ def greedy_policy(mdp: MdpModel, values: np.ndarray) -> Strategy:
                     values=best, iterations=0, residual=0.0, method="greedy")
 
 
-def value_iteration(mdp: MdpModel,
-                    epsilon: float = DEFAULT_EPSILON) -> Strategy:
-    """Bellman backups from V=0 until the max-norm residual drops below
-    epsilon*(1-gamma)/(2*gamma); the result is within epsilon of optimal."""
-    if not epsilon > 0:  # nan too, which would stop before the first sweep
-        raise SolverError("epsilon must be positive")
-    if epsilon == np.inf:  # the first sweep's residual would pass
-        raise SolverError("epsilon must be finite")
-    bellman = _bellman(mdp)
+def _sweeps(bellman: _Bellman, epsilon: float, limit: int) -> tuple:
+    """Bellman backups from V = 0 until the max-norm residual drops below
+    epsilon*(1-gamma)/(2*gamma) or `limit` sweeps are done: the values and
+    every sweep's residual. Value iteration's loop, and policy
+    iteration's warm-up."""
     threshold = epsilon * (1.0 - bellman.gamma) / (2.0 * bellman.gamma)
     if threshold == 0.0:  # no residual is below 0, so no sweep would stop
         raise SolverError(f"epsilon {epsilon!r} is too small: the stopping "
@@ -438,11 +449,11 @@ def value_iteration(mdp: MdpModel,
                           "to 0")
     # every sweep writes into these buffers, allocated once per call
     moved, slots = bellman.buffers()
-    values, spare = np.zeros(mdp.n_states), np.empty(mdp.n_states)
-    change = np.empty(mdp.n_states)
+    values, spare = np.zeros(bellman.n), np.empty(bellman.n)
+    change = np.empty(bellman.n)
     residuals = []
     residual = np.inf
-    while residual >= threshold:
+    while residual >= threshold and len(residuals) < limit:
         # down axis 0 into the spare buffer, then swapped with the values;
         # positional out and the array method: out= and np.max would add
         # call overhead to a small model's sweep of a few us
@@ -452,10 +463,23 @@ def value_iteration(mdp: MdpModel,
         residual = float(np.absolute(change, change).max())
         residuals.append(residual)
         values, spare = spare, values
-    layer, _ = bellman.improve(values, (moved, slots))
+    return values, residuals, (moved, slots)
+
+
+def value_iteration(mdp: MdpModel,
+                    epsilon: float = DEFAULT_EPSILON) -> Strategy:
+    """Bellman backups from V=0 until the max-norm residual drops below
+    epsilon*(1-gamma)/(2*gamma); the result is within epsilon of optimal."""
+    if not epsilon > 0:  # nan too, which would stop before the first sweep
+        raise SolverError("epsilon must be positive")
+    if epsilon == np.inf:  # the first sweep's residual would pass
+        raise SolverError("epsilon must be finite")
+    bellman = _bellman(mdp)
+    values, residuals, buffers = _sweeps(bellman, epsilon, sys.maxsize)
+    layer, _ = bellman.improve(values, buffers)
     return Strategy(actions=bellman.source[layer, bellman.states],
                     values=values, iterations=len(residuals),
-                    residual=residual, method="value-iteration",
+                    residual=residuals[-1], method="value-iteration",
                     residuals=tuple(residuals))
 
 
@@ -481,16 +505,19 @@ def evaluate_policy(mdp: MdpModel, policy: np.ndarray) -> np.ndarray:
 
 def policy_iteration(mdp: MdpModel) -> Strategy:
     """Exact evaluation + greedy improvement until the policy is stable,
-    starting at the myopic policy: the improvement of all-noop at V = 0.
+    starting at the improvement of all-noop on the values of value
+    iteration's first PI_START_SWEEPS sweeps, whose residuals the
+    Strategy keeps.
 
     In exact arithmetic the values never decrease and no policy comes
     back, so the iteration ends; a decrease beyond float slack or a
     repeated policy means evaluation is wrong, and raises SolverError
     instead of looping."""
     bellman = _bellman(mdp)
-    buffers = bellman.buffers()
+    start, residuals, buffers = _sweeps(bellman, DEFAULT_EPSILON,
+                                        PI_START_SWEEPS)
     rewards = bellman.slot_expected.reshape(-1, mdp.n_states)
-    layer, _ = bellman.improve(np.zeros(mdp.n_states), buffers,
+    layer, _ = bellman.improve(start, buffers,
                                incumbent=np.zeros(mdp.n_states, np.int64))
     seen = {layer.tobytes()}
     previous = None
@@ -511,6 +538,7 @@ def policy_iteration(mdp: MdpModel) -> Strategy:
             return Strategy(actions=bellman.source[layer, bellman.states],
                             values=values, iterations=iterations,
                             residual=0.0, method="policy-iteration",
+                            residuals=tuple(residuals),
                             changes=tuple(changes),
                             components=tuple(components))
         if improved.tobytes() in seen:

@@ -216,6 +216,22 @@ def test_solve_policy_method_and_outputs(tmp_path):
     assert len(doc["states"]) == 8
 
 
+@pytest.mark.parametrize("gamma, sweeps", [("0.95", "32"), ("0.1", None)])
+def test_solve_policy_prints_evaluations_and_warm_up_sweeps(gamma, sweeps):
+    """Policy iteration reports its evaluations and its warm-up sweeps:
+    PI_START_SWEEPS of them, or as many as value iteration takes when
+    they meet its stopping rule first."""
+    if sweeps is None:
+        value = invoke("solve", TOY, "--gamma", gamma)
+        assert value.exit_code == 0
+        sweeps = value.output.split()[1]  # value-iteration: K iterations
+        assert int(sweeps) < 32
+    result = invoke("solve", TOY, "--method", "policy", "--gamma", gamma)
+    assert result.exit_code == 0
+    assert result.output == \
+        f"policy-iteration: 1 evaluations after {sweeps} sweeps\n"
+
+
 def test_solve_accepts_compiled_mdp(tmp_path):
     mdp_path = tmp_path / "toy.mdp"
     invoke("compile", TOY, "--out", str(mdp_path))

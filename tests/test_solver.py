@@ -330,22 +330,30 @@ class _FullGrid:
             + self.expected
 
 
-def _full_grid_vi(mdp, epsilon=solver.DEFAULT_EPSILON):
-    grid = _FullGrid(mdp)
+def _full_grid_sweeps(grid, limit, epsilon=solver.DEFAULT_EPSILON):
+    """Full-grid backups from V = 0 until the residual drops below VI's
+    threshold or `limit` sweeps are done: the values and the residuals."""
     threshold = epsilon * (1.0 - grid.gamma) / (2.0 * grid.gamma)
-    values = np.zeros(mdp.n_states)
+    values = np.zeros(grid.n)
     residuals = [np.inf]
-    while residuals[-1] >= threshold:
+    while residuals[-1] >= threshold and len(residuals) <= limit:
         new_values = grid.q_values(values).max(axis=0)
         residuals.append(float(abs(new_values - values).max()))
         values = new_values
-    return np.argmax(grid.q_values(values), axis=0), values, residuals[1:]
+    return values, residuals[1:]
 
 
-def _full_grid_pi(mdp, myopic=True):
+def _full_grid_vi(mdp, epsilon=solver.DEFAULT_EPSILON):
+    grid = _FullGrid(mdp)
+    values, residuals = _full_grid_sweeps(grid, np.inf, epsilon)
+    return np.argmax(grid.q_values(values), axis=0), values, residuals
+
+
+def _full_grid_pi(mdp):
     """Policy iteration over the full grid. It starts where
-    policy_iteration does, at its own improvement of all-noop at V = 0,
-    or at all-noop itself when `myopic` is false."""
+    policy_iteration does, at its own improvement of all-noop on the
+    values of solver.PI_START_SWEEPS full-grid sweeps (fewer if they meet
+    VI's stopping rule), and returns the residuals of those sweeps too."""
     grid = _FullGrid(mdp)
 
     def improve(policy, values):
@@ -356,16 +364,15 @@ def _full_grid_pi(mdp, myopic=True):
         return np.where(tied[policy, grid.states], policy,
                         np.argmax(tied, axis=0))
 
-    policy = np.zeros(mdp.n_states, dtype=np.int64)
-    if myopic:
-        policy = improve(policy, np.zeros(mdp.n_states))
+    start, residuals = _full_grid_sweeps(grid, solver.PI_START_SWEEPS)
+    policy = improve(np.zeros(mdp.n_states, dtype=np.int64), start)
     changes = []
     for _ in range(50):
         values, _ = grid.evaluate(policy, grid.expected[policy, grid.states])
         improved = improve(policy, values)
         changes.append(int((improved != policy).sum()))
         if np.array_equal(improved, policy):
-            return policy, values, changes
+            return policy, values, changes, residuals
         policy = improved
     raise AssertionError("reference policy iteration did not stop")
 
@@ -378,10 +385,11 @@ def _assert_as_full_grid(mdp):
     assert vi.residuals == tuple(residuals)
     assert (vi.iterations, vi.residual) == (len(residuals), residuals[-1])
     pi = policy_iteration(mdp)
-    actions, values, changes = _full_grid_pi(mdp)
+    actions, values, changes, residuals = _full_grid_pi(mdp)
     assert np.array_equal(pi.actions, actions)
     assert pi.values.tobytes() == values.tobytes()
     assert pi.changes == tuple(changes)
+    assert pi.residuals == tuple(residuals)
     # greedy on values where every action ties, and on both solutions
     for values in (np.zeros(mdp.n_states), vi.values, pi.values):
         greedy = greedy_policy(mdp, values)
@@ -478,38 +486,68 @@ def test_value_iteration_twice_gives_equal_strategies(toy_model,
                     second, actions=None, values=None)), name
 
 
-def _noop_start_models(toy_model, restaurant_model):
-    yield "toy", compile_model(toy_model)
+def _bench_models(restaurant_model):
+    """restaurant.obd and the models of the 2-table benchmark workloads."""
     yield "restaurant", compile_model(restaurant_model)
     for s in range(3):
         yield f"2 tables, seed {s}", compile_model(
             parse_domain(restaurant_text(2, s)))
+        yield f"2 tables within 3, seed {s}", compile_model(
+            parse_domain(restaurant_text(2, s, within=3)))
+
+
+def _myopic(mdp):
+    """policy_iteration started at the myopic policy, with no sweeps."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "PI_START_SWEEPS", 0)
+        return policy_iteration(mdp)
+
+
+def test_the_myopic_start_solves_as_the_full_grid(monkeypatch,
+                                                  restaurant_model):
+    """With no warm-up sweeps PI starts at the myopic policy, the
+    improvement of all-noop at V = 0, and still takes several evaluations
+    on the benchmark models: its changes, actions and values are the full
+    grid's, bit for bit."""
+    monkeypatch.setattr(solver, "PI_START_SWEEPS", 0)
+    for name, mdp in _bench_models(restaurant_model):
+        _assert_as_full_grid(mdp)
+        pi = policy_iteration(mdp)
+        assert pi.residuals == () and pi.iterations >= 3, name
+
+
+def _warm_start_models(toy_model, restaurant_model):
+    yield "toy", compile_model(toy_model)
+    yield from _bench_models(restaurant_model)
     for seed in range(8000, 8320):
         yield f"random {seed}", compile_model(
             oracles.random_model(random.Random(seed)))
 
 
-def test_the_myopic_start_solves_as_the_noop_start(toy_model,
+def test_the_warm_start_solves_as_the_myopic_start(toy_model,
                                                    restaurant_model):
-    """policy_iteration starts at the myopic policy. Against policy
-    iteration from all-noop, each action is one of the best under the
-    tie slack and the values agree; on restaurant.obd and the 2-table
-    models the myopic policy is all-noop's first improvement, so PI
-    takes one evaluation fewer and changes what the rest changed."""
-    skips_one = {"restaurant"} | {f"2 tables, seed {s}" for s in range(3)}
-    for name, mdp in _noop_start_models(toy_model, restaurant_model):
+    """policy_iteration starts from its warm-up sweeps. Against policy
+    iteration from the myopic policy, each action is one of the best
+    under the tie slack, the values agree and PI takes no more
+    evaluations; on restaurant.obd and the 2-table models the warm start
+    is the final policy, so PI evaluates once and returns the myopic
+    run's actions and values bit for bit."""
+    bench = {name for name, _ in _bench_models(restaurant_model)}
+    for name, mdp in _warm_start_models(toy_model, restaurant_model):
         pi = policy_iteration(mdp)
-        actions, values, changes = _full_grid_pi(mdp, myopic=False)
-        scale = max(1.0, float(abs(values).max()))
-        assert abs(pi.values - values).max() <= 1e-9 * scale, name
+        myopic = _myopic(mdp)
+        assert pi.iterations <= myopic.iterations, name
+        scale = max(1.0, float(abs(myopic.values).max()))
+        assert abs(pi.values - myopic.values).max() <= 1e-9 * scale, name
         q = _FullGrid(mdp).q_values(pi.values)
         slack = 1e-9 * max(1.0, float(abs(q).max()))
-        for chosen in (pi.actions, actions):
+        for chosen in (pi.actions, myopic.actions):
             assert np.all(q[chosen, np.arange(mdp.n_states)]
                           >= q.max(axis=0) - slack), name
-        if name in skips_one:
-            assert pi.iterations == len(changes) - 1, name
-            assert pi.changes == tuple(changes[1:]), name
+        if name in bench:
+            assert (pi.iterations, pi.changes) == (1, (0,)), name
+            assert pi.actions.tobytes() == myopic.actions.tobytes(), name
+            assert pi.values.tobytes() == myopic.values.tobytes(), name
 
 
 def test_one_evaluation_holds_p_pi_and_its_system_once():
@@ -919,8 +957,9 @@ def test_solvers_record_how_they_converged(model, toy_mdp, restaurant_mdp,
                                            two_tables):
     """VI keeps the residual of every sweep, the last being the one it
     stopped on, each above the stopping threshold but that last; PI keeps
-    how many actions each improvement changed, 0 at the last, and the
-    strong components of each evaluation's P_pi."""
+    the residuals of its warm-up, VI's first sweeps bit for bit, how many
+    actions each improvement changed, 0 at the last, and the strong
+    components of each evaluation's P_pi."""
     mdp = {"toy": toy_mdp, "restaurant": restaurant_mdp,
            "2 tables": two_tables}[model]
     vi = value_iteration(mdp)
@@ -930,6 +969,8 @@ def test_solvers_record_how_they_converged(model, toy_mdp, restaurant_mdp,
     threshold = solver.DEFAULT_EPSILON * (1 - gamma) / (2 * gamma)
     assert min(vi.residuals[:-1]) >= threshold > vi.residual
     pi = policy_iteration(mdp)
+    assert len(pi.residuals) == min(solver.PI_START_SWEEPS, vi.iterations)
+    assert pi.residuals == vi.residuals[:len(pi.residuals)]
     assert len(pi.changes) == pi.iterations
     assert pi.changes[-1] == 0 and min(pi.changes[:-1], default=1) > 0
     assert all(isinstance(k, int) for k in pi.changes)
@@ -1094,6 +1135,9 @@ def _wrong_evaluation(monkeypatch, values_of):
 
 def test_policy_iteration_rejects_decreasing_values(monkeypatch,
                                                    restaurant_mdp):
+    """From the myopic start, which a uniform shift of the values does
+    not leave stable as it leaves the warm start."""
+    monkeypatch.setattr(solver, "PI_START_SWEEPS", 0)
     calls = _wrong_evaluation(monkeypatch,
                               lambda call, values: values - 1e6 * call)
     with pytest.raises(SolverError, match="values decreased at iteration 2"):
@@ -1104,7 +1148,9 @@ def test_policy_iteration_rejects_decreasing_values(monkeypatch,
 def test_policy_iteration_rejects_a_repeated_policy(monkeypatch,
                                                     restaurant_mdp):
     """Values that rise on every call but alternate between two shapes
-    send the greedy step back and forth between two policies."""
+    send the greedy step back and forth between two policies, from the
+    myopic start."""
+    monkeypatch.setattr(solver, "PI_START_SWEEPS", 0)
     rng = np.random.default_rng(7)
     shapes = 1e3 * rng.random((2, restaurant_mdp.n_states))
     calls = _wrong_evaluation(
