@@ -99,11 +99,19 @@ def _model(path: str, gamma, max_states: int) -> MdpModel:
     return mdp
 
 
-def _solve(path: str, mdp: MdpModel, method: str, epsilon: float) -> Strategy:
+def _solve(path: str, mdp: MdpModel, method: str, epsilon) -> Strategy:
+    """`epsilon` is None when --epsilon is not given."""
     with _reporting(path):
         if method == "policy":
             return policy_iteration(mdp)
-        return value_iteration(mdp, epsilon)
+        return value_iteration(
+            mdp, DEFAULT_EPSILON if epsilon is None else epsilon)
+
+
+def _unread(epsilon) -> None:
+    """An --epsilon that no value iteration of the command reads."""
+    if epsilon is not None:
+        _fail("--epsilon: error: only value iteration reads epsilon")
 
 
 def _write(path, text: str):
@@ -136,8 +144,9 @@ max_states_option = click.option(
     "--max-states", default=DEFAULT_STATE_LIMIT, show_default=True,
     callback=_positive_limit,
     help="Abort when the state space exceeds this size.")
-epsilon_option = click.option("--epsilon", default=DEFAULT_EPSILON,
-                              show_default=True)
+epsilon_option = click.option(
+    "--epsilon", type=float, default=None, show_default=str(DEFAULT_EPSILON),
+    help="Value iteration's distance from optimal.")
 method_option = click.option("--method", type=click.Choice(["value", "policy"]),
                              default="value", show_default=True)
 
@@ -187,6 +196,8 @@ def cmd_compile(input_path, gamma, max_states, out_path):
 def cmd_solve(input_path, method, epsilon, gamma, max_states, out_path,
               json_path):
     """Compute the optimal strategy of a model (or a compiled .mdp file)."""
+    if method == "policy":
+        _unread(epsilon)
     mdp = _model(input_path, gamma, max_states)
     strategy = _solve(input_path, mdp, method, epsilon)
     if method == "policy":
@@ -237,6 +248,8 @@ def cmd_simulate(input_path, controllers, ticks, seeds, gamma, epsilon,
         _fail("--controller: error: names no controller")
     if policy_path is not None and "reflex" not in names:
         _fail("--policy: error: only the reflex controller reads a policy")
+    if policy_path is not None or "reflex" not in names:
+        _unread(epsilon)
     mdp = _model(input_path, gamma, max_states)
     with _reporting(input_path):  # before solving: obdmdp/1 cannot simulate
         simulation.require_source(mdp)
@@ -316,6 +329,8 @@ def dot_text(mdp: MdpModel, strategy=None, full: bool = False) -> str:
 def cmd_export_dot(input_path, full, method, epsilon, gamma, max_states,
                    out_path):
     """Emit DOT text for the compiled MDP or its optimal strategy."""
+    if full or method == "policy":
+        _unread(epsilon)
     mdp = _model(input_path, gamma, max_states)
     strategy = None if full else _solve(input_path, mdp, method, epsilon)
     with _reporting(input_path):  # builds the products X_a E and R_a

@@ -32,7 +32,7 @@ import math
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -87,17 +87,14 @@ def _check_size(size: int, limit: int) -> None:
 # State space
 
 
-@lru_cache(maxsize=8)
 def _digits(domains) -> np.ndarray:
     """Value indices of every assignment over `domains`, one row per
-    mixed-radix index, the first domain the most significant digit.
-    Read-only, because it is shared between calls."""
+    mixed-radix index, the first domain the most significant digit."""
     count = math.prod(len(d) for d in domains)
     out = np.empty((count, len(domains)), dtype=np.int64)
     rest = np.arange(count)
     for pos in range(len(domains) - 1, -1, -1):
         rest, out[:, pos] = np.divmod(rest, len(domains[pos]))
-    out.flags.writeable = False
     return out
 
 
@@ -123,14 +120,12 @@ class StateSpace:
         """Status tuples per base state: the S of `index = b * S + sigma`."""
         return math.prod(len(d) for d in self.domains[self.n_base:])
 
-    # Cached by `_digits`, not in the instance: a StateSpace keeps its
-    # three fields only, so `state` and `index_of` keep their speed.
-    @property
+    @cached_property
     def base_digits(self) -> np.ndarray:
         """Value index of each state variable, one row per base state."""
         return _digits(self.domains[:self.n_base])
 
-    @property
+    @cached_property
     def status_digits(self) -> np.ndarray:
         """Status index of each requirement, one row per status tuple."""
         return _digits(self.domains[self.n_base:])
@@ -142,12 +137,12 @@ class StateSpace:
         return idx
 
     def state(self, index: int) -> dict:
-        values = [0] * len(self.names)
-        for pos in range(len(self.names) - 1, -1, -1):
-            size = len(self.domains[pos])
-            index, values[pos] = divmod(index, size)
-        return {name: self.domains[pos][values[pos]]
-                for pos, name in enumerate(self.names)}
+        names, domains = self.names, self.domains
+        values = [0] * len(names)
+        for pos in range(len(names) - 1, -1, -1):
+            index, values[pos] = divmod(index, len(domains[pos]))
+        return {name: domains[pos][values[pos]]
+                for pos, name in enumerate(names)}
 
     def atoms(self, index: int) -> tuple:
         state = self.state(index)

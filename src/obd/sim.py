@@ -14,17 +14,15 @@ successor of its most likely effect, which the replanning controller
 searches; per event and base state, the matched branch's occurrence
 probability and effects; per action or event step, the status tuple
 after it; per (state before, state after), the requirement rewards and
-the names of the requirements satisfied; per state, the goal the
-replanning controller plans toward there: the disjunction of the achieve
-requirements active in it, joined in pairs level by level (depth
-ceil(log2 n) above the deepest goal) once per distinct set of active
-goals; and per such goal and base state, whether the goal holds there,
-which the planner tests at every node it pops. The simulator's own
-branch matcher and `reqauto`'s status
-updates and reward fill each entry the first time it is read; the
-compiled matrices are never read, so criterion 6 still compares two
-transcriptions of the tick. The goal fill and the planner read the
-decoded base and status dicts the fills keep, read-only. The tables are
+the names of the requirements satisfied; and per state, the goal table
+the replanning controller plans toward there: per base state, whether
+any achieve requirement active in the state holds there, which the
+planner tests at every node it pops, one table per distinct set of
+active requirements. The simulator's own branch matcher and `reqauto`'s
+status updates and reward fill each entry the first time it is read;
+the compiled matrices are never read, so criterion 6 still compares two
+transcriptions of the tick. The goal fills read the decoded base and
+status dicts the other fills keep, read-only. The tables are
 freed with their model and grow with the states and transitions the
 runs on it visit.
 
@@ -44,11 +42,11 @@ import io
 import statistics
 import time
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from obd.dsl import Formula, ObdError, Or, eval_formula
+from obd.dsl import Formula, ObdError, eval_formula
 from obd.compiler import MdpModel, NOOP
 from obd.reqauto import reward as requirement_reward, update_action, update_event
 from obd.solver import Strategy
@@ -98,12 +96,10 @@ class _Tables(NamedTuple):
     rewards: _Memo  # (index before, index after) -> (reward, satisfied)
     bases: _Memo  # base index -> {variable: value}; read-only
     statuses: _Memo  # sigma -> {requirement: status}; read-only
-    # state index -> None when no achieve requirement is active, else the
-    # disjunction of the active ones; one formula per distinct goal set
+    # state index -> None when no achieve requirement is active, else
+    # (base index -> whether any active one holds there); one table per
+    # distinct set of active requirements
     goals: _Memo
-    # id of each formula `goals` made -> (base index -> whether it holds
-    # there); `goals` keeps every such formula, so no id is reused
-    reached: dict
 
 
 def _new_tables(mdp: MdpModel) -> _Tables:
@@ -191,27 +187,23 @@ def _new_tables(mdp: MdpModel) -> _Tables:
                 auto.requirement.kind.is_conditional)
                for auto in automata if auto.requirement.kind.is_achieve]
 
-    def disjunction(active: tuple) -> Formula:
-        """The goals `active` indexes, in declaration order, joined by
-        Or in pairs level by level, so that evaluation stays shallow."""
-        level = [achieve[k][1] for k in active]
-        while len(level) > 1:
-            level = [Or(*level[i:i + 2]) if i + 1 < len(level) else level[i]
-                     for i in range(0, len(level), 2)]
-        reached[id(level[0])] = _reached(level[0], bases)
-        return level[0]
+    def goal_table(active: tuple) -> _Memo:
+        """base index -> whether any goal `active` indexes holds there,
+        tried in declaration order."""
+        required = [achieve[k][1] for k in active]
+        return _Memo(lambda b: any(eval_formula(f, bases[b])
+                                   for f in required))
 
-    reached = {}
-    disjunctions = _Memo(disjunction)
+    goal_tables = _Memo(goal_table)
 
-    def goal(i: int) -> Optional[Formula]:
+    def goal(i: int) -> Optional[_Memo]:
         b, sigma = divmod(i, n_statuses)
         base, statuses = bases[b], status_dicts[sigma]
         active = tuple(k for k, (name, required, conditional)
                        in enumerate(achieve)
                        if (statuses[name] != "I" if conditional
                            else not eval_formula(required, base)))
-        return disjunctions[active] if active else None
+        return goal_tables[active] if active else None
 
     return _Tables(
         n_statuses,
@@ -221,12 +213,7 @@ def _new_tables(mdp: MdpModel) -> _Tables:
         tuple(matched(event.branches, occurrence)
               for event in mdp.model.events),
         after_step(update_action), after_step(update_event), _Memo(reward),
-        bases, status_dicts, _Memo(goal), reached)
-
-
-def _reached(goal: Formula, bases: _Memo) -> _Memo:
-    """base index -> whether `goal` holds at that base."""
-    return _Memo(lambda b: eval_formula(goal, bases[b]))
+        bases, status_dicts, _Memo(goal))
 
 
 def _tables(mdp: MdpModel) -> _Tables:
@@ -320,7 +307,7 @@ def step(mdp: MdpModel, state_index: int, action_name: str, rng):
     for its effect.
     """
     n_statuses, actions, events, after_action, after_event, rewards, _, \
-        _, _, _ = _tables(mdp)
+        _, _ = _tables(mdp)
     b, sigma = divmod(state_index, n_statuses)
     try:
         cost, outcomes, _ = actions[action_name]
@@ -403,10 +390,11 @@ class RandomController(Controller):
 PLANNER_BUDGET = 10_000  # nodes a search may expand
 
 
-def plan(mdp: MdpModel, start: int, goal: Formula,
+def plan(mdp: MdpModel, start: int, goal: Union[Formula, _Memo],
          budget: int = PLANNER_BUDGET) -> Optional[list]:
     """Uniform-cost forward search over the determinized base-state graph,
-    from base index `start`.
+    from base index `start`, toward a formula or a goal table of the step
+    tables (base index -> whether the goal holds there).
 
     Events are ignored; each action is replaced by its most likely effect.
     Returns the cheapest plan (ties: shorter, then lexicographic action
@@ -414,9 +402,8 @@ def plan(mdp: MdpModel, start: int, goal: Formula,
     """
     tables = _tables(mdp)
     records = tables.actions.items()
-    reached = tables.reached.get(id(goal))
-    if reached is None:  # a goal the tables did not make
-        reached = _reached(goal, tables.bases)
+    reached = goal if isinstance(goal, _Memo) else \
+        _Memo(lambda b: eval_formula(goal, tables.bases[b]))
     frontier = [(0, 0, (), start)]
     seen = set()
     expanded = 0
@@ -438,9 +425,9 @@ def plan(mdp: MdpModel, start: int, goal: Formula,
 
 
 class ReplanningController(Controller):
-    """Monitor/plan/execute baseline: plans toward the disjunction of the
-    currently active achieve requirements, follows the plan to its end,
-    and replans when the world diverges from the plan's prediction."""
+    """Monitor/plan/execute baseline: plans toward any of the currently
+    active achieve requirements, follows the plan to its end, and replans
+    when the world diverges from the plan's prediction."""
 
     name = "replan"
 

@@ -109,8 +109,8 @@ DEFAULT_EPSILON = 1e-6
 # Models whose products X_a E take at most this many terms X(i,k) E(k,j)
 # are swept through the products, which dump_mdp exports anyway. VI alone
 # sweeps the factors faster from 806 terms, but VI plus export was faster
-# on the products up to 15,198 terms, slower at 60,648, and PI faster on
-# them throughout (restaurant models, scipy 1.17, 2-vCPU x86 VM; README).
+# on the products up to 15,198 terms, slower at 60,648, and so was PI
+# (restaurant models, scipy 1.17, 2-vCPU x86 VM; README).
 PRODUCT_TERMS = 4096
 # Float slacks of policy iteration, each relative to at least 1: Q-values
 # within TIE_RELATIVE_TOL * max |best Q| of their state's best Q are ties,

@@ -522,6 +522,26 @@ def test_underflowing_epsilon_exits_1(command):
                     "underflows to 0")
 
 
+@pytest.mark.parametrize("command", [
+    ("solve", "--method", "policy"),
+    ("export-dot", "--method", "policy"),
+    ("export-dot", "--full"),
+    ("simulate", "--controller", "replan,random", "--ticks", "10"),
+    ("simulate", "--policy", "missing.policy", "--ticks", "10"),
+], ids=["solve-policy", "export-dot-policy", "export-dot-full",
+        "simulate-no-reflex", "simulate-policy"])
+def test_unread_epsilon_exits_1(command, monkeypatch):
+    """An --epsilon that no value iteration reads is refused before the
+    model is compiled, whatever its value."""
+    compiles = []
+    monkeypatch.setattr("obd.cli.compile_model",
+                        lambda *args: compiles.append(args))
+    for epsilon in ("0.5", "-1"):
+        head = diagnostic(command[0], TOY, *command[1:], "--epsilon", epsilon)
+        assert head == "--epsilon: error: only value iteration reads epsilon"
+    assert compiles == []
+
+
 def test_tiny_epsilon_still_solves():
     result = invoke("solve", TOY, "--epsilon", "1e-300")
     assert result.exit_code == 0, result.stderr

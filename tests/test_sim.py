@@ -18,7 +18,7 @@ import oracles
 from obd import sim
 from obd.compiler import compile_model, dump_mdp, load_mdp
 from obd.cli import main
-from obd.dsl import Atom, Or, formula_depth, parse_domain
+from obd.dsl import Atom, Or, parse_domain
 from obd.sim import (
     BLOCK,
     Draws,
@@ -213,12 +213,11 @@ def test_step_tables_are_freed_with_their_model(toy_text):
 
 
 def test_runs_leave_the_table_dicts_unchanged(restaurant_mdp):
-    """The goal fill and the planner read the tables' base and status
-    dicts; no run may write into them. Each goal entry is None exactly
-    when no achieve requirement is active, else true at the same bases
-    as the active ones' disjunction and no deeper than a balanced one,
-    and the planner's memo of it holds where the goal holds; on
-    restaurant.obd and the 2-table deadline model."""
+    """The goal fills read the tables' base and status dicts; no run may
+    write into them. Each goal entry is None exactly when no achieve
+    requirement is active, else a table true at the bases where one of
+    the active ones holds; on restaurant.obd and the 2-table deadline
+    model."""
     for mdp in (restaurant_mdp, compile_model(parse_domain(
             restaurant_text(2, 0, within=3)))):
         strategy = value_iteration(mdp)
@@ -237,25 +236,18 @@ def test_runs_leave_the_table_dicts_unchanged(restaurant_mdp):
             assert statuses == {name: state[name]
                                 for name in space.names[space.n_base:]}
         assert len(tables.goals) > 1
-        bases = list(tables.bases.values())
-        for index, goal in tables.goals.items():
+        for index, table in tables.goals.items():
             state = space.state(index)
             active = [req.required for req in mdp.model.requirements
                       if req.kind.is_achieve
                       and (not oracles.holds(req.required, state)
                            if req.activation is None
                            else state[req.name] != "I")]
-            assert (goal is None) == (not active), index
+            assert (table is None) == (not active), index
             if active:
-                assert formula_depth(goal) <= math.ceil(math.log2(
-                    len(active))) + max(map(formula_depth, active))
-                for base in bases:
-                    assert oracles.holds(goal, base) == \
+                for b, base in tables.bases.items():
+                    assert table[b] == \
                         any(oracles.holds(g, base) for g in active), index
-                # the planner's memo of where the goal holds
-                for b, holds in tables.reached[id(goal)].items():
-                    assert holds == oracles.holds(goal, tables.bases[b])
-        assert any(tables.reached.values())
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +384,37 @@ def test_plan_matches_the_dict_keyed_oracle(model, sample):
                 assert plan(mdp, b, goal, budget) == \
                     oracles.oracle_plan(model, base, goal, budget), \
                     (b, goal, budget)
+
+
+@pytest.mark.parametrize("within", [None, 3])
+def test_plan_reads_a_goal_table_as_its_formula(within):
+    """From every base, and for every state's set of active goals, `plan`
+    given the state's goal table returns the plan it returns given the
+    left-to-right disjunction of the active goals, at budgets 1, 5 and
+    10,000."""
+    model = parse_domain(restaurant_text(2, 0, within=within))
+    mdp = compile_model(model)
+    space = mdp.space
+    goals = sim._tables(mdp).goals
+    n_bases = space.size // space.n_statuses
+    seen = set()
+    for i in range(space.size):
+        table = goals[i]
+        if table is None or id(table) in seen:
+            continue
+        seen.add(id(table))
+        state = space.state(i)
+        active = [req.required for req in model.requirements
+                  if req.kind.is_achieve
+                  and (not oracles.holds(req.required, state)
+                       if req.activation is None
+                       else state[req.name] != "I")]
+        formula = functools.reduce(Or, active)
+        for b in range(n_bases):
+            for budget in (1, 5, 10_000):
+                assert plan(mdp, b, table, budget) == \
+                    plan(mdp, b, formula, budget), (i, b, budget)
+    assert seen
 
 
 # ---------------------------------------------------------------------------
@@ -532,9 +555,9 @@ def test_replanning_matches_the_straight_line_controller_on_random_models():
 
 
 def test_replanning_toward_a_thousand_goals(tmp_path):
-    """1,000 unconditional goals joined left to right nested the goal
-    1,000 levels deep, and the planner's evaluation ended in a
-    RecursionError; joined in pairs they are 10 levels above !x."""
+    """1,000 unconditional goals once nested a disjunction 1,000 levels
+    deep, and the planner's evaluation ended in a RecursionError; the
+    goal table tries them one after another."""
     text = ("Variable x\nAction clear if x effects <!x>\n"
             + "".join(f"ReqID g{i} achieve !x reward 1\n"
                       for i in range(1_000))
@@ -550,7 +573,9 @@ def test_replanning_toward_a_thousand_goals(tmp_path):
     mdp = compile_model(parse_domain(text))
     controller = ReplanningController(mdp)
     assert controller.choose(mdp.initial_index, None) == "clear"
-    assert formula_depth(mdp.step_tables.goals[mdp.initial_index]) <= 11
+    table = mdp.step_tables.goals[mdp.initial_index]
+    assert table[_base_index(mdp, {"x": "ff"})]
+    assert not table[_base_index(mdp, {"x": "tt"})]
 
 
 # ---------------------------------------------------------------------------
