@@ -99,8 +99,9 @@ def _model(path: str, gamma, max_states: int) -> MdpModel:
     return mdp
 
 
-def _solve(path: str, mdp: MdpModel, method: str, epsilon) -> Strategy:
-    """`epsilon` is None when --epsilon is not given."""
+def _solve(path: str, mdp: MdpModel, method, epsilon) -> Strategy:
+    """`method` and `epsilon` are None when --method and --epsilon are
+    not given."""
     with _reporting(path):
         if method == "policy":
             return policy_iteration(mdp)
@@ -148,7 +149,7 @@ epsilon_option = click.option(
     "--epsilon", type=float, default=None, show_default=str(DEFAULT_EPSILON),
     help="Value iteration's distance from optimal.")
 method_option = click.option("--method", type=click.Choice(["value", "policy"]),
-                             default="value", show_default=True)
+                             default=None, show_default="value")
 
 
 @click.group()
@@ -174,7 +175,8 @@ def cmd_compile(input_path, gamma, max_states, out_path):
     else:
         nnz = sum(m.nnz() for m in mdp.explicit.values())
         sizes = (f"{mdp.events.nnz()} event-product entries, {nnz} "
-                 "action-matrix entries")
+                 f"action-matrix entries, {mdp.step_targets.size} states "
+                 "after an action step")
     click.echo(f"{mdp.n_states} states, {mdp.n_actions} actions (incl. noop), "
                f"{sizes}, built in {elapsed:.3f} s")
     if out_path is not None:
@@ -226,8 +228,9 @@ def cmd_solve(input_path, method, epsilon, gamma, max_states, out_path,
 @click.option("--policy", "policy_path", default=None,
               help="Reuse a saved obdpolicy/1 strategy for the reflex "
                    "controller instead of solving in-process.")
-@click.option("--planner-budget", default=simulation.PLANNER_BUDGET,
-              show_default=True)
+@click.option("--planner-budget", type=int, default=None,
+              show_default=str(simulation.PLANNER_BUDGET),
+              help="Search budget of the replan controller.")
 @click.option("--out", "out_path", default=None,
               help="Write the metrics CSV here ('-' = stdout).")
 def cmd_simulate(input_path, controllers, ticks, seeds, gamma, epsilon,
@@ -237,7 +240,7 @@ def cmd_simulate(input_path, controllers, ticks, seeds, gamma, epsilon,
         _fail("--ticks: error: must be >= 0")
     if seeds < 1:
         _fail("--seeds: error: must be >= 1")
-    if planner_budget < 1:
+    if planner_budget is not None and planner_budget < 1:
         _fail("--planner-budget: error: must be >= 1")
     names = [c.strip() for c in controllers.split(",") if c.strip()]
     unknown = [c for c in names if c not in ("reflex", "replan", "random")]
@@ -250,6 +253,9 @@ def cmd_simulate(input_path, controllers, ticks, seeds, gamma, epsilon,
         _fail("--policy: error: only the reflex controller reads a policy")
     if policy_path is not None or "reflex" not in names:
         _unread(epsilon)
+    if planner_budget is not None and "replan" not in names:
+        _fail("--planner-budget: error: only the replan controller reads "
+              "a planner budget")
     mdp = _model(input_path, gamma, max_states)
     with _reporting(input_path):  # before solving: obdmdp/1 cannot simulate
         simulation.require_source(mdp)
@@ -275,7 +281,9 @@ def _controller(name, mdp, strategy, planner_budget):
     if name == "reflex":
         return simulation.ReflexController(mdp, strategy)
     if name == "replan":
-        return simulation.ReplanningController(mdp, budget=planner_budget)
+        return simulation.ReplanningController(
+            mdp, budget=simulation.PLANNER_BUDGET if planner_budget is None
+            else planner_budget)
     return simulation.RandomController(mdp)
 
 
@@ -329,6 +337,8 @@ def dot_text(mdp: MdpModel, strategy=None, full: bool = False) -> str:
 def cmd_export_dot(input_path, full, method, epsilon, gamma, max_states,
                    out_path):
     """Emit DOT text for the compiled MDP or its optimal strategy."""
+    if full and method is not None:
+        _fail("--method: error: --full solves nothing")
     if full or method == "policy":
         _unread(epsilon)
     mdp = _model(input_path, gamma, max_states)

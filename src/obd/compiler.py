@@ -351,19 +351,30 @@ class SparseMatrix:
             * other.numerators.astype(dtype, copy=False)[positions],
             denominator)
 
+    def _floats(self, numerators: np.ndarray) -> np.ndarray:
+        """The float of each numerator over the denominator. Below 2**53
+        numerators and denominator are exact doubles and IEEE division
+        rounds correctly; otherwise the division is done on Python ints,
+        which round correctly too."""
+        if self.denominator < _FLOAT_EXACT and self.largest < _FLOAT_EXACT:
+            return numerators.astype(np.float64) / self.denominator
+        return (numerators.astype(object)
+                / self.denominator).astype(np.float64)
+
     @cached_property
     def csr(self) -> sp.csr_matrix:
-        """float64 copy holding the float of each exact Fraction. Below
-        2**53 numerators and denominator are exact doubles and IEEE
-        division rounds correctly; otherwise the division is done on
-        Python ints, which round correctly too."""
-        if self.denominator < _FLOAT_EXACT and self.largest < _FLOAT_EXACT:
-            data = self.numerators.astype(np.float64) / self.denominator
-        else:
-            data = (self.numerators.astype(object)
-                    / self.denominator).astype(np.float64)
-        return sp.csr_matrix((data, self.indices, self.indptr),
-                             shape=(self.size, self.size))
+        """float64 copy holding the float of each exact Fraction."""
+        return sp.csr_matrix((self._floats(self.numerators), self.indices,
+                              self.indptr), shape=(self.size, self.size))
+
+    def csr_rows(self, rows: np.ndarray) -> sp.csr_matrix:
+        """The rows `rows` of `csr`, in that order, converted from the
+        numerators of those rows alone: `csr` is not built. (A matrix of
+        from_floats holds its own `csr`, with -0.0 where this gives 0.0.)"""
+        indptr, take = gather_rows(self.indptr, rows)
+        return sp.csr_matrix((self._floats(self.numerators[take]),
+                              self.indices[take], indptr),
+                             shape=(rows.size, self.size))
 
     def __eq__(self, other):
         return (isinstance(other, SparseMatrix) and self.size == other.size
@@ -650,6 +661,19 @@ class MdpModel:
     @property
     def n_actions(self) -> int:
         return len(self.action_names)
+
+    @property
+    def step_targets(self) -> Optional[np.ndarray]:
+        """The states an action step can lead to, ascending: the union of
+        the columns of every X_a, and so the rows of E that the products
+        X_a E read. None for a model read from obdmdp/1, which has no
+        X_a."""
+        if self.explicit is None:
+            return None
+        reached = np.zeros(self.n_states, dtype=bool)
+        for m in self.explicit.values():
+            reached[m.indices] = True
+        return np.flatnonzero(reached)
 
     def transition_csr(self, name: str) -> sp.csr_matrix:
         return self.transitions[name].csr

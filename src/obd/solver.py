@@ -14,6 +14,19 @@ computes it. The operator is built one action block (X_a or P_a) at a
 time and gathers only the rows it keeps: no stack of every action's rows
 is ever formed.
 
+Of E it keeps only the rows that an action step reaches. X_a (E v) reads
+E v only at the columns of X_a, the states an action step can lead to
+(MdpModel.step_targets), and an action step advances the requirement
+statuses by the time step, so most states are never one. The operator
+takes those rows of E alone, converted to float from their numerators
+as SparseMatrix.csr converts them, so the float copy of all of E (about
+230 MB at 4 tables) is never built; the columns of every X_a are
+renumbered to them. Each kept row sums the same terms in the same order,
+so every result is the same bit for bit. It keeps 400 of 1,024 rows of E
+at 2 tables (2,916 of 7,236 entries), 1,296 of 4,096 with serve within 3
+(8,116 of 29,204), 5,000 of 20,480 at 3 tables (98,415 of 377,285) and
+60,000 of 393,216 at 4 (3.19M of 18.9M entries).
+
 The operator keeps only the stacked rows that noop does not dominate. A
 row a*n + s (a >= 1) is dropped when it equals noop's row s entry for
 entry and its expected reward is no higher: wherever an action cannot
@@ -107,9 +120,11 @@ from obd.dsl import ObdError
 FORMAT_POLICY = "obdpolicy/1"
 DEFAULT_EPSILON = 1e-6
 # Models whose products X_a E take at most this many terms X(i,k) E(k,j)
-# are swept through the products, which dump_mdp exports anyway. VI alone
-# sweeps the factors faster from 806 terms, but VI plus export was faster
-# on the products up to 15,198 terms, slower at 60,648, and so was PI
+# are swept through the products, which dump_mdp exports anyway. With only
+# the rows of E that an action step reaches kept, VI alone sweeps the
+# factors faster from 806 terms, but VI plus export was faster on the
+# products up to 15,198 terms and slower at 60,648; PI was faster on the
+# products up to 3,278 terms, even at 15,198 and slower at 60,648
 # (restaurant models, scipy 1.17, 2-vCPU x86 VM; README).
 PRODUCT_TERMS = 4096
 # Float slacks of policy iteration, each relative to at least 1: Q-values
@@ -206,14 +221,17 @@ def _expected_products(p, r) -> np.ndarray:
     return _row_sums(before[p.indptr], products[nonzero])
 
 
-def _action_blocks(mdp: MdpModel, events) -> tuple:
+def _action_blocks(mdp: MdpModel, events, reads) -> tuple:
     """Every action's block of the operator in action order, and the
-    (n_actions, n) table of their expected one-step rewards: X_a, applied
-    after the event product `events` E, with -c_a + sum_k r_k g_k(s)
+    (n_actions, n) table of their expected one-step rewards: X_a, its
+    columns renumbered to their positions in `reads`, applied after
+    `events`, the rows `reads` of E, with -c_a + sum_k r_k g_k(s)
     (X_a E h_k)(s), or P_a itself (`events` is None) with the row sums of
     P_a * R_a."""
     blocks, expected = [], np.empty((mdp.n_actions, mdp.n_states))
     if events is not None:
+        position = np.empty(mdp.n_states, dtype=np.int64)
+        position[reads] = np.arange(reads.size)
         factors = mdp.reward_factors
         if factors:
             after = events @ np.column_stack(
@@ -222,7 +240,10 @@ def _action_blocks(mdp: MdpModel, events) -> tuple:
                                       for f in factors])
     for a, (action, name) in enumerate(zip(mdp.actions, mdp.action_names)):
         if events is not None:
-            blocks.append(mdp.explicit[name].csr)
+            x = mdp.explicit[name].csr
+            blocks.append(sp.csr_matrix(
+                (x.data, position[x.indices].astype(x.indices.dtype),
+                 x.indptr), shape=(x.shape[0], reads.size)))
             expected[a] = -float(action.cost)
             if factors:
                 expected[a] += np.einsum("ik,ik->i", blocks[a] @ after,
@@ -270,10 +291,10 @@ def _product(matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 class _Bellman:
     """The Bellman operator of a model, built one action block at a time
-    (_action_blocks): the explicit rows X_a, then applied after the event
-    product `events` E, or the transition rows P_a themselves (`events`
-    is None). `expected[a, s]` is the expected one-step reward of action
-    a in state s.
+    (_action_blocks): the explicit rows X_a, then applied after `events`,
+    the rows of the event product E that some X_a reads, or the
+    transition rows P_a themselves (`events` is None). `expected[a, s]`
+    is the expected one-step reward of action a in state s.
 
     Only the rows that noop does not dominate (_undominated) are kept,
     each in a slot of `matrix`, which holds `depth` + 1 layers of n rows.
@@ -287,8 +308,12 @@ class _Bellman:
         self.n = n
         self.gamma = float(mdp.gamma)
         self.states = np.arange(n)
-        self.events = mdp.events.csr if _factored(mdp) else None
-        blocks, self.expected = _action_blocks(mdp, self.events)
+        if _factored(mdp):
+            reads = mdp.step_targets
+            self.events = mdp.events.csr_rows(reads)
+        else:
+            reads = self.events = None
+        blocks, self.expected = _action_blocks(mdp, self.events, reads)
         self.source = np.zeros((mdp.n_actions, n), dtype=np.int64)
         layer = np.zeros(n, dtype=np.int64)  # kept rows so far, per state
         for a in range(1, len(blocks)):
@@ -319,9 +344,9 @@ class _Bellman:
                                     shape=(lengths.size, blocks[0].shape[1]))
 
     def buffers(self) -> tuple:
-        """Fresh buffers for layers: the event product's (n) and the
-        slots' ((depth + 1) * n)."""
-        return np.empty(self.n), np.empty(self.matrix.shape[0])
+        """Fresh buffers for layers: the event product's (one entry per
+        kept row of E) and the slots' ((depth + 1) * n)."""
+        return np.empty(self.matrix.shape[1]), np.empty(self.matrix.shape[0])
 
     def layers(self, values: np.ndarray, moved: np.ndarray,
                slots: np.ndarray) -> np.ndarray:

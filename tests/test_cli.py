@@ -45,8 +45,8 @@ def test_compile_reports_sizes():
     assert result.exit_code == 0
     assert "8 states" in result.output
     assert "3 actions (incl. noop)" in result.output
-    assert "15 event-product entries, 28 action-matrix entries" \
-        in result.output
+    assert "15 event-product entries, 28 action-matrix entries, " \
+        "4 states after an action step" in result.output
 
 
 def test_compile_reports_the_sizes_of_a_loaded_mdp(tmp_path):
@@ -540,6 +540,39 @@ def test_unread_epsilon_exits_1(command, monkeypatch):
         head = diagnostic(command[0], TOY, *command[1:], "--epsilon", epsilon)
         assert head == "--epsilon: error: only value iteration reads epsilon"
     assert compiles == []
+
+
+@pytest.mark.parametrize("command,message", [
+    (("export-dot", "--full", "--method", "value"),
+     "--method: error: --full solves nothing"),
+    (("export-dot", "--full", "--method", "policy"),
+     "--method: error: --full solves nothing"),
+    (("simulate", "--planner-budget", "5", "--ticks", "10"),
+     "--planner-budget: error: only the replan controller reads a planner "
+     "budget"),
+    (("simulate", "--controller", "reflex,random", "--planner-budget", "5",
+      "--ticks", "10"),
+     "--planner-budget: error: only the replan controller reads a planner "
+     "budget"),
+], ids=["full-value", "full-policy", "reflex", "reflex-random"])
+def test_unread_method_or_planner_budget_exits_1(command, message,
+                                                 monkeypatch):
+    """A --method that --full never solves with, or a --planner-budget
+    that no replanning controller reads, is refused before the model is
+    compiled."""
+    compiles = []
+    monkeypatch.setattr("obd.cli.compile_model",
+                        lambda *args: compiles.append(args))
+    assert diagnostic(command[0], TOY, *command[1:]) == message
+    assert compiles == []
+
+
+def test_read_method_and_planner_budget_still_run():
+    for args in (("export-dot", TOY, "--method", "policy"),
+                 ("simulate", TOY, "--controller", "replan",
+                  "--planner-budget", "5", "--ticks", "10")):
+        result = invoke(*args)
+        assert result.exit_code == 0, result.stderr
 
 
 def test_tiny_epsilon_still_solves():

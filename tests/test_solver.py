@@ -578,6 +578,17 @@ def _rows(matrix, rows):
     return taken.indptr.tolist(), taken.indices.tolist(), taken.data.tobytes()
 
 
+def _full_slots(mdp, bellman):
+    """The slot matrix over every state: on the factored path its columns
+    are positions in mdp.step_targets, the rows of E kept, and are mapped
+    back through it."""
+    m = bellman.matrix
+    if bellman.events is None:
+        return m
+    return sp.csr_matrix((m.data, mdp.step_targets[m.indices], m.indptr),
+                         shape=(m.shape[0], mdp.n_states))
+
+
 @pytest.mark.parametrize("factored", [True, False],
                          ids=["factors", "products"])
 def test_every_stacked_row_reads_its_slot(toy_model, restaurant_model,
@@ -611,18 +622,57 @@ def test_every_stacked_row_reads_its_slot(toy_model, restaurant_model,
                                                     dropped % n), name
         assert np.all(grid.expected.ravel()[dropped]
                       <= grid.expected[0, dropped % n]), name
-        assert _rows(bellman.matrix, slot.ravel()) == _rows(
+        slots = _full_slots(mdp, bellman)
+        assert _rows(slots, slot.ravel()) == _rows(
             grid.matrix, np.where(kept.ravel(), stacked, stacked % n)), name
         claiming = np.flatnonzero(kept)  # the stacked rows with a slot
         unclaimed = np.setdiff1d(np.arange(bellman.matrix.shape[0]),
                                  slot.ravel())
         assert unclaimed.size == bellman.matrix.shape[0] - claiming.size
-        assert _rows(bellman.matrix, unclaimed) == _rows(grid.matrix,
-                                                         unclaimed % n), name
+        assert _rows(slots, unclaimed) == _rows(grid.matrix,
+                                                unclaimed % n), name
         assert bellman.slot_expected[slot.ravel()[claiming]].tobytes() \
             == grid.expected.ravel()[claiming].tobytes()
         assert bellman.slot_expected[unclaimed].tobytes() == \
             grid.expected[0, unclaimed % n].tobytes()
+
+
+def _restriction_models(toy_model, restaurant_model):
+    """_evaluation_models, the 2-table deadline model and the 320 random
+    models of _warm_start_models."""
+    yield from _evaluation_models(toy_model, restaurant_model)
+    yield "2 tables within 3", compile_model(
+        parse_domain(restaurant_text(2, 0, within=3)))
+    for seed in range(8000, 8320):
+        yield f"random {seed}", compile_model(
+            oracles.random_model(random.Random(seed)))
+
+
+def test_the_kept_rows_of_e_give_the_full_products(toy_model,
+                                                   restaurant_model,
+                                                   monkeypatch):
+    """On the factored path the operator keeps the rows of E that some
+    X_a reads, and no other, with the slot columns renumbered to them:
+    its layers equal, bit for bit, the slot rows over every state times
+    the full E v."""
+    monkeypatch.setattr(solver, "PRODUCT_TERMS", -1)  # sweep the factors
+    rng = np.random.default_rng(11)
+    for name, mdp in _restriction_models(toy_model, restaurant_model):
+        bellman, n = solver._Bellman(mdp), mdp.n_states
+        reads = np.unique(np.concatenate(
+            [m.indices for m in mdp.explicit.values()]))
+        assert np.array_equal(mdp.step_targets, reads), name
+        assert bellman.events.shape == (reads.size, n), name
+        assert _rows(bellman.events, np.arange(reads.size)) \
+            == _rows(mdp.events.csr, reads), name
+        slots = _full_slots(mdp, bellman)
+        scales = 10.0 ** rng.integers(-6, 7, n)
+        for values in (np.zeros(n), rng.standard_normal(n),
+                       rng.standard_normal(n) * scales):
+            want = bellman.gamma * (slots @ (mdp.events.csr @ values)) \
+                + bellman.slot_expected
+            got = bellman.layers(values, *bellman.buffers())
+            assert got.tobytes() == want.tobytes(), name
 
 
 def _with_actions(text, **costs):
