@@ -174,9 +174,11 @@ def cmd_compile(input_path, gamma, max_states, out_path):
         sizes = f"{nnz} transition entries"
     else:
         nnz = sum(m.nnz() for m in mdp.explicit.values())
+        # E holds the rows an action step reaches, and no other
+        held = int((mdp.events.indptr[1:] > mdp.events.indptr[:-1]).sum())
         sizes = (f"{mdp.events.nnz()} event-product entries, {nnz} "
-                 f"action-matrix entries, {mdp.step_targets.size} states "
-                 "after an action step")
+                 f"action-matrix entries, {held} states after an action "
+                 "step")
     click.echo(f"{mdp.n_states} states, {mdp.n_actions} actions (incl. noop), "
                f"{sizes}, built in {elapsed:.3f} s")
     if out_path is not None:
@@ -249,6 +251,10 @@ def cmd_simulate(input_path, controllers, ticks, seeds, gamma, epsilon,
               f"{', '.join(unknown)}")
     if not names:
         _fail("--controller: error: names no controller")
+    repeated = dict.fromkeys(c for k, c in enumerate(names) if c in names[:k])
+    if repeated:
+        _fail(f"--controller: error: repeated controller(s): "
+              f"{', '.join(repeated)}")
     if policy_path is not None and "reflex" not in names:
         _fail("--policy: error: only the reflex controller reads a policy")
     if policy_path is not None or "reflex" not in names:

@@ -5,9 +5,11 @@ statuses, build every action's and event's step matrix with one builder
 (an event branch fires with its occurrence probability, the rest of the
 mass stays put), warn about every pair of events whose step matrices do
 not commute (found by a fingerprint, without multiplying them), and fold
-the events, in declaration order, into one event product E. The model
-keeps its factors: E, each action's explicit matrix X_a, and one reward
-factor (r_k, g_k, h_k) per requirement k, the reward r_k being paid on a
+the events, in declaration order, into one event product E at the rows
+an action step reaches (P_a = X_a E reads no other), from those rows of
+the first event's matrix; E's other rows stay empty. The model keeps its
+factors: E, each action's explicit matrix X_a, and one reward factor
+(r_k, g_k, h_k) per requirement k, the reward r_k being paid on a
 transition s -> j where g_k(s) and h_k(j) hold: the before-part and the
 after-part of the requirement's reward condition in `reqauto`. The
 implicit-event matrix P_a = X_a E (action first, then the events) and the
@@ -351,30 +353,28 @@ class SparseMatrix:
             * other.numerators.astype(dtype, copy=False)[positions],
             denominator)
 
-    def _floats(self, numerators: np.ndarray) -> np.ndarray:
-        """The float of each numerator over the denominator. Below 2**53
-        numerators and denominator are exact doubles and IEEE division
-        rounds correctly; otherwise the division is done on Python ints,
-        which round correctly too."""
-        if self.denominator < _FLOAT_EXACT and self.largest < _FLOAT_EXACT:
-            return numerators.astype(np.float64) / self.denominator
-        return (numerators.astype(object)
-                / self.denominator).astype(np.float64)
-
     @cached_property
     def csr(self) -> sp.csr_matrix:
-        """float64 copy holding the float of each exact Fraction."""
-        return sp.csr_matrix((self._floats(self.numerators), self.indices,
-                              self.indptr), shape=(self.size, self.size))
+        """float64 copy holding the float of each exact Fraction. Below
+        2**53 numerators and denominator are exact doubles and IEEE
+        division rounds correctly; otherwise the division is done on
+        Python ints, which round correctly too."""
+        if self.denominator < _FLOAT_EXACT and self.largest < _FLOAT_EXACT:
+            data = self.numerators.astype(np.float64) / self.denominator
+        else:
+            data = (self.numerators.astype(object)
+                    / self.denominator).astype(np.float64)
+        return sp.csr_matrix((data, self.indices, self.indptr),
+                             shape=(self.size, self.size))
 
-    def csr_rows(self, rows: np.ndarray) -> sp.csr_matrix:
-        """The rows `rows` of `csr`, in that order, converted from the
-        numerators of those rows alone: `csr` is not built. (A matrix of
-        from_floats holds its own `csr`, with -0.0 where this gives 0.0.)"""
-        indptr, take = gather_rows(self.indptr, rows)
-        return sp.csr_matrix((self._floats(self.numerators[take]),
-                              self.indices[take], indptr),
-                             shape=(rows.size, self.size))
+    def held_rows(self, held: np.ndarray) -> "SparseMatrix":
+        """This matrix with the rows outside the boolean mask `held` empty."""
+        lengths = np.diff(self.indptr)
+        indptr = np.zeros(self.size + 1, dtype=np.int64)
+        np.cumsum(lengths * held, out=indptr[1:])
+        keep = np.repeat(held, lengths)
+        return SparseMatrix(self.size, indptr, self.indices[keep],
+                            self.numerators[keep], self.denominator)
 
     def __eq__(self, other):
         return (isinstance(other, SparseMatrix) and self.size == other.size
@@ -640,7 +640,8 @@ class MdpModel:
     action_names: tuple  # noop first, then declaration order
     actions: tuple  # of ActionDesc, parallel to action_names
     # The factors; None for a model read from obdmdp/1, which holds only
-    # the products. E, the event product:
+    # the products. E, the event product, at the rows an action step
+    # reaches (the columns of every X_a), every other row empty:
     events: Optional[SparseMatrix]
     explicit: Optional[Mapping]  # action name -> X_a
     reward_factors: Optional[tuple]  # one RewardFactor per requirement
@@ -661,19 +662,6 @@ class MdpModel:
     @property
     def n_actions(self) -> int:
         return len(self.action_names)
-
-    @property
-    def step_targets(self) -> Optional[np.ndarray]:
-        """The states an action step can lead to, ascending: the union of
-        the columns of every X_a, and so the rows of E that the products
-        X_a E read. None for a model read from obdmdp/1, which has no
-        X_a."""
-        if self.explicit is None:
-            return None
-        reached = np.zeros(self.n_states, dtype=bool)
-        for m in self.explicit.values():
-            reached[m.indices] = True
-        return np.flatnonzero(reached)
 
     def transition_csr(self, name: str) -> sp.csr_matrix:
         return self.transitions[name].csr
@@ -735,11 +723,12 @@ def _check_commutation(events, effective) -> list:
 def compile_model(model: DomainModel, gamma: Fraction = DEFAULT_GAMMA,
                   limit: int = DEFAULT_STATE_LIMIT) -> MdpModel:
     """Assemble the full MDP: state space, discount factor, the event
-    product, the explicit matrix of each action (noop included) and the
-    reward factors; the implicit-event transition and reward matrices are
-    built when first read. A discount factor outside (0,1), also as a
-    float64, and the first error `dsl.validate` finds in the model raise
-    CompileError; more than `limit` states raise StateLimitError."""
+    product at the rows an action step reaches, the explicit matrix of
+    each action (noop included) and the reward factors; the
+    implicit-event transition and reward matrices are built when first
+    read. A discount factor outside (0,1), also as a float64, and the
+    first error `dsl.validate` finds in the model raise CompileError;
+    more than `limit` states raise StateLimitError."""
     if not (0 < gamma < 1):  # before Fraction(), which rejects nan and inf
         raise CompileError(f"discount factor {gamma} outside (0,1)")
     if not (0 < float(gamma) < 1):  # as the solver and obdmdp/1 read it
@@ -762,7 +751,6 @@ def compile_model(model: DomainModel, gamma: Fraction = DEFAULT_GAMMA,
     effective = [effective_event_matrix(ev, space, after_event)
                  for ev in model.events]
     warnings = _check_commutation(model.events, effective)
-    events = events_matrix(effective, space.size)
 
     noop = ActionDesc(NOOP, branches=(), cost=0)
     all_actions = (noop,) + tuple(model.actions)
@@ -770,6 +758,13 @@ def compile_model(model: DomainModel, gamma: Fraction = DEFAULT_GAMMA,
     after_action = _next_statuses(space, automata, truths, time_step=True)
     explicit = {a.name: explicit_action_matrix(a, space, after_action)
                 for a in all_actions}
+    # X_a E reads E only at the columns of X_a: fold its rows there alone
+    reached = np.zeros(space.size, dtype=bool)
+    for m in explicit.values():
+        reached[m.indices] = True
+    first = effective[0] if effective else SparseMatrix.identity(space.size)
+    events = events_matrix([first.held_rows(reached)] + effective[1:],
+                           space.size)
     factors = tuple(_reward_factor(auto, k, space, t)
                     for k, (auto, t) in enumerate(zip(automata, truths)))
     transitions = _Products(

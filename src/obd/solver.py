@@ -14,18 +14,12 @@ computes it. The operator is built one action block (X_a or P_a) at a
 time and gathers only the rows it keeps: no stack of every action's rows
 is ever formed.
 
-Of E it keeps only the rows that an action step reaches. X_a (E v) reads
-E v only at the columns of X_a, the states an action step can lead to
-(MdpModel.step_targets), and an action step advances the requirement
-statuses by the time step, so most states are never one. The operator
-takes those rows of E alone, converted to float from their numerators
-as SparseMatrix.csr converts them, so the float copy of all of E (about
-230 MB at 4 tables) is never built; the columns of every X_a are
-renumbered to them. Each kept row sums the same terms in the same order,
-so every result is the same bit for bit. It keeps 400 of 1,024 rows of E
-at 2 tables (2,916 of 7,236 entries), 1,296 of 4,096 with serve within 3
-(8,116 of 29,204), 5,000 of 20,480 at 3 tables (98,415 of 377,285) and
-60,000 of 393,216 at 4 (3.19M of 18.9M entries).
+X_a (E v) reads E v only at the columns of X_a, the states an action
+step can lead to, and compile_model folds E at those rows alone (400 of
+1,024 at 2 tables, 60,000 of 393,216 at 4); its other rows are empty.
+The operator views the held rows without a copy: E's float arrays, with
+row pointers taken at the held rows, form the compact matrix of those
+rows, and the columns of every X_a are renumbered to them.
 
 The operator keeps only the stacked rows that noop does not dominate. A
 row a*n + s (a >= 1) is dropped when it equals noop's row s entry for
@@ -309,8 +303,10 @@ class _Bellman:
         self.gamma = float(mdp.gamma)
         self.states = np.arange(n)
         if _factored(mdp):
-            reads = mdp.step_targets
-            self.events = mdp.events.csr_rows(reads)
+            e = mdp.events.csr  # the rows E holds, the only ones read
+            reads = np.flatnonzero(np.diff(e.indptr))
+            self.events = sp.csr_matrix((e.data, e.indices, np.append(
+                e.indptr[reads], e.nnz)), shape=(reads.size, n))
         else:
             reads = self.events = None
         blocks, self.expected = _action_blocks(mdp, self.events, reads)
@@ -345,7 +341,7 @@ class _Bellman:
 
     def buffers(self) -> tuple:
         """Fresh buffers for layers: the event product's (one entry per
-        kept row of E) and the slots' ((depth + 1) * n)."""
+        held row of E) and the slots' ((depth + 1) * n)."""
         return np.empty(self.matrix.shape[1]), np.empty(self.matrix.shape[0])
 
     def layers(self, values: np.ndarray, moved: np.ndarray,

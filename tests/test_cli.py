@@ -45,7 +45,7 @@ def test_compile_reports_sizes():
     assert result.exit_code == 0
     assert "8 states" in result.output
     assert "3 actions (incl. noop)" in result.output
-    assert "15 event-product entries, 28 action-matrix entries, " \
+    assert "7 event-product entries, 28 action-matrix entries, " \
         "4 states after an action step" in result.output
 
 
@@ -635,6 +635,24 @@ def test_non_utf8_model_exits_1(tmp_path):
     for command in ("compile", "solve", "export-dot", "simulate"):
         assert diagnostic(command, str(bad)) == \
             f"{bad}: error: not UTF-8 text (byte offset 28)"
+
+
+def test_simulate_repeated_controller_exits_1_before_compiling(
+        tmp_path, monkeypatch):
+    compiles = []
+    monkeypatch.setattr("obd.cli.compile_model",
+                        lambda *args: compiles.append(args))
+    out = tmp_path / "metrics.csv"
+    result = invoke("simulate", TOY, "--controller",
+                    "random,reflex, random,reflex,random", "--ticks", "10",
+                    "--out", str(out))
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # no Python traceback
+    assert result.stderr == \
+        "--controller: error: repeated controller(s): random, reflex\n"
+    assert result.stdout == ""  # no CSV
+    assert not out.exists()
+    assert compiles == []
 
 
 def test_non_utf8_obdmdp_exits_1(tmp_path):

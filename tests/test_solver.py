@@ -1,6 +1,7 @@
 """Value iteration, policy iteration, policy serialization."""
 
 import dataclasses
+import itertools
 import json
 import random
 import re
@@ -15,8 +16,16 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse import csgraph
 
-from obd import solver
-from obd.compiler import CompileError, compile_model, dump_mdp, load_mdp
+from obd import compiler, solver
+from obd.compiler import (
+    CompileError,
+    SparseMatrix,
+    compile_model,
+    dump_mdp,
+    effective_event_matrix,
+    events_matrix,
+    load_mdp,
+)
 from obd.dsl import (
     ActionBranch,
     ActionDesc,
@@ -578,14 +587,31 @@ def _rows(matrix, rows):
     return taken.indptr.tolist(), taken.indices.tolist(), taken.data.tobytes()
 
 
+def _step_targets(mdp):
+    """The states an action step can lead to, ascending: the union of the
+    columns of every X_a."""
+    return np.unique(np.concatenate([m.indices
+                                     for m in mdp.explicit.values()]))
+
+
+def _full_fold(mdp):
+    """E over every state, folded afresh by events_matrix from the model's
+    effective event matrices."""
+    space, automata = mdp.space, mdp.automata
+    truths = [compiler._truth_codes(auto, space) for auto in automata]
+    after = compiler._next_statuses(space, automata, truths, time_step=False)
+    return events_matrix([effective_event_matrix(event, space, after)
+                          for event in mdp.model.events], space.size)
+
+
 def _full_slots(mdp, bellman):
     """The slot matrix over every state: on the factored path its columns
-    are positions in mdp.step_targets, the rows of E kept, and are mapped
+    are positions in _step_targets, the rows of E read, and are mapped
     back through it."""
     m = bellman.matrix
     if bellman.events is None:
         return m
-    return sp.csr_matrix((m.data, mdp.step_targets[m.indices], m.indptr),
+    return sp.csr_matrix((m.data, _step_targets(mdp)[m.indices], m.indptr),
                          shape=(m.shape[0], mdp.n_states))
 
 
@@ -622,6 +648,11 @@ def test_every_stacked_row_reads_its_slot(toy_model, restaurant_model,
                                                     dropped % n), name
         assert np.all(grid.expected.ravel()[dropped]
                       <= grid.expected[0, dropped % n]), name
+        if bellman.events is not None:
+            full = _full_fold(mdp).csr
+            reads = _step_targets(mdp)
+            assert _rows(bellman.events, np.arange(reads.size)) \
+                == _rows(full, reads), name
         slots = _full_slots(mdp, bellman)
         assert _rows(slots, slot.ravel()) == _rows(
             grid.matrix, np.where(kept.ravel(), stacked, stacked % n)), name
@@ -651,28 +682,66 @@ def _restriction_models(toy_model, restaurant_model):
 def test_the_kept_rows_of_e_give_the_full_products(toy_model,
                                                    restaurant_model,
                                                    monkeypatch):
-    """On the factored path the operator keeps the rows of E that some
+    """On the factored path the operator reads the rows of E that some
     X_a reads, and no other, with the slot columns renumbered to them:
-    its layers equal, bit for bit, the slot rows over every state times
-    the full E v."""
+    they are the rows of an independent full fold of E, and its layers
+    equal, bit for bit, the slot rows over every state times the full
+    E v."""
     monkeypatch.setattr(solver, "PRODUCT_TERMS", -1)  # sweep the factors
     rng = np.random.default_rng(11)
     for name, mdp in _restriction_models(toy_model, restaurant_model):
         bellman, n = solver._Bellman(mdp), mdp.n_states
-        reads = np.unique(np.concatenate(
-            [m.indices for m in mdp.explicit.values()]))
-        assert np.array_equal(mdp.step_targets, reads), name
+        reads, full = _step_targets(mdp), _full_fold(mdp).csr
+        assert np.array_equal(np.flatnonzero(np.diff(mdp.events.indptr)),
+                              reads), name
         assert bellman.events.shape == (reads.size, n), name
         assert _rows(bellman.events, np.arange(reads.size)) \
-            == _rows(mdp.events.csr, reads), name
+            == _rows(full, reads), name
         slots = _full_slots(mdp, bellman)
         scales = 10.0 ** rng.integers(-6, 7, n)
         for values in (np.zeros(n), rng.standard_normal(n),
                        rng.standard_normal(n) * scales):
-            want = bellman.gamma * (slots @ (mdp.events.csr @ values)) \
+            want = bellman.gamma * (slots @ (full @ values)) \
                 + bellman.slot_expected
             got = bellman.layers(values, *bellman.buffers())
             assert got.tobytes() == want.tobytes(), name
+
+
+def test_e_holds_exactly_the_rows_an_action_step_reaches(toy_model,
+                                                        restaurant_model):
+    """The compiled E holds the rows that some X_a reads, the union of
+    their columns, and every other row is empty; those rows equal, in
+    exact values and floats, the same rows of an independent full fold,
+    and every P_a = X_a E equals X_a times that fold field by field.
+    Also on a model with no events (E is rows of the identity) and one
+    with a single event (E is rows of its matrix), each holding 2 of its
+    4 rows."""
+    text = """
+        Variable x
+        Action on if !x effects <x prob 1/2> cost 2
+        ReqID g achieve x if !x reward 3
+        Init { !x }
+    """
+    models = itertools.chain(_restriction_models(toy_model,
+                                                 restaurant_model), [
+        ("no events", _tiny(text)),
+        ("one event", _tiny(text.replace("ReqID", "Event off if x occur "
+                                         "prob 1/3 effects <!x>\nReqID")))])
+    for name, mdp in models:
+        full, reads = _full_fold(mdp), _step_targets(mdp)
+        held = np.diff(mdp.events.indptr) > 0
+        assert np.array_equal(np.flatnonzero(held), reads), name
+        # every other row empty: the held rows have every entry
+        rows = full.entry_rows()
+        kept = held[rows]
+        assert mdp.events.nnz() == np.count_nonzero(kept), name
+        assert mdp.events == SparseMatrix.from_entries(
+            full.size, rows[kept], full.indices[kept],
+            full.numerators[kept], full.denominator), name
+        assert _rows(mdp.events.csr, reads) == _rows(full.csr, reads), name
+        for action in mdp.action_names:
+            assert mdp.transitions[action] \
+                == mdp.explicit[action].matmul(full), (name, action)
 
 
 def _with_actions(text, **costs):
