@@ -57,19 +57,16 @@ _sweeps. On every benchmark model that start is already PI's final
 policy, so PI evaluates once; with no sweeps it is the myopic policy,
 the improvement of V = 0.
 
-Policy evaluation multiplies P_pi = X[pi] E out in float (or takes the
-rows of P), orders the states by the strongly connected components of
-P_pi, sources first, so that I - gamma*P_pi is block upper triangular
-(Tarjan 1972; Duff & Reid 1978), and factors it once with SuperLU in that
-order without pivoting. That is safe because the matrix is strictly
-diagonally dominant by rows; the order only keeps the fill small. The
-system is gathered in that order, one gather per array, and each array
-of X[pi] and P_pi is freed once the system's copy of it is taken, so
-SuperLU factors with only the system beside it. SuperLU runs with
-one-column panels: the diagonal blocks are small (at most 83 states at
-2 tables), and wider panels only add overhead. Both solvers return the
-same Strategy shape: a total state-to-action map with its value function
-and solver metadata.
+Policy evaluation reads the factors too. P_pi = X[pi] E, X[pi] being
+each state's slot row for its action, so it solves
+(I - gamma*E X[pi]) w = E r_pi over E's held rows, w being the value of
+each post-action, pre-event state, and sets V = r_pi + gamma*X[pi] w
+(Henderson & Searle 1981); without factors it solves
+(I - gamma*P_pi) V = r_pi. SuperLU factors the system once without
+pivoting, ordered by its strongly connected components, sources first,
+so that it is block upper triangular (Tarjan 1972; Duff & Reid 1978),
+and with one-column panels: the diagonal blocks are small (at most 78
+rows at 2 tables), and wider panels only add overhead.
 
 Every product of a vector by the operator's matrices (E v, and the slots'
 rows times that, in VI's sweeps and the improvement step) goes through
@@ -117,9 +114,9 @@ DEFAULT_EPSILON = 1e-6
 # are swept through the products, which dump_mdp exports anyway. With only
 # the rows of E that an action step reaches kept, VI alone sweeps the
 # factors faster from 806 terms, but VI plus export was faster on the
-# products up to 15,198 terms and slower at 60,648; PI was faster on the
-# products up to 3,278 terms, even at 15,198 and slower at 60,648
-# (restaurant models, scipy 1.17, 2-vCPU x86 VM; README).
+# products up to 15,198 terms and slower at 60,648; PI, over E's held
+# rows on the factors, was faster on the products up to 3,278 terms and
+# slower from 15,198 (restaurant models, scipy 1.17, 2-vCPU x86 VM; README).
 PRODUCT_TERMS = 4096
 # Float slacks of policy iteration, each relative to at least 1: Q-values
 # within TIE_RELATIVE_TOL * max |best Q| of their state's best Q are ties,
@@ -171,21 +168,6 @@ def _factored(mdp: MdpModel) -> bool:
     fan_out = np.diff(mdp.events.indptr)
     terms = sum(int(fan_out[m.indices].sum()) for m in mdp.explicit.values())
     return terms > PRODUCT_TERMS
-
-
-def component_order(p) -> tuple:
-    """The states of a square sparse matrix grouped by strongly connected
-    component, sources first, and the size of every component: each
-    component is contiguous and no entry leads back to an earlier
-    component, so p[order][:, order] is block upper triangular. SciPy
-    numbers the components as Tarjan's algorithm completes them, sinks
-    first."""
-    # imported at first use, as is SuperLU in evaluate: both load
-    # scipy.linalg, which nothing before policy evaluation needs
-    from scipy.sparse import csgraph
-    _, labels = csgraph.connected_components(p, directed=True,
-                                             connection="strong")
-    return np.argsort(-labels, kind="stable"), np.bincount(labels)
 
 
 def _row_sums(indptr: np.ndarray, data: np.ndarray) -> np.ndarray:
@@ -376,56 +358,72 @@ class _Bellman:
                         np.argmax(tied, axis=0)), best
 
     def evaluate(self, layer: np.ndarray, rewards: np.ndarray) -> tuple:
-        """Solve (I - gamma*P_pi) V = r_pi, P_pi = X[pi] E, row s of X[pi]
-        being slot layer[s]*n + s, r_pi = `rewards`, by one LU
-        factorization in component order (component_order) without
-        pivoting; return V and the strong components of P_pi as (count,
-        largest). The matrix is strictly diagonally dominant by rows:
-        every row of P_pi is non-negative and sums to 1 (load_mdp rejects
-        a negative probability and a row sum more than ROW_SUM_TOL from
-        1; a compiled row sums to 1 by construction), and gamma < 1. So
-        are its Schur complements, whatever the symmetric order, and no
-        pivot is zero. The order only decides the fill: with P_pi block
-        triangular, eliminating one component leaves the diagonal blocks
-        of the others unchanged."""
+        """The values of a policy and P_pi's strong components as (count,
+        largest); row s of X[pi] is slot layer[s]*n + s, r_pi `rewards`.
+        One LU factorization in component order without pivoting solves
+        (I - gamma*M) w = b: M = E X[pi], b = E r_pi and V = r_pi + gamma
+        X[pi] w, or without events M = P_pi, b = r_pi and V = w. M is
+        non-negative with rows summing to 1 (load_mdp rejects a negative
+        probability and a row sum more than ROW_SUM_TOL from 1; a compiled
+        row sums to 1 by construction), and gamma < 1: the system and its
+        Schur complements, in any symmetric order, are strictly diagonally
+        dominant by rows, so no pivot is zero. The order only decides the
+        fill."""
         import scipy.sparse.linalg as spla
-        n = self.n
+        n, m, e = self.n, self.matrix.shape[1], self.events
         indptr, take = gather_rows(self.matrix.indptr,
                                    layer * n + self.states)
-        p = sp.csr_matrix((self.matrix.data[take], self.matrix.indices[take],
-                           indptr), shape=(n, self.matrix.shape[1]))
-        if self.events is not None:
-            p = p @ self.events
-        order, sizes = component_order(p)
-        position = np.empty(n, dtype=p.indices.dtype)
-        position[order] = self.states
-        # row k of A = (I - gamma*P)[order][:, order] is row order[k] of
-        # -gamma*P, then its diagonal 1 in an extra slot; each of P's
-        # arrays is freed as soon as A's copy of it is taken
-        indptr, take = gather_rows(p.indptr, order, extra=1)
-        diagonal = indptr[1:] - 1
-        take[diagonal] = 0  # any entry: the diagonal is written below
-        data, columns = p.data, p.indices
-        del p
-        data = data[take]
-        data *= -self.gamma
-        data[diagonal] = 1.0
-        columns = columns[take]
-        del take
-        columns = position[columns]
-        columns[diagonal] = self.states
-        # A's CSR arrays read as CSC are A transposed, the form SuperLU
-        # factored fastest; solve(trans="T") solves with A itself
-        system = sp.csc_matrix((data, columns, indptr), shape=(n, n))
-        try:  # splu's sum_duplicates adds the 1 to -gamma*P(s, s)
+        x = sp.csr_matrix((self.matrix.data[take], self.matrix.indices[take],
+                           indptr), shape=(n, m))
+        labels = _strong_labels(x, e)
+        sizes = np.bincount(labels[:n])  # at the state nodes: P_pi's
+        order = np.argsort(-labels[labels.size - m:], kind="stable")
+        system = _ordered_system(x if e is None else e @ x, order, self.gamma)
+        right = rewards if e is None else e @ rewards
+        try:  # splu's sum_duplicates adds the 1 to -gamma*M(k, k)
             lu = spla.splu(system, permc_spec="NATURAL",
                            diag_pivot_thresh=0.0, panel_size=1)
         except RuntimeError as exc:  # SuperLU's allocation failures
-            raise SolverError(f"policy evaluation: sparse LU of {n} states "
+            raise SolverError(f"policy evaluation: sparse LU of {m} states "
                               f"failed: {exc}") from None
-        values = np.empty(n)
-        values[order] = lu.solve(rewards[order], trans="T")
-        return values, (sizes.size, int(sizes.max()))
+        values = np.empty(m)
+        values[order] = lu.solve(right[order], trans="T")
+        if e is not None:
+            values = rewards + self.gamma * (x @ values)
+        return values, (int(np.count_nonzero(sizes)), int(sizes.max()))
+
+
+def _strong_labels(x, events) -> np.ndarray:
+    """SciPy's strong component labels, sinks first, of x = P_pi or, with
+    events, of the layered graph [[0, x], [E, 0]] built from the two
+    patterns: its n state nodes share a component iff they share one in
+    P_pi = x E, and its nodes of E's rows iff they share one in E x."""
+    from scipy.sparse import csgraph  # loads scipy.linalg, as splu does
+    if events is not None:  # the state nodes first, then E's rows
+        x = sp.csr_matrix(
+            (np.ones(x.nnz + events.nnz),
+             np.concatenate([x.indices + x.shape[0], events.indices]),
+             np.concatenate([x.indptr, x.nnz + events.indptr[1:]])),
+            shape=(x.shape[0] + events.shape[0],) * 2)
+    return csgraph.connected_components(x, connection="strong")[1]
+
+
+def _ordered_system(matrix, order: np.ndarray, gamma: float):
+    """A = (I - gamma*M)[order][:, order], M a square CSR matrix, as CSC
+    on A's CSR arrays: A transposed, the form SuperLU factors fastest, and
+    solve(trans="T") solves with A. Row k of A is row order[k] of
+    -gamma*M, then its diagonal 1 in an extra slot."""
+    position = np.empty(order.size, dtype=matrix.indices.dtype)
+    position[order] = np.arange(order.size)
+    indptr, take = gather_rows(matrix.indptr, order, extra=1)
+    diagonal = indptr[1:] - 1
+    take[diagonal] = 0  # any entry: the diagonal is written below
+    data = matrix.data[take]
+    data *= -gamma
+    data[diagonal] = 1.0
+    columns = position[matrix.indices[take]]
+    columns[diagonal] = np.arange(order.size)
+    return sp.csc_matrix((data, columns, indptr), shape=matrix.shape)
 
 
 def _bellman(mdp: MdpModel) -> _Bellman:

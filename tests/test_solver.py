@@ -1,5 +1,6 @@
 """Value iteration, policy iteration, policy serialization."""
 
+import copy
 import dataclasses
 import itertools
 import json
@@ -37,7 +38,6 @@ from obd.dsl import (
 )
 from obd.solver import (
     SolverError,
-    component_order,
     dump_policy,
     evaluate_policy,
     greedy_policy,
@@ -298,9 +298,12 @@ class _FullGrid:
     that every solve must reproduce bit for bit. Its expected rewards are
     its own, taken over the full stack too. Policy evaluation is the
     solver's own, reading each row from this full stack: action a's rows
-    are layer a."""
+    are layer a. On the factored path it reads `held`, the grid with E
+    viewed at its held rows and the stack's columns renumbered to them,
+    as _Bellman views them."""
 
-    evaluate = solver._Bellman.evaluate
+    def evaluate(self, layer, rewards):
+        return solver._Bellman.evaluate(self.held, layer, rewards)
 
     def __init__(self, mdp):
         if solver._factored(mdp):
@@ -331,6 +334,19 @@ class _FullGrid:
         self.gamma = float(mdp.gamma)
         self.states = np.arange(self.n)
         self.expected = self.expected.reshape(-1, self.n)
+        self.held = self
+        if self.events is not None:
+            e, m = self.events, self.matrix
+            reads = np.flatnonzero(np.diff(e.indptr))
+            position = np.empty(self.n, dtype=m.indices.dtype)
+            position[reads] = np.arange(reads.size)
+            self.held = copy.copy(self)
+            self.held.events = sp.csr_matrix(
+                (e.data, e.indices, np.append(e.indptr[reads], e.nnz)),
+                shape=(reads.size, self.n))
+            self.held.matrix = sp.csr_matrix(
+                (m.data, position[m.indices], m.indptr),
+                shape=(m.shape[0], reads.size))
 
     def q_values(self, values):
         if self.events is not None:
@@ -975,33 +991,74 @@ def test_expected_rewards_skip_zero_products_as_scipy_does():
 @pytest.mark.parametrize("which", ["noop", "value-iteration"])
 def test_component_order_leaves_p_block_triangular(two_tables, monkeypatch,
                                                    which):
-    """The order that evaluate factors in keeps every strongly connected
-    component of P_pi contiguous and puts no entry below the diagonal
-    blocks. A SciPy that numbered its components otherwise would leave
-    the values right but the factorization slow; this test catches it."""
+    """The system that evaluate factors, over E's held rows, keeps every
+    strongly connected component contiguous and puts no entry below the
+    diagonal blocks. A SciPy that numbered its components otherwise would
+    leave the values right but the factorization slow; this test catches
+    it."""
     mdp = two_tables
     policy = (np.zeros(mdp.n_states, dtype=np.int64) if which == "noop"
               else value_iteration(mdp).actions)
-    used = []
+    splu, used = spla.splu, []
 
-    def recorded(p):
-        used.append(component_order(p))
-        return used[-1]
+    def recorded(system, **options):
+        used.append(system.copy())
+        return splu(system, **options)
 
-    monkeypatch.setattr(solver, "component_order", recorded)
+    monkeypatch.setattr(spla, "splu", recorded)
     evaluate_policy(mdp, policy)
-    [(order, sizes)] = used
-    p, _ = _policy_rows(mdp, policy)
-    _, labels = csgraph.connected_components(p, connection="strong")
-    assert sorted(sizes) == sorted(np.bincount(labels))
-    runs = labels[order]
-    first = np.r_[True, runs[1:] != runs[:-1]]
+    [system] = used
+    # its CSR arrays read as CSC: A itself
+    a = sp.csr_matrix((system.data, system.indices, system.indptr),
+                      shape=system.shape)
+    assert a.shape[0] == mdp.bellman.events.shape[0]
+    _, labels = csgraph.connected_components(a, connection="strong")
+    first = np.r_[True, labels[1:] != labels[:-1]]
     assert np.count_nonzero(first) == labels.max() + 1  # contiguous
-    block = np.empty(mdp.n_states, dtype=np.int64)
-    block[order] = np.cumsum(first)
-    entries = p.tocoo()
+    block = np.cumsum(first)
+    entries = a.tocoo()
     assert labels.max() > 100  # many components: the order matters
     assert np.all(block[entries.row] <= block[entries.col])
+
+
+def _evaluated_components(mdp):
+    """policy_iteration's components, and for each evaluation the strong
+    components of P_pi, from _policy_rows, as (count, largest)."""
+    exact, policies = solver._Bellman.evaluate, []
+
+    def evaluate(bellman, layer, rewards):
+        policies.append(bellman.source[layer, bellman.states])
+        return exact(bellman, layer, rewards)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver._Bellman, "evaluate", evaluate)
+        components = policy_iteration(mdp).components
+    want = []
+    for policy in policies:
+        _, labels = csgraph.connected_components(
+            _policy_rows(mdp, policy)[0], connection="strong")
+        sizes = np.bincount(labels)
+        want.append((sizes.size, int(sizes.max())))
+    return components, tuple(want)
+
+
+@pytest.mark.parametrize("factored", [True, False],
+                         ids=["factors", "products"])
+def test_components_are_those_of_p_pi(toy_model, restaurant_model,
+                                      monkeypatch, factored):
+    """Strategy.components holds the strong components of every evaluated
+    P_pi, though the factored path never forms P_pi: on _evaluation_models
+    and the 320 random models of _warm_start_models."""
+    monkeypatch.setattr(solver, "PRODUCT_TERMS", -1 if factored else 10 ** 9)
+    models = itertools.chain(
+        _evaluation_models(toy_model, restaurant_model),
+        ((f"random {seed}", compile_model(
+            oracles.random_model(random.Random(seed))))
+         for seed in range(8000, 8320)))
+    for name, mdp in models:
+        got, want = _evaluated_components(mdp)
+        assert (mdp.bellman.events is not None) == factored, name
+        assert got == want, name
 
 
 @pytest.mark.parametrize("policy, message", [
