@@ -5,7 +5,10 @@ flag or output path gives a one-line diagnostic that names it and exit
 code 1, never a traceback: `file:line:col: error: message` for parse and
 validation errors, `name: error: message` otherwise. Click's own usage
 errors (an unknown option, `--ticks abc`) exit 2. Machine outputs
-(obdmdp/1, obdpolicy/1, CSV, DOT) are newline-terminated UTF-8.
+(obdmdp/1, obdpolicy/1, its JSON mirror, CSV, DOT) are newline-terminated
+UTF-8, and they are all stdout carries: diagnostics and the commands'
+one-line summaries go to stderr, so a document written with `--out -`
+can be piped into a file that the next command reads.
 obdmdp/1, obdpolicy/1 and DOT are byte-stable across runs with equal
 inputs; the CSV's medianLatencyNs column is a wall-clock timing and varies.
 """
@@ -179,12 +182,13 @@ def cmd_compile(input_path, gamma, max_states, out_path):
         sizes = (f"{mdp.events.nnz()} event-product entries, {nnz} "
                  f"action-matrix entries, {held} states after an action "
                  "step")
-    click.echo(f"{mdp.n_states} states, {mdp.n_actions} actions (incl. noop), "
-               f"{sizes}, built in {elapsed:.3f} s")
     if out_path is not None:
         with _reporting(input_path):  # builds the products X_a E and R_a
             text = dump_mdp(mdp)
         _write(out_path, text)
+    # last, so that a failed write leaves its diagnostic alone on stderr
+    click.echo(f"{mdp.n_states} states, {mdp.n_actions} actions (incl. noop), "
+               f"{sizes}, built in {elapsed:.3f} s", err=True)
 
 
 @main.command("solve")
@@ -204,16 +208,16 @@ def cmd_solve(input_path, method, epsilon, gamma, max_states, out_path,
         _unread(epsilon)
     mdp = _model(input_path, gamma, max_states)
     strategy = _solve(input_path, mdp, method, epsilon)
-    if method == "policy":
-        click.echo(f"{strategy.method}: {strategy.iterations} evaluations "
-                   f"after {len(strategy.residuals)} sweeps")
-    else:
-        click.echo(f"{strategy.method}: {strategy.iterations} iterations, "
-                   f"residual {strategy.residual:.3e}")
     if out_path is not None:
         _write(out_path, dump_policy(strategy, mdp))
     if json_path is not None:
         _write(json_path, policy_to_json(strategy, mdp))
+    if method == "policy":
+        click.echo(f"{strategy.method}: {strategy.iterations} evaluations "
+                   f"after {len(strategy.residuals)} sweeps", err=True)
+    else:
+        click.echo(f"{strategy.method}: {strategy.iterations} iterations, "
+                   f"residual {strategy.residual:.3e}", err=True)
 
 
 @main.command("simulate")
@@ -280,7 +284,7 @@ def cmd_simulate(input_path, controllers, ticks, seeds, gamma, epsilon,
                 for name in names for seed in range(seeds)]
     _write(out_path, simulation.metrics_csv(rows))
     if out_path is not None:
-        click.echo(simulation.metrics_summary(rows), nl=False)
+        click.echo(simulation.metrics_summary(rows), nl=False, err=True)
 
 
 def _controller(name, mdp, strategy, planner_budget):

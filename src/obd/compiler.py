@@ -34,7 +34,7 @@ import math
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -547,16 +547,11 @@ def effective_event_matrix(event: EventDesc, space: StateSpace,
         f"event '{event.name}'", space, successors)
 
 
-def events_matrix(effective_matrices, size: int) -> SparseMatrix:
-    """Left-to-right product of effective event matrices in declaration
-    order, folded from the first (no product with the identity); the
-    identity when there are no events."""
-    if not effective_matrices:
-        return SparseMatrix.identity(size)
-    out = effective_matrices[0]
-    for m in effective_matrices[1:]:
-        out = out.matmul(m)
-    return out
+def events_matrix(effective_matrices) -> SparseMatrix:
+    """Left-to-right product of a non-empty list of effective event
+    matrices in declaration order, folded from the first (no product with
+    the identity)."""
+    return reduce(SparseMatrix.matmul, effective_matrices)
 
 
 def implicit_action_matrix(explicit: SparseMatrix,
@@ -763,8 +758,7 @@ def compile_model(model: DomainModel, gamma: Fraction = DEFAULT_GAMMA,
     for m in explicit.values():
         reached[m.indices] = True
     first = effective[0] if effective else SparseMatrix.identity(space.size)
-    events = events_matrix([first.held_rows(reached)] + effective[1:],
-                           space.size)
+    events = events_matrix([first.held_rows(reached)] + effective[1:])
     factors = tuple(_reward_factor(auto, k, space, t)
                     for k, (auto, t) in enumerate(zip(automata, truths)))
     transitions = _Products(

@@ -18,13 +18,13 @@ the names of the requirements satisfied; and per state, the goal table
 the replanning controller plans toward there: per base state, whether
 any achieve requirement active in the state holds there, which the
 planner tests at every node it pops, one table per distinct set of
-active requirements. The simulator's own branch matcher and `reqauto`'s
-status updates and reward fill each entry the first time it is read;
-the compiled matrices are never read, so criterion 6 still compares two
-transcriptions of the tick. The goal fills read the decoded base and
-status dicts the other fills keep, read-only. The tables are
-freed with their model and grow with the states and transitions the
-runs on it visit.
+active requirements; plan takes no other kind of goal. The simulator's
+own branch matcher and `reqauto`'s status updates and reward fill each
+entry the first time it is read; the compiled matrices are never read,
+so criterion 6 still compares two transcriptions of the tick. The goal
+fills read the decoded base and status dicts the other fills keep,
+read-only. The tables are freed with their model and grow with the
+states and transitions the runs on it visit.
 
 Randomness comes from numpy's default bit generator (PCG64, O'Neill
 2014), seeded per run, so traces replay across platforms. A run reads its
@@ -42,11 +42,11 @@ import io
 import statistics
 import time
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from obd.dsl import Formula, ObdError, eval_formula
+from obd.dsl import ObdError, eval_formula
 from obd.compiler import MdpModel, NOOP
 from obd.reqauto import reward as requirement_reward, update_action, update_event
 from obd.solver import Strategy
@@ -390,26 +390,23 @@ class RandomController(Controller):
 PLANNER_BUDGET = 10_000  # nodes a search may expand
 
 
-def plan(mdp: MdpModel, start: int, goal: Union[Formula, _Memo],
+def plan(mdp: MdpModel, start: int, goal: _Memo,
          budget: int = PLANNER_BUDGET) -> Optional[list]:
     """Uniform-cost forward search over the determinized base-state graph,
-    from base index `start`, toward a formula or a goal table of the step
-    tables (base index -> whether the goal holds there).
+    from base index `start`, toward a goal table of the step tables (base
+    index -> whether the goal holds there).
 
     Events are ignored; each action is replaced by its most likely effect.
     Returns the cheapest plan (ties: shorter, then lexicographic action
     order) or None when the budget runs out or the goal is unreachable.
     """
-    tables = _tables(mdp)
-    records = tables.actions.items()
-    reached = goal if isinstance(goal, _Memo) else \
-        _Memo(lambda b: eval_formula(goal, tables.bases[b]))
+    records = _tables(mdp).actions.items()
     frontier = [(0, 0, (), start)]
     seen = set()
     expanded = 0
     while frontier and expanded < budget:
         cost, length, actions, b = heapq.heappop(frontier)
-        if reached[b]:
+        if goal[b]:
             return list(actions)
         if b in seen:
             continue

@@ -11,15 +11,17 @@ only the products P_a, and so does a compiled model small enough that
 building them exactly costs less than the second product per sweep
 saves; there a backup is q = r + gamma * P v, as the model read back
 computes it. The operator is built one action block (X_a or P_a) at a
-time and gathers only the rows it keeps: no stack of every action's rows
-is ever formed.
+time, each the model's own CSR, and gathers only the rows it keeps: no
+stack of every action's rows, and no copy of a block, is ever formed.
 
 X_a (E v) reads E v only at the columns of X_a, the states an action
 step can lead to, and compile_model folds E at those rows alone (400 of
 1,024 at 2 tables, 60,000 of 393,216 at 4); its other rows are empty.
 The operator views the held rows without a copy: E's float arrays, with
 row pointers taken at the held rows, form the compact matrix of those
-rows, and the columns of every X_a are renumbered to them.
+rows, and the gathered slot matrix has its columns numbered to them
+once. The reward factors' E h_k are read from the stored E, 0 on the
+rows it does not hold, which no X_a reads.
 
 The operator keeps only the stacked rows that noop does not dominate. A
 row a*n + s (a >= 1) is dropped when it equals noop's row s entry for
@@ -197,29 +199,23 @@ def _expected_products(p, r) -> np.ndarray:
     return _row_sums(before[p.indptr], products[nonzero])
 
 
-def _action_blocks(mdp: MdpModel, events, reads) -> tuple:
-    """Every action's block of the operator in action order, and the
-    (n_actions, n) table of their expected one-step rewards: X_a, its
-    columns renumbered to their positions in `reads`, applied after
-    `events`, the rows `reads` of E, with -c_a + sum_k r_k g_k(s)
-    (X_a E h_k)(s), or P_a itself (`events` is None) with the row sums of
-    P_a * R_a."""
+def _action_blocks(mdp: MdpModel, factored: bool) -> tuple:
+    """Every action's block of the operator in action order, each the
+    model's own CSR, and the (n_actions, n) table of their expected
+    one-step rewards: X_a with -c_a + sum_k r_k g_k(s) (X_a E h_k)(s), E
+    being the stored event product (E h_k is 0 on the rows E does not
+    hold, which no X_a reads), or P_a (not `factored`) with the row sums
+    of P_a * R_a."""
     blocks, expected = [], np.empty((mdp.n_actions, mdp.n_states))
-    if events is not None:
-        position = np.empty(mdp.n_states, dtype=np.int64)
-        position[reads] = np.arange(reads.size)
-        factors = mdp.reward_factors
-        if factors:
-            after = events @ np.column_stack(
-                [f.after for f in factors]).astype(np.float64)
-            before = np.column_stack([float(f.reward) * f.before
-                                      for f in factors])
+    factors = factored and mdp.reward_factors
+    if factors:
+        after = mdp.events.csr @ np.column_stack(
+            [f.after for f in factors]).astype(np.float64)
+        before = np.column_stack([float(f.reward) * f.before
+                                  for f in factors])
     for a, (action, name) in enumerate(zip(mdp.actions, mdp.action_names)):
-        if events is not None:
-            x = mdp.explicit[name].csr
-            blocks.append(sp.csr_matrix(
-                (x.data, position[x.indices].astype(x.indices.dtype),
-                 x.indptr), shape=(x.shape[0], reads.size)))
+        if factored:
+            blocks.append(mdp.explicit[name].csr)
             expected[a] = -float(action.cost)
             if factors:
                 expected[a] += np.einsum("ik,ik->i", blocks[a] @ after,
@@ -268,9 +264,10 @@ def _product(matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
 class _Bellman:
     """The Bellman operator of a model, built one action block at a time
     (_action_blocks): the explicit rows X_a, then applied after `events`,
-    the rows of the event product E that some X_a reads, or the
-    transition rows P_a themselves (`events` is None). `expected[a, s]`
-    is the expected one-step reward of action a in state s.
+    the rows of the event product E that some X_a reads, to which the
+    slot matrix's columns are numbered, or the transition rows P_a
+    themselves (`events` is None). `expected[a, s]` is the expected
+    one-step reward of action a in state s.
 
     Only the rows that noop does not dominate (_undominated) are kept,
     each in a slot of `matrix`, which holds `depth` + 1 layers of n rows.
@@ -290,8 +287,8 @@ class _Bellman:
             self.events = sp.csr_matrix((e.data, e.indices, np.append(
                 e.indptr[reads], e.nnz)), shape=(reads.size, n))
         else:
-            reads = self.events = None
-        blocks, self.expected = _action_blocks(mdp, self.events, reads)
+            reads, self.events = self.states, None  # P_a reads every state
+        blocks, self.expected = _action_blocks(mdp, self.events is not None)
         self.source = np.zeros((mdp.n_actions, n), dtype=np.int64)
         layer = np.zeros(n, dtype=np.int64)  # kept rows so far, per state
         for a in range(1, len(blocks)):
@@ -318,8 +315,12 @@ class _Bellman:
                                       lengths[slots])
             data[target] = block.data[take]
             indices[target] = block.indices[take]
+        if self.events is not None:  # columns numbered to E's held rows
+            position = np.empty(n, dtype=indices.dtype)
+            position[reads] = np.arange(reads.size)
+            indices = position[indices]
         self.matrix = sp.csr_matrix((data, indices, indptr),
-                                    shape=(lengths.size, blocks[0].shape[1]))
+                                    shape=(lengths.size, reads.size))
 
     def buffers(self) -> tuple:
         """Fresh buffers for layers: the event product's (one entry per

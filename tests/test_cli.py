@@ -1,6 +1,8 @@
 """End-to-end command-line tests via click's runner."""
 
+import csv
 import errno
+import io
 import json
 import os
 import subprocess
@@ -13,7 +15,7 @@ import pytest
 import scipy.sparse.linalg
 from click.testing import CliRunner
 
-from obd import compiler, dsl
+from obd import compiler, dsl, solver
 from obd.cli import main
 
 import test_dsl
@@ -726,3 +728,67 @@ def test_outputs_are_byte_identical(tmp_path):
                       "--out", str(csv)).exit_code == 0
         paths[tag] = (mdp.read_bytes(), pol.read_bytes(), dot.read_bytes())
     assert paths["one"] == paths["two"]
+
+
+# ---------------------------------------------------------------------------
+# stdout carries only documents: `--out -` pipes them
+
+
+def test_compile_out_dash_pipes_the_obdmdp_document(tmp_path):
+    """With `--out -`, stdout holds the bytes that `--out FILE` writes and
+    the summary goes to stderr: the piped file reads back, and `obd solve`
+    solves it."""
+    out = tmp_path / "toy.mdp"
+    assert invoke("compile", TOY, "--out", str(out)).exit_code == 0
+    result = invoke("compile", TOY, "--out", "-")
+    assert result.exit_code == 0
+    assert result.stdout_bytes == out.read_bytes()
+    assert result.stderr.startswith("8 states, 3 actions")
+    piped = tmp_path / "piped.mdp"
+    piped.write_bytes(result.stdout_bytes)
+    assert compiler.dump_mdp(compiler.load_mdp(piped.read_text())) \
+        == result.stdout
+    assert invoke("solve", str(piped)).exit_code == 0
+
+
+@pytest.mark.parametrize("flag", ["--out", "--json-out"])
+def test_solve_out_dash_pipes_the_strategy(tmp_path, flag):
+    """With `--out -` or `--json-out -`, stdout holds the bytes that the
+    flag writes to a file and the summary goes to stderr; a piped
+    obdpolicy/1 document loads, also through `obd simulate --policy`."""
+    out = tmp_path / "toy.out"
+    assert invoke("solve", TOY, flag, str(out)).exit_code == 0
+    result = invoke("solve", TOY, flag, "-")
+    assert result.exit_code == 0
+    assert result.stdout_bytes == out.read_bytes()
+    assert result.stderr.startswith("value-iteration: ")
+    if flag == "--json-out":
+        assert json.loads(result.stdout)["format"] == "obdpolicy/1"
+        return
+    mdp = compiler.compile_model(dsl.parse_domain(Path(TOY).read_text()))
+    assert solver.dump_policy(solver.load_policy(result.stdout, mdp),
+                              mdp) == result.stdout
+    piped = tmp_path / "piped.policy"
+    piped.write_bytes(result.stdout_bytes)
+    assert invoke("simulate", TOY, "--ticks", "10",
+                  "--policy", str(piped)).exit_code == 0
+
+
+def test_simulate_out_dash_pipes_only_the_csv(tmp_path):
+    """With `--out -`, stdout holds the CSV that `--out FILE` writes, equal
+    apart from the wall-clock medianLatencyNs column, and the summary goes
+    to stderr, one line per run."""
+    args = ("simulate", TOY, "--controller", "reflex,replan,random",
+            "--ticks", "100", "--seeds", "2", "--out")
+    out = tmp_path / "metrics.csv"
+    assert invoke(*args, str(out)).exit_code == 0
+    result = invoke(*args, "-")
+    assert result.exit_code == 0
+
+    def rows(text):
+        return [{k: v for k, v in row.items() if k != "medianLatencyNs"}
+                for row in csv.DictReader(io.StringIO(text))]
+    assert rows(result.stdout) == rows(out.read_text())
+    assert len(rows(result.stdout)) == 6
+    assert len(result.stdout.splitlines()) == 1 + 6
+    assert len(result.stderr.splitlines()) == 6

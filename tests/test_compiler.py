@@ -145,22 +145,17 @@ def test_effective_event_formula(toy_model):
                     assert effective.get(i, j) == expected
 
 
-def test_events_matrix_empty_is_identity():
-    m = events_matrix([], 5)
-    assert m == SparseMatrix.identity(5)
-
-
 def test_events_matrix_single_is_itself(toy_model):
     space, after = _after(toy_model, time_step=False)
     effective = effective_event_matrix(toy_model.events[0], space, after)
-    assert events_matrix([effective], space.size) == effective
+    assert events_matrix([effective]) == effective
 
 
 def test_implicit_is_explicit_times_events(toy_model):
     space, after_event = _after(toy_model, time_step=False)
     _, after_action = _after(toy_model, time_step=True)
     ev = events_matrix([effective_event_matrix(
-        toy_model.events[0], space, after_event)], space.size)
+        toy_model.events[0], space, after_event)])
     for action in toy_model.actions:
         explicit = explicit_action_matrix(action, space, after_action)
         assert implicit_action_matrix(explicit, ev) == explicit.matmul(ev)
@@ -399,7 +394,8 @@ def _kernel_products(model, monkeypatch, terms):
     effective = _effective(model)
     monkeypatch.setattr(compiler, "SCIPY_TERMS", terms)
     calls = _spy_from_entries(monkeypatch)
-    events = events_matrix(effective, mdp.n_states)
+    events = events_matrix(effective
+                           or [SparseMatrix.identity(mdp.n_states)])
     products = [events] + [implicit_action_matrix(mdp.explicit[name], events)
                            for name in mdp.action_names]
     monkeypatch.undo()

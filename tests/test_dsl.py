@@ -269,6 +269,9 @@ MODEL_ERRORS = [
     (X + "ReqID r achieve x for 2 if !x reward_once 1\nInit { x }",
      "'for' duration is only for maintain requirements", 2, 7),
     (X + "Init { x }\nInit { x }", "duplicate Init block", 3, 1),
+    # an event with no branch is placed at its name
+    (X + "Event e\nInit { x }",
+     "event 'e' has no 'if ... effects' branch", 2, 7),
 ])
 def test_parse_error_messages(text, message, line, col):
     source = "validate" if (text, message, line, col) in MODEL_ERRORS \

@@ -18,7 +18,7 @@ import oracles
 from obd import sim
 from obd.compiler import compile_model, dump_mdp, load_mdp
 from obd.cli import main
-from obd.dsl import Atom, Or, parse_domain
+from obd.dsl import Atom, Or, eval_formula, parse_domain
 from obd.sim import (
     BLOCK,
     Draws,
@@ -273,10 +273,18 @@ def _base_index(mdp, base: dict) -> int:
     return space.index_of(state) // space.n_statuses
 
 
+def _goal(mdp, formula):
+    """A goal table of `mdp`'s step tables for one formula (base index ->
+    whether it holds there), as the replanning controller keeps one per
+    set of active goals."""
+    bases = sim._tables(mdp).bases
+    return sim._Memo(lambda b: eval_formula(formula, bases[b]))
+
+
 def test_plan_finds_cheapest_sequence():
     start = _base_index(PLAN_MDP, {"pos": "home", "door": "ff"})
     goal = Atom("pos", "lab")
-    assert plan(PLAN_MDP, start, goal) == \
+    assert plan(PLAN_MDP, start, _goal(PLAN_MDP, goal)) == \
         ["walk_hall", "open_door", "enter_lab"]
 
 
@@ -284,23 +292,25 @@ def test_plan_uses_most_likely_effect():
     # teleport's most likely effect sets door, not pos, so it cannot be a
     # one-step plan to the lab
     start = _base_index(PLAN_MDP, {"pos": "home", "door": "ff"})
-    result = plan(PLAN_MDP, start, Atom("pos", "lab"))
+    result = plan(PLAN_MDP, start, _goal(PLAN_MDP, Atom("pos", "lab")))
     assert "teleport" not in result
 
 
 def test_plan_goal_already_met_is_empty():
     start = _base_index(PLAN_MDP, {"pos": "lab", "door": "tt"})
-    assert plan(PLAN_MDP, start, Atom("pos", "lab")) == []
+    assert plan(PLAN_MDP, start, _goal(PLAN_MDP, Atom("pos", "lab"))) == []
 
 
 def test_plan_unreachable_returns_none():
     start = _base_index(PLAN_MDP, {"pos": "lab", "door": "tt"})
-    assert plan(PLAN_MDP, start, Atom("pos", "home")) is None
+    assert plan(PLAN_MDP, start,
+                _goal(PLAN_MDP, Atom("pos", "home"))) is None
 
 
 def test_plan_budget_exhaustion_returns_none():
     start = _base_index(PLAN_MDP, {"pos": "home", "door": "ff"})
-    assert plan(PLAN_MDP, start, Atom("pos", "lab"), budget=1) is None
+    assert plan(PLAN_MDP, start, _goal(PLAN_MDP, Atom("pos", "lab")),
+                budget=1) is None
 
 
 def test_plan_tie_breaks_lexicographically():
@@ -311,7 +321,7 @@ def test_plan_tie_breaks_lexicographically():
         Init { !x }
     """))
     start = _base_index(mdp, {"x": "ff"})
-    assert plan(mdp, start, Atom("x", "tt")) == ["alpha"]
+    assert plan(mdp, start, _goal(mdp, Atom("x", "tt"))) == ["alpha"]
 
 
 def test_plan_takes_the_first_declared_of_equally_likely_effects():
@@ -322,14 +332,14 @@ def test_plan_takes_the_first_declared_of_equally_likely_effects():
         Init { !x, !y }
     """))
     start = _base_index(mdp, {"x": "ff", "y": "ff"})
-    assert plan(mdp, start, Atom("x", "tt")) == ["go"]
-    assert plan(mdp, start, Atom("y", "tt")) is None
+    assert plan(mdp, start, _goal(mdp, Atom("x", "tt"))) == ["go"]
+    assert plan(mdp, start, _goal(mdp, Atom("y", "tt"))) is None
 
 
 @pytest.mark.parametrize("start", [-1, 6])
 def test_plan_rejects_a_start_outside_the_bases(start):
     with pytest.raises(SimulationError):
-        plan(PLAN_MDP, start, Atom("pos", "lab"))
+        plan(PLAN_MDP, start, _goal(PLAN_MDP, Atom("pos", "lab")))
 
 
 # the fixed models on every base, the two 2-table restaurants on a seeded
@@ -372,6 +382,7 @@ def test_plan_matches_the_dict_keyed_oracle(model, sample):
         starts = sorted(rng.sample(range(n_bases), sample))
         goals.append(rng.choice(atoms))
     names = space.names[:space.n_base]
+    tables = [_goal(mdp, goal) for goal in goals]
     for b in starts:
         state = space.state(b * space.n_statuses)
         base = {name: state[name] for name in names}
@@ -379,9 +390,9 @@ def test_plan_matches_the_dict_keyed_oracle(model, sample):
             succ = oracles.determinized_successor(action, base)
             assert actions[name][2][b] == (
                 None if succ is None else _base_index(mdp, succ)), (b, name)
-        for goal in goals:
+        for goal, table in zip(goals, tables):
             for budget in (1, 5, 10_000):
-                assert plan(mdp, b, goal, budget) == \
+                assert plan(mdp, b, table, budget) == \
                     oracles.oracle_plan(model, base, goal, budget), \
                     (b, goal, budget)
 
@@ -389,14 +400,17 @@ def test_plan_matches_the_dict_keyed_oracle(model, sample):
 @pytest.mark.parametrize("within", [None, 3])
 def test_plan_reads_a_goal_table_as_its_formula(within):
     """From every base, and for every state's set of active goals, `plan`
-    given the state's goal table returns the plan it returns given the
-    left-to-right disjunction of the active goals, at budgets 1, 5 and
-    10,000."""
+    given the state's goal table returns the dict-keyed reference
+    planner's plan toward the left-to-right disjunction of the active
+    goals, at budgets 1, 5 and 10,000."""
     model = parse_domain(restaurant_text(2, 0, within=within))
     mdp = compile_model(model)
     space = mdp.space
     goals = sim._tables(mdp).goals
     n_bases = space.size // space.n_statuses
+    names = space.names[:space.n_base]
+    states = (space.state(b * space.n_statuses) for b in range(n_bases))
+    bases = [{name: state[name] for name in names} for state in states]
     seen = set()
     for i in range(space.size):
         table = goals[i]
@@ -410,10 +424,11 @@ def test_plan_reads_a_goal_table_as_its_formula(within):
                        if req.activation is None
                        else state[req.name] != "I")]
         formula = functools.reduce(Or, active)
-        for b in range(n_bases):
+        for b, base in enumerate(bases):
             for budget in (1, 5, 10_000):
                 assert plan(mdp, b, table, budget) == \
-                    plan(mdp, b, formula, budget), (i, b, budget)
+                    oracles.oracle_plan(model, base, formula, budget), \
+                    (i, b, budget)
     assert seen
 
 

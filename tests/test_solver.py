@@ -576,17 +576,19 @@ def test_the_warm_start_solves_as_the_myopic_start(toy_model,
 
 
 def test_one_evaluation_holds_p_pi_and_its_system_once():
-    """Policy evaluation frees each array of P_pi once the system's copy
-    of it is taken: at 3 tables (20,480 states, the optimal policy's P_pi
-    of 647,792 entries) its tracemalloc peak was 29.9 bytes per entry of
-    P_pi, and the bound is 20% above that. Assembling the system from
-    appended copies of P_pi's arrays peaked at 46.3. SuperLU's own
-    allocations are not traced."""
+    """Policy evaluation solves over E's held rows and never forms P_pi:
+    at 3 tables (20,480 states) the optimal policy's system E X[pi] has
+    5,000 rows and 180,576 entries, against 647,792 in P_pi, and the
+    evaluation's tracemalloc peak was 45.4 bytes per entry of E X[pi]. The
+    bound is 20% above that; forming P_pi as well would cross it. SuperLU's
+    own allocations are not traced."""
     mdp = compile_model(parse_domain(restaurant_text(3, 0)))
     policy = value_iteration(mdp).actions
     n = mdp.n_states
-    entries = (sp.vstack([mdp.explicit[a].csr for a in mdp.action_names])
-               [policy * n + np.arange(n)] @ mdp.events.csr).nnz
+    held = np.flatnonzero(np.diff(mdp.events.indptr))
+    entries = (mdp.events.csr[held]
+               @ sp.vstack([mdp.explicit[a].csr for a in mdp.action_names])
+               [policy * n + np.arange(n)]).nnz
     evaluate_policy(mdp, policy)  # SciPy's first-call set-up untraced
     tracemalloc.start()
     try:
@@ -594,7 +596,7 @@ def test_one_evaluation_holds_p_pi_and_its_system_once():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 36 * entries
+    assert peak < 54 * entries
 
 
 def _rows(matrix, rows):
@@ -612,12 +614,13 @@ def _step_targets(mdp):
 
 def _full_fold(mdp):
     """E over every state, folded afresh by events_matrix from the model's
-    effective event matrices."""
+    effective event matrices, or the identity when it has no events."""
     space, automata = mdp.space, mdp.automata
     truths = [compiler._truth_codes(auto, space) for auto in automata]
     after = compiler._next_statuses(space, automata, truths, time_step=False)
     return events_matrix([effective_event_matrix(event, space, after)
-                          for event in mdp.model.events], space.size)
+                          for event in mdp.model.events]
+                         or [SparseMatrix.identity(space.size)])
 
 
 def _full_slots(mdp, bellman):
